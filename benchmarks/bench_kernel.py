@@ -4,146 +4,18 @@ These do not reproduce paper results; they track the simulator's own
 throughput so regressions in the kernel/network layers are visible.
 """
 
+import pytest
+
+from repro.experiments.benchcmd import WORKLOADS
 from repro.net import Listener, Network, connect
-from repro.sim import AnyOf, Environment, RandomStreams, Store, Timer
+from repro.sim import Environment, RandomStreams
 
 
-def test_bench_event_throughput(benchmark):
-    """Pure timeout churn: events scheduled + processed per run."""
-
-    def run():
-        env = Environment()
-
-        def ticker():
-            for _ in range(20_000):
-                yield env.timeout(0.001)
-
-        env.process(ticker())
-        env.run()
-        return env.now
-
-    result = benchmark(run)
-    assert result > 0
-
-
-def test_bench_process_chains(benchmark):
-    """Process spawn/wait chains (the broker's dominant pattern)."""
-
-    def run():
-        env = Environment()
-
-        def leaf():
-            yield env.timeout(0.01)
-            return 1
-
-        def parent():
-            total = 0
-            for _ in range(2_000):
-                total += yield env.process(leaf())
-            return total
-
-        proc = env.process(parent())
-        env.run()
-        return proc.value
-
-    assert benchmark(run) == 2_000
-
-
-def test_bench_store_pingpong(benchmark):
-    """Producer/consumer handoff through a Store."""
-
-    def run():
-        env = Environment()
-        a_to_b, b_to_a = Store(env), Store(env)
-
-        def side_a():
-            for i in range(5_000):
-                yield a_to_b.put(i)
-                yield b_to_a.get()
-
-        def side_b():
-            for _ in range(5_000):
-                item = yield a_to_b.get()
-                yield b_to_a.put(item)
-
-        env.process(side_a())
-        proc = env.process(side_b())
-        env.run()
-        return True
-
-    assert benchmark(run)
-
-
-def test_bench_fanin_anyof(benchmark):
-    """Wide AnyOf fan-in: the lazy-detach Condition path.
-
-    The seed's decision-time callback removal made this quadratic in the
-    fan width; with lazy detach the losers just early-return.
-    """
-
-    def run():
-        env = Environment()
-
-        def waiter():
-            for _ in range(50):
-                events = [env.timeout(i + 1, value=i) for i in range(500)]
-                result = yield AnyOf(env, events)
-                assert list(result.values()) == [0]
-
-        env.process(waiter())
-        env.run()
-        return env.now
-
-    assert benchmark(run) > 0
-
-
-def test_bench_timer_churn(benchmark):
-    """Re-armable Timer vs the seed's timeout-per-tick idiom.
-
-    Models the stream-buffer pattern: arm a deadline, cancel it almost
-    every time (a synchronous flush wins the race), occasionally let it
-    fire.  With lazy tombstones this allocates no per-tick events.
-    """
-
-    def run():
-        env = Environment()
-        fired = [0]
-
-        def churner():
-            t = Timer(env, callback=lambda tm: fired.__setitem__(
-                0, fired[0] + 1))
-            for i in range(20_000):
-                t.arm(5.0)
-                if i % 100 == 99:
-                    yield env.timeout(6.0)  # let this one fire
-                else:
-                    yield env.timeout(0.001)
-                    t.cancel()
-
-        env.process(churner())
-        env.run()
-        return fired[0]
-
-    assert benchmark(run) == 200
-
-
-def test_bench_zero_delay_lanes(benchmark):
-    """Zero-delay succeed chains: pure deque-lane traffic, no heap."""
-
-    def run():
-        env = Environment()
-
-        def chain():
-            for _ in range(20_000):
-                ev = env.event()
-                ev.succeed()
-                yield ev
-
-        env.process(chain())
-        env.run()
-        return True
-
-    assert benchmark(run)
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_bench_kernel_workload(benchmark, name):
+    """The six ``repro bench`` kernel workloads (one registry, two
+    front-ends: ``experiments/benchcmd.py::WORKLOADS`` owns the bodies)."""
+    benchmark(WORKLOADS[name])
 
 
 def test_bench_network_messages(benchmark):

@@ -2,16 +2,15 @@
 
 The runner's serial == parallel == cached guarantee assumes a cell
 computes the same payload whether it runs in-process or inside a
-ProcessPoolExecutor / conveyor worker.  Module-level mutable state
+ProcessPoolExecutor worker.  Module-level mutable state
 breaks that silently: in the parent the writes accumulate across
 cells; in a forked worker each process starts from import-time state.
 Until now that invariant rested on review alone.
 
 The rule collects every **worker entry point** in the universe —
 
-* the first argument of ``<pool>.submit(f, ...)`` and
-  ``run_conveyor(f, ...)`` calls (the runner engine's
-  ``_execute_cell``, the conveyor's ``_run_window``), and
+* the first argument of ``<pool>.submit(f, ...)`` calls (the runner
+  engine's ``_execute_cell``), and
 * every callable registered on an ``ExperimentSpec`` (``run_cell`` /
   ``plan`` / ``merge``), because the engine dispatches to them through
   ``spec.run_cell`` — an attribute call no static call graph resolves —

@@ -25,13 +25,10 @@ experiments); run it explicitly::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..metrics import AsciiTable
-from ..runner.conveyor import Message, WindowResult, run_conveyor
 from ..runner.spec import CellKey, ExperimentSpec, register
 from ..sim import RandomStreams
 from ..workloads.scale import CampaignStats, ScaleConfig, iter_campaign
@@ -40,15 +37,7 @@ from .common import ConfigCodec, ExperimentResult
 
 @dataclass
 class ScaleCampaignConfig(ConfigCodec):
-    """Sharded campaign shape (flat: every field is a cache-key field).
-
-    ``sites``/``window``/``site_capacity``/``forward_latency`` shape the
-    *sited conveyor lane* (see :mod:`repro.runner.conveyor`): the same
-    campaign replayed against per-site capacity queues that forward
-    overflow around a site ring at window boundaries.  They are config
-    fields — part of the cache key — while the ``--shard-sites`` worker
-    fan-out deliberately is not: it cannot change a single output byte.
-    """
+    """Sharded campaign shape (flat: every field is a cache-key field)."""
 
     jobs: int = 100_000
     shards: int = 4
@@ -58,15 +47,6 @@ class ScaleCampaignConfig(ConfigCodec):
     runtime_dist: str = "lognormal"
     users: int = 1_000_000
     interactive_fraction: float = 0.6
-    #: Sites in the conveyor lane (0 disables the lane entirely).
-    sites: int = 6
-    #: Conservative synchronization window (seconds of sim time).
-    window: float = 600.0
-    #: Slots per site; 0 = auto-size to ~70% offered utilization.
-    site_capacity: int = 0
-    #: Ring-forwarding latency; 0 = auto (= window).  Must be >= window
-    #: (the conveyor's lookahead invariant).
-    forward_latency: float = 0.0
 
 
 def _shard_jobs(config: ScaleCampaignConfig) -> List[int]:
@@ -87,171 +67,15 @@ def _shard_config(config: ScaleCampaignConfig, jobs: int) -> ScaleConfig:
 
 
 def plan_cells(config: ScaleCampaignConfig) -> List[CellKey]:
-    cells: List[CellKey] = [(f"shard{i:02d}",) for i in range(config.shards)]
-    if config.sites > 0:
-        cells.append(("sited",))
-    return cells
-
-
-# -- sited conveyor lane ------------------------------------------------
-
-def _sited_window_len(config: ScaleCampaignConfig) -> float:
-    return float(config.window)
-
-
-def _sited_forward_latency(config: ScaleCampaignConfig) -> float:
-    latency = config.forward_latency or _sited_window_len(config)
-    if latency < _sited_window_len(config):
-        raise ValueError(
-            f"forward_latency {latency} < window {config.window}: the "
-            f"conveyor's conservative lookahead requires latency >= window")
-    return latency
-
-
-def _site_jobs(config: ScaleCampaignConfig) -> List[int]:
-    base, extra = divmod(config.jobs, config.sites)
-    return [base + (1 if i < extra else 0) for i in range(config.sites)]
-
-
-def _sited_init(config: ScaleCampaignConfig, site: int) -> Dict[str, Any]:
-    """Materialize one site's arrival list and size its slot pool.
-
-    The per-site substream runs at ``base_rate / sites`` so the sites
-    jointly cover the same campaign horizon as the flat shard lane.
-    Auto capacity targets ~70% utilization of the site's own offered
-    load, so most sites keep up and the loaded ones exercise the ring.
-    """
-    shard = ScaleConfig(
-        jobs=_site_jobs(config)[site],
-        base_rate=config.base_rate / config.sites,
-        curve=config.curve,
-        runtime_dist=config.runtime_dist,
-        users=config.users,
-        interactive_fraction=config.interactive_fraction,
-    )
-    rng = RandomStreams(config.seed)
-    arrivals = [(a.at, a.runtime)
-                for a in iter_campaign(rng, shard, stream=f"sited/{site}")]
-    capacity = config.site_capacity
-    if capacity <= 0:
-        span = arrivals[-1][0] - arrivals[0][0] if len(arrivals) > 1 else 0.0
-        offered = sum(rt for _, rt in arrivals)
-        capacity = (max(1, math.ceil(offered / (span * 0.70)))
-                    if span > 0 else max(1, len(arrivals)))
-    return {
-        "arrivals": list(reversed(arrivals)),  # pop() from the tail
-        "busy": [],      # heap of finish times
-        "backlog": [],   # (enqueue_time, runtime, hops)
-        "capacity": capacity,
-        "stats": {
-            "arrived": 0, "received": 0, "forwarded": 0, "completed": 0,
-            "waited": 0, "wait_seconds": 0.0, "busy_seconds": 0.0,
-            "max_backlog": 0, "capacity": capacity,
-        },
-    }
-
-
-def _sited_window(config: ScaleCampaignConfig, site: int, round_index: int,
-                  state: Optional[Dict[str, Any]],
-                  inbox: List[Any]) -> WindowResult:
-    """Advance one site by one window ``[k*W, (k+1)*W)``.
-
-    A plain slot/backlog queueing fold — deliberately *not* a live
-    kernel Environment, so the state crossing the conveyor barrier is
-    picklable and window replay is cheap.  Everything is deterministic:
-    arrivals come pre-materialized in time order, the busy pool is a
-    finish-time heap, and forwarding decisions depend only on this
-    site's state.
-    """
-    if state is None:
-        state = _sited_init(config, site)
-    window = _sited_window_len(config)
-    t0 = round_index * window
-    t1 = t0 + window
-    arrivals = state["arrivals"]
-    busy = state["busy"]
-    backlog = state["backlog"]
-    capacity = state["capacity"]
-    stats = state["stats"]
-
-    def retire(upto: float) -> None:
-        """Free slots finishing by ``upto``; freed slots pull backlog."""
-        while busy and busy[0] <= upto:
-            finish = heappop(busy)
-            stats["completed"] += 1
-            if backlog:
-                enq_t, runtime, _hops = backlog.pop(0)
-                heappush(busy, finish + runtime)
-                stats["busy_seconds"] += runtime
-                stats["wait_seconds"] += finish - enq_t
-                stats["waited"] += 1
-
-    def admit(at: float, runtime: float, hops: int) -> None:
-        retire(at)
-        if len(busy) < capacity:
-            heappush(busy, at + runtime)
-            stats["busy_seconds"] += runtime
-        else:
-            backlog.append((at, runtime, hops))
-            stats["max_backlog"] = max(stats["max_backlog"], len(backlog))
-
-    # Ring-forwarded jobs land at this window's start (in deterministic
-    # origin order — the conveyor routed them), then local arrivals.
-    for runtime, hops in inbox:
-        stats["received"] += 1
-        admit(t0, runtime, hops)
-    while arrivals and arrivals[-1][0] < t1:
-        at, runtime = arrivals.pop()
-        stats["arrived"] += 1
-        admit(at, runtime, 0)
-    retire(t1)
-
-    # Overflow: backlog that waited a full window moves one site along
-    # the ring.  After a full lap (hops == sites) a job stays put — the
-    # whole grid is saturated and circulating it further is pure churn.
-    outbox: List[Message] = []
-    hop_rounds = 1 + math.ceil(_sited_forward_latency(config) / window - 1e-9)
-    keep: List[Any] = []
-    for enq_t, runtime, hops in backlog:
-        if enq_t <= t0 and hops < config.sites:
-            outbox.append(Message(
-                deliver_round=round_index + hop_rounds,
-                dest_site=(site + 1) % config.sites,
-                payload=(runtime, hops + 1)))
-            stats["forwarded"] += 1
-        else:
-            keep.append((enq_t, runtime, hops))
-    state["backlog"] = keep
-
-    quiescent = not arrivals and not busy and not state["backlog"]
-    return WindowResult(state=state, outbox=outbox, quiescent=quiescent)
-
-
-def _run_sited_cell(config: ScaleCampaignConfig) -> Dict:
-    """The ``("sited",)`` cell: drive the conveyor to quiescence.
-
-    Worker fan-out comes from ``--shard-sites`` via the conveyor's
-    env-var plumbing; the folded payload is identical for any fan-out
-    and is cached under the normal blake2b cell cache like every other
-    cell.
-    """
-    _sited_forward_latency(config)  # validate lookahead up front
-    states = run_conveyor(_sited_window, config, config.sites)
-    return {
-        "window": _sited_window_len(config),
-        "sites": [state["stats"] for state in states],
-    }
+    return [(f"shard{i:02d}",) for i in range(config.shards)]
 
 
 def run_cell(config: ScaleCampaignConfig, key: CellKey) -> Dict:
     """Generate one shard lazily; return its bounded aggregate dict.
 
     The payload is the *only* thing that crosses the process/cache
-    boundary: O(sketch) for shard cells, O(sites) for the sited cell —
-    never per-job records.
+    boundary: O(sketch), never per-job records.
     """
-    if key == ("sited",):
-        return _run_sited_cell(config)
     index = int(key[0].removeprefix("shard"))
     shard = _shard_config(config, _shard_jobs(config)[index])
     rng = RandomStreams(config.seed)
@@ -272,11 +96,7 @@ def merge_cells(config: ScaleCampaignConfig,
 
     merged = CampaignStats()
     shard_rows = []
-    sited_payload: Optional[Dict] = None
     for key in plan_cells(config):
-        if key == ("sited",):
-            sited_payload = payloads[key]
-            continue
         stats = CampaignStats.from_dict(payloads[key])
         shard_rows.append((key[0], stats))
         merged.merge(stats)
@@ -326,34 +146,6 @@ def merge_cells(config: ScaleCampaignConfig,
         "sketch fold preserved exact counts (sum of shard counts)",
         merged.runtime_sketch.count == config.jobs,
         f"sketch count {merged.runtime_sketch.count}")
-
-    if sited_payload is not None:
-        sites = sited_payload["sites"]
-        conveyor = AsciiTable(
-            ["site", "capacity", "arrived", "recv", "fwd", "completed",
-             "waited", "mean wait (s)"],
-            title=f"Sited conveyor lane ({config.sites} sites, "
-                  f"window {config.window:g}s)")
-        for i, s in enumerate(sites):
-            mean_wait = (s["wait_seconds"] / s["waited"]
-                         if s["waited"] else 0.0)
-            conveyor.add_row(i, s["capacity"], s["arrived"], s["received"],
-                             s["forwarded"], s["completed"], s["waited"],
-                             round(mean_wait, 1))
-        result.tables.append(conveyor)
-        result.data["sited"] = sited_payload
-
-        total_completed = sum(s["completed"] for s in sites)
-        result.check(
-            "conveyor conserves jobs (every arrival completes somewhere)",
-            total_completed == config.jobs,
-            f"{total_completed} == {config.jobs}")
-        total_forwarded = sum(s["forwarded"] for s in sites)
-        total_received = sum(s["received"] for s in sites)
-        result.check(
-            "every ring-forwarded job was delivered",
-            total_forwarded == total_received,
-            f"forwarded {total_forwarded} == received {total_received}")
     return result
 
 
@@ -371,11 +163,6 @@ register(ExperimentSpec(
     plan=plan_cells,
     run_cell=run_cell,
     merge=merge_cells,
-    cache_salt="scale-v2",
-    # Quick mode pins a small explicit site capacity: the whole quick
-    # campaign arrives inside one window, so auto-sizing would never
-    # saturate a site and the ring-forwarding path would go untested.
-    quick_config_factory=lambda: ScaleCampaignConfig(jobs=8_000, shards=4,
-                                                     sites=3,
-                                                     site_capacity=64),
+    cache_salt="scale-v3",
+    quick_config_factory=lambda: ScaleCampaignConfig(jobs=8_000, shards=4),
 ))

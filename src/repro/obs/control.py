@@ -5,7 +5,7 @@ server answers from the foreground — but the kernel is single-threaded
 and its determinism contract forbids touching simulation state from
 another thread.  :class:`SimController` is the bridge: it installs on
 the ``Environment.control`` hook (mirroring ``env.tracer`` /
-``env.telemetry``), and the kernel's controlled run loop calls
+``env.telemetry``), and the kernel's observed run loop calls
 :meth:`SimController.drain` once **between** event pops.  Everything the
 outside world wants to do — steer the grid, snapshot telemetry, pause
 the clock — is packaged as a closure, queued thread-safely, and executed
@@ -202,7 +202,7 @@ class SimController:
         self._step_budget = 0
         self._rate = float(rate)
         self._anchor: Optional[Tuple[float, float]] = None
-        # True while the kernel's controlled loop is live (maintained by
+        # True while the kernel's observed loop is live (maintained by
         # begin_run/end_run under the condition lock).  Decides whether
         # call() must queue for the drain point or may execute inline.
         self._running = False
@@ -221,13 +221,13 @@ class SimController:
         """Attach the steering adapter world verbs delegate to."""
         self.world = adapter
 
-    # -- run boundaries (called by Environment._run_controlled) ----------
+    # -- run boundaries (called by Environment._drain_observed) ----------
     def begin_run(self) -> None:
         with self._cv:
             self._running = True
 
     def end_run(self) -> None:
-        """The controlled loop exited: release queued callers inline.
+        """The observed loop exited: release queued callers inline.
 
         Runs on the simulation thread with the loop stopped, which is
         drain-point-equivalent — commands may execute safely.
@@ -243,7 +243,7 @@ class SimController:
     def drain(self) -> None:
         """Run due commands/chaos verbs; hold or pace the clock if asked.
 
-        Called by ``Environment._run_controlled`` between event pops.
+        Called by ``Environment._drain_observed`` between event pops.
         MUST stay cheap when idle: one attribute check.
         """
         if not self._busy:
@@ -401,7 +401,7 @@ class SimController:
              timeout: float = 30.0) -> Any:
         """Run ``fn(controller)`` at the drain point; return its result.
 
-        While the controlled loop is live the closure queues for the
+        While the observed loop is live the closure queues for the
         next drain; when the loop is stopped (between ``env.run()``
         calls, or after :meth:`finish`) it executes inline — the sim
         thread is not consuming events, so there is nothing to race.
@@ -454,7 +454,7 @@ class SimController:
     def finish(self) -> None:
         """Declare the run over; release holds and queued callers.
 
-        Safe from any thread: while the controlled loop is still live,
+        Safe from any thread: while the observed loop is still live,
         this only flips the flag (waking ``_hold``/``_pace``) and lets
         the loop's own drain/exit answer the queue; once the loop has
         stopped, leftover commands execute inline here.

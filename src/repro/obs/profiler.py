@@ -3,8 +3,8 @@
 ``repro bench`` tells you the kernel got slower; this profiler tells you
 *why*.  ``Environment(profile=True)`` (or the :func:`profile_scope`
 class-default context manager) attaches a :class:`KernelProfiler` and
-routes the run loop through a generic, per-callback-timed path that
-attributes ``time.perf_counter()`` deltas to *sites*:
+routes ``run()`` through the kernel's observed loop, which attributes
+``time.perf_counter()`` deltas to *sites*:
 
 * ``process:<generator name>`` — a suspended process resumed (the site
   is the generator function's code name, so cardinality stays bounded
@@ -14,11 +14,11 @@ attributes ``time.perf_counter()`` deltas to *sites*:
   and tombstone collection all count: lazy deletion is kernel work too).
 
 Wall-clock readings never feed back into simulation state — the
-profiler is observation-only, and the profiled loop preserves the exact
+profiler is observation-only, and the observed loop preserves the exact
 event order of the fast loop (it mirrors ``Environment.step()``
-semantics).  Profiled runs are slower (one ``perf_counter`` pair per
-callback); that is the price of attribution and the reason the flag is
-opt-in.
+semantics) — with or without a controller attached alongside.  Profiled
+runs are slower (one ``perf_counter`` pair per callback); that is the
+price of attribution and the reason the flag is opt-in.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class KernelProfiler:
         #: Wall seconds spent inside ``run()`` (loop overhead included).
         self.run_wall = 0.0
 
-    # -- recording (called from Environment._run_profiled) ---------------
+    # -- recording (called from Environment._drain_observed) -------------
     def record(self, site: str, t0: float) -> None:
         elapsed = perf_counter() - t0
         stats = self.sites.get(site)

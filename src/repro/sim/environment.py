@@ -36,47 +36,17 @@ invariants they must maintain are:
    entries with ``event._is_timer`` true (lanes never hold timers), so
    the lane pop path stays free of timer bookkeeping.
 
-Batched event draining (round two)
-----------------------------------
-The run loop no longer re-selects the globally smallest entry from
-scratch for every event.  It admits lane entries in **runs**: when a
-lane is the front, the loop snapshots the lane length and drains that
-many entries with one deque ``popleft`` each — no per-event tuple
-comparisons, no lane-head re-selection.  Three facts make a snapshot
-drain exact:
+One order, three encodings
+--------------------------
+``tests/test_kernel_determinism.py`` holds all of them to one fixture:
 
-* a lane is internally ``(time, priority, eid)``-sorted and every entry
-  in it carries ``time == now`` (the clock cannot advance past a queued
-  lane entry, because pops always take the global minimum);
-* anything *appended or heap-pushed during the run* carries a larger
-  ``eid`` than every snapshot entry, so it sorts after the whole
-  snapshot — with two exceptions handled explicitly below;
-* heap entries never beat the snapshot when ``heap[0] > lane[-1]`` held
-  at run start: pre-existing heap entries only leave the heap by being
-  popped, and new pushes sort after the snapshot (previous point).
-
-The two exceptions:
-
-* an **URGENT append during a NORMAL run** (``Initialize``,
-  ``interrupt``) preempts the rest of the run — URGENT at equal time
-  beats any eid.  The loop checks ``if urgent`` once per drained NORMAL
-  entry (a truthiness test, not a comparison) and abandons the run.
-* a **same-time timed entry** (``heap[0] < lane[-1]`` at run start, e.g.
-  a zero-delay ``Timer.arm`` shot from an earlier turn) interleaves by
-  eid; the loop falls back to classic one-entry selection until the
-  interleave clears.  URGENT runs need no per-entry check beyond this:
-  zero-delay pushes land in lanes, so a mid-run heap push is either
-  later in time or NORMAL priority — both sort after an URGENT
-  snapshot.
-
-When both lanes are empty the heap front pops directly: same-timestamp
-heap groups drain at one ``heappop`` per event with only two lane
-truthiness checks in between — no head tuple is materialised and no
-cross-lane comparison runs until a lane entry actually appears.  Pure
-timed traffic (the ``event_throughput`` bench) is interpreter-bound on
-this path; the compiled lane (``REPRO_SIM_COMPILED=1``, see
-``sim/_speedups.c`` and ARCHITECTURE.md) moves the whole drain loop out
-of the bytecode interpreter while reproducing this order bit-for-bit.
+* the **fast loop** (:meth:`Environment._drain`): per-event three-head
+  selection, queues bound to locals, ``Process._resume`` inlined;
+* the **observed loop** (:meth:`Environment._drain_observed`), taken when
+  a controller and/or profiler is attached; built on
+  :meth:`Environment._pop`, as is :meth:`Environment.step`;
+* the **C mirror** of the fast loop (``sim/_speedups.c``, opt-in via
+  ``REPRO_SIM_COMPILED=1`` — see ARCHITECTURE.md).
 
 Cancellable timers (lazy tombstones)
 ------------------------------------
@@ -139,11 +109,8 @@ class Environment:
     #: never imports obs and never reads the registry.
     telemetry_factory: Optional[Callable[["Environment"], Any]] = None
 
-    #: When set (a callable ``env -> controller``), every new environment
-    #: gets ``factory(env)`` assigned to its ``control`` hook.  Managed by
-    #: :func:`repro.obs.control.control_scope`; the kernel only calls the
-    #: controller's ``drain()`` between events (see ``_run_controlled``)
-    #: and never imports obs.
+    #: Same for the ``control`` hook (``env -> controller``).  Managed by
+    #: :func:`repro.obs.control.control_scope`.
     control_factory: Optional[Callable[["Environment"], Any]] = None
 
     def __init__(self, initial_time: float = 0.0, *,
@@ -171,11 +138,9 @@ class Environment:
         self.telemetry: Optional[Any] = \
             factory(self) if factory is not None else None
         #: Steering/control hook (see :mod:`repro.obs.control`).  Same
-        #: zero-cost contract as ``tracer``/``telemetry``: ``None`` unless
-        #: a controller is installed; when set, ``run()`` takes the
-        #: controlled loop, which calls ``control.drain()`` between events
-        #: so thread-queued commands and scripted chaos verbs execute at a
-        #: deterministic point of the event order.
+        #: zero-cost contract: ``None`` unless a controller is installed;
+        #: when set, ``run()`` takes the observed loop, which calls
+        #: ``control.drain()`` between events.
         control_factory = Environment.control_factory
         self.control: Optional[Any] = \
             control_factory(self) if control_factory is not None else None
@@ -185,24 +150,22 @@ class Environment:
         #: it — only the cold construction/failure paths check for it.
         if sanitize is None:
             sanitize = Environment.default_sanitize
+        self.sanitizer: Optional[Any] = None
         if sanitize:
             from ..analysis.sanitizer import Sanitizer
 
-            self.sanitizer: Optional[Any] = Sanitizer(self)
-        else:
-            self.sanitizer = None
+            self.sanitizer = Sanitizer(self)
         #: Kernel wall-clock profiler (see :mod:`repro.obs.profiler`).
         #: ``None`` unless ``profile=True`` (or the class default is
         #: flipped by :class:`~repro.obs.profiler.profile_scope`); when
-        #: set, ``run()`` takes the per-callback-timed generic loop.
+        #: set, ``run()`` takes the observed loop, which times callbacks.
         if profile is None:
             profile = Environment.default_profile
+        self.profiler: Optional[Any] = None
         if profile:
             from ..obs.profiler import KernelProfiler
 
-            self.profiler: Optional[Any] = KernelProfiler(self)
-        else:
-            self.profiler = None
+            self.profiler = KernelProfiler(self)
         # PERF: partial-bound constructors instead of factory methods —
         # `env.timeout(delay, value=None)` and `env.event()` keep their
         # call signatures but cost one Python frame less per call.
@@ -236,9 +199,7 @@ class Environment:
         later is still an entry (a lazy tombstone), so ``peek`` may report
         the tombstone's pop time rather than the next *live* event.
         """
-        best = Infinity
-        if self._urgent:
-            best = self._urgent[0][0]
+        best = self._urgent[0][0] if self._urgent else Infinity
         if self._fifo and self._fifo[0][0] < best:
             best = self._fifo[0][0]
         if self._heap and self._heap[0][0] < best:
@@ -331,94 +292,40 @@ class Environment:
         entries whose event has ``_is_timer`` through
         :meth:`~repro.sim.timers.Timer._pop_shot`.
         """
-        urgent, fifo, heap = self._urgent, self._fifo, self._heap
-        if urgent or fifo:
-            entry = urgent[0] if urgent else None
-            src = 0
-            if fifo and (entry is None or fifo[0] < entry):
-                entry = fifo[0]
-                src = 1
-            if heap and heap[0] < entry:
-                return heappop(heap)
-            if src:
-                return fifo.popleft()
-            return urgent.popleft()
-        if heap:
-            return heappop(heap)
-        return None
+        lane, fifo, heap = self._urgent, self._fifo, self._heap
+        if fifo and (not lane or fifo[0] < lane[0]):
+            lane = fifo
+        if lane and not (heap and heap[0] < lane[0]):
+            return lane.popleft()
+        return heappop(heap) if heap else None
 
     def step(self) -> None:
-        """Process the next scheduled front on the queue.
-
-        A *front* is every entry sharing the current smallest
-        ``(time, priority)`` pair at call time — one loop turn admits the
-        whole group (entries scheduled *by* the front's callbacks form
-        the next front; they are not admitted early).  For timed traffic
-        the front is almost always a single event, so ``step()`` keeps
-        its historical one-event feel; for zero-delay bursts it drains
-        the burst in one call, mirroring the batched run loop.
+        """Process the next event on the queue.
 
         Lazy timer tombstones are collected silently (they consume queue
-        entries but neither advance the clock nor count as processed
-        events); a live timer firing *does* count as part of the front.
+        entries but neither advance the clock nor count as the processed
+        event); a live timer firing *does* count as one step.
         """
-        # Front membership is fixed *before* any callback runs: same
-        # (time, priority) and an insertion id that already existed.
-        # Zero-delay events scheduled by the front's callbacks carry
-        # larger eids and form the next front.
         while True:
             entry = self._pop()
             if entry is None:
                 raise EmptySchedule()
             event = entry[3]
-            ceiling = self._eid
-            if event._is_timer:
-                if event._pop_shot(entry):
-                    front_time, front_priority = entry[0], NORMAL
-                    break  # fired: the front opened with a timer shot
-                continue  # tombstone/deferral: keep looking
-            front_time, front_priority = entry[0], entry[1]
-            self._process_one(entry, event)
-            break
-        while True:
-            head = self._head()
-            if (head is None or head[0] != front_time
-                    or head[1] != front_priority or head[2] > ceiling):
-                return
-            entry = self._pop()
-            event = entry[3]
-            if event._is_timer:
-                event._pop_shot(entry)  # fire/tombstone; deferrals re-push
-                continue                # with eids above the ceiling
-            self._process_one(entry, event)
+            if not event._is_timer:
+                break
+            if event._pop_shot(entry):
+                return  # fired: one event processed (else keep looking)
 
-    def _head(self) -> Optional[Entry]:
-        """The globally next entry without popping it (``None`` if empty)."""
-        urgent, fifo, heap = self._urgent, self._fifo, self._heap
-        best: Optional[Entry] = urgent[0] if urgent else None
-        if fifo and (best is None or fifo[0] < best):
-            best = fifo[0]
-        if heap and (best is None or heap[0] < best):
-            best = heap[0]
-        return best
-
-    def _process_one(self, entry: Entry, event: Event) -> None:
-        """Process one popped (non-timer) entry — the generic slow path
-        shared by :meth:`step`; :meth:`run` inlines the same logic."""
         self._now = entry[0]
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
-            # Event was already processed (can happen for events scheduled
-            # twice via trigger-chaining); nothing to do.
+            # Already processed (trigger-chaining); nothing to do.
             return
         for callback in callbacks:
             callback(event)
 
         if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(repr(exc))  # pragma: no cover - defensive
+            raise _unhandled(event)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -444,227 +351,166 @@ class Environment:
                 return until.value
             until.callbacks.append(_stop_simulate)
 
-        if self.control is not None:
-            # Steering detour: same event order as the generic loop, with
-            # the controller's command queue drained between events (see
-            # repro.obs.control).  Takes precedence over the profiler —
-            # steered runs are interactive, not measurement runs.
-            return self._run_controlled(until)
-
-        if self.profiler is not None:
-            # Observation-only detour: same event order, every callback
-            # timed and attributed (see repro.obs.profiler).
-            return self._run_profiled(until)
-
-        if _SPEEDUPS is not None:
-            # Compiled lane: the C transcription of the loop below (same
-            # pop order, same trigger-chaining/failure handling — see
-            # sim/_speedups.c).  Profiled runs stay interpreted above:
-            # the profiler is an observation detour, not a hot path.
-            try:
+        # Observed runs stay interpreted: detours, not hot paths.
+        try:
+            if self.control is not None or self.profiler is not None:
+                self._drain_observed()
+            elif _SPEEDUPS is not None:
                 _SPEEDUPS.drain(self)
-            except StopSimulation as stop:
-                if self.sanitizer is not None:
-                    self.sanitizer.on_run_exit()
-                return stop.value
+            else:
+                self._drain()
+        except StopSimulation as stop:
+            value = stop.value
+        else:
+            # Queue drained without the until event firing.
             if isinstance(until, Event) and not until.triggered:
                 raise SimulationError(
                     "No scheduled events left but 'until' event was not "
-                    "triggered"
-                )
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_exit()
-            return None
+                    "triggered")
+            value = None
+        if self.sanitizer is not None:
+            self.sanitizer.on_run_exit()
+        return value
 
-        # PERF: this is the single hottest loop of the whole project — it is
-        # the batched drain (see the module docstring) with the queue
-        # structures bound to locals, saving a method call, several
-        # attribute loads, and the per-event try/except of the
-        # step-until-EmptySchedule protocol.  Lane entries are admitted in
-        # snapshot *runs* (`run_n` entries left, popped via the bound
-        # `run_pop`), so the common zero-delay event costs one popleft and
-        # two truthiness checks instead of lane-head re-selection with
-        # tuple comparisons.  The loop additionally inlines the success
-        # fast path of Process._resume: a Process registers *itself* as
-        # the callback, so `cb.__class__ is Process` identifies a waiting
-        # process and the loop advances its generator without the _resume
-        # frame.  Any semantic change here must be mirrored in step(), in
-        # Process._resume (the generic fallback both still use), and in
-        # sim/_speedups.c (the compiled lane's C transcription of this
-        # exact loop).
+    def _drain(self) -> None:
+        """The fast loop: :meth:`step` inlined until the queue is empty."""
+        # PERF: the single hottest loop of the whole project.  The queue
+        # structures are bound to locals (no method call, attribute loads
+        # or per-event try/except), and the success path of
+        # Process._resume is inlined: a Process registers *itself* as the
+        # callback, so `cb.__class__ is Process` identifies a waiting
+        # process and its generator advances without the _resume frame.
+        # Any semantic change must be mirrored in step(), Process._resume
+        # (the generic fallback) and sim/_speedups.c (the C transcription
+        # of this exact loop).
         urgent, fifo, heap = self._urgent, self._fifo, self._heap
         hpop = heappop
-        upop = urgent.popleft
-        fpop = fifo.popleft
         proc_cls = Process
-        run_n = 0          # snapshot entries left in the current lane run
-        run_pop = upop     # bound popleft of the lane being drained
-        run_fifo = False   # NORMAL-lane runs yield to URGENT arrivals
-        try:
-            while True:
-                # -- select + pop the (time, priority, eid)-smallest entry.
-                # Lane pops skip the timer check entirely (lanes never hold
-                # timers — invariant 3 of the module docstring).
-                if run_n:
-                    run_n -= 1
-                    entry = run_pop()
-                    event = entry[3]
-                elif urgent:
-                    if heap and heap[0] < urgent[-1]:
-                        # Rare: a same-time timed entry interleaves with
-                        # the lane by eid — classic one-entry selection.
-                        if heap[0] < urgent[0]:
-                            entry = hpop(heap)
-                            event = entry[3]
-                            if event._is_timer:
-                                event._pop_shot(entry)
-                                continue
-                        else:
-                            entry = upop()
-                            event = entry[3]
-                    else:
-                        run_n = len(urgent) - 1
-                        if run_n:
-                            run_pop = upop
-                            run_fifo = False
-                        entry = upop()
+        while True:
+            # -- select + pop the (time, priority, eid)-smallest entry.
+            # Lane pops skip the timer check entirely (lanes never hold
+            # timers — invariant 3 of the module docstring).
+            if urgent or fifo:
+                entry = urgent[0] if urgent else None
+                if fifo and (entry is None or fifo[0] < entry):
+                    entry = fifo[0]
+                    if heap and heap[0] < entry:
+                        entry = hpop(heap)
                         event = entry[3]
-                elif fifo:
-                    if heap and heap[0] < fifo[-1]:
-                        if heap[0] < fifo[0]:
-                            entry = hpop(heap)
-                            event = entry[3]
-                            if event._is_timer:
-                                event._pop_shot(entry)
-                                continue
-                        else:
-                            entry = fpop()
-                            event = entry[3]
+                        if event._is_timer:
+                            event._pop_shot(entry)
+                            continue
                     else:
-                        run_n = len(fifo) - 1
-                        if run_n:
-                            run_pop = fpop
-                            run_fifo = True
-                        entry = fpop()
+                        fifo.popleft()
                         event = entry[3]
-                elif heap:
+                elif heap and heap[0] < entry:
                     entry = hpop(heap)
                     event = entry[3]
                     if event._is_timer:
                         event._pop_shot(entry)
                         continue
                 else:
-                    break  # queue drained
-
-                self._now = entry[0]
-                callbacks = event.callbacks
-                if callbacks is None:
-                    # Already processed (trigger-chaining); clock advanced,
-                    # nothing else to do — mirrors step().
+                    urgent.popleft()
+                    event = entry[3]
+            elif heap:
+                entry = hpop(heap)
+                event = entry[3]
+                if event._is_timer:
+                    event._pop_shot(entry)
                     continue
-                event.callbacks = None
-                for cb in callbacks:
-                    if cb.__class__ is proc_cls and event._ok:
-                        # -- inlined Process._resume success fast path.
-                        self._active_proc = cb
-                        try:
-                            next_event = cb._send(event._value)
-                        except StopIteration as stop:
-                            # Process finished normally.
-                            cb._target = None
-                            cb._ok = True
-                            cb._value = stop.value
-                            self._eid = eid = self._eid + 1
-                            fifo.append((self._now, NORMAL, eid, cb))
-                        except BaseException as exc:
-                            # Process died -> fail the process event.
-                            cb._target = None
-                            cb._ok = False
-                            cb._value = exc
-                            self._eid = eid = self._eid + 1
-                            fifo.append((self._now, NORMAL, eid, cb))
-                        else:
-                            try:
-                                ncb = next_event.callbacks
-                            except AttributeError:
-                                cb._fail_nonevent(next_event)
-                            else:
-                                if ncb is not None:
-                                    # Register + suspend.
-                                    ncb.append(cb)
-                                    cb._target = next_event
-                                else:
-                                    # Yielded event already processed:
-                                    # continue with its stored outcome
-                                    # through the generic path.
-                                    cb._resume(next_event)
-                        self._active_proc = None
+            else:
+                return  # queue drained
+
+            self._now = entry[0]
+            callbacks = event.callbacks
+            if callbacks is None:
+                # Already processed (trigger-chaining); clock advanced,
+                # nothing else to do — mirrors step().
+                continue
+            event.callbacks = None
+            for cb in callbacks:
+                if cb.__class__ is proc_cls and event._ok:
+                    # -- inlined Process._resume success fast path.
+                    self._active_proc = cb
+                    try:
+                        next_event = cb._send(event._value)
+                    except StopIteration as stop:
+                        # Process finished normally.
+                        cb._target = None
+                        cb._ok = True
+                        cb._value = stop.value
+                        self._eid = eid = self._eid + 1
+                        fifo.append((self._now, NORMAL, eid, cb))
+                    except BaseException as exc:
+                        # Process died -> fail the process event.
+                        cb._target = None
+                        cb._ok = False
+                        cb._value = exc
+                        self._eid = eid = self._eid + 1
+                        fifo.append((self._now, NORMAL, eid, cb))
                     else:
-                        cb(event)
+                        try:
+                            ncb = next_event.callbacks
+                        except AttributeError:
+                            cb._fail_nonevent(next_event)
+                        else:
+                            if ncb is not None:
+                                # Register + suspend.
+                                ncb.append(cb)
+                                cb._target = next_event
+                            else:
+                                # Yielded event already processed:
+                                # continue with its stored outcome
+                                # through the generic path.
+                                cb._resume(next_event)
+                    self._active_proc = None
+                else:
+                    cb(event)
 
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
+            if not event._ok and not event._defused:
+                raise _unhandled(event)
 
-                # -- run preemption: an URGENT arrival (Initialize,
-                # interrupt) during a NORMAL run outranks every remaining
-                # snapshot entry at equal time; abandon the run and
-                # re-select.  URGENT runs cannot be preempted (module
-                # docstring, "Batched event draining").
-                if run_n and run_fifo and urgent:
-                    run_n = 0
-        except StopSimulation as stop:
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_exit()
-            return stop.value
+    def _drain_observed(self) -> None:
+        """The observed loop: :meth:`_drain` semantics with hook points.
 
-        # Queue drained without the until event firing.
-        if isinstance(until, Event) and not until.triggered:
-            raise SimulationError(
-                "No scheduled events left but 'until' event was not triggered"
-            )
-        if self.sanitizer is not None:
-            self.sanitizer.on_run_exit()
-        return None
-
-    def _run_controlled(self, until: Any) -> Any:
-        """Generic run loop with a control-hook drain point.
-
-        Mirrors :meth:`run` semantics exactly — same pop order, same
-        trigger-chaining/failure handling — calling ``control.drain()``
-        once *between* event pops.  The drain point is the only place
-        steering commands and scripted chaos verbs execute, so they land
-        at a deterministic position of the event order (never mid-
-        callback), and telemetry snapshots taken there are consistent.
-        An idle controller (no commands, no schedule) consumes no event
-        ids and touches no state, so an attached-but-idle server leaves
-        the run byte-identical.
+        A controller's ``drain()`` runs once *between* pops — the only
+        place steering commands and chaos verbs execute, so they land at
+        a deterministic position of the event order, never mid-callback;
+        an idle one consumes no event ids.  A profiler times every
+        callback and timer shot (fires, deferrals and tombstones alike);
+        wall-clock readings never touch simulation state.
         """
-        control = self.control
-        assert control is not None
-        drain = control.drain
-        # Optional run boundaries: a threaded controller uses these to
-        # know when commands must queue (loop live) vs. may execute
-        # inline (loop stopped).  Duck-typed so any drain()-only
-        # controller still works.
-        begin_run = getattr(control, "begin_run", None)
-        end_run = getattr(control, "end_run", None)
+        control, prof = self.control, self.profiler
+        drain = begin_run = end_run = None
+        if control is not None:
+            drain = control.drain
+            # Optional run boundaries (duck-typed): tell a threaded
+            # controller whether commands must queue or may run inline.
+            begin_run = getattr(control, "begin_run", None)
+            end_run = getattr(control, "end_run", None)
+        if prof is not None:
+            clock, record = prof.clock, prof.record
+            site_of, timer_site = prof.site_of, prof.timer_site
+            wall_start = clock()
         if begin_run is not None:
             begin_run()
         try:
             while True:
-                # The drain runs before the pop so that, once the queue
-                # empties, remaining scheduled verbs still fire (they may
-                # schedule new events and thereby extend the run).
-                drain()
+                # Before the pop, so verbs still due when the queue
+                # empties fire (and may schedule events, extending the run).
+                if drain is not None:
+                    drain()
                 entry = self._pop()
                 if entry is None:
-                    break  # queue drained (post-drain: nothing revived it)
+                    return  # queue drained (post-drain: nothing revived it)
                 event = entry[3]
                 if event._is_timer:
-                    event._pop_shot(entry)
+                    if prof is None:
+                        event._pop_shot(entry)
+                    else:
+                        t0 = clock()
+                        event._pop_shot(entry)
+                        record(timer_site(event), t0)
                     continue
 
                 self._now = entry[0]
@@ -674,101 +520,37 @@ class Environment:
                     continue
                 event.callbacks = None
                 for cb in callbacks:
-                    cb(event)
+                    if prof is None:
+                        cb(event)
+                    else:
+                        t0 = clock()
+                        try:
+                            cb(event)
+                        finally:
+                            record(site_of(cb), t0)
 
                 if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
-        except StopSimulation as stop:
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_exit()
-            return stop.value
+                    raise _unhandled(event)
         finally:
+            if prof is not None:
+                prof.run_wall += clock() - wall_start
             if end_run is not None:
                 end_run()
 
-        if isinstance(until, Event) and not until.triggered:
-            raise SimulationError(
-                "No scheduled events left but 'until' event was not triggered"
-            )
-        if self.sanitizer is not None:
-            self.sanitizer.on_run_exit()
-        return None
 
-    def _run_profiled(self, until: Any) -> Any:
-        """Generic, per-callback-timed run loop (``profile=True``).
-
-        Mirrors :meth:`run` semantics exactly — same pop order, same
-        trigger-chaining/failure handling — but routes every callback
-        through a ``perf_counter`` pair so the profiler can attribute
-        real time to process/callback/timer sites.  Wall-clock readings
-        never touch simulation state.
-        """
-        prof = self.profiler
-        assert prof is not None
-        clock = prof.clock
-        site_of = prof.site_of
-        timer_site = prof.timer_site
-        record = prof.record
-        wall_start = clock()
-        try:
-            while True:
-                entry = self._pop()
-                if entry is None:
-                    break  # queue drained
-                event = entry[3]
-                if event._is_timer:
-                    # Fires, deferrals, and tombstone collection are all
-                    # kernel work — time the whole shot.
-                    t0 = clock()
-                    event._pop_shot(entry)
-                    record(timer_site(event), t0)
-                    continue
-
-                self._now = entry[0]
-                callbacks = event.callbacks
-                if callbacks is None:
-                    # Already processed (trigger-chaining) — mirrors step().
-                    continue
-                event.callbacks = None
-                for cb in callbacks:
-                    t0 = clock()
-                    try:
-                        cb(event)
-                    finally:
-                        record(site_of(cb), t0)
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
-        except StopSimulation as stop:
-            prof.run_wall += clock() - wall_start
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_exit()
-            return stop.value
-
-        prof.run_wall += clock() - wall_start
-        if isinstance(until, Event) and not until.triggered:
-            raise SimulationError(
-                "No scheduled events left but 'until' event was not triggered"
-            )
-        if self.sanitizer is not None:
-            self.sanitizer.on_run_exit()
-        return None
+def _unhandled(event: Event) -> BaseException:
+    """The exception a failed, un-defused event surfaces from the loop."""
+    exc = event._value
+    if isinstance(exc, BaseException):
+        return exc
+    return SimulationError(repr(exc))  # pragma: no cover - defensive
 
 
 def _stop_simulate(event: Event) -> None:
     if not event._ok:
         # The awaited event failed: surface its exception from run().
         event.defuse()
-        exc = event._value
-        if isinstance(exc, BaseException):
-            raise exc
-        raise SimulationError(repr(exc))  # pragma: no cover - defensive
+        raise _unhandled(event)
     raise StopSimulation(event._value)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.sim import (
     AnyOf,
@@ -36,9 +36,18 @@ BURST_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                              "kernel_burst_order.json")
 
 
-def run_mixed_workload() -> List[Tuple[float, str]]:
-    """Run the workload; return the ordered (time, tag) processing log."""
-    env = Environment()
+def run_mixed_workload(env: Optional[Environment] = None,
+                       drive: Callable[[Environment], object] = Environment.run
+                       ) -> List[Tuple[float, str]]:
+    """Run the workload; return the ordered (time, tag) processing log.
+
+    ``env`` and ``drive`` select the kernel encoding under test: an
+    environment with hooks attached takes the observed loop, and a
+    ``drive`` other than ``Environment.run`` (e.g. a ``step()`` loop)
+    replaces the run call.
+    """
+    if env is None:
+        env = Environment()
     rng = RandomStreams(20060906)
     log: List[Tuple[float, str]] = []
 
@@ -158,21 +167,26 @@ def run_mixed_workload() -> List[Tuple[float, str]]:
 
     env.process(parent(), name="parent")
 
-    env.run()
+    drive(env)
     note("end")
     return log
 
 
-def run_burst_workload(sanitize: bool = False) -> List[Tuple[float, str]]:
+def run_burst_workload(sanitize: bool = False,
+                       env: Optional[Environment] = None,
+                       drive: Callable[[Environment], object] = Environment.run
+                       ) -> List[Tuple[float, str]]:
     """Same-timestamp burst: hundreds of events landing on one tick.
 
-    This is the worst case for the batched-front drain *and* for the
+    This is the worst case for three-head selection *and* for the
     compiled lane's C heap: every discriminating feature of the total
     order except time itself — FIFO eid ties, URGENT vs NORMAL at one
     instant, timers firing into the tie, zero-delay chains spawned from
-    inside the burst — has to resolve identically on every lane.
+    inside the burst — has to resolve identically on every encoding
+    (``env``/``drive`` as in :func:`run_mixed_workload`).
     """
-    env = Environment(sanitize=sanitize)
+    if env is None:
+        env = Environment(sanitize=sanitize)
     log: List[Tuple[float, str]] = []
 
     def note(tag: str) -> None:
@@ -222,7 +236,7 @@ def run_burst_workload(sanitize: bool = False) -> List[Tuple[float, str]]:
 
     env.process(interrupter(), name="burst-interrupter")
 
-    env.run()
+    drive(env)
     note("end")
     if sanitize:
         env.sanitizer.assert_clean()

@@ -8,6 +8,11 @@ zero-delay chains, URGENT interrupts, wide/nested conditions, defused
 failures, stores and resources at once.  Any change to the kernel's
 ``(time, priority, eid)`` total order shows up here as a diff long
 before it corrupts an experiment render.
+
+Every surviving encoding of that order is held to both pinned fixtures:
+the fast loop, the observed loop (idle controller, profiler, both), a
+``step()`` driver — all in-process — and the compiled lane in a
+subprocess (lane selection is an import-time switch).
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import sys
 
 import pytest
 
+from repro.obs.control import SimController
+from repro.sim import EmptySchedule, Environment
 from repro.sim._compiled import compiled_lane_active
 
 from .kernel_workload import BURST_FIXTURE, FIXTURE, run_mixed_workload, \
@@ -27,9 +34,13 @@ from .kernel_workload import BURST_FIXTURE, FIXTURE, run_mixed_workload, \
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _pinned(path: str) -> list:
+    with open(path) as fh:
+        return [tuple(rec) for rec in json.load(fh)]
+
+
 def test_mixed_workload_replays_seed_event_order():
-    with open(FIXTURE) as fh:
-        expected = [tuple(rec) for rec in json.load(fh)]
+    expected = _pinned(FIXTURE)
     got = run_mixed_workload()
     assert len(got) == len(expected), (
         f"event count drifted: {len(got)} != {len(expected)}")
@@ -41,6 +52,50 @@ def test_mixed_workload_replays_seed_event_order():
 def test_mixed_workload_is_self_deterministic():
     """Two in-process runs must agree exactly (no hidden global state)."""
     assert run_mixed_workload() == run_mixed_workload()
+
+
+# -- one order, every in-process encoding ---------------------------------
+
+ENCODINGS = ("fast", "controller", "profiler", "both", "step")
+
+
+def _environment(encoding: str) -> Environment:
+    """A sanitized environment that takes the named encoding."""
+    env = Environment(sanitize=True,
+                      profile=encoding in ("profiler", "both"))
+    if encoding in ("controller", "both"):
+        SimController(env).install()  # idle: no commands, no schedule
+    return env
+
+
+def _step_until_empty(env: Environment) -> None:
+    try:
+        while True:
+            env.step()
+    except EmptySchedule:
+        pass
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("workload, fixture", [
+    (run_mixed_workload, FIXTURE), (run_burst_workload, BURST_FIXTURE),
+], ids=["mixed", "burst"])
+def test_every_encoding_replays_pinned_fixture(workload, fixture, encoding):
+    env = _environment(encoding)
+    drive = _step_until_empty if encoding == "step" else Environment.run
+    assert workload(env=env, drive=drive) == _pinned(fixture)
+    env.sanitizer.assert_clean()
+
+
+def test_controller_does_not_disable_profiler():
+    """Regression: run() used to take the controlled loop before it ever
+    looked at the profiler, so both hooks together recorded nothing."""
+    alone, both = _environment("profiler"), _environment("both")
+    assert run_burst_workload(env=both) == run_burst_workload(env=alone)
+    assert both.profiler.callbacks == alone.profiler.callbacks > 0
+    assert {s: st.count for s, st in both.profiler.sites.items()} \
+        == {s: st.count for s, st in alone.profiler.sites.items()}
+    assert both.profiler.run_wall > 0.0
 
 
 # -- same-timestamp burst: one tick, every tie-breaking rule at once ------
@@ -89,11 +144,8 @@ needs_compiled = pytest.mark.skipif(
 
 
 def test_burst_replays_pinned_fixture():
-    """The batched in-process lane replays the pinned burst order."""
-    with open(BURST_FIXTURE) as fh:
-        expected = [tuple(rec) for rec in json.load(fh)]
-    got = run_burst_workload()
-    assert got == expected
+    """The in-process fast loop replays the pinned burst order."""
+    assert run_burst_workload() == _pinned(BURST_FIXTURE)
 
 
 def test_burst_is_sanitizer_clean():
@@ -103,19 +155,19 @@ def test_burst_is_sanitizer_clean():
 
 @needs_compiled
 def test_burst_identical_across_lanes():
-    """interpreted == compiled == batched, record for record.
+    """interpreted == compiled == in-process, record for record.
 
-    Three replays of the same-timestamp burst: the in-process batched
-    run (this process), a fresh interpreted subprocess, and a fresh
+    Three replays of the same-timestamp burst: the in-process run (this
+    process), a fresh interpreted subprocess, and a fresh
     REPRO_SIM_COMPILED=1 subprocess.  Any divergence in the
     (time, priority, eid) total order between the Python drain and the
     C drain shows up here as a log diff.
     """
-    batched = run_burst_workload()
+    in_process = run_burst_workload()
     interpreted = _run_in_lane("run_burst_workload", compiled=False)
     compiled = _run_in_lane("run_burst_workload", compiled=True)
-    assert interpreted == batched
-    assert compiled == batched
+    assert interpreted == in_process
+    assert compiled == in_process
 
 
 @needs_compiled

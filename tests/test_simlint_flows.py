@@ -8,7 +8,7 @@ the incremental summary cache, the baseline grandfathering contract,
 suppression handling, the CLI surface (``--flows``, ``--format
 github``, ``--audit-suppressions``, ``--write-baseline``), and the
 satellite engine edge cases (syntax-error pseudo-findings, unknown
-rule-id errors, sanitizer daemon semantics inside conveyor worker
+rule-id errors, sanitizer daemon semantics inside pool worker
 subprocesses).
 """
 
@@ -354,11 +354,10 @@ class TestEngineEdgeCases:
         assert REPRO_LAYERS.rank_of("outside.module") is None
 
 
-# -- sanitizer daemon semantics inside conveyor workers (satellite) -------
-def _sanitizing_site_task(config, site, round_index, state, inbox):
-    """Builds a sanitized Environment inside the (possibly forked)
-    conveyor worker and reports the audit outcome as pure data."""
-    from repro.runner.conveyor import WindowResult
+# -- sanitizer daemon semantics inside pool workers (satellite) -----------
+def _sanitizing_task(leak):
+    """Builds a sanitized Environment inside the (possibly forked) pool
+    worker and reports the audit outcome as pure data."""
     from repro.sim import Environment
 
     env = Environment(sanitize=True)
@@ -373,35 +372,39 @@ def _sanitizing_site_task(config, site, round_index, state, inbox):
     def stuck():
         yield env.event()  # never fires -> alive-process leak
 
-    if config["leak"]:
+    if leak:
         env.process(stuck(), name="stuck")
     env.run(until=env.timeout(2.0))
     report = env.sanitizer.report()
-    payload = {"clean": report.clean,
-               "kinds": sorted(report.kinds()),
-               "daemons_exempt": report.stats.get("daemons_exempt", 0)}
-    return WindowResult(state=payload, outbox=[], quiescent=True)
+    return {"clean": report.clean,
+            "kinds": sorted(report.kinds()),
+            "daemons_exempt": report.stats.get("daemons_exempt", 0)}
+
+
+def _audit_twice(leak, workers):
+    """Two audits, in-process (``workers == 1``) or through the runner
+    engine's pool path (``ProcessPoolExecutor.submit``)."""
+    if workers == 1:
+        return [_sanitizing_task(leak) for _ in range(2)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_sanitizing_task, leak) for _ in range(2)]
+        return [future.result() for future in futures]
 
 
 class TestSanitizerInConveyorWorkers:
+    """Runs on a plain process pool; the class name predates the
+    conveyor's removal and is kept so the test ids stay stable."""
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_daemon_semantics_hold_across_process_boundary(self, workers):
-        from repro.runner.conveyor import run_conveyor
-        clean = run_conveyor(_sanitizing_site_task, {"leak": False}, 2,
-                             workers=workers)
-        leaky = run_conveyor(_sanitizing_site_task, {"leak": True}, 2,
-                             workers=workers)
-        for state in clean:
+        for state in _audit_twice(False, workers):
             assert state["clean"], state
             assert state["daemons_exempt"] >= 1
-        for state in leaky:
+        for state in _audit_twice(True, workers):
             assert not state["clean"]
             assert "alive-process" in state["kinds"]
 
     def test_serial_equals_parallel_verdicts(self):
-        from repro.runner.conveyor import run_conveyor
-        serial = run_conveyor(_sanitizing_site_task, {"leak": True}, 2,
-                              workers=1)
-        fanned = run_conveyor(_sanitizing_site_task, {"leak": True}, 2,
-                              workers=2)
-        assert serial == fanned
+        assert _audit_twice(True, 1) == _audit_twice(True, 2)
