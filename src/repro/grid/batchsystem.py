@@ -216,14 +216,15 @@ class LocalBatchSystem:
         return list(self.queue)
 
     def _dispatch_cycle(self) -> None:
-        if self.drained:
+        # An idle tick (empty queue) is the common one: decide it before
+        # scanning the nodes.
+        if self.drained or not self.queue:
             return
         free = self.free_nodes()
-        if self.queue and not free \
-                and self.policy is SchedulingPolicy.PREEMPTIVE:
+        if not free and self.policy is SchedulingPolicy.PREEMPTIVE:
             self._try_preempt()
             free = self.free_nodes()
-        if not free or not self.queue:
+        if not free:
             return
         for handle in self._order_queue():
             if not free:

@@ -12,7 +12,7 @@ this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..sim import Environment, RandomStreams
 from .errors import LinkDownError, NoRouteError
@@ -80,6 +80,27 @@ class Link:
         self.outages = kept
 
 
+class Path(NamedTuple):
+    """What every message between one ``(src, dst)`` pair needs, computed
+    once: the routed links and their folded latency / bandwidth / jitter.
+
+    Outage windows are *not* folded in: :meth:`up` reads each link's
+    ``outages`` attribute on every call, so failure injection needs no
+    invalidation hook.
+    """
+
+    links: List[Link]
+    latency: float    # sum over links
+    bandwidth: float  # min over links
+    jitter: float     # max over links
+
+    def up(self, time: float) -> bool:
+        for link in self.links:
+            if link.outages and not link.is_up(time):
+                return False
+        return True
+
+
 class Host:
     """A named machine on the network.
 
@@ -107,7 +128,8 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adjacency: Dict[str, List[str]] = {}
-        self._route_cache: Dict[Tuple[str, str], List[Link]] = {}
+        #: (src, dst) -> Path; cleared by :meth:`add_link` and nowhere else.
+        self._paths: Dict[Tuple[str, str], Path] = {}
         #: Enforces in-order delivery per flow: flow-id -> last arrival time.
         self._flow_clock: Dict[Tuple[str, str, int], float] = {}
 
@@ -135,7 +157,7 @@ class Network:
         self._links[link.key()] = link
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
-        self._route_cache.clear()
+        self._paths.clear()
         return link
 
     def link(self, a: str, b: str) -> Link:
@@ -146,13 +168,14 @@ class Network:
         return self._links.values()
 
     # -- routing ----------------------------------------------------------
-    def route(self, src: str, dst: str) -> List[Link]:
-        """Shortest path (hop count, BFS) between two hosts."""
-        if src == dst:
-            return []
-        cached = self._route_cache.get((src, dst))
+    def path(self, src: str, dst: str) -> Path:
+        """The cached :class:`Path` record for ``src -> dst`` (shortest
+        path by hop count, BFS)."""
+        cached = self._paths.get((src, dst))
         if cached is not None:
             return cached
+        if src == dst:  # nothing to traverse: delivery is immediate
+            return Path([], 0.0, float("inf"), 0.0)
         prev: Dict[str, str] = {src: src}
         frontier = [src]
         while frontier and dst not in prev:
@@ -165,26 +188,34 @@ class Network:
             frontier = nxt
         if dst not in prev:
             raise NoRouteError(f"no route {src} -> {dst}")
-        path: List[Link] = []
+        links: List[Link] = []
         node = dst
         while node != src:
-            path.append(self.link(prev[node], node))
+            links.append(self.link(prev[node], node))
             node = prev[node]
-        path.reverse()
-        self._route_cache[(src, dst)] = path
+        links.reverse()
+        path = self._paths[(src, dst)] = Path(
+            links,
+            sum(link.latency for link in links),
+            min(link.bandwidth for link in links),
+            max(link.jitter for link in links))
         return path
 
+    def route(self, src: str, dst: str) -> List[Link]:
+        """The links of the shortest path between two hosts."""
+        return self.path(src, dst).links
+
     def path_up(self, src: str, dst: str, time: Optional[float] = None) -> bool:
-        t = self.env.now if time is None else time
-        return all(link.is_up(t) for link in self.route(src, dst))
+        return self.path(src, dst).up(self.env.now if time is None else time)
 
     def path_next_up_time(self, src: str, dst: str) -> float:
         """Earliest time >= now at which every link on the path is up."""
+        links = self.path(src, dst).links
         t = self.env.now
         changed = True
         while changed:
             changed = False
-            for link in self.route(src, dst):
+            for link in links:
                 nt = link.next_up_time(t)
                 if nt > t:
                     t = nt
@@ -194,27 +225,26 @@ class Network:
     # -- transfer timing ---------------------------------------------------
     def base_transfer_time(self, src: str, dst: str, nbytes: int) -> float:
         """Deterministic (jitter-free) delivery time for ``nbytes``."""
-        path = self.route(src, dst)
-        if not path:
+        path = self.path(src, dst)
+        if not path.links:
             return 0.0
-        latency = sum(link.latency for link in path)
-        bandwidth = min(link.bandwidth for link in path)
-        return latency + nbytes / bandwidth
+        return path.latency + nbytes / path.bandwidth
 
     def transfer_time(self, src: str, dst: str, nbytes: int,
                       stream: str = "net") -> float:
         """Jittered delivery time; jitter scale is the max along the path."""
-        base = self.base_transfer_time(src, dst, nbytes)
+        path = self.path(src, dst)
+        if not path.links:
+            return 0.0
+        base = path.latency + nbytes / path.bandwidth
         if base == 0.0:
             return 0.0
-        path = self.route(src, dst)
-        jitter = max(link.jitter for link in path)
-        return self.rng.jitter(f"{stream}/{src}->{dst}", base, jitter,
+        return self.rng.jitter(f"{stream}/{src}->{dst}", base, path.jitter,
                                floor=base * 0.25)
 
     def check_path(self, src: str, dst: str) -> None:
         """Raise :class:`LinkDownError` if the path is currently broken."""
-        if not self.path_up(src, dst):
+        if not self.path(src, dst).up(self.env.now):
             raise LinkDownError(f"path {src} -> {dst} is down at t={self.env.now:.3f}")
 
     def ordered_arrival(self, flow: Tuple[str, str, int], delay: float) -> float:

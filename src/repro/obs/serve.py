@@ -31,9 +31,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Iterator, Optional
-from urllib.request import urlopen
 
 from .control import SimController, SteerError
 
@@ -100,6 +98,9 @@ def snapshot_stream(controller: SimController, interval: float,
 
 def fetch_json(url: str, timeout: float = 10.0) -> Any:
     """GET a JSON document (stdlib urllib; no dependencies)."""
+    # Imported where used: ``repro.obs`` is on every CLI start's import
+    # path and the HTTP stack (http.client, email, ssl) is ~25 ms of it.
+    from urllib.request import urlopen
     with urlopen(url, timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))
 
@@ -124,6 +125,7 @@ class ControlPlaneServer:
         self.controller = controller
         self.interval = interval
         self._stop = threading.Event()
+        from http.server import ThreadingHTTPServer  # see fetch_json
         handler = _make_handler(self)
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
@@ -146,6 +148,7 @@ class ControlPlaneServer:
 
 
 def _make_handler(server: "ControlPlaneServer"):
+    from http.server import BaseHTTPRequestHandler  # see fetch_json
     controller = server.controller
 
     class Handler(BaseHTTPRequestHandler):

@@ -11,31 +11,41 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
-from .events import Event
+from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
 
 
+# Construction only builds the request; ``Store.put`` / ``Store.get``
+# trigger it afterwards (an event must not fire inside its own
+# ``__init__``).  ``Event.__init__`` is written out here: one frame per
+# message instead of two.
+
 class StorePut(Event):
     __slots__ = ("item",)
 
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
+    def __init__(self, env: "Environment", item: Any) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.item = item
-        store._putters.append(self)
-        store._settle()
 
 
 class StoreGet(Event):
     __slots__ = ("filter", "_cancelled")
 
-    def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]] = None) -> None:
-        super().__init__(store.env)
+    def __init__(self, env: "Environment",
+                 filter: Optional[Callable[[Any], bool]] = None) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.filter = filter
         self._cancelled = False
-        store._getters.append(self)
-        store._settle()
 
     def cancel(self) -> None:
         """Withdraw an unfired get request (used for timeouts on receive)."""
@@ -68,13 +78,33 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         """Deposit ``item``; the event fires once there is room."""
-        return StorePut(self, item)
+        put = StorePut(self.env, item)
+        if self._putters or len(self.items) >= self._capacity:
+            self._putters.append(put)
+            self._settle()
+        else:
+            # Room and nobody queued ahead: admit directly.  The put fires
+            # before any getter it satisfies, as in ``_settle``.
+            self.items.append(item)
+            put.succeed()
+            if self._getters:
+                self._settle()
+        return put
 
     def get(self) -> StoreGet:
         """Withdraw the oldest item; the event fires when one is available."""
-        return StoreGet(self)
+        return self._request(StoreGet(self.env))
 
     # -- internals --------------------------------------------------------
+    def _request(self, getter: StoreGet) -> StoreGet:
+        if self._getters or self._putters:
+            self._getters.append(getter)
+            self._settle()
+        elif not self._match(getter):
+            # Nobody waits on either side, so a miss changes nothing else.
+            self._getters.append(getter)
+        return getter
+
     def _match(self, getter: StoreGet) -> bool:
         """Try to satisfy ``getter`` from current items.  FIFO order."""
         if self.items:
@@ -110,7 +140,7 @@ class FilterStore(Store):
     """Store whose getters may demand items satisfying a predicate."""
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
-        return StoreGet(self, filter)
+        return self._request(StoreGet(self.env, filter))
 
     def _match(self, getter: StoreGet) -> bool:
         if getter.filter is None:

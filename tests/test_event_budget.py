@@ -1,0 +1,78 @@
+"""Tier-1 pin on how many events a world schedules.
+
+The goldens hold what is *printed*; nothing else in tier-1 notices a change
+that renders the same bytes through more (or fewer) kernel events, and
+``bench/expected.json`` is only consulted when the benchmark runs.  This
+pins ``env._eid`` — every event id the environment ever handed out — for
+each cell of ``table1 --quick`` and for a small 2-site ``Scenario`` day.
+
+The counts depend on process history (ARCHITECTURE.md, "Known history
+dependence"), so they are taken in a fresh interpreter.  A change that
+means to move them regenerates the pins with::
+
+    PYTHONPATH=src python tests/test_event_budget.py
+
+and says why in CHANGES.md.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: ``env._eid`` per environment, in construction (= plan) order.
+EXPECTED = {
+    "table1_quick": [2327, 8270, 3525, 10989, 2807, 8619, 3595, 11375],
+    "scenario_2site": [23517],
+}
+
+
+def count_events():
+    from repro import Scenario
+    from repro.jdl import JobCategory
+    from repro.obs import telemetry_scope
+    from repro.runner import run_experiment
+    from repro.sim import RandomStreams
+    from repro.workloads import (MixConfig, cpu_bound_app, generate_mix,
+                                 immediate_output_app, replay)
+
+    # series=False: registries only record which environments were built.
+    with telemetry_scope(series=False) as table1:
+        run_experiment("table1", quick=True)
+
+    with telemetry_scope(series=False) as day:
+        handle = Scenario(sites=2, scenario="europe", nodes_per_site=2,
+                          seed=7).build()
+        arrivals = generate_mix(RandomStreams(7), MixConfig(
+            horizon=1200.0, batch_interarrival=70.0,
+            interactive_interarrival=30.0, shared_fraction=0.6))
+        env, broker = handle.testbed.env, handle.broker
+
+        def behavior_for(arrival, rank):
+            if arrival.job.category is JobCategory.BATCH:
+                return cpu_bound_app(arrival.runtime)
+            return immediate_output_app(run_for=arrival.runtime)
+
+        submitted, feeder = replay(env, broker, arrivals, behavior_for)
+        env.run(until=feeder)
+        env.run(until=env.now + 3600.0)  # drain
+        assert any(s.report.success for s in submitted)
+
+    return {"table1_quick": [t.env._eid for t in table1],
+            "scenario_2site": [t.env._eid for t in day]}
+
+
+def test_event_counts_are_pinned():
+    # The environment is inherited, so a REPRO_SIM_COMPILED=1 tier-1 run
+    # holds the compiled lane to the same pins.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, __file__], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert json.loads(out) == EXPECTED
+
+
+if __name__ == "__main__":
+    print(json.dumps(count_events(), indent=4))

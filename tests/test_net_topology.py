@@ -112,6 +112,81 @@ class TestOutages:
         assert net.link("a", "b").next_up_time(3.0) == 3.0
 
 
+class TestPathRecordFreshness:
+    """One record per (src, dst) is cached on first use.  ``add_link``
+    is the only thing that clears it; outage windows are read live."""
+
+    def test_add_link_after_caching_changes_route_and_timing(self, net):
+        assert len(net.route("a", "c")) == 2
+        slow = net.base_transfer_time("a", "c", 1000)
+        net.transfer_time("a", "c", 1000)  # record in use by every reader
+        net.add_link("a", "c", 0.0001, 1e9, jitter=0.0)
+        assert [l.key() for l in net.route("a", "c")] == [("a", "c")]
+        assert net.base_transfer_time("a", "c", 1000) == 0.0001 + 1000 / 1e9
+        assert net.transfer_time("a", "c", 1000) == 0.0001 + 1000 / 1e9 < slow
+
+    def test_outage_injected_after_caching_is_seen(self, net, env):
+        assert net.path_up("a", "c")  # caches a-b-c
+        net.inject_outage("b", "c", 1.0, 2.0)
+        assert net.path_up("a", "c", time=0.5)
+        assert not net.path_up("a", "c", time=1.0)
+        assert net.path_up("a", "c", time=3.0)
+        env.run(until=1.5)
+        with pytest.raises(LinkDownError):
+            net.check_path("a", "c")
+        assert net.path_next_up_time("a", "c") == 3.0
+        env.run(until=3.0)
+        net.check_path("a", "c")
+        assert net.path_next_up_time("a", "c") == 3.0
+
+    def test_fail_and_recover_after_caching(self, net, env):
+        net.check_path("a", "c")
+        link = net.link("a", "b")
+        env.run(until=2.0)
+        link.fail(env.now)
+        assert not net.path_up("a", "c")
+        assert net.path_next_up_time("a", "c") == float("inf")
+        env.run(until=5.0)
+        link.recover(env.now)  # rebinds link.outages: must not be held
+        assert net.path_up("a", "c")
+        assert not net.path_up("a", "c", time=4.0)
+        assert net.path_next_up_time("a", "c") == 5.0
+
+    def test_isolate_and_restore_host_after_caching(self, net, env):
+        assert net.path_up("a", "c") and net.path_up("c", "a")
+        assert net.isolate_host("b") == 2
+        for src, dst in (("a", "c"), ("c", "a"), ("a", "b")):
+            with pytest.raises(LinkDownError):
+                net.check_path(src, dst)
+        net.check_path("a", "d")  # does not touch b
+        env.run(until=4.0)
+        assert net.restore_host("b") == 2
+        net.check_path("a", "c")
+        assert not net.path_up("a", "c", time=2.0)
+
+    @pytest.mark.parametrize("dst, hops", [("h1", 1), ("h2", 2), ("h3", 3)])
+    def test_transfer_time_is_bit_identical_to_the_long_way(self, env, dst,
+                                                             hops):
+        def chain(seed):
+            network = Network(env, RandomStreams(seed))
+            for name in ("h0", "h1", "h2", "h3"):
+                network.add_host(name)
+            network.add_link("h0", "h1", 0.0013, 3e6, jitter=0.02)
+            network.add_link("h1", "h2", 0.0171, 7e5, jitter=0.11)
+            network.add_link("h2", "h3", 0.0049, 9e6, jitter=0.07)
+            return network
+
+        net, rng = chain(11), RandomStreams(11)
+        links = [net.link(f"h{i}", f"h{i + 1}") for i in range(hops)]
+        for nbytes in (0, 64, 1500, 10**6):
+            base = (sum(l.latency for l in links)
+                    + nbytes / min(l.bandwidth for l in links))
+            assert net.base_transfer_time("h0", dst, nbytes) == base
+            want = rng.jitter(f"net/h0->{dst}", base,
+                              max(l.jitter for l in links), floor=base * 0.25)
+            assert net.transfer_time("h0", dst, nbytes) == want
+
+
 class TestFailurePlans:
     def test_periodic_outages(self):
         from repro.net import periodic_outages
