@@ -4,11 +4,11 @@ Paper shape: fast best everywhere; glogin poor; reliable slowest at 10 B
 but beats ssh at 10 KB.
 """
 
-from repro.experiments import StreamingConfig, run_fig6
+from repro.experiments import StreamingConfig
 
 from conftest import regenerate
 
 
 def test_bench_fig6(benchmark):
     config = StreamingConfig(scenario="campus", sequences=500)
-    regenerate(benchmark, lambda: run_fig6(config), "fig6")
+    regenerate(benchmark, "fig6", config)

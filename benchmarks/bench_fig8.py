@@ -5,11 +5,11 @@ I/O 6.06 ms -> 6.32 ms -> 6.61 ms; exclusive and shared-alone
 indistinguishable.
 """
 
-from repro.experiments import Fig8Config, run_fig8
+from repro.experiments import Fig8Config
 
 from conftest import regenerate
 
 
 def test_bench_fig8(benchmark):
     config = Fig8Config(iterations=1000)  # the paper's full 1000 iterations
-    regenerate(benchmark, lambda: run_fig8(config), "fig8")
+    regenerate(benchmark, "fig8", config)

@@ -6,6 +6,7 @@ throughput so regressions in the kernel/network layers are visible.
 
 import pytest
 
+from repro import Scenario
 from repro.experiments.benchcmd import WORKLOADS
 from repro.net import Listener, Network, connect
 from repro.sim import Environment, RandomStreams
@@ -54,11 +55,11 @@ def test_bench_broker_submission(benchmark):
 
     def run():
         from repro.core import CrossBroker
-        from repro.grid import campus_grid
         from repro.jdl import JobDescription
         from repro.workloads import immediate_output_app
 
-        tb = campus_grid(seed=1, n_nodes=4)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=4, seed=1,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         for i in range(5):

@@ -1,8 +1,7 @@
-"""``python -m repro`` — alias for the experiment CLI.
+"""``python -m repro`` — the ``repro`` command line.
 
-Dispatches straight to :mod:`repro.experiments.cli`, so
-``python -m repro run table1 --quick --parallel 4`` and
-``repro run ...`` (console script) behave identically.
+The same :func:`repro.experiments.cli.main` the ``repro`` console script
+and ``python -m repro.experiments`` call.
 """
 
 from __future__ import annotations

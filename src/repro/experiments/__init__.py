@@ -1,4 +1,10 @@
-"""Experiment harness: one module per paper table/figure, plus ablations."""
+"""Experiment harness: one module per paper table/figure, plus ablations.
+
+Importing this package registers every experiment spec with
+:mod:`repro.runner`; run one with
+``repro.runner.run_experiment("table1", Table1Config(...))`` or
+``repro run table1`` on the command line.
+"""
 
 from .ablations import (
     BufferSweepConfig,
@@ -6,23 +12,17 @@ from .ablations import (
     HalfLifeSweepConfig,
     PerformanceLossSweepConfig,
     RetrySweepConfig,
-    run_all_ablations,
-    run_buffer_sweep,
-    run_degree_sweep,
-    run_half_life_sweep,
-    run_performance_loss_sweep,
-    run_retry_sweep,
 )
-from .broker_modes import BrokerModesConfig, run_broker_modes
-from .chaos_drill import ChaosDrillConfig, run_chaos_drill
+from .broker_modes import BrokerModesConfig
+from .chaos_drill import ChaosDrillConfig
 from .common import ExperimentResult, ShapeCheck
 from .export import collect_series, export_all, export_result
-from .fairshare_saturation import SaturationConfig, run_fairshare_saturation
-from .fig8 import Fig8Config, run_fig8
-from .scale_campaign import ScaleCampaignConfig, run_scale_campaign
-from .selection_scaling import SelectionScalingConfig, run_selection_scaling
-from .streaming_overhead import StreamingConfig, run_fig6, run_fig7
-from .table1 import Table1Config, run_table1
+from .fairshare_saturation import SaturationConfig
+from .fig8 import Fig8Config
+from .scale_campaign import ScaleCampaignConfig
+from .selection_scaling import SelectionScalingConfig
+from .streaming_overhead import StreamingConfig
+from .table1 import Table1Config
 
 __all__ = [
     "BrokerModesConfig",
@@ -43,19 +43,4 @@ __all__ = [
     "collect_series",
     "export_all",
     "export_result",
-    "run_all_ablations",
-    "run_broker_modes",
-    "run_buffer_sweep",
-    "run_chaos_drill",
-    "run_degree_sweep",
-    "run_fairshare_saturation",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_half_life_sweep",
-    "run_performance_loss_sweep",
-    "run_retry_sweep",
-    "run_scale_campaign",
-    "run_selection_scaling",
-    "run_table1",
 ]

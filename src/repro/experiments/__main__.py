@@ -1,7 +1,8 @@
-"""``python -m repro.experiments`` entry point."""
+"""``python -m repro.experiments`` — same entry point as ``repro``."""
 
 import sys
 
 from .cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

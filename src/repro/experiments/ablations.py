@@ -7,8 +7,8 @@ half-life).
 
 Every sweep is decomposed into runner cells (one knob value per cell) so
 the sharded engine can fan sweep points out across processes and cache
-them individually; the ``run_*`` entry points are thin serial
-plan/run/merge compositions kept for direct use.
+them individually; run one with
+``repro.runner.run_experiment("ablation-buffer", config)``.
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ def merge_buffer_cells(config: BufferSweepConfig,
             for a, b in zip(sizes, sizes[1:])),
         " -> ".join(f"{s}B:{means[s].mean*1e3:.2f}ms" for s in sizes))
     return result
-
-
-def run_buffer_sweep(config: Optional[BufferSweepConfig] = None) -> ExperimentResult:
-    config = config or BufferSweepConfig()
-    payloads = {key: run_buffer_cell(config, key)
-                for key in plan_buffer_cells(config)}
-    return merge_buffer_cells(config, payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +200,6 @@ def merge_retry_cells(config: RetrySweepConfig,
     return result
 
 
-def run_retry_sweep(config: Optional[RetrySweepConfig] = None) -> ExperimentResult:
-    config = config or RetrySweepConfig()
-    payloads = {key: run_retry_cell(config, key)
-                for key in plan_retry_cells(config)}
-    return merge_retry_cells(config, payloads)
-
-
 # ---------------------------------------------------------------------------
 # Ablation 3: PerformanceLoss sweep (generalises Fig. 8's two points)
 # ---------------------------------------------------------------------------
@@ -297,14 +283,6 @@ def merge_pl_cells(config: PerformanceLossSweepConfig,
     return result
 
 
-def run_performance_loss_sweep(
-        config: Optional[PerformanceLossSweepConfig] = None) -> ExperimentResult:
-    config = config or PerformanceLossSweepConfig()
-    payloads = {key: run_pl_cell(config, key)
-                for key in plan_pl_cells(config)}
-    return merge_pl_cells(config, payloads)
-
-
 # ---------------------------------------------------------------------------
 # Ablation 4: degree of multiprogramming (§5.2 / §7 future work)
 # ---------------------------------------------------------------------------
@@ -381,13 +359,6 @@ def merge_degree_cells(config: DegreeSweepConfig,
     return result
 
 
-def run_degree_sweep(config: Optional[DegreeSweepConfig] = None) -> ExperimentResult:
-    config = config or DegreeSweepConfig()
-    payloads = {key: run_degree_cell(config, key)
-                for key in plan_degree_cells(config)}
-    return merge_degree_cells(config, payloads)
-
-
 # ---------------------------------------------------------------------------
 # Ablation 5: fair-share half-life (§5.1 / §7 priority management)
 # ---------------------------------------------------------------------------
@@ -460,24 +431,6 @@ def merge_half_life_cells(
         "priority decays toward the initial value when idle",
         all(0.0 < recovered[h] <= 1.0 for h in lives))
     return result
-
-
-def run_half_life_sweep(
-        config: Optional[HalfLifeSweepConfig] = None) -> ExperimentResult:
-    config = config or HalfLifeSweepConfig()
-    payloads = {key: run_half_life_cell(config, key)
-                for key in plan_half_life_cells(config)}
-    return merge_half_life_cells(config, payloads)
-
-
-def run_all_ablations() -> List[ExperimentResult]:
-    return [
-        run_buffer_sweep(),
-        run_retry_sweep(),
-        run_performance_loss_sweep(),
-        run_degree_sweep(),
-        run_half_life_sweep(),
-    ]
 
 
 # ---------------------------------------------------------------------------

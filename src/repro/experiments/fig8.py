@@ -208,13 +208,6 @@ def merge_cells(config: Fig8Config,
     return result
 
 
-def run_fig8(config: Optional[Fig8Config] = None) -> ExperimentResult:
-    """Serial reference path for Figure 8 (see :mod:`repro.runner`)."""
-    config = config or Fig8Config()
-    payloads = {key: run_cell(config, key) for key in plan_cells(config)}
-    return merge_cells(config, payloads)
-
-
 register(ExperimentSpec(
     experiment_id="fig8",
     config_factory=Fig8Config,

@@ -26,7 +26,7 @@ experiments); run it explicitly::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..metrics import AsciiTable
 from ..runner.spec import CellKey, ExperimentSpec, register
@@ -147,14 +147,6 @@ def merge_cells(config: ScaleCampaignConfig,
         merged.runtime_sketch.count == config.jobs,
         f"sketch count {merged.runtime_sketch.count}")
     return result
-
-
-def run_scale_campaign(
-        config: Optional[ScaleCampaignConfig] = None) -> ExperimentResult:
-    """Serial reference path (see :mod:`repro.runner`)."""
-    config = config or ScaleCampaignConfig()
-    payloads = {key: run_cell(config, key) for key in plan_cells(config)}
-    return merge_cells(config, payloads)
 
 
 register(ExperimentSpec(

@@ -5,7 +5,7 @@ drives a stream of interactive jobs through the broker on a background
 thread, and serves the :class:`repro.obs.ControlPlaneServer` endpoints in
 the foreground::
 
-    repro serve wan_grid --port 8080
+    repro serve wan --port 8080
     repro serve campus --sites 8 --jobs 30 --rate 20
     repro serve europe --chaos chaos.json --headless
 
@@ -24,14 +24,6 @@ import argparse
 import sys
 import threading
 from typing import List, Optional
-
-#: Accepted scenario spellings (the README advertises ``wan_grid``).
-_SCENARIOS = {
-    "campus": "campus", "campus_grid": "campus",
-    "wan": "wan", "wan_grid": "wan",
-    "europe": "europe",
-}
-
 
 def _make_job(index: int, runtime: float):
     from ..jdl import JobDescription
@@ -103,7 +95,7 @@ def serve_main(argv: List[str]) -> int:
         description="Run a scenario live: SSE telemetry streaming, web "
                     "dashboard, and the /steer chaos API.")
     parser.add_argument("scenario", nargs="?", default="campus",
-                        choices=sorted(_SCENARIOS),
+                        choices=("campus", "wan", "europe"),
                         help="world kind (default campus)")
     parser.add_argument("--sites", type=int, default=6, metavar="N")
     parser.add_argument("--nodes", type=int, default=4, metavar="N",
@@ -142,7 +134,7 @@ def serve_main(argv: List[str]) -> int:
 
     with control_scope(schedule=schedule, rate=rate) as controllers:
         handle = Scenario(
-            sites=args.sites, scenario=_SCENARIOS[args.scenario],
+            sites=args.sites, scenario=args.scenario,
             nodes_per_site=args.nodes, seed=args.seed,
             broker_mode=args.broker_mode,
             trace=True, telemetry=True).build()

@@ -9,11 +9,11 @@ against sim-time.  Output is the per-phase breakdown table plus counters;
 
 Usage::
 
-    python -m repro.experiments trace                      # all methods
-    python -m repro.experiments trace --method virtual-machine --jobs 10
-    python -m repro.experiments trace --scenario wan --json trace.json
-    python -m repro.experiments trace --telemetry --profile
-    python -m repro.experiments trace export --chrome out.json
+    repro trace                      # all methods
+    repro trace --method virtual-machine --jobs 10
+    repro trace --scenario wan --json trace.json
+    repro trace --telemetry --profile
+    repro trace export --chrome out.json
 
 Exit codes follow the ``repro lint`` contract: 0 — run clean; 1 — the
 traced run recorded *fatal* signals (error-status spans, failed jobs, a
@@ -128,7 +128,7 @@ def _tracer_fatal(tracer: Tracer) -> bool:
 def trace_export_main(argv: Optional[List[str]] = None) -> int:
     """``repro trace export --chrome out.json`` — Perfetto/Chrome export."""
     parser = argparse.ArgumentParser(
-        prog="crossbroker-repro trace export",
+        prog="repro trace export",
         description="Run a traced method and export the merged spans + "
                     "telemetry counter tracks as Chrome trace_event JSON "
                     "(loadable in ui.perfetto.dev).")
@@ -161,7 +161,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "export":
         return trace_export_main(argv[1:])
     parser = argparse.ArgumentParser(
-        prog="crossbroker-repro trace",
+        prog="repro trace",
         description="Traced Table I run: per-phase latency breakdown of "
                     "the job lifecycle (see repro.obs).")
     parser.add_argument("--method", choices=TRACE_METHODS + ("all",),

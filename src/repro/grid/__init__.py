@@ -27,9 +27,7 @@ from .testbed import (
     Testbed,
     UI_HOST,
     base_world,
-    campus_grid,
     europe_testbed,
-    wan_grid,
 )
 from .workernode import Behavior, MachineContext, NodeSpec, WorkerNode
 
@@ -68,7 +66,6 @@ __all__ = [
     "WorkerCpu",
     "WorkerNode",
     "base_world",
-    "campus_grid",
     "europe_testbed",
     "plan_allocation",
     "query_index",
@@ -76,5 +73,4 @@ __all__ = [
     "retrieve_output",
     "stage_input",
     "subjobs_for",
-    "wan_grid",
 ]

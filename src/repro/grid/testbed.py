@@ -14,11 +14,10 @@ MDS index host ``mds`` is reached over a WAN-grade link.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..calibration import CAMPUS, Calibration, DEFAULT_CALIBRATION, NetworkProfile, WAN
+from ..calibration import CAMPUS, Calibration, DEFAULT_CALIBRATION, NetworkProfile
 from ..net import Network
 from ..sim import Environment, RandomStreams
 from .mds import InformationIndex, MdsPublisher
@@ -84,18 +83,19 @@ class Testbed:
                                         site.advert())
 
 
-def _base_world(seed: int = 0,
-                calibration: Optional[Calibration] = None,
-                profile: NetworkProfile = CAMPUS,
-                with_mds: bool = True,
-                sanitize: Optional[bool] = None) -> Testbed:
+def base_world(seed: int = 0,
+               calibration: Optional[Calibration] = None,
+               with_mds: bool = True,
+               sanitize: Optional[bool] = None) -> Testbed:
     """Core + ui + broker (+ MDS index), no sites yet.
+
+    The primitive :class:`repro.Scenario` and :func:`europe_testbed`
+    start from; call it directly only to hang hand-made
+    :class:`SiteConfig` sites off a bare core (``testbed.add_site``).
 
     ``sanitize`` attaches the runtime lifecycle sanitizer to the world's
     environment (see :mod:`repro.analysis.sanitizer`); ``None`` defers to
     ``Environment.default_sanitize`` (audit scopes).
-
-    Internal: :class:`repro.Scenario` and the legacy shims build on this.
     """
     env = Environment(sanitize=sanitize)
     rng = RandomStreams(seed)
@@ -121,53 +121,6 @@ def _base_world(seed: int = 0,
     return testbed
 
 
-def base_world(seed: int = 0,
-               calibration: Optional[Calibration] = None,
-               profile: NetworkProfile = CAMPUS,
-               with_mds: bool = True,
-               sanitize: Optional[bool] = None) -> Testbed:
-    """Deprecated shim — use ``Scenario(...)`` then ``handle.testbed``."""
-    warnings.warn(
-        "base_world() is deprecated; use "
-        "repro.Scenario(...).build().testbed instead",
-        DeprecationWarning, stacklevel=2)
-    return _base_world(seed, calibration, profile, with_mds, sanitize)
-
-
-def campus_grid(seed: int = 0, n_nodes: int = 4,
-                calibration: Optional[Calibration] = None,
-                site_name: str = "uab") -> Testbed:
-    """Scenario 1: one site on the campus network (paper §6).
-
-    Deprecated shim — use ``Scenario(sites=1, scenario="campus",
-    nodes_per_site=n).build()`` (the handle's ``.testbed`` is this world).
-    """
-    warnings.warn(
-        "campus_grid() is deprecated; use repro.Scenario(sites=1, "
-        "scenario='campus', nodes_per_site=n).build() instead",
-        DeprecationWarning, stacklevel=2)
-    testbed = _base_world(seed, calibration)
-    testbed.add_site(SiteConfig(site_name, n_nodes=n_nodes), CAMPUS)
-    return testbed
-
-
-def wan_grid(seed: int = 0, n_nodes: int = 4,
-             calibration: Optional[Calibration] = None,
-             site_name: str = "ifca") -> Testbed:
-    """Scenario 2: execution at IFCA (Santander) over the Spanish NREN.
-
-    Deprecated shim — use ``Scenario(sites=1, scenario="wan",
-    nodes_per_site=n).build()`` (the handle's ``.testbed`` is this world).
-    """
-    warnings.warn(
-        "wan_grid() is deprecated; use repro.Scenario(sites=1, "
-        "scenario='wan', nodes_per_site=n).build() instead",
-        DeprecationWarning, stacklevel=2)
-    testbed = _base_world(seed, calibration)
-    testbed.add_site(SiteConfig(site_name, n_nodes=n_nodes), WAN)
-    return testbed
-
-
 def europe_testbed(seed: int = 0, n_sites: int = 20,
                    nodes_per_site: int = 4,
                    calibration: Optional[Calibration] = None,
@@ -179,7 +132,7 @@ def europe_testbed(seed: int = 0, n_sites: int = 20,
     the campus and long-haul extremes, approximating the heterogeneous
     CrossGrid testbed (18 sites, 9 countries).
     """
-    testbed = _base_world(seed, calibration, sanitize=sanitize)
+    testbed = base_world(seed, calibration, sanitize=sanitize)
     rng = testbed.rng
     names = list(site_names) if site_names else [
         f"site{i:02d}" for i in range(n_sites)]

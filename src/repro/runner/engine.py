@@ -206,7 +206,7 @@ def run_experiment(experiment_id: str,
 
     # -- phase 2: simulate missing cells --------------------------------
     def _complete(key: CellKey, payload: Any, elapsed: float,
-                  snapshot: Any, done: int) -> None:
+                  snapshot: Any) -> None:
         payloads[key] = payload
         if telemetry:
             snapshots[key] = snapshot
@@ -215,7 +215,7 @@ def run_experiment(experiment_id: str,
             cache.put(spec, config, key, payload, elapsed,
                       telemetry=snapshot)
         say(f"[{experiment_id}] {'/'.join(key)}: computed in "
-            f"{elapsed:.2f}s ({done}/{len(cells)})")
+            f"{elapsed:.2f}s ({len(payloads)}/{len(cells)})")
 
     if missing and parallel > 1:
         executor = None
@@ -231,8 +231,7 @@ def run_experiment(experiment_id: str,
                                          return_when=FIRST_COMPLETED)
                 for future in finished:
                     key, payload, elapsed, snapshot = future.result()
-                    _complete(key, payload, elapsed, snapshot,
-                              len(payloads))
+                    _complete(key, payload, elapsed, snapshot)
         except (OSError, PermissionError) as exc:
             # Environments without working process pools (restricted
             # sandboxes) fall back to in-process execution.
@@ -241,8 +240,7 @@ def run_experiment(experiment_id: str,
             for key in [k for k in missing if k not in payloads]:
                 _, payload, elapsed, snapshot = _execute_cell(
                     experiment_id, config, key, telemetry, chaos)
-                _complete(key, payload, elapsed, snapshot,
-                          len(payloads) + 1)
+                _complete(key, payload, elapsed, snapshot)
         finally:
             if executor is not None:
                 executor.shutdown(wait=True)
@@ -250,7 +248,7 @@ def run_experiment(experiment_id: str,
         for key in missing:
             _, payload, elapsed, snapshot = _execute_cell(
                 experiment_id, config, key, telemetry, chaos)
-            _complete(key, payload, elapsed, snapshot, len(payloads))
+            _complete(key, payload, elapsed, snapshot)
 
     # -- phase 3: deterministic merge -----------------------------------
     ordered = {key: payloads[key] for key in cells}  # plan order, always

@@ -1,7 +1,6 @@
 """The experiment contract: plan cells, run one cell, merge payloads.
 
-An :class:`ExperimentSpec` turns a monolithic ``run_<experiment>()``
-function into three pure pieces:
+An :class:`ExperimentSpec` is an experiment as three pure pieces:
 
 ``plan(config) -> [cell_key, ...]``
     The deterministic list of cells, in canonical (merge) order.
@@ -60,13 +59,9 @@ _REGISTRY: Dict[str, ExperimentSpec] = {}
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register (or idempotently re-register) an experiment spec."""
-    existing = _REGISTRY.get(spec.experiment_id)
-    if existing is not None and existing is not spec:
-        # Module reloads (tests) re-create structurally equal specs.
-        _REGISTRY[spec.experiment_id] = spec
-    else:
-        _REGISTRY[spec.experiment_id] = spec
+    """Register an experiment spec; re-registering an id overwrites it
+    (module reloads, ``dataclasses.replace``d variants)."""
+    _REGISTRY[spec.experiment_id] = spec
     return spec
 
 

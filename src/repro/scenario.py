@@ -1,12 +1,7 @@
 """Unified scenario construction: one front door to a wired world.
 
-Historically every experiment and example hand-wired its world::
-
-    tb = campus_grid(seed=7, n_nodes=4)
-    tb.publish_all_now()
-    broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
-
-:class:`Scenario` replaces that with a declarative builder::
+A :class:`Scenario` is a declarative description of a world; building
+it returns a handle a driver can submit through and run::
 
     handle = Scenario(sites=20, scenario="campus", seed=7).build()
     submitted = handle.submit(job, lambda rank: app())
@@ -28,13 +23,13 @@ A :class:`ScenarioHandle` bundles everything a driver needs — ``env``,
 ``network``, ``rng``, ``testbed``, a lazily created ``broker``, and an
 optional lifecycle ``tracer`` — so call sites never juggle five objects.
 
-The legacy free functions (:func:`repro.grid.campus_grid`,
-:func:`repro.grid.wan_grid`, :func:`repro.grid.base_world`) remain as
-deprecated compatibility shims that emit :class:`DeprecationWarning`;
-build worlds through :class:`Scenario`.  The scenario also selects the
-brokering mode (``broker_mode="push" | "pull" | "data"``) — the handle's
-``broker`` satisfies :class:`repro.core.BrokerProtocol` whichever mode
-is chosen.
+The scenario also selects the brokering mode (``broker_mode="push" |
+"pull" | "data"``) — the handle's ``broker`` satisfies
+:class:`repro.core.BrokerProtocol` whichever mode is chosen.  The only
+thing below it is :func:`repro.grid.base_world`, the bare
+core+ui+broker+MDS world every scenario starts from; reach for that only
+to hang hand-made :class:`~repro.grid.SiteConfig` sites off an empty
+core.
 """
 
 from __future__ import annotations
@@ -49,8 +44,7 @@ from .calibration import (
     NetworkProfile,
     WAN,
 )
-from .grid import SiteConfig, Testbed, europe_testbed
-from .grid.testbed import _base_world
+from .grid import SiteConfig, Testbed, base_world, europe_testbed
 from .grid.site import Site
 from .net import Network
 from .sim import Environment, RandomStreams
@@ -130,9 +124,9 @@ class Scenario:
                 calibration=self.calibration, sanitize=self.sanitize)
             target = None
         else:
-            testbed = _base_world(seed=self.seed,
-                                  calibration=self.calibration,
-                                  sanitize=self.sanitize)
+            testbed = base_world(seed=self.seed,
+                                 calibration=self.calibration,
+                                 sanitize=self.sanitize)
             target = self.site_name or _DEFAULT_TARGET[self.scenario]
             profile = CAMPUS if self.scenario == "campus" else WAN
             testbed.add_site(

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import Scenario
 from repro.core import BrokerConfig, CrossBroker, SubmissionPath
-from repro.grid import campus_grid
 from repro.grid.errors import AgentDeadError
 from repro.jdl import JobDescription
 from repro.sim import Interrupt
@@ -11,7 +11,8 @@ from repro.workloads import cpu_bound_app
 
 
 def make_world(seed, n_nodes=2):
-    tb = campus_grid(seed=seed, n_nodes=n_nodes)
+    tb = Scenario(sites=1, scenario="campus", nodes_per_site=n_nodes,
+                  seed=seed, publish=False).build().testbed
     tb.publish_all_now()
     broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
     return tb, broker
@@ -76,7 +77,8 @@ class TestAgentDeath:
 
     def test_resubmission_budget_exhausted(self):
         config = BrokerConfig(max_resubmissions=1)
-        tb = campus_grid(seed=122, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=122,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration,
                              config=config)

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro import Scenario
 from repro.baselines import GloginMechanism, InterpositionMechanism, SshMechanism
 from repro.calibration import DEFAULT_CALIBRATION
-from repro.grid import campus_grid, wan_grid
 from repro.jdl import StreamingMode
 
 
@@ -21,7 +21,8 @@ class TestSsh:
                             DEFAULT_CALIBRATION.ssh)
 
     def test_establish_costs_time(self):
-        tb = campus_grid(seed=80, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=80,
+                      publish=False).build().testbed
         mech = self.make(tb)
 
         def driver():
@@ -33,7 +34,8 @@ class TestSsh:
         assert mech.established
 
     def test_roundtrip_requires_establish(self):
-        tb = campus_grid(seed=81, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=81,
+                      publish=False).build().testbed
         mech = self.make(tb)
 
         def driver():
@@ -45,7 +47,8 @@ class TestSsh:
         assert run_driver(tb, driver())
 
     def test_roundtrip_monotone_in_size(self):
-        tb = campus_grid(seed=82, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=82,
+                      publish=False).build().testbed
         mech = self.make(tb)
 
         def driver():
@@ -62,7 +65,8 @@ class TestSsh:
         assert large > 2 * small
 
     def test_chunk_cost_helper(self):
-        tb = campus_grid(seed=83, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=83,
+                      publish=False).build().testbed
         mech = self.make(tb)
         one = mech._chunked_cost(100, 4096, 0.001, 0.0)
         three = mech._chunked_cost(10000, 4096, 0.001, 0.0)
@@ -71,8 +75,9 @@ class TestSsh:
 
 class TestGlogin:
     def test_wan_setup_slower_than_campus(self):
-        def setup_time(builder, wan):
-            tb = builder(seed=84, n_nodes=1)
+        def setup_time(scenario, wan):
+            tb = Scenario(sites=1, scenario=scenario, nodes_per_site=1,
+                          seed=84, publish=False).build().testbed
             node = tb.site(list(tb.sites)[0]).nodes[0]
             mech = GloginMechanism(tb.env, tb.network, tb.rng, "ui",
                                    node.name, DEFAULT_CALIBRATION.glogin,
@@ -84,12 +89,13 @@ class TestGlogin:
 
             return run_driver(tb, driver())
 
-        campus = setup_time(campus_grid, wan=False)
-        wan = setup_time(wan_grid, wan=True)
+        campus = setup_time("campus", wan=False)
+        wan = setup_time("wan", wan=True)
         assert wan > campus + 2.0
 
     def test_establish_lands_near_table1(self):
-        tb = campus_grid(seed=85, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=85,
+                      publish=False).build().testbed
         node = tb.site("uab").nodes[0]
         mech = GloginMechanism(tb.env, tb.network, tb.rng, "ui", node.name,
                                DEFAULT_CALIBRATION.glogin, wan=False)
@@ -110,7 +116,8 @@ class TestInterpositionMechanism:
                                       mode)
 
     def test_fast_echo_roundtrips(self):
-        tb = campus_grid(seed=86, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=86,
+                      publish=False).build().testbed
         mech = self.make(tb, StreamingMode.FAST)
 
         def driver():
@@ -127,7 +134,8 @@ class TestInterpositionMechanism:
 
     def test_reliable_slower_than_fast(self):
         def mean_rtt(mode, seed):
-            tb = campus_grid(seed=seed, n_nodes=1)
+            tb = Scenario(sites=1, scenario="campus", nodes_per_site=1,
+                          seed=seed, publish=False).build().testbed
             mech = self.make(tb, mode)
 
             def driver():
@@ -144,12 +152,14 @@ class TestInterpositionMechanism:
         assert reliable > 2 * fast
 
     def test_names(self):
-        tb = campus_grid(seed=89, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=89,
+                      publish=False).build().testbed
         assert self.make(tb, StreamingMode.FAST).name == "agents-fast"
         assert self.make(tb, StreamingMode.RELIABLE).name == "agents-reliable"
 
     def test_one_way_not_implemented(self):
-        tb = campus_grid(seed=90, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=90,
+                      publish=False).build().testbed
         mech = self.make(tb, StreamingMode.FAST)
         with pytest.raises(NotImplementedError):
             list(mech.one_way(10, True))

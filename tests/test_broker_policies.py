@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import Scenario
 from repro.core import BrokerConfig, CrossBroker, SubmissionPath
-from repro.grid import campus_grid
 from repro.jdl import JobDescription, JobCategory, MachineAccess
 from repro.workloads import cpu_bound_app, immediate_output_app
 
@@ -22,7 +22,8 @@ class TestAdaptiveMultiprogramming:
     def _world(self, adaptive, seed):
         config = BrokerConfig(adaptive_multiprogramming=adaptive,
                               max_interactive_slots=3)
-        tb = campus_grid(seed=seed, n_nodes=4)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=4, seed=seed,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration,
                              config=config)
@@ -68,7 +69,8 @@ class TestAdaptiveMultiprogramming:
     def test_old_misses_expire(self):
         config = BrokerConfig(adaptive_multiprogramming=True,
                               adaptive_window=100.0)
-        tb = campus_grid(seed=143, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=143,
+                      publish=False).build().testbed
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration,
                              config=config)
         broker._vm_miss_times = [0.0, 0.0]
@@ -78,7 +80,8 @@ class TestAdaptiveMultiprogramming:
 
 class TestScarcityRejection:
     def test_good_priority_user_wins_the_last_machine(self):
-        tb = campus_grid(seed=144, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=144,
+                      publish=False).build().testbed
         tb.publish_all_now()
         calibration = tb.calibration.with_fairshare(scarcity_margin=0.05,
                                                     update_interval=30.0)
@@ -111,7 +114,8 @@ class TestScarcityRejection:
         assert admitted.report.success
 
     def test_no_rejection_when_plentiful(self):
-        tb = campus_grid(seed=145, n_nodes=4)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=4, seed=145,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         broker.fairshare.job_started("hog", "ghost", cpus=4, af=2.0)
@@ -127,9 +131,11 @@ class TestScarcityRejection:
 
 class TestSaturationExperiment:
     def test_experiment_passes(self):
-        from repro.experiments import SaturationConfig, run_fairshare_saturation
+        from repro.experiments import SaturationConfig
+        from repro.runner import run_experiment
 
-        result = run_fairshare_saturation(
+        result = run_experiment(
+            "fairshare-saturation",
             SaturationConfig(warmup_jobs=4, contest_rounds=3))
         failed = [c.render() for c in result.checks if not c.passed]
         assert not failed, failed

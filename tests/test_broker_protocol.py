@@ -285,20 +285,29 @@ def test_data_broker_budget_gate_respects_site_price():
 
 
 # ---------------------------------------------------------------------------
-# Legacy shims
+# One world-builder: the shims are gone, base_world is the bare primitive
 # ---------------------------------------------------------------------------
 def test_legacy_world_builders_warn_and_delegate():
-    from repro.grid import base_world, campus_grid, wan_grid
+    """Id kept from the shim era; what it pins now is their absence:
+    Scenario alone names the uab/ifca worlds, and ``base_world`` is the
+    undeprecated bare core (no sites, no warning)."""
+    import warnings
 
-    with pytest.deprecated_call():
-        tb = campus_grid(seed=1, n_nodes=2)
-    assert "uab" in tb.sites
-    with pytest.deprecated_call():
-        tb = wan_grid(seed=1, n_nodes=2)
-    assert "ifca" in tb.sites
-    with pytest.deprecated_call():
-        tb = base_world(seed=1)
-    assert tb.sites == {}
+    import repro.grid
+
+    builders = {name for name in repro.grid.__all__
+                if name.endswith(("_grid", "_world", "_testbed"))}
+    assert builders == {"base_world", "europe_testbed"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=1,
+                      publish=False).build().testbed
+        assert list(tb.sites) == ["uab"]
+        tb = Scenario(sites=1, scenario="wan", nodes_per_site=2, seed=1,
+                      publish=False).build().testbed
+        assert list(tb.sites) == ["ifca"]
+        tb = repro.grid.base_world(seed=1)
+    assert tb.sites == {} and tb.index is not None
 
 
 def test_scenario_builds_do_not_warn():

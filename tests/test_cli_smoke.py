@@ -1,4 +1,4 @@
-"""CLI smoke tests: `repro run`, `repro cache`, `repro trace`, legacy.
+"""CLI smoke tests: `repro run`, `repro cache`, `repro trace`, the table.
 
 Each test drives the real entry point (``python -m repro ...``) in a
 subprocess, asserting exit codes and the stdout/stderr split that the
@@ -13,15 +13,17 @@ import sys
 
 import pytest
 
+from repro.experiments.cli import SUBCOMMANDS, main
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, module="repro"):
     env = dict(os.environ)  # simlint: disable=environ-read -- building a subprocess environment, not sim state
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, timeout=600,
         cwd=cwd or REPO, env=env)
 
@@ -56,15 +58,17 @@ class TestRunCommand:
         assert "(0 computed, 3 cached)" in second.stderr
 
     def test_legacy_invocation_matches_run(self, tmp_path):
-        env = dict(os.environ)  # simlint: disable=environ-read -- building a subprocess environment, not sim state
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        legacy = subprocess.run(
-            [sys.executable, "-m", "repro.experiments",
-             "ablation-halflife", "--quick"],
-            capture_output=True, text=True, timeout=600, cwd=REPO, env=env)
-        modern = run_cli("run", "ablation-halflife", "--quick", "--no-cache")
-        assert legacy.returncode == 0
-        assert legacy.stdout == modern.stdout
+        # ``python -m repro.experiments`` is the same front door as
+        # ``python -m repro``: same subcommands, and a bare experiment
+        # name (the removed second driver) is a usage error.
+        args = ("run", "ablation-halflife", "--quick", "--no-cache")
+        same = run_cli(*args, module="repro.experiments")
+        assert same.returncode == 0
+        assert same.stdout == run_cli(*args).stdout
+        bare = run_cli("ablation-halflife", "--quick",
+                       module="repro.experiments")
+        assert bare.returncode == 2
+        assert bare.stdout == "" and "repro run" in bare.stderr
 
     def test_unknown_experiment_fails(self):
         proc = run_cli("run", "no-such-experiment", "--no-cache")
@@ -79,6 +83,37 @@ class TestRunCommand:
         body = md.read_text()
         assert "Priority recovery vs. fair-share half-life" in body
         assert "paper vs. reproduction" in body
+
+
+class TestSubcommandTable:
+    """The CLI contract: one table, one entry point, no bare names."""
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_every_subcommand_dispatches(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--help"])
+        assert exit_info.value.code == 0
+        assert f"repro {name}" in capsys.readouterr().out
+
+    def test_table_is_the_eight_subcommands(self):
+        assert list(SUBCOMMANDS) == ["run", "cache", "trace", "top", "serve",
+                                     "bench", "scale", "lint"]
+
+    @pytest.mark.parametrize("argv", [["table1", "--quick"], ["all"], []])
+    def test_bare_experiment_name_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "repro run" in captured.err
+
+    def test_one_entry_point(self):
+        import repro.__main__
+        import repro.experiments.__main__
+
+        assert repro.__main__.main is main
+        assert repro.experiments.__main__.main is main
+        with open(os.path.join(REPO, "pyproject.toml")) as fh:
+            assert 'repro = "repro.experiments.cli:main"' in fh.read()
 
 
 class TestCacheCommand:

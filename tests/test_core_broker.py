@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import Scenario
 from repro.core import BrokerConfig, CrossBroker, SubmissionPath
-from repro.grid import campus_grid, europe_testbed
+from repro.grid import europe_testbed
 from repro.jdl import JobDescription
 from repro.workloads import cpu_bound_app, immediate_output_app
 
@@ -13,7 +14,8 @@ def make_world(seed=1, n_nodes=4, n_sites=None, config=None):
         tb = europe_testbed(seed=seed, n_sites=n_sites,
                             nodes_per_site=n_nodes)
     else:
-        tb = campus_grid(seed=seed, n_nodes=n_nodes)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=n_nodes,
+                      seed=seed, publish=False).build().testbed
     tb.publish_all_now()
     broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration,
                          config=config)

@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro import Scenario
 from repro.core import CrossBroker, snapshot
-from repro.grid import campus_grid
 from repro.jdl import JobDescription
 from repro.workloads import cpu_bound_app, immediate_output_app
 
 
 def make_world(seed=220, n_nodes=2):
-    tb = campus_grid(seed=seed, n_nodes=n_nodes)
+    tb = Scenario(sites=1, scenario="campus", nodes_per_site=n_nodes,
+                  seed=seed, publish=False).build().testbed
     tb.publish_all_now()
     broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
     return tb, broker

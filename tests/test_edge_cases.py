@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import Scenario
 from repro.calibration import CAMPUS
 from repro.core import CrossBroker
-from repro.grid import SiteConfig, base_world, campus_grid, query_index
+from repro.grid import SiteConfig, base_world, query_index
 from repro.jdl import JobDescription
 from repro.net import RelayService, TunnelEndpoint, connect_via_relay
 from repro.sim import Environment
@@ -38,7 +39,8 @@ class TestEmptyGrid:
 
 class TestRelayTeardown:
     def test_shadow_death_closes_agents(self):
-        tb = campus_grid(seed=212, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=212,
+                      publish=False).build().testbed
         RelayService(tb.env, tb.network, "broker")
         env = tb.env
         node = tb.site("uab").nodes[0]
@@ -71,7 +73,8 @@ class TestRelayTeardown:
 
 class TestBrokerMisc:
     def test_reports_list_mirrors_submissions(self):
-        tb = campus_grid(seed=213, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=213,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         jobs = []
@@ -89,7 +92,8 @@ class TestBrokerMisc:
             == [s.job.job_id for s in jobs]
 
     def test_shadow_port_honoured_through_broker(self):
-        tb = campus_grid(seed=214, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=214,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         job = JobDescription.from_attributes({

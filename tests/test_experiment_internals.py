@@ -8,7 +8,6 @@ from repro.experiments.streaming_overhead import (
     StreamingConfig,
     _make_mechanism,
     _build_world,
-    measure,
 )
 from repro.experiments.table1 import (
     METHODS,
@@ -18,6 +17,7 @@ from repro.experiments.table1 import (
     _world,
 )
 from repro.metrics import Series
+from repro.runner import run_experiment
 
 
 class TestTable1Internals:
@@ -60,7 +60,7 @@ class TestStreamingOverheadInternals:
     def test_measure_shape(self):
         config = StreamingConfig(scenario="campus", sequences=10,
                                  sizes=(10, 1000))
-        data = measure(config)
+        data = run_experiment("fig6", config).data["series"]
         assert set(data) == set(MECHANISMS)
         for per_size in data.values():
             assert set(per_size) == {10, 1000}

@@ -11,10 +11,10 @@ from repro.experiments import (
     collect_series,
     export_all,
     export_result,
-    run_half_life_sweep,
 )
 from repro.experiments.common import ExperimentResult
 from repro.metrics import Series
+from repro.runner import run_experiment
 
 
 def make_result():
@@ -66,7 +66,7 @@ class TestExport:
         assert manifest["series"]["flat"]["count"] == 3
 
     def test_export_all(self, tmp_path):
-        result = run_half_life_sweep(HalfLifeSweepConfig())
+        result = run_experiment("ablation-halflife", HalfLifeSweepConfig())
         paths = export_all([result], str(tmp_path))
         assert "ablation-halflife" in paths
         assert all(os.path.exists(p)
@@ -75,7 +75,8 @@ class TestExport:
     def test_cli_export_flag(self, tmp_path):
         from repro.experiments.cli import main
 
-        code = main(["ablation-halflife", "--export", str(tmp_path)])
+        code = main(["run", "ablation-halflife", "--no-cache", "--export",
+                     str(tmp_path)])
         assert code == 0
         assert any(name.endswith("_manifest.json")
                    for name in os.listdir(tmp_path))

@@ -2,19 +2,18 @@
 
 import pytest
 
+from repro import Scenario
 from repro.calibration import DEFAULT_CALIBRATION
 from repro.grid import (
     CoAllocationError,
     GramClient,
     JobState,
     SiteConfig,
-    campus_grid,
     europe_testbed,
     plan_allocation,
     query_index,
     stage_input,
     subjobs_for,
-    wan_grid,
 )
 from repro.jdl import JobDescription
 
@@ -28,7 +27,8 @@ def cpu_behavior(duration):
 
 class TestGram:
     def test_submit_and_run(self):
-        tb = campus_grid(seed=1, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=1,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
 
@@ -49,7 +49,8 @@ class TestGram:
 
     def test_two_phase_commit_costs_more(self):
         def run(two_phase):
-            tb = campus_grid(seed=2, n_nodes=2)
+            tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=2,
+                          publish=False).build().testbed
             env = tb.env
             site = tb.site("uab")
 
@@ -70,7 +71,8 @@ class TestGram:
         assert run(True) > run(False)
 
     def test_status_and_cancel(self):
-        tb = campus_grid(seed=3, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=3,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
 
@@ -99,7 +101,8 @@ class TestGram:
 
 class TestMds:
     def test_publish_and_query_with_staleness(self):
-        tb = campus_grid(seed=4, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=4,
+                      publish=False).build().testbed
         env = tb.env
 
         def driver():
@@ -118,7 +121,8 @@ class TestMds:
         assert advert.age(env.now) >= 0.0
 
     def test_adverts_reflect_occupancy_after_republish(self):
-        tb = campus_grid(seed=5, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=5,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         site.nodes[0].acquire("occupier")
@@ -134,7 +138,8 @@ class TestMds:
         assert proc.value == 1
 
     def test_publisher_survives_index_outage(self):
-        tb = campus_grid(seed=6, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=6,
+                      publish=False).build().testbed
         env = tb.env
         tb.network.inject_outage("core", "mds", 0.0, 60.0)
 
@@ -151,7 +156,8 @@ class TestMds:
 
 class TestStaging:
     def test_staging_time_scales_with_bytes(self):
-        tb = campus_grid(seed=7, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=7,
+                      publish=False).build().testbed
         env = tb.env
         gk = tb.site("uab").gatekeeper_host
 
@@ -223,14 +229,17 @@ class TestMpiPlanning:
 
 class TestTestbeds:
     def test_campus_grid_wiring(self):
-        tb = campus_grid(seed=8, n_nodes=3)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=3, seed=8,
+                      publish=False).build().testbed
         assert tb.total_free_cpus() == 3
         assert tb.network.path_up("ui", "gk.uab")
         assert tb.network.path_up("broker", "mds")
 
     def test_wan_grid_has_higher_latency(self):
-        campus = campus_grid(seed=9)
-        wan = wan_grid(seed=9)
+        campus = Scenario(sites=1, scenario="campus", seed=9,
+                          publish=False).build().testbed
+        wan = Scenario(sites=1, scenario="wan", seed=9,
+                       publish=False).build().testbed
         t_campus = campus.network.base_transfer_time("ui", "gk.uab", 100)
         t_wan = wan.network.base_transfer_time("ui", "gk.ifca", 100)
         assert t_wan > 3 * t_campus
@@ -247,7 +256,8 @@ class TestTestbeds:
         assert tb.index.site_count == 3
 
     def test_advert_contents(self):
-        tb = campus_grid(seed=12, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=12,
+                      publish=False).build().testbed
         advert = tb.site("uab").advert()
         assert advert["SiteName"] == "uab"
         assert advert["TotalCPUs"] == 2
@@ -255,7 +265,8 @@ class TestTestbeds:
         assert advert["OpSys"] == "Linux"
 
     def test_duplicate_site_names_rejected(self):
-        tb = campus_grid(seed=13)
+        tb = Scenario(sites=1, scenario="campus", seed=13,
+                      publish=False).build().testbed
         from repro.calibration import CAMPUS
 
         with pytest.raises(ValueError):

@@ -22,8 +22,8 @@ import types
 
 import pytest
 
+from repro import Scenario
 from repro.calibration import DEFAULT_CALIBRATION
-from repro.grid import campus_grid
 from repro.jdl import StreamingMode
 from repro.net.failures import random_outages
 from repro.sim import SimulationError, Store
@@ -185,7 +185,8 @@ class TestReliableReconnectUnderRandomOutages:
         the retry/backoff statistics are mutually consistent."""
         calibration = DEFAULT_CALIBRATION.with_streaming(
             retry_interval=0.5, max_retries=100)
-        tb = campus_grid(seed=31, n_nodes=1, calibration=calibration)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=31,
+                      calibration=calibration, publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         plan = random_outages(tb.rng, ("core", site.gatekeeper_host),

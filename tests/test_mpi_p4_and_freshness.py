@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro import Scenario
 from repro.calibration import CAMPUS
 from repro.core import CrossBroker, ResourceSelector, SubmissionPath
 from repro.calibration import DEFAULT_CALIBRATION
-from repro.grid import SiteConfig, base_world, campus_grid
+from repro.grid import SiteConfig, base_world
 from repro.jdl import JobDescription
 from repro.workloads import cpu_bound_app
 
@@ -36,7 +37,8 @@ def rank_aware_factory(rank):
 
 class TestMpichP4:
     def test_single_site_one_console_agent(self):
-        tb = campus_grid(seed=190, n_nodes=3)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=3, seed=190,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         job = p4_job(3)
@@ -75,7 +77,8 @@ class TestSelectionFreshness:
             proc.callbacks.append(lambda event: event.defuse())
 
     def test_refresh_overrides_stale_mds_advert(self):
-        tb = campus_grid(seed=192, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=192,
+                      publish=False).build().testbed
         tb.publish_all_now()  # advert says FreeCPUs=2
         self._freeze_adverts(tb)
         env = tb.env

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import Scenario
 from repro.calibration import DEFAULT_CALIBRATION
-from repro.grid import NoResourcesError, campus_grid
+from repro.grid import NoResourcesError
 from repro.grid.workernode import MachineContext
 from repro.multiprog import (
     AGENT_PORT,
@@ -62,7 +63,8 @@ class TestVmSlot:
 
 class TestAgentRuntime:
     def test_boot_creates_two_vms(self):
-        tb = campus_grid(seed=30, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=30,
+                      publish=False).build().testbed
         runtime, _ = boot_agent(tb, tb.site("uab").nodes[0])
         tb.env.run(until=runtime.ready)
         assert runtime.batch_free
@@ -71,7 +73,8 @@ class TestAgentRuntime:
         assert runtime.server is not None
 
     def test_run_batch_then_interactive(self):
-        tb = campus_grid(seed=31, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=31,
+                      publish=False).build().testbed
         env = tb.env
         runtime, _ = boot_agent(tb, tb.site("uab").nodes[0])
 
@@ -91,7 +94,8 @@ class TestAgentRuntime:
         assert free_again
 
     def test_busy_slot_rejects_second_job(self):
-        tb = campus_grid(seed=32, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=32,
+                      publish=False).build().testbed
         env = tb.env
         runtime, _ = boot_agent(tb, tb.site("uab").nodes[0])
 
@@ -109,7 +113,8 @@ class TestAgentRuntime:
         assert p.value == "rejected"
 
     def test_extra_interactive_slots(self):
-        tb = campus_grid(seed=33, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=33,
+                      publish=False).build().testbed
         env = tb.env
         runtime, _ = boot_agent(tb, tb.site("uab").nodes[0],
                                 interactive_slots=2)
@@ -127,7 +132,8 @@ class TestAgentRuntime:
         assert p.value > 9.0
 
     def test_agent_leaves_after_batch_completes(self):
-        tb = campus_grid(seed=34, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=34,
+                      publish=False).build().testbed
         env = tb.env
         node = tb.site("uab").nodes[0]
         runtime, proc = boot_agent(tb, node)
@@ -146,7 +152,8 @@ class TestAgentRuntime:
         assert not runtime.is_alive
 
     def test_agent_waits_for_interactive_before_leaving(self):
-        tb = campus_grid(seed=35, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=35,
+                      publish=False).build().testbed
         env = tb.env
         runtime, proc = boot_agent(tb, tb.site("uab").nodes[0])
 
@@ -165,7 +172,8 @@ class TestAgentRuntime:
         assert runtime.leave.triggered
 
     def test_kill_marks_dead(self):
-        tb = campus_grid(seed=36, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=36,
+                      publish=False).build().testbed
         env = tb.env
         runtime, proc = boot_agent(tb, tb.site("uab").nodes[0])
         env.run(until=runtime.ready)
@@ -175,7 +183,8 @@ class TestAgentRuntime:
         assert not runtime.is_alive
 
     def test_interactive_slots_validation(self):
-        tb = campus_grid(seed=37, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=37,
+                      publish=False).build().testbed
         with pytest.raises(ValueError):
             AgentRuntime(tb.env, tb.network, tb.rng,
                          tb.site("uab").nodes[0],
@@ -185,7 +194,8 @@ class TestAgentRuntime:
     def test_rpc_dispatch_path(self):
         from repro.net import RpcClient
 
-        tb = campus_grid(seed=38, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=38,
+                      publish=False).build().testbed
         env = tb.env
         node = tb.site("uab").nodes[0]
         runtime, _ = boot_agent(tb, node)
@@ -208,7 +218,8 @@ class TestAgentRuntime:
 
 class TestAgentRegistry:
     def test_register_and_query(self):
-        tb = campus_grid(seed=39, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=39,
+                      publish=False).build().testbed
         env = tb.env
         registry = AgentRegistry(env)
         site = tb.site("uab")
@@ -222,7 +233,8 @@ class TestAgentRegistry:
         assert registry.free_interactive(site="elsewhere") == []
 
     def test_left_agents_removed(self):
-        tb = campus_grid(seed=40, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=40,
+                      publish=False).build().testbed
         env = tb.env
         registry = AgentRegistry(env)
         runtime, proc = boot_agent(tb, tb.site("uab").nodes[0],
@@ -241,7 +253,8 @@ class TestAgentRegistry:
         assert p.value == 0
 
     def test_dead_agents_recorded(self):
-        tb = campus_grid(seed=41, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=41,
+                      publish=False).build().testbed
         env = tb.env
         registry = AgentRegistry(env)
         runtime, _ = boot_agent(tb, tb.site("uab").nodes[0],

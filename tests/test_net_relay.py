@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Scenario
 from repro.jdl import StreamingMode
 from repro.net import (
     RelayService,
@@ -9,12 +10,12 @@ from repro.net import (
     TunnelError,
     connect_via_relay,
 )
-from repro.grid import campus_grid
 from repro.streaming import InteractiveSession
 
 
 def make_relay_world(seed=130):
-    tb = campus_grid(seed=seed, n_nodes=2)
+    tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=seed,
+                  publish=False).build().testbed
     relay = RelayService(tb.env, tb.network, "broker")
     return tb, relay
 
@@ -160,7 +161,8 @@ class TestTunnelledConsole:
         """Two store-and-forward hops are measurably slower than direct."""
 
         def mean_rtt(tunnel: bool, seed: int) -> float:
-            tb = campus_grid(seed=seed, n_nodes=1)
+            tb = Scenario(sites=1, scenario="campus", nodes_per_site=1,
+                          seed=seed, publish=False).build().testbed
             env = tb.env
             node = tb.site("uab").nodes[0]
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.grid import campus_grid
+from repro import Scenario
 from repro.jdl import StreamingMode
 from repro.metrics import (
     counters_table,
@@ -219,7 +219,8 @@ class TestTracedStreaming:
     def test_session_run_populates_stream_counters(self):
         from repro.streaming import InteractiveSession
 
-        tb = campus_grid(seed=41, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=41,
+                      publish=False).build().testbed
         env = tb.env
         tracer = Tracer(env).install()
         session = InteractiveSession(env, tb.network, tb.rng,

@@ -5,8 +5,8 @@ accordance with the output results."
 
 import pytest
 
+from repro import Scenario
 from repro.core import CrossBroker
-from repro.grid import campus_grid
 from repro.jdl import JobDescription
 from repro.sim import Interrupt
 from repro.workloads import progress_app
@@ -41,7 +41,8 @@ def divergent_simulation(steps=100, step_cpu=1.0):
 
 class TestUserCancellation:
     def _run_and_cancel(self, shared, seed):
-        tb = campus_grid(seed=seed, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=seed,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         env = tb.env
@@ -99,7 +100,8 @@ class TestUserCancellation:
         assert len(live) == 1 and not live[0].runtime.batch_free
 
     def test_cancel_after_finish_is_noop(self):
-        tb = campus_grid(seed=172, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=172,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         from repro.workloads import immediate_output_app

@@ -2,15 +2,17 @@
 
 import pytest
 
+from repro import Scenario
 from repro.core import CrossBroker
-from repro.grid import campus_grid, retrieve_output, wan_grid
+from repro.grid import retrieve_output
 from repro.jdl import JobDescription
 from repro.workloads import cpu_bound_app, immediate_output_app
 
 
 class TestRetrieveOutputPrimitive:
     def test_time_scales_with_bytes(self):
-        tb = campus_grid(seed=180, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=180,
+                      publish=False).build().testbed
         env = tb.env
         gk = tb.site("uab").gatekeeper_host
 
@@ -30,7 +32,8 @@ class TestRetrieveOutputPrimitive:
 
 class TestBrokerIntegration:
     def test_batch_output_retrieved(self):
-        tb = campus_grid(seed=181, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=181,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         job = JobDescription.from_attributes({
@@ -45,7 +48,8 @@ class TestBrokerIntegration:
                    for r in broker.trace.records)
 
     def test_no_sandbox_no_cost(self):
-        tb = campus_grid(seed=182, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=182,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         job = JobDescription.from_attributes({"executable": "sim"},
@@ -55,7 +59,8 @@ class TestBrokerIntegration:
         assert submitted.report.output_retrieval_time == 0.0
 
     def test_interactive_exclusive_also_retrieves(self):
-        tb = campus_grid(seed=183, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=183,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         job = JobDescription.from_attributes({
@@ -71,8 +76,9 @@ class TestBrokerIntegration:
         assert submitted.report.output_retrieval_time > 0
 
     def test_wan_retrieval_slower_than_campus(self):
-        def retrieval_time(builder, seed):
-            tb = builder(seed=seed, n_nodes=1)
+        def retrieval_time(scenario, seed):
+            tb = Scenario(sites=1, scenario=scenario, nodes_per_site=1,
+                          seed=seed, publish=False).build().testbed
             tb.publish_all_now()
             broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
             job = JobDescription.from_attributes({
@@ -83,8 +89,8 @@ class TestBrokerIntegration:
             tb.env.run(until=submitted.finished)
             return submitted.report.output_retrieval_time
 
-        campus = retrieval_time(campus_grid, 184)
-        wan = retrieval_time(wan_grid, 185)
+        campus = retrieval_time("campus", 184)
+        wan = retrieval_time("wan", 185)
         assert wan > campus
 
     def test_jdl_roundtrip_with_output_sandbox(self):

@@ -4,8 +4,8 @@ interactive application")."""
 
 import pytest
 
+from repro import Scenario
 from repro.core import CrossBroker, SubmissionPath
-from repro.grid import campus_grid
 from repro.jdl import JobDescription
 from repro.workloads import cpu_bound_app, immediate_output_app
 
@@ -23,7 +23,8 @@ def parallel_shared_job(nodes, owner="alice"):
 
 class TestParallelShared:
     def test_mix_of_existing_vm_and_new_agent(self):
-        tb = campus_grid(seed=160, n_nodes=3)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=3, seed=160,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
 
@@ -50,7 +51,8 @@ class TestParallelShared:
         assert subjobs_seen == {0, 1}
 
     def test_all_ranks_on_existing_vms(self):
-        tb = campus_grid(seed=161, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=161,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         for i in range(2):
@@ -71,7 +73,8 @@ class TestParallelShared:
         assert len(submitted.finished.value) == 2
 
     def test_insufficient_capacity_fails(self):
-        tb = campus_grid(seed=162, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=162,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
         job = parallel_shared_job(3)

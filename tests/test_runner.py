@@ -126,6 +126,32 @@ class TestResultCache:
         assert cache.summary() == []
 
 
+class TestProgressCounter:
+    """``(done/total)`` counts every satisfied cell, this one included."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_last_line_of_a_three_cell_run_reads_three_of_three(
+            self, parallel):
+        lines = []
+        run_experiment("ablation-halflife", quick=True, parallel=parallel,
+                       progress=lines.append)
+        assert [line.rsplit(" ", 1)[1] for line in lines] == [
+            "(1/3)", "(2/3)", "(3/3)"]
+
+    def test_half_cached_run_counts_cached_cells_too(self, tmp_path):
+        spec = get_spec("ablation-halflife")
+        config = spec.make_config(quick=True)
+        first = spec.plan(config)[0]
+        cache = ResultCache(str(tmp_path))
+        cache.put(spec, config, first, spec.run_cell(config, first), 0.1)
+        lines = []
+        run_experiment("ablation-halflife", config, cache=cache,
+                       progress=lines.append)
+        assert "cached" in lines[0]
+        assert [line.rsplit(" ", 1)[1] for line in lines[1:]] == [
+            "(2/3)", "(3/3)"]
+
+
 class TestTelemetryDeterminism:
     """The merged telemetry snapshot is identical across serial,
     parallel, and cache-served executions (plan-order merge)."""
@@ -234,14 +260,19 @@ class TestConfigCodecs:
 
 class TestScenarioFacade:
     def test_campus_world_matches_legacy_builder(self):
-        from repro.grid import campus_grid
-
+        # The names the deleted campus shim produced, pinned literally:
+        # seeds in tests/ and benchmarks/ mean what they meant before.
         handle = Scenario(sites=1, scenario="campus", nodes_per_site=2,
                           seed=9, publish=False).build()
-        legacy = campus_grid(seed=9, n_nodes=2)
-        assert sorted(handle.testbed.sites) == sorted(legacy.sites)
+        assert list(handle.testbed.sites) == ["uab"]
         assert handle.target == "uab"
-        assert handle.node().name == legacy.site("uab").nodes[0].name
+        assert handle.node().name == "wn0.uab"
+        assert sorted(handle.network.hosts) == [
+            "broker", "core", "gk.uab", "mds", "ui", "wn0.uab", "wn1.uab"]
+        assert handle.testbed.index.site_count == 0  # publish=False
+        wan = Scenario(sites=1, scenario="wan", nodes_per_site=2, seed=9,
+                       publish=False).build()
+        assert [n.name for n in wan.site().nodes] == ["wn0.ifca", "wn1.ifca"]
 
     def test_europe_world_has_no_default_target(self):
         handle = Scenario(sites=3, scenario="europe", seed=4).build()

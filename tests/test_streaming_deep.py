@@ -3,7 +3,7 @@ interplay, EOF bookkeeping, and stderr routing."""
 
 import pytest
 
-from repro.grid import campus_grid
+from repro import Scenario
 from repro.jdl import StreamingMode
 from repro.streaming import InteractiveSession, StreamName
 
@@ -19,7 +19,8 @@ class TestInputDirectionReliability:
         """The reliable spool works for stdin too (§3: 'If the input or
         the output fails to be sent, data will be written on the local
         disk')."""
-        tb = campus_grid(seed=230, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=230,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         node = site.nodes[0]
@@ -65,7 +66,8 @@ class TestInputDirectionReliability:
 
 class TestStderrRouting:
     def test_stderr_chunks_tagged(self):
-        tb = campus_grid(seed=231, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=231,
+                      publish=False).build().testbed
         env = tb.env
         node = tb.site("uab").nodes[0]
         session = make_session(tb, StreamingMode.FAST)
@@ -97,7 +99,8 @@ class TestFlushInterplay:
     def test_fragments_assembled_by_timeout_at_shadow(self):
         """Non-eol fragments cross the wire and surface after the JS
         buffer's timeout trigger."""
-        tb = campus_grid(seed=232, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=232,
+                      publish=False).build().testbed
         env = tb.env
         node = tb.site("uab").nodes[0]
         session = make_session(tb, StreamingMode.FAST)
@@ -124,7 +127,8 @@ class TestFlushInterplay:
         assert rproc.value.data.count(".") >= 1  # coalesced fragments
 
     def test_eof_event_fires_once_all_agents_done(self):
-        tb = campus_grid(seed=233, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=233,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         session = make_session(tb, StreamingMode.FAST, n_subjobs=2)
@@ -152,7 +156,8 @@ class TestFlushInterplay:
 
 class TestAgentAccounting:
     def test_write_and_read_counters(self):
-        tb = campus_grid(seed=234, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=234,
+                      publish=False).build().testbed
         env = tb.env
         node = tb.site("uab").nodes[0]
         session = make_session(tb, StreamingMode.FAST)

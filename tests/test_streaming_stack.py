@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import Scenario
 from repro.calibration import DEFAULT_CALIBRATION
-from repro.grid import campus_grid
 from repro.jdl import StreamingMode
 from repro.sim import Interrupt
 from repro.streaming import DiskSpool, InteractiveSession, StreamChunk, StreamName
@@ -59,7 +59,8 @@ class TestDiskSpool:
 
 class TestFastMode:
     def test_echo_roundtrips(self):
-        tb = campus_grid(seed=20, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=20,
+                      publish=False).build().testbed
         env = tb.env
         node = tb.site("uab").nodes[0]
         session = make_session(tb, StreamingMode.FAST)
@@ -89,7 +90,8 @@ class TestFastMode:
         assert c.value == ["re:m0", "re:m1", "re:m2"]
 
     def test_fast_mode_loses_data_during_outage(self):
-        tb = campus_grid(seed=21, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=21,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         node = site.nodes[0]
@@ -113,7 +115,8 @@ class TestFastMode:
         assert len(session.shadow.lines) == 8 - stats.dropped
 
     def test_first_output_event(self):
-        tb = campus_grid(seed=22, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=22,
+                      publish=False).build().testbed
         env = tb.env
         node = tb.site("uab").nodes[0]
         session = make_session(tb, StreamingMode.FAST)
@@ -138,7 +141,8 @@ class TestFastMode:
 
 class TestReliableMode:
     def test_survives_outage_in_order(self):
-        tb = campus_grid(seed=23, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=23,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         node = site.nodes[0]
@@ -172,7 +176,8 @@ class TestReliableMode:
     def test_retry_exhaustion_kills_job(self):
         calibration = DEFAULT_CALIBRATION.with_streaming(
             retry_interval=0.5, max_retries=3)
-        tb = campus_grid(seed=24, n_nodes=1, calibration=calibration)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=24,
+                      calibration=calibration, publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         node = site.nodes[0]
@@ -202,7 +207,8 @@ class TestReliableMode:
 
 class TestMpiFanIn:
     def test_multiple_agents_one_shadow(self):
-        tb = campus_grid(seed=25, n_nodes=3)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=3, seed=25,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         session = make_session(tb, StreamingMode.FAST, n_subjobs=3)
@@ -243,7 +249,8 @@ class TestMpiFanIn:
         assert steer_reply == "r0 got steer"
 
     def test_kill_job_broadcast(self):
-        tb = campus_grid(seed=26, n_nodes=2)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=26,
+                      publish=False).build().testbed
         env = tb.env
         site = tb.site("uab")
         session = make_session(tb, StreamingMode.FAST, n_subjobs=2)
@@ -289,14 +296,16 @@ class TestMpiFanIn:
 
 class TestShadowPortPinning:
     def test_user_pinned_port(self):
-        tb = campus_grid(seed=27, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=27,
+                      publish=False).build().testbed
         session = InteractiveSession(
             tb.env, tb.network, tb.rng, tb.calibration.streaming, "ui",
             StreamingMode.FAST, n_subjobs=1, port=31234)
         assert session.port == 31234
 
     def test_dynamic_ports_distinct(self):
-        tb = campus_grid(seed=28, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=28,
+                      publish=False).build().testbed
         s1 = make_session(tb, StreamingMode.FAST)
         s2 = make_session(tb, StreamingMode.FAST)
         assert s1.port != s2.port

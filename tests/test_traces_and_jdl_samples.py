@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Scenario
 from repro.jdl import JobDescription, parse_expression
 from repro.jdl.expr import Context, evaluate
 from repro.sim import RandomStreams
@@ -164,7 +165,6 @@ class TestTraceFiles:
 
     def test_replayable_against_broker(self, tmp_path):
         from repro.core import CrossBroker
-        from repro.grid import campus_grid
         from repro.jdl import JobCategory
         from repro.workloads import cpu_bound_app, immediate_output_app, replay
 
@@ -176,7 +176,8 @@ class TestTraceFiles:
         save_trace(arrivals, path)
         loaded = load_trace(path)
 
-        tb = campus_grid(seed=3, n_nodes=4)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=4, seed=3,
+                      publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import Scenario
 from repro.calibration import DEFAULT_CALIBRATION, LoopAppProfile
-from repro.grid import campus_grid
 from repro.jdl import JobCategory, MachineAccess
 from repro.sim import RandomStreams
 from repro.workloads import (
@@ -31,7 +31,8 @@ def run_on_node(tb, behavior, session=None, **kwargs):
 
 class TestLoopApp:
     def test_sample_count_and_values(self):
-        tb = campus_grid(seed=100, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=100,
+                      publish=False).build().testbed
         profile = LoopAppProfile(iterations=50)
         proc = run_on_node(tb, make_loop_app(profile))
         tb.env.run(until=proc)
@@ -42,7 +43,8 @@ class TestLoopApp:
         assert [s.iteration for s in samples] == list(range(50))
 
     def test_total_runtime_matches_profile(self):
-        tb = campus_grid(seed=101, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=101,
+                      publish=False).build().testbed
         profile = LoopAppProfile(iterations=20)
         proc = run_on_node(tb, make_loop_app(profile))
         tb.env.run(until=proc)
@@ -50,7 +52,8 @@ class TestLoopApp:
         assert tb.env.now == pytest.approx(expected, rel=0.02)
 
     def test_cpu_hog_consumes_requested_work(self):
-        tb = campus_grid(seed=102, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=102,
+                      publish=False).build().testbed
         proc = run_on_node(tb, cpu_hog(12.0))
         tb.env.run(until=proc)
         assert proc.value == pytest.approx(12.0)
@@ -66,7 +69,8 @@ class TestCannedApps:
                                   StreamingMode.FAST)
 
     def test_immediate_output_app(self):
-        tb = campus_grid(seed=103, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=103,
+                      publish=False).build().testbed
         session = self._session(tb)
         proc = run_on_node(tb, immediate_output_app("boot", run_for=0.5),
                            session=session)
@@ -80,7 +84,8 @@ class TestCannedApps:
         assert r.value == "boot"
 
     def test_progress_app_emits_each_step(self):
-        tb = campus_grid(seed=104, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=104,
+                      publish=False).build().testbed
         session = self._session(tb)
         proc = run_on_node(tb, progress_app(4, 0.1), session=session)
 
@@ -98,7 +103,8 @@ class TestCannedApps:
         assert proc.value == 4
 
     def test_console_app_round_trip_and_exit(self):
-        tb = campus_grid(seed=105, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=105,
+                      publish=False).build().testbed
         session = self._session(tb)
         proc = run_on_node(tb, interactive_console_app(), session=session)
 
@@ -117,7 +123,8 @@ class TestCannedApps:
         assert rounds == 2
 
     def test_steerable_simulation_applies_parameter(self):
-        tb = campus_grid(seed=106, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=106,
+                      publish=False).build().testbed
         session = self._session(tb)
         proc = run_on_node(tb, steerable_simulation(0, steps=6,
                                                     step_cpu=0.05),
@@ -136,7 +143,8 @@ class TestCannedApps:
         assert results[-1] == pytest.approx(10.0 * 6)
 
     def test_cpu_bound_app_no_stdio_needed(self):
-        tb = campus_grid(seed=107, n_nodes=1)
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=107,
+                      publish=False).build().testbed
         proc = run_on_node(tb, cpu_bound_app(2.0))
         tb.env.run(until=proc)
         assert proc.value == 2.0
