@@ -14,14 +14,15 @@ and of which process computed them.
 * :mod:`repro.runner.cache` — the on-disk result cache, keyed by a
   stable hash of (config key-dict, calibration fingerprint, cell key,
   code-version salt);
-* :mod:`repro.runner.engine` — the sharded executor: fans missing cells
-  out over a :class:`concurrent.futures.ProcessPoolExecutor`, merges in
+* :mod:`repro.runner.engine` — the sharded executor: ``run_experiments``
+  sends the missing cells of *every* requested experiment through one
+  :class:`concurrent.futures.ProcessPoolExecutor` per run, merges in
   deterministic cell order (serial and parallel runs are bit-identical),
   and reports wall-clock/speedup statistics.
 """
 
 from .cache import ResultCache, cache_key, calibration_fingerprint
-from .engine import CellOutcome, RunStats, run_experiment
+from .engine import CellOutcome, RunStats, run_experiment, run_experiments
 from .spec import CellKey, ExperimentSpec, all_specs, get_spec, register
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "get_spec",
     "register",
     "run_experiment",
+    "run_experiments",
 ]

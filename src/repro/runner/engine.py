@@ -1,12 +1,14 @@
-"""The sharded experiment executor.
+"""The sharded experiment executor: one worker pool per run.
 
-Execution model:
+Execution model (:func:`run_experiments`):
 
-1. ``spec.plan(config)`` yields the canonical ordered cell list;
+1. ``spec.plan(config)`` yields each experiment's ordered cell list;
 2. cells present in the :class:`~repro.runner.cache.ResultCache` are
    loaded (0 simulation);
-3. missing cells are executed — serially, or fanned out across a
-   ``ProcessPoolExecutor`` when ``parallel > 1``;
+3. missing cells are executed — in process, one experiment after the
+   other, or with ``parallel > 1`` those of *every* requested experiment
+   through ONE ``ProcessPoolExecutor``, plain FIFO in request-then-plan
+   order, each completion routed to its experiment as it arrives;
 4. payloads are merged **in plan order**, never completion order, so a
    parallel run is bit-identical to a serial run of the same config.
 
@@ -22,7 +24,8 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from .cache import ResultCache
 from .spec import CellKey, get_spec
@@ -125,29 +128,99 @@ def _execute_cell(experiment_id: str, config: Any, key: CellKey,
 
 
 def default_parallelism() -> int:
-    """A conservative default worker count for ``--parallel 0`` (auto)."""
+    """Worker count for ``--parallel 0`` (auto): the CPUs this process
+    may run on, which under a cgroup/affinity pin is fewer than exist."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, (os.cpu_count() or 1))
 
 
-def run_experiment(experiment_id: str,
-                   config: Any = None,
-                   *,
-                   quick: bool = False,
-                   parallel: int = 1,
-                   cache: Union[ResultCache, str, None] = None,
-                   progress: Optional[Progress] = None,
-                   telemetry: bool = False,
-                   chaos: Optional[Dict[str, Any]] = None) -> Any:
-    """Run one experiment through the sharded engine.
+class _Run:
+    """One experiment of a run: plan and cache look-ups on construction,
+    :meth:`complete` per missing cell, then the plan-order :meth:`merge`."""
+
+    def __init__(self, experiment_id: str, config: Any, *, quick: bool,
+                 parallel: int, cache: Optional[ResultCache],
+                 say: Progress, telemetry: bool) -> None:
+        self.spec = spec = get_spec(experiment_id)
+        if config is None:
+            config = spec.make_config(quick=quick)
+        self.config, self.cache = config, cache
+        self.say, self.telemetry = say, telemetry
+        self.cells = list(spec.plan(config))
+        self.stats = RunStats(experiment_id=experiment_id,
+                              parallel=max(1, parallel))
+        self.payloads: Dict[CellKey, Any] = {}
+        self.snapshots: Dict[CellKey, Any] = {}
+        self.missing: List[CellKey] = []
+        for key in self.cells:
+            record = (cache.get(spec, config, key) if cache is not None
+                      else None)
+            if record is not None and (not telemetry
+                                       or "telemetry" in record):
+                self.payloads[key] = record["payload"]
+                if telemetry:
+                    self.snapshots[key] = record["telemetry"]
+                self.stats.cells.append(CellOutcome(
+                    key, record.get("elapsed", 0.0), cached=True))
+                say(f"[{experiment_id}] {'/'.join(key)}: cached (first "
+                    f"computed in {record.get('elapsed', 0.0):.2f}s)")
+            else:
+                # A hit without a stored telemetry snapshot is treated as
+                # a miss when telemetry is requested: re-simulating is the
+                # only way to observe the cell (payloads stay identical).
+                self.missing.append(key)
+
+    def complete(self, key: CellKey, payload: Any, elapsed: float,
+                 snapshot: Any) -> None:
+        self.payloads[key] = payload
+        if self.telemetry:
+            self.snapshots[key] = snapshot
+        self.stats.cells.append(CellOutcome(key, elapsed, cached=False))
+        if self.cache is not None:
+            self.cache.put(self.spec, self.config, key, payload, elapsed,
+                           telemetry=snapshot)
+        self.say(f"[{self.stats.experiment_id}] {'/'.join(key)}: computed "
+                 f"in {elapsed:.2f}s ({len(self.payloads)}/{len(self.cells)})")
+
+    def merge(self) -> Any:
+        cells, snapshots = self.cells, self.snapshots
+        ordered = {key: self.payloads[key] for key in cells}  # plan order
+        position = {key: i for i, key in enumerate(cells)}
+        self.stats.cells.sort(key=lambda c: position[c.key])
+        result = self.spec.merge(self.config, ordered)
+        result.data["runner"] = self.stats
+        if self.telemetry:
+            from ..obs import merge_snapshots
+
+            # Plan order, never completion order: the merged snapshot of a
+            # parallel run is identical to the serial (and cache-hit) one.
+            result.data["telemetry"] = {
+                "cells": {"/".join(key): snapshots[key] for key in cells},
+                "merged": merge_snapshots([snapshots[key] for key in cells]),
+            }
+        return result
+
+
+def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
+                    quick: bool = False,
+                    parallel: int = 1,
+                    cache: Union[ResultCache, str, None] = None,
+                    progress: Optional[Progress] = None,
+                    telemetry: bool = False,
+                    chaos: Optional[Dict[str, Any]] = None) -> Iterator[Any]:
+    """Run the requested experiments through the sharded engine, yielding
+    each result in request order as soon as its last cell is in.
 
     Parameters
     ----------
-    config:
-        Experiment config; defaults to the spec's paper-scale (or
-        ``quick``) factory.
+    requests:
+        Experiment ids, or ``(id, config)`` pairs; a missing/None config
+        is the spec's paper-scale (or ``quick``) factory.
     parallel:
-        Worker processes.  ``<= 1`` runs in-process (no executor, no
-        pickling); ``0`` auto-sizes to the machine.
+        Worker processes.  ``<= 1`` runs each experiment start to finish
+        in turn, in-process (no executor, no pickling, nothing planned
+        ahead); ``0`` auto-sizes to the machine.
     cache:
         A :class:`ResultCache`, a directory path, or None to disable.
     progress:
@@ -168,106 +241,72 @@ def run_experiment(experiment_id: str,
         (idle) controller to every environment — by the kernel contract
         that changes nothing, which is exactly what the CI idle-server
         gate proves by diffing the golden — and keeps the cache usable.
+
+    ``RunStats.wall_seconds`` is the wall time an experiment *added* to
+    the run (previous yield to its own), so the per-experiment walls sum
+    to the run's however the cells interleaved.
     """
-    spec = get_spec(experiment_id)
-    if config is None:
-        config = spec.make_config(quick=quick)
     if chaos is not None and chaos.get("actions"):
         cache = None
     if isinstance(cache, str):
         cache = ResultCache(cache)
     if parallel == 0:
         parallel = default_parallelism()
-
     say = progress or (lambda line: None)
-    cells = list(spec.plan(config))
-    stats = RunStats(experiment_id=experiment_id, parallel=max(1, parallel))
-    payloads: Dict[CellKey, Any] = {}
-    t_wall = time.perf_counter()
-
-    # -- phase 1: cache lookups -----------------------------------------
-    snapshots: Dict[CellKey, Any] = {}
-    missing: List[CellKey] = []
-    for key in cells:
-        record = cache.get(spec, config, key) if cache is not None else None
-        if record is not None and (not telemetry or "telemetry" in record):
-            payloads[key] = record["payload"]
-            if telemetry:
-                snapshots[key] = record["telemetry"]
-            stats.cells.append(CellOutcome(key, record.get("elapsed", 0.0),
-                                           cached=True))
-            say(f"[{experiment_id}] {'/'.join(key)}: cached "
-                f"(first computed in {record.get('elapsed', 0.0):.2f}s)")
-        else:
-            # A hit without a stored telemetry snapshot is treated as a
-            # miss when telemetry is requested: re-simulating is the only
-            # way to observe the cell (payloads stay identical).
-            missing.append(key)
-
-    # -- phase 2: simulate missing cells --------------------------------
-    def _complete(key: CellKey, payload: Any, elapsed: float,
-                  snapshot: Any) -> None:
-        payloads[key] = payload
-        if telemetry:
-            snapshots[key] = snapshot
-        stats.cells.append(CellOutcome(key, elapsed, cached=False))
-        if cache is not None:
-            cache.put(spec, config, key, payload, elapsed,
-                      telemetry=snapshot)
-        say(f"[{experiment_id}] {'/'.join(key)}: computed in "
-            f"{elapsed:.2f}s ({len(payloads)}/{len(cells)})")
-
-    if missing and parallel > 1:
-        executor = None
+    t_prev = time.perf_counter()
+    runs: Iterable[_Run] = (
+        _Run(*((request, None) if isinstance(request, str) else request),
+             quick=quick, parallel=parallel, cache=cache, say=say,
+             telemetry=telemetry)
+        for request in requests)
+    executor, futures = None, {}
+    if parallel > 1:
+        runs = list(runs)
+        jobs = [(run, key) for run in runs for key in run.missing]
         try:
-            executor = ProcessPoolExecutor(
-                max_workers=min(parallel, len(missing)))
-            futures = {executor.submit(_execute_cell, experiment_id,
-                                       config, key, telemetry, chaos): key
-                       for key in missing}
-            pending = set(futures)
-            while pending:
+            if jobs:
+                executor = ProcessPoolExecutor(
+                    max_workers=min(parallel, len(jobs)))
+                futures = {executor.submit(
+                    _execute_cell, run.stats.experiment_id, run.config, key,
+                    telemetry, chaos): run for run, key in jobs}
+        except OSError as exc:
+            # Environments without working process pools (restricted
+            # sandboxes) fall back to in-process execution.
+            say(f"process pool unavailable ({exc}); "
+                f"falling back to serial execution")
+            if executor is not None:
+                executor.shutdown(wait=True, cancel_futures=True)
+            executor = None
+    pending = set(futures)
+    try:
+        for run in runs:
+            if executor is None:
+                for key in run.missing:
+                    run.complete(*_execute_cell(
+                        run.stats.experiment_id, run.config, key,
+                        telemetry, chaos))
+            while len(run.stats.cells) < len(run.cells):
                 finished, pending = wait(pending,
                                          return_when=FIRST_COMPLETED)
                 for future in finished:
-                    key, payload, elapsed, snapshot = future.result()
-                    _complete(key, payload, elapsed, snapshot)
-        except (OSError, PermissionError) as exc:
-            # Environments without working process pools (restricted
-            # sandboxes) fall back to in-process execution.
-            say(f"[{experiment_id}] process pool unavailable "
-                f"({exc}); falling back to serial execution")
-            for key in [k for k in missing if k not in payloads]:
-                _, payload, elapsed, snapshot = _execute_cell(
-                    experiment_id, config, key, telemetry, chaos)
-                _complete(key, payload, elapsed, snapshot)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-    else:
-        for key in missing:
-            _, payload, elapsed, snapshot = _execute_cell(
-                experiment_id, config, key, telemetry, chaos)
-            _complete(key, payload, elapsed, snapshot)
+                    futures[future].complete(*future.result())
+            result = run.merge()
+            now = time.perf_counter()
+            run.stats.wall_seconds, t_prev = now - t_prev, now
+            yield result
+    finally:
+        if executor is not None:
+            # A failing cell or an abandoned iterator drops the queued cells.
+            executor.shutdown(wait=True, cancel_futures=True)
 
-    # -- phase 3: deterministic merge -----------------------------------
-    ordered = {key: payloads[key] for key in cells}  # plan order, always
-    stats.cells.sort(key=lambda c: cells.index(c.key))
-    result = spec.merge(config, ordered)
-    stats.wall_seconds = time.perf_counter() - t_wall
-    result.data["runner"] = stats
-    if telemetry:
-        from ..obs import merge_snapshots
 
-        # Plan order, never completion order: the merged snapshot of a
-        # parallel run is identical to the serial (and cache-hit) one.
-        cell_snaps = {"/".join(key): snapshots[key] for key in cells}
-        result.data["telemetry"] = {
-            "cells": cell_snaps,
-            "merged": merge_snapshots([snapshots[key] for key in cells]),
-        }
+def run_experiment(experiment_id: str, config: Any = None,
+                   **options: Any) -> Any:
+    """Run one experiment: :func:`run_experiments` with one request."""
+    [result] = run_experiments([(experiment_id, config)], **options)
     return result
 
 
 __all__ = ["CellOutcome", "RunStats", "default_parallelism",
-           "run_experiment"]
+           "run_experiment", "run_experiments"]

@@ -9,10 +9,15 @@ experiment reports.  These tests pin that contract:
 * per-cell RNG depends only on (config, cell key), not shard order;
 * every experiment config round-trips through to_key_dict()/from_dict();
 * cache keys are stable across processes and sensitive to semantic
-  config changes only.
+  config changes only;
+* one worker pool per run: the cells of every requested experiment go
+  through a single FIFO queue, whatever order they complete in.
 """
 
 import dataclasses
+import os
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -20,11 +25,15 @@ from repro import Scenario
 from repro.experiments.ablations import HalfLifeSweepConfig
 from repro.experiments.table1 import Table1Config
 from repro.runner import (
+    ExperimentSpec,
     ResultCache,
     all_specs,
     cache_key,
+    engine,
     get_spec,
     run_experiment,
+    run_experiments,
+    spec as spec_module,
 )
 
 #: A tiny but multi-cell configuration for engine tests.
@@ -65,9 +74,250 @@ class TestEngineDeterminism:
         in_order = {key: spec.run_cell(config, key) for key in cells}
         assert in_order[cells[-1]] == alone
 
-    def test_parallel_zero_auto_sizes(self):
+    def test_parallel_zero_auto_sizes(self, monkeypatch):
         result = run_experiment("ablation-halflife", quick=True, parallel=0)
         assert result.data["runner"].parallel >= 1
+        # The CPUs this process may run on, not the CPUs that exist...
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert engine.default_parallelism() == 3
+        # ...and cpu_count() where the platform has no affinity call.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert engine.default_parallelism() == 64
+
+
+TRIO = ["table1", "fig6", "ablation-halflife"]
+
+
+def renders(results):
+    return [result.render() for result in results]
+
+
+class ReversedPool:
+    """In-process stand-in for the process pool (patched in together
+    with its ``wait``): ``submit`` only queues, and every ``wait``
+    runs the *most recently* submitted call still pending — completion
+    order is the exact reverse of submission order."""
+
+    constructed = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.calls = {}  # future -> (fn, args), in submission order
+        self.submitted = []
+        ReversedPool.constructed.append(self)
+
+    def submit(self, fn, *args):
+        future = Future()
+        self.calls[future] = (fn, args)
+        self.submitted.append((args[0], args[2]))  # experiment id, cell
+        return future
+
+    def wait(self, pending, return_when):
+        future = next(f for f in reversed(self.calls) if f in pending)
+        fn, args = self.calls[future]
+        future.set_result(fn(*args))
+        return {future}, pending - {future}
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = (wait, cancel_futures)
+
+
+@pytest.fixture
+def reversed_pool(monkeypatch):
+    monkeypatch.setattr(ReversedPool, "constructed", [])
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", ReversedPool)
+    monkeypatch.setattr(
+        engine, "wait",
+        lambda pending, return_when: ReversedPool.constructed[-1].wait(
+            pending, return_when))
+    return ReversedPool.constructed
+
+
+class TestOnePoolPerRun:
+    """The scheduler, deterministically: one FIFO queue per run, results
+    in request order, whatever order the cells complete in."""
+
+    def test_reverse_completion_yields_request_order_and_serial_bytes(
+            self, reversed_pool):
+        serial = list(run_experiments(TRIO, quick=True))
+        assert reversed_pool == []  # parallel=1 builds no executor
+        pooled = list(run_experiments(TRIO, quick=True, parallel=2))
+        assert [r.data["runner"].experiment_id for r in pooled] == TRIO
+        assert renders(pooled) == renders(serial)
+        [pool] = reversed_pool  # exactly one executor for three experiments
+        assert pool.shut_down == (True, True)
+
+    def test_submission_is_request_then_plan_order(self, reversed_pool):
+        list(run_experiments(TRIO, quick=True, parallel=2))
+        expected = []
+        for experiment_id in TRIO:
+            spec = get_spec(experiment_id)
+            expected += [(experiment_id, key)
+                         for key in spec.plan(spec.make_config(quick=True))]
+        [pool] = reversed_pool
+        assert pool.submitted == expected
+        assert pool.max_workers == 2
+
+    def test_fully_cached_run_builds_no_executor(self, reversed_pool,
+                                                 tmp_path):
+        cache = ResultCache(str(tmp_path))
+        first = list(run_experiments(TRIO, quick=True, cache=cache))
+        again = list(run_experiments(TRIO, quick=True, cache=cache,
+                                     parallel=2))
+        assert reversed_pool == []
+        assert all(r.data["runner"].cells_computed == 0 for r in again)
+        assert renders(again) == renders(first)
+
+    def test_progress_counts_per_experiment_under_interleaving(
+            self, reversed_pool):
+        lines = []
+        results = list(run_experiments(TRIO, quick=True, parallel=2,
+                                       progress=lines.append))
+        # Completions are routed on arrival: the last experiment's cells
+        # report first (reverse completion), each line counting within
+        # its own experiment.
+        assert lines[0].startswith(f"[{TRIO[-1]}]")
+        for result in results:
+            stats = result.data["runner"]
+            mine = [line for line in lines
+                    if line.startswith(f"[{stats.experiment_id}] ")]
+            assert [line.rsplit(" ", 1)[1] for line in mine] == [
+                f"({k}/{stats.cells_total})"
+                for k in range(1, stats.cells_total + 1)]
+
+    def test_wall_seconds_sum_to_the_run_wall(self, reversed_pool):
+        t0 = time.perf_counter()
+        results = list(run_experiments(TRIO, quick=True, parallel=2))
+        wall = time.perf_counter() - t0
+        walls = [r.data["runner"].wall_seconds for r in results]
+        assert all(w >= 0 for w in walls)
+        assert sum(walls) == pytest.approx(wall, rel=0.05)
+
+    def test_real_pool_equals_serial_empty_and_half_cached(self, tmp_path):
+        serial = renders(run_experiments(TRIO, quick=True))
+        cache = ResultCache(str(tmp_path))
+        assert renders(run_experiments(TRIO, quick=True, parallel=2,
+                                       cache=cache)) == serial
+        # Drop every other stored cell: a half-populated cache.
+        for i, entry in enumerate(list(cache.entries())):
+            if i % 2:
+                os.remove(entry.path)
+        half = list(run_experiments(TRIO, quick=True, parallel=2,
+                                    cache=cache))
+        assert renders(half) == serial
+        assert all(0 < r.data["runner"].cells_cached
+                   < r.data["runner"].cells_total for r in half)
+
+    def test_real_pool_telemetry_snapshots_equal_serial(self):
+        # fig8 stands in for table1: brokered cells name RNG streams after
+        # a process-wide job counter (ARCHITECTURE "Known history
+        # dependence"), so their raw series differ with the worker's
+        # history on any pool, today's included; renders round it away.
+        trio = ["fig8"] + TRIO[1:]
+
+        def merged(parallel):
+            return [r.data["telemetry"]["merged"] for r in run_experiments(
+                trio, quick=True, parallel=parallel, telemetry=True)]
+
+        assert merged(2) == merged(1)
+
+    def test_run_all_parallel_builds_exactly_one_pool(self, monkeypatch,
+                                                      capsys):
+        from repro.experiments.cli import run_main
+
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        assert run_main(["all", "--quick", "--no-cache", "--no-progress",
+                         "--parallel", "2"]) == 0
+        assert len(built) == 1
+        golden = os.path.join(os.path.dirname(__file__), "golden",
+                              "experiments_quick.out")
+        with open(golden) as fh:
+            assert capsys.readouterr().out == fh.read()
+
+
+class TestPoolFallback:
+    """Only a pool that cannot be built falls back to serial execution;
+    any other ``OSError`` surfaces as itself."""
+
+    def test_unavailable_pool_renders_the_same_bytes_serially(
+            self, monkeypatch):
+        def no_pool(max_workers):
+            raise PermissionError(13, "no semaphores here")
+
+        serial = renders(run_experiments(TRIO, quick=True))
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        lines = []
+        fallen = list(run_experiments(TRIO, quick=True, parallel=2,
+                                      progress=lines.append))
+        assert renders(fallen) == serial
+        # Said once per run, not once per experiment.
+        assert sum("pool unavailable" in line for line in lines) == 1
+
+    def test_cache_write_error_surfaces_as_itself(self, tmp_path):
+        (tmp_path / "notadir").write_text("")
+        lines = []
+        with pytest.raises(OSError) as raised:
+            run_experiment("ablation-halflife", quick=True, parallel=2,
+                           cache=str(tmp_path / "notadir" / "x"),
+                           progress=lines.append)
+        assert isinstance(raised.value, NotADirectoryError)
+        assert raised.value.__context__ is None  # one error, unchained
+        assert not any("pool unavailable" in line for line in lines)
+
+
+@dataclasses.dataclass
+class ThrowawayConfig:
+    marker_dir: str
+    cells: int = 12
+
+
+def _throwaway_cell(config, key):
+    """Leave a marker, then: cell 0 returns at once, cell 1 fails after
+    cell 0 is surely in, every other cell takes a while."""
+    open(os.path.join(config.marker_dir, key[0]), "w").close()
+    if key == ("1",):
+        time.sleep(0.3)
+        raise RuntimeError("cell 1 failed")
+    if key != ("0",):
+        time.sleep(0.2)
+    return key[0]
+
+
+class TestFailingCell:
+    def test_failure_stops_the_run_and_keeps_finished_cells(
+            self, monkeypatch, tmp_path):
+        spec = ExperimentSpec(
+            experiment_id="throwaway-failing",
+            config_factory=lambda: None,
+            plan=lambda config: [(str(i),) for i in range(config.cells)],
+            run_cell=_throwaway_cell,
+            merge=lambda config, payloads: None)
+        monkeypatch.setitem(spec_module._REGISTRY, spec.experiment_id, spec)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        config = ThrowawayConfig(marker_dir=str(markers))
+        cache = ResultCache(str(tmp_path / "cache"))
+        with pytest.raises(RuntimeError, match="cell 1 failed"):
+            run_experiment(spec.experiment_id, config, parallel=2,
+                           cache=cache)
+        ran = {path.name for path in markers.iterdir()}
+        # Cells still queued when the failure surfaced were cancelled
+        # (the pool itself holds at most workers + 1 calls in flight).
+        assert {"0", "1"} <= ran and len(ran) < config.cells
+        assert not ran & {"9", "10", "11"}
+        # ...and the cell that had already finished was stored on arrival.
+        record = cache.get(spec, config, ("0",))
+        assert record is not None and record["payload"] == "0"
+        assert cache.get(spec, config, ("11",)) is None
 
 
 class TestResultCache:
