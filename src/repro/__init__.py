@@ -36,17 +36,26 @@ True
 Swap ``Scenario(..., broker_mode="pull")`` (or ``"data"``) to run the
 same submission through the AliEn-style task queue or the Gridbus-style
 data-aware ranking — the handle's ``broker`` keeps the same protocol.
+
+Importing :mod:`repro` loads nothing else: the four names below resolve
+to their defining modules on first use (PEP 562), so the simulator
+(:mod:`repro.scenario` and everything under it) is loaded by the first
+``Scenario`` — for ``repro run``, by the first cell the cache cannot
+serve — and never by ``repro --help``, ``repro cache`` or ``repro lint``.
 """
 
-from .calibration import Calibration, DEFAULT_CALIBRATION
-from .scenario import Scenario, ScenarioHandle
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Calibration",
-    "DEFAULT_CALIBRATION",
-    "Scenario",
-    "ScenarioHandle",
-    "__version__",
-]
+#: Public name -> defining module.
+_EXPORTS = {
+    "Calibration": ".calibration",
+    "DEFAULT_CALIBRATION": ".calibration",
+    "Scenario": ".scenario",
+    "ScenarioHandle": ".scenario",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,46 +1,59 @@
 """Experiment harness: one module per paper table/figure, plus ablations.
 
-Importing this package registers every experiment spec with
-:mod:`repro.runner`; run one with
-``repro.runner.run_experiment("table1", Table1Config(...))`` or
-``repro run table1`` on the command line.
+Run one with ``repro.runner.run_experiment("table1", Table1Config(...))``
+or ``repro run table1`` on the command line.
+
+Importing this package loads no experiment: the names in ``__all__``
+resolve to their defining modules on first use (PEP 562), and
+:func:`repro.runner.get_spec` imports — through :data:`SPEC_MODULES` —
+only the module that registers the experiment asked for.  An experiment
+module is itself declaration only (config, plan, merge, spec); its cell
+function imports the simulator when it is first called, i.e. on the
+first cell the cache cannot serve.
 """
 
-from .ablations import (
-    BufferSweepConfig,
-    DegreeSweepConfig,
-    HalfLifeSweepConfig,
-    PerformanceLossSweepConfig,
-    RetrySweepConfig,
-)
-from .broker_modes import BrokerModesConfig
-from .chaos_drill import ChaosDrillConfig
-from .common import ExperimentResult, ShapeCheck
-from .export import collect_series, export_all, export_result
-from .fairshare_saturation import SaturationConfig
-from .fig8 import Fig8Config
-from .scale_campaign import ScaleCampaignConfig
-from .selection_scaling import SelectionScalingConfig
-from .streaming_overhead import StreamingConfig
-from .table1 import Table1Config
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BrokerModesConfig",
-    "BufferSweepConfig",
-    "ChaosDrillConfig",
-    "DegreeSweepConfig",
-    "ExperimentResult",
-    "Fig8Config",
-    "HalfLifeSweepConfig",
-    "PerformanceLossSweepConfig",
-    "RetrySweepConfig",
-    "SaturationConfig",
-    "ScaleCampaignConfig",
-    "SelectionScalingConfig",
-    "ShapeCheck",
-    "StreamingConfig",
-    "Table1Config",
-    "collect_series",
-    "export_all",
-    "export_result",
-]
+#: Experiment id -> the module whose import registers its spec.
+SPEC_MODULES = {
+    "table1": ".table1",
+    "fig6": ".streaming_overhead",
+    "fig7": ".streaming_overhead",
+    "fig8": ".fig8",
+    "selection-scaling": ".selection_scaling",
+    "fairshare-saturation": ".fairshare_saturation",
+    "ablation-buffer": ".ablations",
+    "ablation-retry": ".ablations",
+    "ablation-pl": ".ablations",
+    "ablation-degree": ".ablations",
+    "ablation-halflife": ".ablations",
+    "broker-modes": ".broker_modes",
+    "chaos-drill": ".chaos_drill",
+    "scale-campaign": ".scale_campaign",
+}
+
+#: Public name -> defining module.
+_EXPORTS = {
+    "BrokerModesConfig": ".broker_modes",
+    "BufferSweepConfig": ".ablations",
+    "ChaosDrillConfig": ".chaos_drill",
+    "DegreeSweepConfig": ".ablations",
+    "ExperimentResult": ".common",
+    "Fig8Config": ".fig8",
+    "HalfLifeSweepConfig": ".ablations",
+    "PerformanceLossSweepConfig": ".ablations",
+    "RetrySweepConfig": ".ablations",
+    "SaturationConfig": ".fairshare_saturation",
+    "ScaleCampaignConfig": ".scale_campaign",
+    "SelectionScalingConfig": ".selection_scaling",
+    "ShapeCheck": ".common",
+    "StreamingConfig": ".streaming_overhead",
+    "Table1Config": ".table1",
+    "collect_series": ".export",
+    "export_all": ".export",
+    "export_result": ".export",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,23 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..baselines import InterpositionMechanism
 from ..calibration import Calibration, DEFAULT_CALIBRATION
-from ..jdl import StreamingMode
 from ..metrics import AsciiTable, Series
-from ..multiprog import AgentRuntime
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..sim import Environment, RandomStreams
-from ..streaming import InteractiveSession
-from ..core.fairshare import FairShareAccounting, af_batch
-from ..workloads import cpu_hog, make_loop_app, run_sequences
 from .common import ConfigCodec, ExperimentResult
 from .fig8 import _direct_ctx
 
 
 def _campus(seed: int, calibration: Calibration):
     """One-node campus world (the ablation substrate)."""
+    from ..scenario import Scenario
+
     return Scenario(sites=1, scenario="campus", nodes_per_site=1,
                     seed=seed, calibration=calibration).build()
 
@@ -54,6 +48,10 @@ def plan_buffer_cells(config: BufferSweepConfig) -> List[CellKey]:
 
 
 def run_buffer_cell(config: BufferSweepConfig, key: CellKey) -> Series:
+    from ..baselines import InterpositionMechanism
+    from ..jdl import StreamingMode
+    from ..workloads import run_sequences
+
     size = int(key[0])
     i = config.buffer_sizes.index(size)
     calibration = config.calibration.with_streaming(buffer_size=size)
@@ -118,6 +116,9 @@ def plan_retry_cells(config: RetrySweepConfig) -> List[CellKey]:
 
 def run_retry_cell(config: RetrySweepConfig,
                    key: CellKey) -> Dict[str, object]:
+    from ..jdl import StreamingMode
+    from ..streaming import InteractiveSession
+
     interval = float(key[0])
     i = config.retry_intervals.index(interval)
     calibration = config.calibration.with_streaming(
@@ -216,6 +217,9 @@ def plan_pl_cells(config: PerformanceLossSweepConfig) -> List[CellKey]:
 
 
 def run_pl_cell(config: PerformanceLossSweepConfig, key: CellKey) -> float:
+    from ..multiprog import AgentRuntime
+    from ..workloads import cpu_hog, make_loop_app
+
     pl = int(key[0])
     i = config.losses.index(pl)
     profile = replace(config.calibration.loop_app,
@@ -299,6 +303,9 @@ def plan_degree_cells(config: DegreeSweepConfig) -> List[CellKey]:
 
 
 def run_degree_cell(config: DegreeSweepConfig, key: CellKey) -> float:
+    from ..multiprog import AgentRuntime
+    from ..workloads import make_loop_app
+
     degree = int(key[0])
     i = config.degrees.index(degree)
     profile = replace(config.calibration.loop_app,
@@ -377,6 +384,9 @@ def plan_half_life_cells(config: HalfLifeSweepConfig) -> List[CellKey]:
 
 def run_half_life_cell(config: HalfLifeSweepConfig,
                        key: CellKey) -> Tuple[float, float, float]:
+    from ..core.fairshare import FairShareAccounting, af_batch
+    from ..sim import Environment
+
     half_life = float(key[0])
     fs_config = replace(config.calibration.fairshare,
                         half_life=half_life)

@@ -32,16 +32,15 @@ and cache-served execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
-from ..core import BrokerConfig, DataBrokerConfig
-from ..jdl import JobDescription
 from ..metrics import AsciiTable, Series
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..workloads import cpu_bound_app
 from .common import ConfigCodec, ExperimentResult
+
+if TYPE_CHECKING:
+    from ..jdl import JobDescription
 
 MODES = ("push", "pull", "data")
 REGIMES = ("baseline", "stale-mds", "site-failure", "many-sites")
@@ -97,6 +96,8 @@ class ModeMeasurement:
 
 def _make_job(index: int, runtime: float,
               lfns: Tuple[str, ...]) -> JobDescription:
+    from ..jdl import JobDescription
+
     attrs = {
         "executable": "bm-app",
         "jobtype": ["interactive", "sequential"],
@@ -114,6 +115,10 @@ def _make_job(index: int, runtime: float,
 
 def _measure(config: BrokerModesConfig, regime: str,
              mode: str) -> ModeMeasurement:
+    from ..core import BrokerConfig, DataBrokerConfig
+    from ..scenario import Scenario
+    from ..workloads import cpu_bound_app
+
     offset = REGIMES.index(regime) * len(MODES) + MODES.index(mode)
     n_sites = config.many_sites if regime == "many-sites" else config.sites
     handle = Scenario(sites=n_sites, scenario="europe",

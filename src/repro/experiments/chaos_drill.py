@@ -34,16 +34,16 @@ canonical order (chaos is opt-in): run it with ``repro run chaos-drill``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
-from ..jdl import JobDescription
 from ..metrics import AsciiTable, Series
-from ..obs import ChaosSchedule, control_scope
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..workloads import cpu_bound_app
 from .common import ConfigCodec, ExperimentResult
+
+if TYPE_CHECKING:
+    from ..jdl import JobDescription
+    from ..obs import ChaosSchedule
 
 REGIMES = ("calm", "drain", "partition", "burst")
 
@@ -88,6 +88,8 @@ class DrillMeasurement:
 
 def schedule_for(config: ChaosDrillConfig, regime: str) -> ChaosSchedule:
     """The regime's chaos schedule (a pure function of the config)."""
+    from ..obs import ChaosSchedule
+
     hit = [f"site{i:02d}" for i in range(config.hit_sites)]
     actions: List[Dict[str, Any]] = []
     if regime == "drain":
@@ -110,6 +112,8 @@ def schedule_for(config: ChaosDrillConfig, regime: str) -> ChaosSchedule:
 
 
 def _make_job(index: int, runtime: float) -> JobDescription:
+    from ..jdl import JobDescription
+
     job = JobDescription.from_attributes({
         "executable": "drill-app",
         "jobtype": ["interactive", "sequential"],
@@ -126,6 +130,10 @@ def _make_job(index: int, runtime: float) -> JobDescription:
 
 
 def _measure(config: ChaosDrillConfig, regime: str) -> DrillMeasurement:
+    from ..obs import control_scope
+    from ..scenario import Scenario
+    from ..workloads import cpu_bound_app
+
     offset = REGIMES.index(regime)
     schedule = schedule_for(config, regime)
     with control_scope(schedule=schedule) as controllers:

@@ -17,16 +17,15 @@ effectively resets priorities), greed pays no penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
-from ..core import BrokerConfig
-from ..jdl import JobDescription, JobCategory, MachineAccess
 from ..metrics import AsciiTable
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..workloads import immediate_output_app
 from .common import ConfigCodec, ExperimentResult
+
+if TYPE_CHECKING:
+    from ..jdl import JobDescription
 
 
 @dataclass
@@ -41,6 +40,8 @@ class SaturationConfig(ConfigCodec):
 
 
 def _interactive_job(owner: str) -> JobDescription:
+    from ..jdl import JobCategory, JobDescription, MachineAccess
+
     return JobDescription(
         executable="iapp", owner=owner,
         category=JobCategory.INTERACTIVE,
@@ -48,6 +49,10 @@ def _interactive_job(owner: str) -> JobDescription:
 
 
 def _run(config: SaturationConfig) -> Dict[str, List[bool]]:
+    from ..core import BrokerConfig
+    from ..scenario import Scenario
+    from ..workloads import immediate_output_app
+
     calibration = config.calibration.with_fairshare(
         half_life=config.half_life, update_interval=30.0,
         scarcity_margin=0.05)

@@ -15,7 +15,7 @@ Paper reference values: CPU 0.921 / 1.004 / 1.132 s; I/O 6.06 / 6.32 /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
@@ -26,10 +26,7 @@ from ..metrics import (
     relative_increase,
     sparkline,
 )
-from ..multiprog import AgentRuntime
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..workloads import cpu_hog, make_loop_app
 from .common import ConfigCodec, ExperimentResult
 
 #: Paper's measured means, for side-by-side reporting.
@@ -62,11 +59,13 @@ def _scenario_table(config: Fig8Config) -> List[Tuple[str, Optional[int],
 def _scenario(config: Fig8Config, pl: Optional[int], with_batch: bool,
               shared: bool, seed_offset: int) -> Tuple[Series, Series]:
     """Run one configuration; returns (io_series, cpu_series)."""
+    from ..multiprog import AgentRuntime
+    from ..scenario import Scenario
+    from ..workloads import cpu_hog, make_loop_app
+
     calibration = config.calibration
     profile = calibration.loop_app
     if config.iterations != profile.iterations:
-        from dataclasses import replace
-
         profile = replace(profile, iterations=config.iterations)
     handle = Scenario(sites=1, scenario="campus", nodes_per_site=1,
                       seed=config.seed + seed_offset,

@@ -26,13 +26,14 @@ experiments); run it explicitly::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from ..metrics import AsciiTable
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..sim import RandomStreams
-from ..workloads.scale import CampaignStats, ScaleConfig, iter_campaign
 from .common import ConfigCodec, ExperimentResult
+
+if TYPE_CHECKING:
+    from ..workloads.scale import ScaleConfig
 
 
 @dataclass
@@ -56,6 +57,8 @@ def _shard_jobs(config: ScaleCampaignConfig) -> List[int]:
 
 
 def _shard_config(config: ScaleCampaignConfig, jobs: int) -> ScaleConfig:
+    from ..workloads.scale import ScaleConfig
+
     return ScaleConfig(
         jobs=jobs,
         base_rate=config.base_rate,
@@ -76,6 +79,9 @@ def run_cell(config: ScaleCampaignConfig, key: CellKey) -> Dict:
     The payload is the *only* thing that crosses the process/cache
     boundary: O(sketch), never per-job records.
     """
+    from ..sim import RandomStreams
+    from ..workloads.scale import CampaignStats, iter_campaign
+
     index = int(key[0].removeprefix("shard"))
     shard = _shard_config(config, _shard_jobs(config)[index])
     rng = RandomStreams(config.seed)
@@ -87,6 +93,10 @@ def run_cell(config: ScaleCampaignConfig, key: CellKey) -> Dict:
 
 def merge_cells(config: ScaleCampaignConfig,
                 payloads: Dict[CellKey, Dict]) -> ExperimentResult:
+    # The sketch fold lives with the generator, so merging shards (even
+    # cache-served ones) loads repro.workloads; not part of `run all`.
+    from ..workloads.scale import CampaignStats
+
     result = ExperimentResult(
         experiment_id="scale-campaign",
         title="Large-scale campaign characterization "

@@ -9,11 +9,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
-from ..jdl import JobDescription, JobCategory, MachineAccess
 from ..metrics import AsciiTable, Series
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..workloads import immediate_output_app
 from .common import ConfigCodec, ExperimentResult
 
 
@@ -27,6 +24,10 @@ class SelectionScalingConfig(ConfigCodec):
 
 def _measure(config: SelectionScalingConfig,
              n_sites: int) -> Tuple[Series, Series]:
+    from ..jdl import JobCategory, JobDescription, MachineAccess
+    from ..scenario import Scenario
+    from ..workloads import immediate_output_app
+
     handle = Scenario(sites=n_sites, scenario="europe",
                       seed=config.seed + n_sites,
                       calibration=config.calibration).build()

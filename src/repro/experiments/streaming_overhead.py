@@ -18,17 +18,15 @@ Expected shape (paper §6.2 prose):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
-from ..baselines import GloginMechanism, InterpositionMechanism, SshMechanism
 from ..calibration import Calibration, DEFAULT_CALIBRATION
-from ..grid import Testbed
-from ..jdl import StreamingMode
 from ..metrics import AsciiTable, Series, crossover_size, ranking, sparkline
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..workloads import run_sequences
 from .common import ConfigCodec, ExperimentResult
+
+if TYPE_CHECKING:
+    from ..grid import Testbed
 
 SIZES: Tuple[int, ...] = (10, 100, 1000, 10000)
 MECHANISMS: Tuple[str, ...] = ("ssh", "glogin", "agents-fast",
@@ -45,12 +43,18 @@ class StreamingConfig(ConfigCodec):
 
 
 def _build_world(config: StreamingConfig, offset: int) -> Testbed:
+    from ..scenario import Scenario
+
     return Scenario(sites=1, scenario=config.scenario, nodes_per_site=1,
                     seed=config.seed + offset,
                     calibration=config.calibration).build().testbed
 
 
 def _make_mechanism(name: str, tb: Testbed, config: StreamingConfig):
+    from ..baselines import (GloginMechanism, InterpositionMechanism,
+                             SshMechanism)
+    from ..jdl import StreamingMode
+
     site = next(iter(tb.sites.values()))
     node = site.nodes[0]
     cal = config.calibration
@@ -75,6 +79,8 @@ def plan_cells(config: StreamingConfig) -> List[CellKey]:
 
 
 def run_cell(config: StreamingConfig, key: CellKey) -> Series:
+    from ..workloads import run_sequences
+
     name, size_str = key
     size = int(size_str)
     # The cell's world seed offset is its canonical position in the

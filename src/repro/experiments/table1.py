@@ -24,20 +24,16 @@ job+agent 29.3 s; discovery ≈ 0.5 s, selection ≈ 3 s at 20 sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
-import numpy as np
-
-from ..baselines import GloginMechanism
 from ..calibration import Calibration, DEFAULT_CALIBRATION
-from ..grid import Testbed
-from ..jdl import JobDescription, JobCategory, MachineAccess, StreamingMode
 from ..metrics import AsciiTable, Series
-from ..core import SubmissionPath, make_broker
 from ..runner.spec import CellKey, ExperimentSpec, register
-from ..scenario import Scenario
-from ..workloads import cpu_bound_app, immediate_output_app
 from .common import ConfigCodec, ExperimentResult
+
+if TYPE_CHECKING:
+    from ..grid import Testbed
+    from ..jdl import JobDescription
 
 PAPER = {
     "glogin": {"campus": 16.43, "wan": 20.12},
@@ -73,6 +69,8 @@ def _world(config: Table1Config, scenario: str, offset: int) -> Tuple[Testbed, s
     index — never the shard or completion order — so per-cell RNG streams
     are independent of how the runner distributes the work.
     """
+    from ..scenario import Scenario
+
     handle = Scenario(sites=config.n_sites, scenario=scenario,
                       seed=config.seed * 1000 + offset,
                       calibration=config.calibration).build()
@@ -84,6 +82,8 @@ def _pinned_job(target: str, owner: str, interactive: bool,
                 shared: bool) -> JobDescription:
     """A job with "no special requirements" (so selection refreshes every
     site, as in §6.1) whose Rank steers it onto the scenario's site."""
+    from ..jdl import JobDescription
+
     return JobDescription.from_attributes({
         "executable": "table1_app",
         "jobtype": ["interactive" if interactive else "batch", "sequential"],
@@ -97,6 +97,8 @@ def _pinned_job(target: str, owner: str, interactive: bool,
 def _measure_glogin(config: Table1Config, scenario: str,
                     offset: int) -> MethodMeasurement:
     """Glogin: user picks the machine by hand; we time channel + first output."""
+    from ..baselines import GloginMechanism
+
     submissions: List[float] = []
     tb, target = _world(config, scenario, offset)
     env = tb.env
@@ -122,6 +124,9 @@ def _measure_glogin(config: Table1Config, scenario: str,
 
 def _measure_broker_method(config: Table1Config, scenario: str, method: str,
                            offset: int) -> MethodMeasurement:
+    from ..core import make_broker
+    from ..workloads import cpu_bound_app, immediate_output_app
+
     tb, target = _world(config, scenario, offset)
     env = tb.env
     broker = make_broker(env, tb.network, tb.rng, config.calibration)

@@ -28,7 +28,7 @@ import sys
 import threading
 from typing import Any, Dict, List
 
-from .cli import DEFAULT_CACHE_DIR
+from .cli import DEFAULT_CACHE_DIR, worker_count
 
 #: ANSI clear-screen + cursor-home between live re-renders.
 _CLEAR = "\x1b[2J\x1b[H"
@@ -109,7 +109,8 @@ def top_main(argv: List[str]) -> int:
                         help="experiment name (omit with --url/--from-file)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller sample counts (for CI)")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
+    parser.add_argument("--parallel", type=worker_count, default=1,
+                        metavar="N",
                         help="worker processes (0 = auto, default 1)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR")

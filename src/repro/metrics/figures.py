@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .series import Series, downsample
 
 #: Glyphs assigned to series in order.
@@ -121,6 +119,8 @@ def size_profile_chart(title: str,
                        width: int = 64, height: int = 14) -> str:
     """Chart of mean round-trip vs payload size, one curve per mechanism
     (the summary view of Figures 6/7)."""
+    import numpy as np
+
     chart = AsciiChart(title=title, width=width, height=height,
                        y_label=y_label, x_label="payload size "
                        f"({' -> '.join(str(s) for s in sizes)} B, log x)",

@@ -3,16 +3,20 @@
 The reproduction's success criterion is *shape*, not absolute numbers:
 who wins, by roughly what factor, and where crossovers fall.  These
 helpers turn raw per-sequence/per-iteration samples into those judgments.
+
+numpy is imported where it is used, not at module level: unpickling a
+cached :class:`Series` (``repro cache ls``) must not load it, while every
+rendered number still comes from the same ``np.mean``/``np.std`` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-import numpy as np
-
-from ..sim.monitor import SummaryStats
+if TYPE_CHECKING:
+    from ..sim.monitor import SummaryStats
 
 
 @dataclass(frozen=True)
@@ -28,13 +32,19 @@ class Series:
 
     @property
     def mean(self) -> float:
+        import numpy as np
+
         return float(np.mean(self.values)) if self.values else float("nan")
 
     @property
     def std(self) -> float:
+        import numpy as np
+
         return float(np.std(self.values, ddof=1)) if len(self.values) > 1 else 0.0
 
     def stats(self) -> SummaryStats:
+        from ..sim.monitor import SummaryStats
+
         return SummaryStats.of(self.values)
 
 
@@ -80,6 +90,8 @@ def indistinguishable(a: Series, b: Series, tolerance: float = 0.02) -> bool:
 
 def downsample(values: Sequence[float], buckets: int) -> List[float]:
     """Bucket means, for rendering long series compactly."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.size == 0 or buckets <= 0:
         return []

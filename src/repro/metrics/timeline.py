@@ -10,9 +10,10 @@ busy grid" is one glance here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..sim.monitor import EventTrace
+if TYPE_CHECKING:
+    from ..sim.monitor import EventTrace
 
 #: Marker glyphs by trace kind (first match wins when cells collide).
 MARKERS = [

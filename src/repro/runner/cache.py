@@ -113,18 +113,21 @@ class ResultCache:
     # -- core API --------------------------------------------------------
     def get(self, spec: ExperimentSpec, config: Any,
             cell: CellKey) -> Optional[Dict[str, Any]]:
-        """The stored record for a cell, or None on miss/corruption."""
+        """The stored record for a cell, or None on miss/corruption.
+
+        ``pickle.load`` on damaged bytes raises nearly anything
+        (``UnicodeDecodeError``, ``KeyError``, ``MemoryError``, ...), so
+        any ``Exception`` while reading or validating is a miss: the cell
+        is recomputed and the entry overwritten."""
         path = self._path(spec.experiment_id, cache_key(spec, config, cell))
         try:
             with open(path, "rb") as fh:
                 record = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+            if not isinstance(record, dict) or "payload" not in record \
+                    or tuple(record.get("cell", ())) != tuple(cell):
+                return None  # hash collision or tampering: treat as miss
+        except Exception:  # noqa: BLE001
             return None
-        if not isinstance(record, dict) or "payload" not in record:
-            return None
-        if tuple(record.get("cell", ())) != tuple(cell):
-            return None  # hash collision or tampering: treat as miss
         return record
 
     def put(self, spec: ExperimentSpec, config: Any, cell: CellKey,
@@ -176,20 +179,17 @@ class ResultCache:
                 try:
                     with open(path, "rb") as fh:
                         record = pickle.load(fh)
-                    size = os.path.getsize(path)
-                except (OSError, pickle.UnpicklingError, EOFError,
-                        AttributeError, ImportError, IndexError):
+                    entry = CacheEntry(
+                        experiment_id=exp,
+                        digest=fname[:-len(".pkl")],
+                        cell=tuple(record.get("cell", ())),
+                        elapsed=float(record.get("elapsed", 0.0)),
+                        created=float(record.get("created", 0.0)),
+                        size_bytes=os.path.getsize(path),
+                        path=path)
+                except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- a damaged entry is not listed (see get); the next run overwrites it
                     continue
-                if not isinstance(record, dict):
-                    continue
-                yield CacheEntry(
-                    experiment_id=exp,
-                    digest=fname[:-len(".pkl")],
-                    cell=tuple(record.get("cell", ())),
-                    elapsed=float(record.get("elapsed", 0.0)),
-                    created=float(record.get("created", 0.0)),
-                    size_bytes=size,
-                    path=path)
+                yield entry
 
     def clear(self, experiment_id: Optional[str] = None) -> int:
         """Delete stored cells (all, or one experiment's); returns count."""

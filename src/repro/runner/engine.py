@@ -12,6 +12,13 @@ Execution model (:func:`run_experiments`):
 4. payloads are merged **in plan order**, never completion order, so a
    parallel run is bit-identical to a serial run of the same config.
 
+When the simulator loads: never at import.  This module, the cache and
+the experiment declarations are all a fully cached run touches; the
+first cell that has to be *executed* imports the simulator from inside
+its ``run_cell`` (its ``elapsed`` includes that one-off import), and a
+parallel run with missing cells imports it — and ``concurrent.futures``
+— once in the parent just before the pool forks, so workers share it.
+
 The engine reports a :class:`RunStats` in
 ``result.data["runner"]`` (wall-clock, cached/computed split, serial-
 equivalent cell seconds, speedup) — deliberately *outside* the rendered
@@ -22,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple, Union)
@@ -265,6 +271,15 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
         jobs = [(run, key) for run in runs for key in run.missing]
         try:
             if jobs:
+                # Loaded only here: a run the cache serves, or a serial
+                # one, never pays for multiprocessing.
+                from concurrent.futures import (FIRST_COMPLETED,
+                                                ProcessPoolExecutor, wait)
+
+                # There are cells to simulate, so the simulator will load:
+                # once here, before the pool forks, not once per worker.
+                import repro.scenario  # noqa: F401
+
                 executor = ProcessPoolExecutor(
                     max_workers=min(parallel, len(jobs)))
                 futures = {executor.submit(

@@ -15,14 +15,21 @@ An :class:`ExperimentSpec` is an experiment as three pure pieces:
     identical whether the cells were computed serially, in parallel, or
     pulled from the cache.
 
-Experiment modules register their spec at import time; the registry is
-populated by importing :mod:`repro.experiments`.
+Experiment modules register their spec at import time, and an
+experiment module is imported when its spec is first asked for:
+:func:`get_spec` loads the one module that
+:data:`repro.experiments.SPEC_MODULES` names for the id,
+:func:`all_specs` loads them all.  Registering is declaration — config
+class, ``plan``, ``merge`` and a reference to the cell function — so it
+loads no simulator; ``run_cell`` imports what it simulates with when it
+is first *called*, which a fully cached run never does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: A cell identifier: a tuple of short strings, e.g. ``("campus", "glogin")``
 #: or ``("agents-fast", "10000")``.  Tuples of strings keep keys stable,
@@ -65,14 +72,19 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
-def _ensure_loaded() -> None:
-    """Import the experiment modules so their specs self-register."""
-    import repro.experiments  # noqa: F401  (import side effect)
+def _load(experiment_id: Optional[str] = None) -> None:
+    """Import the module that registers ``experiment_id`` — every
+    experiment module when the id is None or not a built-in one."""
+    from repro.experiments import SPEC_MODULES
+
+    known = SPEC_MODULES.get(experiment_id)
+    for module in [known] if known else SPEC_MODULES.values():
+        import_module(module, "repro.experiments")
 
 
 def get_spec(experiment_id: str) -> ExperimentSpec:
     if experiment_id not in _REGISTRY:
-        _ensure_loaded()
+        _load(experiment_id)
     try:
         return _REGISTRY[experiment_id]
     except KeyError:
@@ -82,7 +94,7 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
 
 
 def all_specs() -> Dict[str, ExperimentSpec]:
-    _ensure_loaded()
+    _load()
     return dict(_REGISTRY)
 
 

@@ -106,6 +106,24 @@ class TestSubcommandTable:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "repro run" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_is_the_usage_line_on_stdout(self, flag, capsys):
+        assert main([flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert captured.out.startswith("usage: repro {run,cache,")
+
+    def test_negative_parallel_is_an_argparse_error(self, capsys):
+        # Was: silently ran serial and reported parallel=1.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "ablation-halflife", "--quick", "--no-cache",
+                  "--parallel", "-3"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --parallel" in captured.err and "-3" in captured.err
+
     def test_one_entry_point(self):
         import repro.__main__
         import repro.experiments.__main__

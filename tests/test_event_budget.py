@@ -68,7 +68,7 @@ def count_events():
 def test_event_counts_are_pinned():
     # The environment is inherited, so a REPRO_SIM_COMPILED=1 tier-1 run
     # holds the compiled lane to the same pins.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC))  # simlint: disable=environ-read -- building a subprocess environment, not sim state
     out = subprocess.run([sys.executable, __file__], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
     assert json.loads(out) == EXPECTED
