@@ -1,58 +1,35 @@
-"""The flow-rule registry, runner, and baseline machinery.
+"""The flow-rule registry and runner.
 
-:func:`run_flows` is the whole pass: collect files, build (or
-cache-load) the program graph, run every flow rule over it, honour the
-same ``# simlint: disable`` pragmas as the per-file engine, and split
-the surviving findings against an optional committed **baseline** of
-grandfathered findings.
-
-Baselines exist so a new rule can land gated even when the tree has
-pre-existing violations that are understood and accepted: ``repro lint
---flows --write-baseline`` records them; subsequent runs fail only on
-findings *not* in the baseline.  A baseline entry fingerprints
-``rule|path|message`` (not the line number — messages are written to be
-line-free-stable, so unrelated edits above a grandfathered site don't
-churn the file), and entries that no longer match anything are
-reported as stale so the file shrinks monotonically.
+:func:`run_flows` is the whole pass: collect files, build the program
+graph, run every flow rule over it, and honour the same ``# simlint:
+disable`` pragmas as the per-file engine.  A justified pragma (kept
+honest by ``repro lint --audit-suppressions``) is the one way to accept
+a finding.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..engine import Finding, collect_files
 from .base import FlowRule
-from .drift import ProtocolDriftRule
-from .graph import FlowStats, ProgramGraph, build_graph
-from .keys import CacheKeyRule
-from .layers import (REPRO_LAYERS, BrokerFactoryRule, LayerDagRule,
-                     ObsIsolationRule, SimPurityRule)
+from .graph import FlowStats, build_graph
+from .layers import REPRO_LAYERS, LayerDagRule
 from .purity import WorkerPurityRule
 
 __all__ = [
     "FLOW_RULES",
     "FlowReport",
     "FlowRule",
-    "baseline_fingerprint",
     "flow_rules_by_id",
-    "load_baseline",
     "run_flows",
-    "write_baseline",
 ]
 
 #: Every flow rule, in documentation order.
 FLOW_RULES: Tuple[FlowRule, ...] = (
     LayerDagRule(REPRO_LAYERS),
-    ObsIsolationRule(REPRO_LAYERS),
-    SimPurityRule(REPRO_LAYERS),
-    BrokerFactoryRule(REPRO_LAYERS),
-    CacheKeyRule(),
     WorkerPurityRule(),
-    ProtocolDriftRule(),
 )
 
 
@@ -69,100 +46,21 @@ def flow_rules_by_id(ids: Iterable[str]) -> List[FlowRule]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-def baseline_fingerprint(finding: Finding) -> str:
-    """Stable id of a finding: rule|path|message, line-independent."""
-    norm_path = finding.path.replace(os.sep, "/")
-    raw = f"{finding.rule}|{norm_path}|{finding.message}"
-    return hashlib.blake2b(raw.encode("utf-8"),
-                           digest_size=12).hexdigest()
-
-
-def load_baseline(path: str) -> Dict[str, Dict[str, object]]:
-    """fingerprint -> entry; empty on missing/invalid file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    entries = data.get("findings") if isinstance(data, dict) else None
-    if not isinstance(entries, dict):
-        return {}
-    return {fp: entry for fp, entry in entries.items()
-            if isinstance(entry, dict)}
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> int:
-    """Write the grandfather file; returns the entry count."""
-    entries: Dict[str, Dict[str, object]] = {}
-    for finding in sorted(findings,
-                          key=lambda f: (f.path, f.line, f.rule)):
-        entries[baseline_fingerprint(finding)] = {
-            "rule": finding.rule,
-            "path": finding.path.replace(os.sep, "/"),
-            "line": finding.line,  # informational; not part of the fp
-            "message": finding.message,
-        }
-    payload = {
-        "tool": "simlint-flows",
-        "note": ("Grandfathered findings. Entries are matched by "
-                 "rule|path|message fingerprint; fix the finding and "
-                 "rerun with --write-baseline to shrink this file. "
-                 "Never add entries by hand."),
-        "findings": entries,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return len(entries)
-
-
-# ---------------------------------------------------------------------------
-# the pass
-# ---------------------------------------------------------------------------
 @dataclass
 class FlowReport:
     """Everything one ``--flows`` run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     stats: FlowStats = field(default_factory=FlowStats)
-    graph: Optional[ProgramGraph] = None
-    rule_ids: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tool": "simlint-flows",
-            "checked_files": self.stats.files,
-            "parsed": self.stats.parsed,
-            "cached": self.stats.cached,
-            "rules": self.rule_ids,
-            "findings": [f.to_dict() for f in self.findings],
-            "baselined": len(self.baselined),
-            "suppressed": len(self.suppressed),
-            "stale_baseline": list(self.stale_baseline),
-            "count": len(self.findings),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
 def run_flows(paths: Iterable[str], *,
               root: Optional[str] = None,
-              rules: Optional[Sequence[FlowRule]] = None,
-              cache_path: Optional[str] = None,
-              baseline_path: Optional[str] = None) -> FlowReport:
+              rules: Optional[Sequence[FlowRule]] = None) -> FlowReport:
     """Run the whole-program pass over every ``.py`` under ``paths``."""
-    files = collect_files(paths)
-    graph, stats = build_graph(files, root=root, cache_path=cache_path)
-    active_rules = list(rules if rules is not None else FLOW_RULES)
-    report = FlowReport(stats=stats, graph=graph,
-                        rule_ids=[r.id for r in active_rules])
+    graph, stats = build_graph(collect_files(paths), root=root)
+    report = FlowReport(stats=stats)
 
     raw: List[Finding] = []
     suppressions_by_path = {}
@@ -174,23 +72,14 @@ def run_flows(paths: Iterable[str], *,
                 rule="syntax-error", category="parse",
                 path=summary.relpath, line=line, col=col,
                 message=f"file does not parse: {msg}"))
-    for rule in active_rules:
+    for rule in (rules if rules is not None else FLOW_RULES):
         raw.extend(rule.check(graph))
 
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    matched_fps = set()
     for finding in sorted(raw, key=lambda f: (f.path, f.line, f.col,
                                               f.rule, f.message)):
         sup = suppressions_by_path.get(finding.path)
         if sup is not None and sup.active(finding.rule, finding.line):
             report.suppressed.append(finding)
-            continue
-        fp = baseline_fingerprint(finding)
-        if fp in baseline:
-            matched_fps.add(fp)
-            report.baselined.append(finding)
-            continue
-        report.findings.append(finding)
-    report.stale_baseline = sorted(
-        fp for fp in baseline if fp not in matched_fps)
+        else:
+            report.findings.append(finding)
     return report

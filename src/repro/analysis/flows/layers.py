@@ -1,18 +1,18 @@
-"""Layer-DAG policy as data, plus the import-topology flow rules.
+"""Layer-DAG policy as data, plus the one rule that enforces it.
 
-One :class:`LayerMap` declaration (:data:`REPRO_LAYERS`) replaces the
-three hand-written layering rule classes that accreted over PR 4/7/8
-(``compiled-lane-purity``, ``obs-direct-import``, ``broker-factory``).
-Policy changes are now edits to this table, not new AST visitors.
+One :class:`LayerMap` declaration (:data:`REPRO_LAYERS`) carries all
+layering policy — ranks, the observer's isolation, the kernel's import
+allowlist, factory-only classes — and one rule class,
+:class:`LayerDagRule` (``flow-layer-dag``), reads all of it.  Policy
+changes are edits to the table, not new AST visitors.
 
 Ranks follow the *actual* dependency DAG of the tree (verified by the
-``flow-layer-dag`` gate itself), refining the coarse sketch in the
-issue: the substrate kernel at the bottom; leaf utility packages next;
-the grid fabric; scheduling policy; the broker core and workload
-synthesis; the runner; experiments and the CLI on top.  ``repro.obs``
-is deliberately *unranked* — it may be imported from anywhere (the
-zero-cost hook contract) but must not import the packages it observes,
-which is the separate ``flow-obs-isolation`` rule.
+``flow-layer-dag`` gate itself): the substrate kernel at the bottom;
+leaf utility packages next; the grid fabric; scheduling policy; the
+broker core and workload synthesis; the runner; experiments and the CLI
+on top.  ``repro.obs`` is deliberately *unranked* — it may be imported
+from anywhere (the zero-cost hook contract) but the packages it
+observes must not import it.
 
 Only **eager** imports (module level, outside ``TYPE_CHECKING``)
 constitute DAG edges.  Function-level imports are the sanctioned
@@ -25,20 +25,18 @@ repro.sim`` drags in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..engine import Finding
 from .base import FlowRule
 from .graph import ModuleSummary, ProgramGraph
 
-__all__ = [
-    "REPRO_LAYERS",
-    "LayerMap",
-    "LayerDagRule",
-    "ObsIsolationRule",
-    "SimPurityRule",
-    "BrokerFactoryRule",
-]
+__all__ = ["REPRO_LAYERS", "LayerMap", "LayerDagRule"]
+
+
+def _within(name: str, prefix: str) -> bool:
+    """``name`` is the dotted ``prefix`` or lives underneath it."""
+    return name == prefix or name.startswith(prefix + ".")
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class LayerMap:
     ``ranks`` maps package prefixes (relative to ``namespace``) to an
     integer layer; an eager import from rank *r* may only reach ranks
     ``<= r``.  ``isolated`` packages are importable from anywhere but
-    may not eagerly import any ``observes`` package.  ``exempt``
+    no ``observes`` package may eagerly import them.  ``exempt``
     prefixes opt out of ranking entirely (the analysis layer itself,
     package dunder roots).  ``purity`` pins a package to an import
     allowlist of external top-level modules (the compiled lane).
@@ -66,60 +64,34 @@ class LayerMap:
         default_factory=dict)
 
     def _subpackage(self, module: str) -> Optional[str]:
-        prefix = self.namespace + "."
-        if module == self.namespace:
-            return ""
-        if not module.startswith(prefix):
+        """``module`` relative to the namespace; None when outside it
+        (or the namespace root itself)."""
+        if not module.startswith(self.namespace + "."):
             return None
-        return module[len(prefix):]
+        return module[len(self.namespace) + 1:]
+
+    def in_package(self, module: str, *prefixes: str) -> bool:
+        sub = self._subpackage(module)
+        return sub is not None and any(_within(sub, p) for p in prefixes)
 
     def rank_of(self, module: str) -> Optional[int]:
         """Layer rank of a dotted module, or None when unranked."""
-        sub = self._subpackage(module)
-        if sub is None or sub == "":
+        if self.in_package(module, *self.exempt, *self.isolated):
             return None
-        for prefix in self.exempt:
-            if sub == prefix or sub.startswith(prefix + "."):
-                return None
-        for prefix in self.isolated:
-            if sub == prefix or sub.startswith(prefix + "."):
-                return None
-        best: Optional[int] = None
-        best_len = -1
-        for prefix, rank in self.ranks.items():
-            if sub == prefix or sub.startswith(prefix + "."):
-                if len(prefix) > best_len:
-                    best, best_len = rank, len(prefix)
-        return best
+        matches = [p for p in self.ranks if self.in_package(module, p)]
+        return self.ranks[max(matches, key=len)] if matches else None
 
     def is_isolated(self, module: str) -> bool:
-        sub = self._subpackage(module)
-        if not sub:
-            return False
-        return any(sub == p or sub.startswith(p + ".")
-                   for p in self.isolated)
+        return self.in_package(module, *self.isolated)
 
     def is_observed(self, module: str) -> bool:
-        sub = self._subpackage(module)
-        if not sub:
-            return False
-        return any(sub == p or sub.startswith(p + ".")
-                   for p in self.observes)
+        return self.in_package(module, *self.observes)
 
     def purity_allowlist(self, module: str) -> Optional[Tuple[str, ...]]:
-        sub = self._subpackage(module)
-        if not sub:
-            return None
         for prefix, allow in self.purity.items():
-            if sub == prefix or sub.startswith(prefix + "."):
+            if self.in_package(module, prefix):
                 return allow
         return None
-
-    def in_package(self, module: str, prefix: str) -> bool:
-        sub = self._subpackage(module)
-        if sub is None:
-            return False
-        return sub == prefix or sub.startswith(prefix + ".")
 
 
 #: The repro tree's layering contract.  Edit this table — not a rule
@@ -185,42 +157,46 @@ def _eager_targets(summary: ModuleSummary,
     """Distinct eager in-namespace import targets with first line."""
     seen: Dict[str, int] = {}
     for edge in summary.imports:
-        if edge.lazy:
-            continue
-        target = edge.target
-        if not (target == namespace
-                or target.startswith(namespace + ".")):
-            continue
-        if target not in seen:
-            seen[target] = edge.line
+        if not edge.lazy and _within(edge.target, namespace):
+            seen.setdefault(edge.target, edge.line)
     return seen.items()
 
 
 def _resolve_edge_target(graph: ProgramGraph, target: str) -> str:
     """Map an import target onto a module in the universe.
 
-    ``from repro.core import broker`` records target ``repro.core`` with
-    a symbol; the module-level edge we care about is the longest prefix
-    of ``target`` present in the graph (falling back to ``target``).
+    ``from repro.core import broker`` records target ``repro.core``; the
+    module-level edge we care about is the longest prefix of ``target``
+    present in the graph (falling back to ``target``).
     """
-    parts = target.split(".")
-    for i in range(len(parts), 0, -1):
-        candidate = ".".join(parts[:i])
-        if graph.has_module(candidate):
-            return candidate
-    return target
+    return graph.split_symbol(target)[0] or target
 
 
 class LayerDagRule(FlowRule):
-    """Eager imports must respect the declared layer DAG.
+    """Eager imports and constructions must respect the declared layer map.
 
-    A ranked module may eagerly import only modules of equal or lower
-    rank.  Edges are followed through *unranked* intermediates (an
-    ``__init__`` facade, a helper module) so the finding reports the
-    full offending chain — ``repro.grid.site -> repro.grid.util ->
-    repro.runner.engine`` — not just the first hop.  Once a chain
-    reaches another *ranked* module, that module's own imports are its
-    own obligation and traversal stops.
+    One pass per module over the four declarations a :class:`LayerMap`
+    carries:
+
+    * ``ranks`` — a ranked module may eagerly import only modules of
+      equal or lower rank.  Edges are followed through *unranked*
+      intermediates (an ``__init__`` facade, a helper module) so the
+      finding reports the full offending chain — ``repro.grid.site ->
+      repro.grid.util -> repro.runner.engine`` — not just the first hop.
+      Once a chain reaches another *ranked* module, that module's own
+      imports are its own obligation and traversal stops.
+    * ``isolated`` / ``observes`` — observed layers must not eagerly
+      import the observer: ``repro.obs`` hooks into the kernel through
+      zero-cost attributes, and an eager import in the other direction
+      would make observability a load-bearing dependency of the thing
+      it observes (function-level imports remain sanctioned).
+    * ``purity`` — the kernel package imports only its substrate
+      allowlist at module level, so the compiled lane sees no foreign
+      imports; intra-package imports stay allowed.
+    * ``factory_only`` — driver layers construct brokers via
+      ``make_broker`` only: a direct ``CrossBroker(...)`` hard-codes a
+      scheduling architecture that ``Scenario(broker_mode=...)`` is
+      supposed to select.
     """
 
     id = "flow-layer-dag"
@@ -231,13 +207,16 @@ class LayerDagRule(FlowRule):
 
     def check(self, graph: ProgramGraph) -> Iterable[Finding]:
         for summary in graph.summaries():
-            rank = self.layers.rank_of(summary.module)
-            if rank is None:
-                continue
-            yield from self._check_module(graph, summary, rank)
+            yield from self._check_ranks(graph, summary)
+            yield from self._check_isolation(summary)
+            yield from self._check_purity(summary)
+            yield from self._check_factories(summary)
 
-    def _check_module(self, graph: ProgramGraph, summary: ModuleSummary,
-                      rank: int) -> Iterable[Finding]:
+    def _check_ranks(self, graph: ProgramGraph,
+                     summary: ModuleSummary) -> Iterable[Finding]:
+        rank = self.layers.rank_of(summary.module)
+        if rank is None:
+            return
         # BFS from each eager edge, traversing only unranked modules in
         # the universe; report the shortest chain per offender.
         reported: set = set()
@@ -271,122 +250,50 @@ class LayerDagRule(FlowRule):
                         visited.add(resolved)
                         queue.append(chain + [resolved])
 
-
-class ObsIsolationRule(FlowRule):
-    """Observed layers must not eagerly import the observer.
-
-    ``repro.obs`` hooks into the kernel through zero-cost attributes;
-    an eager import in the other direction would make observability a
-    load-bearing dependency of the thing it observes.  (Replaces the
-    per-file ``obs-direct-import`` rule; function-level imports — e.g.
-    the runner engine attaching telemetry — remain sanctioned.)
-    """
-
-    id = "flow-obs-isolation"
-    category = "layering"
-
-    def __init__(self, layers: LayerMap) -> None:
-        self.layers = layers
-
-    def check(self, graph: ProgramGraph) -> Iterable[Finding]:
-        iso_prefixes = tuple(
-            f"{self.layers.namespace}.{p}" for p in self.layers.isolated)
-        for summary in graph.summaries():
-            if not self.layers.is_observed(summary.module):
-                continue
-            for edge in summary.imports:
-                if edge.lazy:
-                    continue
-                if any(edge.target == p or edge.target.startswith(p + ".")
-                       for p in iso_prefixes):
-                    yield self.finding(
-                        summary, edge.line,
-                        f"observed module {summary.module} eagerly "
-                        f"imports {edge.target}; observability must "
-                        "attach via hooks, not imports (use a "
-                        "function-level import if unavoidable)")
-
-
-class SimPurityRule(FlowRule):
-    """The kernel package imports only its substrate allowlist.
-
-    The compiled lane (PR 8) requires ``repro.sim`` to be loadable with
-    nothing but the standard substrate present; any new module-level
-    dependency silently breaks that contract.  (Replaces the per-file
-    ``compiled-lane-purity`` rule.)  Intra-package relative imports and
-    the package's own private extension modules stay allowed.
-    """
-
-    id = "flow-sim-purity"
-    category = "layering"
-
-    def __init__(self, layers: LayerMap) -> None:
-        self.layers = layers
-
-    def check(self, graph: ProgramGraph) -> Iterable[Finding]:
-        ns = self.layers.namespace
-        for summary in graph.summaries():
-            allow = self.layers.purity_allowlist(summary.module)
-            if allow is None:
-                continue
-            pkg_prefix = summary.module.split(".")[:2]  # repro.sim
-            own = ".".join(pkg_prefix)
-            for edge in summary.imports:
-                if edge.lazy:
-                    continue
-                top = edge.target.split(".")[0]
-                if edge.target == own or edge.target.startswith(
-                        own + "."):
-                    continue
-                if top == ns:
-                    yield self.finding(
-                        summary, edge.line,
-                        f"kernel purity: {summary.module} imports "
-                        f"{edge.target}; the compiled lane requires "
-                        f"{own} to be self-contained")
-                elif top not in allow:
-                    yield self.finding(
-                        summary, edge.line,
-                        f"kernel purity: {summary.module} imports "
-                        f"{edge.target!r} outside the substrate "
-                        f"allowlist for {own}")
-
-
-class BrokerFactoryRule(FlowRule):
-    """Driver layers construct brokers via ``make_broker`` only.
-
-    Direct ``CrossBroker(...)``-style construction in experiments or
-    examples hard-codes a scheduling architecture that is supposed to
-    be selected by ``Scenario(broker_mode=...)``.  (Replaces the
-    per-file ``broker-factory`` rule.)
-    """
-
-    id = "flow-broker-factory"
-    category = "layering"
-
-    def __init__(self, layers: LayerMap) -> None:
-        self.layers = layers
-
-    def check(self, graph: ProgramGraph) -> Iterable[Finding]:
-        restricted = self.layers.factory_only
-        if not restricted:
+    def _check_isolation(self, summary: ModuleSummary) -> Iterable[Finding]:
+        if not self.layers.is_observed(summary.module):
             return
-        for summary in graph.summaries():
-            packages = {
-                prefix
-                for prefixes in restricted.values()
-                for prefix in prefixes
-                if self.layers.in_package(summary.module, prefix)
-            }
-            if not packages:
+        for edge in summary.imports:
+            if not edge.lazy and self.layers.is_isolated(edge.target):
+                yield self.finding(
+                    summary, edge.line,
+                    f"observed module {summary.module} eagerly "
+                    f"imports {edge.target}; observability must "
+                    "attach via hooks, not imports (use a "
+                    "function-level import if unavoidable)")
+
+    def _check_purity(self, summary: ModuleSummary) -> Iterable[Finding]:
+        allow = self.layers.purity_allowlist(summary.module)
+        if allow is None:
+            return
+        own = ".".join(summary.module.split(".")[:2])  # repro.sim
+        for edge in summary.imports:
+            if edge.lazy or _within(edge.target, own):
                 continue
-            for fn in summary.all_functions():
-                for call in fn.calls:
-                    leaf = call.callee.split(".")[-1]
-                    if leaf in restricted:
-                        yield self.finding(
-                            summary, call.line,
-                            f"direct {leaf}(...) construction in "
-                            f"{summary.module}; use make_broker() / "
-                            "Scenario(broker_mode=...) so the "
-                            "architecture stays configuration")
+            top = edge.target.split(".")[0]
+            if top == self.layers.namespace:
+                yield self.finding(
+                    summary, edge.line,
+                    f"kernel purity: {summary.module} imports "
+                    f"{edge.target}; the compiled lane requires "
+                    f"{own} to be self-contained")
+            elif top not in allow:
+                yield self.finding(
+                    summary, edge.line,
+                    f"kernel purity: {summary.module} imports "
+                    f"{edge.target!r} outside the substrate "
+                    f"allowlist for {own}")
+
+    def _check_factories(self, summary: ModuleSummary) -> Iterable[Finding]:
+        restricted = self.layers.factory_only
+        for fn in summary.all_functions():
+            for call in fn.calls:
+                leaf = call.callee.split(".")[-1]
+                if leaf in restricted and self.layers.in_package(
+                        summary.module, *restricted[leaf]):
+                    yield self.finding(
+                        summary, call.line,
+                        f"direct {leaf}(...) construction in "
+                        f"{summary.module}; use make_broker() / "
+                        "Scenario(broker_mode=...) so the "
+                        "architecture stays configuration")

@@ -7,12 +7,9 @@ in :mod:`.determinism` or :mod:`.kernel` (or a new module), then append
 an instance here — the engine, CLI, JSON report, and docs table pick it
 up from this registry.
 
-The former :mod:`.layering` rules (``obs-direct-import``,
-``broker-factory``, ``compiled-lane-purity``) migrated to the
-whole-program pass: they are now data in
-:data:`repro.analysis.flows.layers.REPRO_LAYERS` and run under ``repro
-lint --flows`` as ``flow-obs-isolation`` / ``flow-broker-factory`` /
-``flow-sim-purity``.
+Layering policy is not a per-file rule: it is data in
+:data:`repro.analysis.flows.layers.REPRO_LAYERS`, enforced by the
+whole-program pass (``repro lint --flows``) as ``flow-layer-dag``.
 """
 
 from __future__ import annotations

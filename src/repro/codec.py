@@ -1,8 +1,8 @@
-"""Canonical config (de)serialisation, shared by every layer.
+"""Canonical config serialisation, shared by every layer.
 
 :class:`ConfigCodec` started life in :mod:`repro.experiments.common`,
 but broker configs (:class:`repro.core.BrokerConfig` and its per-mode
-subclasses) need the same round-trip contract — and ``repro.core`` must
+subclasses) need the same cache-key contract — and ``repro.core`` must
 not import the experiment harness.  The mixin therefore lives here, in
 a leaf module with no intra-package dependencies; the experiment layer
 re-exports it unchanged.
@@ -25,46 +25,22 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-def _coerce(value: Any) -> Any:
-    """Canonical JSON form -> config field (lists become tuples)."""
-    if isinstance(value, list):
-        return tuple(_coerce(v) for v in value)
-    return value
-
-
 class ConfigCodec:
-    """Canonical (de)serialisation mixin for config dataclasses.
+    """Canonical serialisation mixin for config dataclasses.
 
     ``to_key_dict()`` returns the config's *semantic identity*: every
-    dataclass field except the non-key ones (the calibration bundle,
-    which the runner fingerprints separately so that cache keys react to
-    calibration edits without embedding a dataclass tree in every config
-    dict).  ``from_dict()`` round-trips that dict back into a config —
-    the pair is what makes the runner's cache keys and ``--resume``
-    stable across processes and interpreter invocations.
+    dataclass field except ``calibration`` (the bundle the runner
+    fingerprints separately — :func:`repro.runner.cache.cache_key` — so
+    that cache keys react to calibration edits without embedding a
+    dataclass tree in every config dict).  The key is complete by
+    construction: there is no way to declare a field the key leaves out.
     """
-
-    #: Fields excluded from the key dict (handled out-of-band).
-    NON_KEY_FIELDS = ("calibration",)
 
     def to_key_dict(self) -> Dict[str, Any]:
         assert dataclasses.is_dataclass(self), "ConfigCodec needs a dataclass"
         return {f.name: _jsonify(getattr(self, f.name))
                 for f in dataclasses.fields(self)
-                if f.name not in self.NON_KEY_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], calibration: Any = None):
-        field_names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - field_names)
-        if unknown:
-            raise ValueError(f"{cls.__name__}.from_dict: unknown fields "
-                             f"{unknown}")
-        kwargs = {name: _coerce(value) for name, value in data.items()
-                  if name not in cls.NON_KEY_FIELDS}
-        if calibration is not None and "calibration" in field_names:
-            kwargs["calibration"] = calibration
-        return cls(**kwargs)
+                if f.name != "calibration"}
 
 
 __all__ = ["ConfigCodec"]

@@ -6,7 +6,7 @@ and implements the world verbs of the steering API — ``inject``, ``kill``,
 the ``status()`` read used by the ``/sites`` and ``/jobs`` endpoints.
 ``Scenario.build()`` constructs one and binds it to the environment's
 controller whenever a :func:`repro.obs.control.control_scope` is active;
-drivers never instantiate it directly (simlint's ``flow-broker-factory``
+drivers never instantiate it directly (simlint's ``flow-layer-dag``
 rule enforces this, like the broker classes themselves).
 
 Every method runs at the controller's drain point — between kernel

@@ -3,8 +3,8 @@
 This module owns the six kernel workloads (``WORKLOADS``) and times them
 with nothing but :func:`time.perf_counter`, so the CLI (and CI's bench
 artifact job) does not depend on a benchmarking plugin being installed;
-``benchmarks/bench_kernel.py`` runs the same registry under
-pytest-benchmark for local investigation.
+``bench/workloads.py``'s ``kernel_micro`` workload times the same
+registry.
 
 Each workload runs ``--rounds`` times after ``--warmup`` discarded
 rounds; we report min/median/mean.  **min** is the comparison number —
@@ -40,7 +40,7 @@ from typing import Callable, Dict, List
 from ..sim import AnyOf, Environment, Store, Timer
 
 
-# -- workloads (benchmarks/bench_kernel.py parametrizes over these) ------
+# -- workloads (bench/workloads.py's kernel_micro imports these) ---------
 
 def _event_throughput() -> None:
     """Pure timeout churn: 20k events scheduled + processed."""

@@ -132,6 +132,34 @@ def test_drain_is_sanitizer_clean(mode):
     audit.assert_clean()
 
 
+def _parameters(func):
+    """``(name, kind, default)`` of every parameter after ``self``."""
+    params = list(inspect.signature(func).parameters.values())[1:]
+    return [(p.name, p.kind.name, p.default) for p in params]
+
+
+PROTOCOL_METHODS = sorted(
+    name for name, member in vars(BrokerProtocol).items()
+    if inspect.isfunction(member) and not name.startswith("_"))
+
+
+def test_protocol_surface_is_the_five_methods():
+    assert PROTOCOL_METHODS == ["cancel", "drain", "snapshot", "submit",
+                                "submit_and_wait"]
+
+
+@pytest.mark.parametrize("method", PROTOCOL_METHODS)
+@pytest.mark.parametrize("mode", BROKER_MODES)
+def test_broker_signatures_match_protocol(mode, method):
+    """``runtime_checkable`` only checks that the methods exist; this
+    compares what a keyword or default-relying caller depends on:
+    parameter names in order, their kinds, which carry defaults, and
+    the default values."""
+    broker_cls = type(build(mode).broker)
+    assert (_parameters(getattr(broker_cls, method))
+            == _parameters(getattr(BrokerProtocol, method)))
+
+
 def test_handle_submit_signature_matches_protocol():
     """ScenarioHandle.submit mirrors BrokerProtocol.submit's typed params."""
     proto = inspect.signature(BrokerProtocol.submit)

@@ -2,7 +2,7 @@
 shape checks in a reduced-sample configuration.
 
 These are the repository's acceptance tests — the full-sample versions
-live in benchmarks/.
+are ``repro run <id>`` without ``--quick``.
 """
 
 import pytest
