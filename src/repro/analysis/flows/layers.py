@@ -133,9 +133,13 @@ REPRO_LAYERS = LayerMap(
         # The compiled-lane contract from PR 8: repro.sim must stay
         # self-contained so the C lane / future compiled lanes see no
         # foreign imports at module level.
+        # `gc`: a run pauses the cyclic collector (collector_paused);
+        # `hashlib`: rng.py names its streams by blake2b, once per
+        # stream — an import statement inside that branch ran 11 k
+        # times per grid_day.
         "sim": ("__future__", "collections", "dataclasses", "enum",
-                "functools", "heapq", "itertools", "math", "os",
-                "types", "typing", "warnings", "weakref", "numpy"),
+                "functools", "gc", "hashlib", "heapq", "itertools", "math",
+                "os", "types", "typing", "warnings", "weakref", "numpy"),
     },
     factory_only={
         # Driver layers must build brokers via core.protocol.make_broker

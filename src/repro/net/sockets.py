@@ -153,7 +153,7 @@ class ConnectionEnd:
             raise ConnectionClosedError(f"{self.label}: connection closed")
         datagram = yield self.inbox.get()
         if datagram is _PEER_CLOSED:
-            self.closed = True
+            self._mark_closed()
             raise ConnectionClosedError(f"{self.label}: peer closed")
         return datagram
 
@@ -165,7 +165,6 @@ class ConnectionEnd:
     def close(self) -> None:
         if self.closed:
             return
-        self.closed = True
         # Wake receivers blocked on either side (FIN semantics): the peer's
         # and our own pending recv() must both observe the close.  Delivery
         # of the marker is immediate; the paper's evaluation never measures
@@ -173,6 +172,20 @@ class ConnectionEnd:
         if self.peer is not None and not self.peer.closed:
             self.peer.inbox.put(_PEER_CLOSED)
         self.inbox.put(_PEER_CLOSED)
+        self._mark_closed()
+
+    def _mark_closed(self) -> None:
+        """The one way an end becomes closed (``close()``, or reading the
+        peer's FIN).  Once *both* ends are, the ``peer`` links are dropped:
+        they are the only reference cycle a connection makes, so the pair
+        is freed by reference count instead of waiting for a collector
+        pass (ARCHITECTURE.md, "Memory lifetime").  Every guard above reads
+        ``self.closed`` first, so an unlinked end answers as a closed one.
+        """
+        self.closed = True
+        peer = self.peer
+        if peer is not None and peer.closed:
+            self.peer = peer.peer = None
 
 
 def connect(network: Network, src: str, dst: str, port: int,

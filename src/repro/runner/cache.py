@@ -17,9 +17,12 @@ sorted).  Re-running with the same config therefore only simulates
 missing cells, and a ``--quick`` run upgraded to full scale re-uses
 nothing by accident because the sample counts live in the config dict.
 
-Entries are stored as ``<dir>/<experiment>/<hash>.pkl`` pickles with a
-small metadata header, so ``repro cache ls`` can describe them without
-deserialising payloads.
+Entries are stored as ``<dir>/<experiment>/<hash>.pkl``: a 16-byte
+blake2b digest of everything after it, then the pickled record (metadata
+beside the payload, which is what ``repro cache ls`` describes).  Damage
+that still unpickles — a bit flipped inside a float — would otherwise be
+served as a hit with altered numbers; with the digest every damaged
+entry is a miss.
 """
 
 from __future__ import annotations
@@ -30,14 +33,31 @@ import json
 import os
 import pickle
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .spec import CellKey, ExperimentSpec
 
 #: Bump to invalidate every cache entry (runner format change).
-CACHE_VERSION = 1
+#: 2: entries carry an integrity digest.
+CACHE_VERSION = 2
 
 _PICKLE_PROTOCOL = 4
+_DIGEST_SIZE = 16
+
+
+def _seal(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
+
+
+def _read_record(path: str) -> Any:
+    """Unpickle the entry at ``path``; raises on a missing file, a digest
+    mismatch, or whatever ``pickle`` makes of the bytes."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    body = blob[_DIGEST_SIZE:]
+    if _seal(body) != blob[:_DIGEST_SIZE]:
+        raise ValueError(f"{path}: integrity digest mismatch")
+    return pickle.loads(body)
 
 
 def calibration_fingerprint(calibration: Any) -> Dict[str, Any]:
@@ -115,14 +135,14 @@ class ResultCache:
             cell: CellKey) -> Optional[Dict[str, Any]]:
         """The stored record for a cell, or None on miss/corruption.
 
-        ``pickle.load`` on damaged bytes raises nearly anything
-        (``UnicodeDecodeError``, ``KeyError``, ``MemoryError``, ...), so
-        any ``Exception`` while reading or validating is a miss: the cell
-        is recomputed and the entry overwritten."""
+        The digest catches damage; should bytes ever get past it,
+        ``pickle.loads`` raises nearly anything (``UnicodeDecodeError``,
+        ``KeyError``, ``MemoryError``, ...), so any ``Exception`` while
+        reading or validating is a miss: the cell is recomputed and the
+        entry overwritten."""
         path = self._path(spec.experiment_id, cache_key(spec, config, cell))
         try:
-            with open(path, "rb") as fh:
-                record = pickle.load(fh)
+            record = _read_record(path)
             if not isinstance(record, dict) or "payload" not in record \
                     or tuple(record.get("cell", ())) != tuple(cell):
                 return None  # hash collision or tampering: treat as miss
@@ -155,15 +175,18 @@ class ResultCache:
             record["telemetry"] = telemetry
         path = self._path(spec.experiment_id, digest)
         tmp = f"{path}.tmp.{os.getpid()}"
+        body = pickle.dumps(record, protocol=_PICKLE_PROTOCOL)
         with open(tmp, "wb") as fh:
-            pickle.dump(record, fh, protocol=_PICKLE_PROTOCOL)
+            fh.write(_seal(body))
+            fh.write(body)
         os.replace(tmp, path)  # atomic on POSIX
         return digest
 
     # -- management (repro cache {ls,clear}) -----------------------------
-    def entries(self,
-                experiment_id: Optional[str] = None) -> Iterator[CacheEntry]:
-        """Iterate stored cells (metadata only), sorted for stable output."""
+    def _files(self, experiment_id: Optional[str] = None
+               ) -> Iterator[Tuple[str, str]]:
+        """(experiment, path) of every entry file, sorted for stable
+        output — readable or not."""
         if not os.path.isdir(self.directory):
             return
         experiments = ([experiment_id] if experiment_id
@@ -173,30 +196,35 @@ class ResultCache:
             if not os.path.isdir(exp_dir):
                 continue
             for fname in sorted(os.listdir(exp_dir)):
-                if not fname.endswith(".pkl"):
-                    continue
-                path = os.path.join(exp_dir, fname)
-                try:
-                    with open(path, "rb") as fh:
-                        record = pickle.load(fh)
-                    entry = CacheEntry(
-                        experiment_id=exp,
-                        digest=fname[:-len(".pkl")],
-                        cell=tuple(record.get("cell", ())),
-                        elapsed=float(record.get("elapsed", 0.0)),
-                        created=float(record.get("created", 0.0)),
-                        size_bytes=os.path.getsize(path),
-                        path=path)
-                except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- a damaged entry is not listed (see get); the next run overwrites it
-                    continue
-                yield entry
+                if fname.endswith(".pkl"):
+                    yield exp, os.path.join(exp_dir, fname)
+
+    def entries(self,
+                experiment_id: Optional[str] = None) -> Iterator[CacheEntry]:
+        """Iterate stored cells (metadata only)."""
+        for exp, path in self._files(experiment_id):
+            try:
+                record = _read_record(path)
+                entry = CacheEntry(
+                    experiment_id=exp,
+                    digest=os.path.basename(path)[:-len(".pkl")],
+                    cell=tuple(record.get("cell", ())),
+                    elapsed=float(record.get("elapsed", 0.0)),
+                    created=float(record.get("created", 0.0)),
+                    size_bytes=os.path.getsize(path),
+                    path=path)
+            except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- a damaged entry is not listed (see get); the next run overwrites it
+                continue
+            yield entry
 
     def clear(self, experiment_id: Optional[str] = None) -> int:
-        """Delete stored cells (all, or one experiment's); returns count."""
+        """Delete stored cells (all, or one experiment's) — entries that
+        no longer read, damaged or of an older format, included; returns
+        the count."""
         removed = 0
-        for entry in list(self.entries(experiment_id)):
+        for _, path in list(self._files(experiment_id)):
             try:
-                os.remove(entry.path)
+                os.remove(path)
                 removed += 1
             except OSError:
                 pass

@@ -109,9 +109,15 @@ def _execute_cell(experiment_id: str, config: Any, key: CellKey,
     steering verbs at their sim-times in every environment the cell
     builds.  Chaos perturbs results by design, so the engine never
     caches chaos-run payloads (see :func:`run_experiment`).
+
+    The cyclic garbage collector is paused for the extent of the cell
+    (:class:`repro.sim.collector_paused`).
     """
     spec = get_spec(experiment_id)
     t0 = time.perf_counter()
+    # After t0: the first cell a process computes still carries the
+    # one-off simulator import in its `elapsed`.
+    from ..sim import collector_paused
 
     def _run() -> Any:
         if chaos is not None:
@@ -121,15 +127,19 @@ def _execute_cell(experiment_id: str, config: Any, key: CellKey,
                 return spec.run_cell(config, key)
         return spec.run_cell(config, key)
 
-    if telemetry:
-        from ..obs import scope_snapshot, telemetry_scope
+    # The cell is the collection epoch: its world is born and dies in
+    # here, so it is still young when the pause ends and one pass frees
+    # it — a pause per run() alone would promote the live world first.
+    with collector_paused():
+        if telemetry:
+            from ..obs import scope_snapshot, telemetry_scope
 
-        with telemetry_scope() as registries:
+            with telemetry_scope() as registries:
+                payload = _run()
+            snapshot = scope_snapshot(registries)
+        else:
             payload = _run()
-        snapshot = scope_snapshot(registries)
-    else:
-        payload = _run()
-        snapshot = None
+            snapshot = None
     return key, payload, time.perf_counter() - t0, snapshot
 
 

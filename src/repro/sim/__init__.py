@@ -19,7 +19,7 @@ Example
 3.0
 """
 
-from .environment import Environment, Infinity
+from .environment import Environment, Infinity, collector_paused
 from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .events import (
     AllOf,
@@ -69,4 +69,5 @@ __all__ = [
     "Timer",
     "TraceRecord",
     "URGENT",
+    "collector_paused",
 ]

@@ -61,6 +61,7 @@ protocol.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
@@ -73,6 +74,29 @@ Infinity = float("inf")
 
 #: A scheduled queue entry.
 Entry = Tuple[float, int, int, Event]
+
+
+class collector_paused:
+    """``with collector_paused():`` — the cyclic collector is off inside.
+
+    A run and a runner cell are *collection epochs* (ARCHITECTURE.md,
+    "Memory lifetime"): the message path makes no reference cycles, so a
+    collector pass in the middle of one only re-traverses a live world to
+    find nothing.  The collector is left exactly as it was found, on
+    exceptions too: entered with it already off (nested in another pause,
+    or by a caller who disabled it) this does nothing, so the outermost
+    pause is the epoch and a disabled collector stays disabled.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 class Environment:
@@ -333,6 +357,9 @@ class Environment:
         ``until`` may be ``None`` (run until the queue drains), a number
         (run up to that simulation time), or an :class:`Event` (run until
         the event fires; its value is returned).
+
+        The cyclic garbage collector is paused while the loop drains (see
+        :class:`collector_paused`) unless a controller is attached.
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
@@ -353,12 +380,19 @@ class Environment:
 
         # Observed runs stay interpreted: detours, not hot paths.
         try:
-            if self.control is not None or self.profiler is not None:
+            if self.control is not None:
+                # Steered runs keep the collector: a live `repro serve`
+                # is wall-clock paced for as long as someone watches,
+                # with an HTTP thread allocating beside the loop.
                 self._drain_observed()
-            elif _SPEEDUPS is not None:
-                _SPEEDUPS.drain(self)
             else:
-                self._drain()
+                with collector_paused():
+                    if self.profiler is not None:
+                        self._drain_observed()
+                    elif _SPEEDUPS is not None:
+                        _SPEEDUPS.drain(self)
+                    else:
+                        self._drain()
         except StopSimulation as stop:
             value = stop.value
         else:

@@ -9,6 +9,7 @@ changing one mechanism's randomness does not perturb another's.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Sequence, TypeVar
 
 import numpy as np
@@ -39,8 +40,6 @@ class RandomStreams:
             # Derive a child seed from the root seed and a stable hash of the
             # name so that stream identity does not depend on call order
             # (blake2 is stable across runs, unlike Python's hash()).
-            import hashlib
-
             digest = int.from_bytes(
                 hashlib.blake2b(name.encode("utf-8"),
                                 digest_size=8).digest(), "little")

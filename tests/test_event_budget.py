@@ -30,36 +30,43 @@ EXPECTED = {
 }
 
 
-def count_events():
+def scenario_day():
+    """A small loaded world outside the runner: 2 europe sites, twenty
+    simulated minutes of mixed arrivals, one hour of drain."""
     from repro import Scenario
     from repro.jdl import JobCategory
-    from repro.obs import telemetry_scope
-    from repro.runner import run_experiment
     from repro.sim import RandomStreams
     from repro.workloads import (MixConfig, cpu_bound_app, generate_mix,
                                  immediate_output_app, replay)
+
+    handle = Scenario(sites=2, scenario="europe", nodes_per_site=2,
+                      seed=7).build()
+    arrivals = generate_mix(RandomStreams(7), MixConfig(
+        horizon=1200.0, batch_interarrival=70.0,
+        interactive_interarrival=30.0, shared_fraction=0.6))
+    env, broker = handle.testbed.env, handle.broker
+
+    def behavior_for(arrival, rank):
+        if arrival.job.category is JobCategory.BATCH:
+            return cpu_bound_app(arrival.runtime)
+        return immediate_output_app(run_for=arrival.runtime)
+
+    submitted, feeder = replay(env, broker, arrivals, behavior_for)
+    env.run(until=feeder)
+    env.run(until=env.now + 3600.0)  # drain
+    assert any(s.report.success for s in submitted)
+
+
+def count_events():
+    from repro.obs import telemetry_scope
+    from repro.runner import run_experiment
 
     # series=False: registries only record which environments were built.
     with telemetry_scope(series=False) as table1:
         run_experiment("table1", quick=True)
 
     with telemetry_scope(series=False) as day:
-        handle = Scenario(sites=2, scenario="europe", nodes_per_site=2,
-                          seed=7).build()
-        arrivals = generate_mix(RandomStreams(7), MixConfig(
-            horizon=1200.0, batch_interarrival=70.0,
-            interactive_interarrival=30.0, shared_fraction=0.6))
-        env, broker = handle.testbed.env, handle.broker
-
-        def behavior_for(arrival, rank):
-            if arrival.job.category is JobCategory.BATCH:
-                return cpu_bound_app(arrival.runtime)
-            return immediate_output_app(run_for=arrival.runtime)
-
-        submitted, feeder = replay(env, broker, arrivals, behavior_for)
-        env.run(until=feeder)
-        env.run(until=env.now + 3600.0)  # drain
-        assert any(s.report.success for s in submitted)
+        scenario_day()
 
     return {"table1_quick": [t.env._eid for t in table1],
             "scenario_2site": [t.env._eid for t in day]}

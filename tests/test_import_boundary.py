@@ -229,7 +229,8 @@ class TestFacades:
                 "repro.experiments" + index[experiment_id]
 
 
-#: The last commit before the boundary was drawn.
+#: The last commit before the boundary was drawn; its cache entries are
+#: ``CACHE_VERSION`` 1 (no integrity digest).
 PARENT = "82c6297ddd1eac93c9190d8b3f2a7e8f90b5637d"
 
 
@@ -261,22 +262,28 @@ def run_all_quick(src, cache, workdir):
     return proc.stdout, statistics_lines(proc.stderr)
 
 
-class TestCacheCompatibleWithParent:
-    """Cache keys, ``cache_salt``s, the pickle protocol and the two
-    pickled class paths (``repro.metrics.series.Series``,
-    ``repro.experiments.table1.MethodMeasurement``) did not move: either
-    side serves the other's cache without computing a cell."""
+class TestCacheVersionBump:
+    """``CACHE_VERSION`` 2 put an integrity digest in front of every
+    entry, so the two formats cannot serve each other — and must not
+    trip over each other either: to one side the other's cache directory
+    is simply empty (every cell computed, same bytes: ``cache_salt``s,
+    seeds and the pickled class paths did not move), and afterwards each
+    side is served from its own entries, sitting beside the other's."""
 
     @pytest.mark.parametrize("writer, reader", [("parent", "change"),
                                                 ("change", "parent")])
-    def test_one_sides_cache_serves_the_other(self, writer, reader,
-                                              parent_src, tmp_path):
+    def test_other_sides_cache_is_a_miss(self, writer, reader, parent_src,
+                                         tmp_path):
         src = {"parent": parent_src, "change": SRC}
         cache = str(tmp_path / "cache")
         written, lines = run_all_quick(src[writer], cache, tmp_path)
         assert len(lines) == 11
         assert all(", 0 cached)" in line for line in lines)
-        served, lines = run_all_quick(src[reader], cache, tmp_path)
+        computed, lines = run_all_quick(src[reader], cache, tmp_path)
         assert len(lines) == 11
-        assert all("(0 computed" in line for line in lines), lines
-        assert served == written
+        assert all(", 0 cached)" in line for line in lines), lines
+        assert computed == written
+        for side in (writer, reader):
+            served, lines = run_all_quick(src[side], cache, tmp_path)
+            assert all("(0 computed" in line for line in lines), lines
+            assert served == written

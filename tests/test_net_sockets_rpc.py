@@ -1,5 +1,7 @@
 """Unit tests for connections, listeners, port allocation, and RPC."""
 
+import weakref
+
 import pytest
 
 from repro.net import (
@@ -14,7 +16,7 @@ from repro.net import (
     RpcServer,
     connect,
 )
-from repro.sim import Environment, RandomStreams
+from repro.sim import Environment, RandomStreams, collector_paused
 
 
 @pytest.fixture
@@ -140,6 +142,200 @@ class TestConnections:
         env.run()
         assert c.value == 512
         assert s.value == 512
+
+
+def _outcome(fn):
+    """Run a ConnectionEnd generator method inside a process body and
+    report how it ended: ("ok", value) or (exception type, message)."""
+    try:
+        value = yield from fn()
+    except Exception as exc:  # noqa: BLE001 - the test pins type + message
+        return (type(exc).__name__, str(exc))
+    return ("ok", value)
+
+
+def _close_world():
+    env = Environment()
+    net = Network(env, RandomStreams(7))
+    net.add_host("client")
+    net.add_host("server")
+    net.add_link("client", "server", latency=0.001, bandwidth=1e7)
+    return env, net
+
+
+def _counters(ends):
+    return {name: (end.bytes_sent, end.bytes_received, end.closed)
+            for name, end in ends.items()}
+
+
+def _closing_pair(first, second_at):
+    """One 100-byte message each way, then ``first`` closes at t=1 and the
+    other side closes at ``second_at`` (None: it only reads the FIN).
+    Both sides have a receiver blocked when the first close lands."""
+    env, net = _close_world()
+    listener = Listener(net, net.host("server"), 1000)
+    ends, seen = {}, {"client": [], "server": []}
+
+    def side(name, conn):
+        ends[name] = conn
+        seen[name].append((yield from _outcome(conn.recv)))   # the data
+        seen[name].append((yield from _outcome(conn.recv)))   # woken by FIN
+        seen[name].append((yield from _outcome(conn.recv)))   # already closed
+        seen[name].append((yield from _outcome(
+            lambda: conn.send("late", 10))))
+
+    def server(env):
+        conn = yield from listener.accept()
+        yield from conn.send("from-server", 100)
+        yield from side("server", conn)
+
+    def client(env):
+        conn = yield from connect(net, "client", "server", 1000)
+        yield from conn.send("from-client", 100)
+        yield from side("client", conn)
+
+    def closer(env):
+        yield env.timeout(1.0)
+        other = "server" if first == "client" else "client"
+        ends[first].close()
+        if second_at is not None:
+            if second_at > 1.0:
+                yield env.timeout(second_at - 1.0)
+            ends[other].close()
+            ends[other].close()  # idempotent
+
+    for body in (server, client, closer):
+        env.process(body(env))
+    env.run()
+    refs = [weakref.ref(end) for end in ends.values()]
+    return {"seen": seen, "counters": _counters(ends), "eid": env._eid}, refs
+
+
+def _mid_flight():
+    """The server closes while a 1 MB client send is on the wire."""
+    env, net = _close_world()
+    listener = Listener(net, net.host("server"), 1000)
+    ends, seen = {}, {"client": [], "server": []}
+
+    def server(env):
+        ends["server"] = conn = yield from listener.accept()
+        yield env.timeout(0.05)
+        conn.close()
+        seen["server"].append((yield from _outcome(conn.recv)))
+
+    def client(env):
+        ends["client"] = conn = yield from connect(
+            net, "client", "server", 1000)
+        seen["client"].append((yield from _outcome(
+            lambda: conn.send("big", 1_000_000))))
+        seen["client"].append((yield from _outcome(conn.recv)))
+        seen["client"].append((yield from _outcome(conn.recv)))
+
+    env.process(server(env))
+    env.process(client(env))
+    env.run()
+    refs = [weakref.ref(end) for end in ends.values()]
+    return {"seen": seen, "counters": _counters(ends), "eid": env._eid}, refs
+
+
+def _rpc_lost_path():
+    """PR 10's dangling-RPC regime: the path drops while a handler runs,
+    the response is lost, and the server resets the connection so the
+    client's pending call fails instead of waiting forever."""
+    env, net = _close_world()
+    server = RpcServer(net, "server", 2000)
+
+    def slow():
+        yield env.timeout(1.0)
+        return "late"
+
+    server.register("slow", slow)
+    net.inject_outage("client", "server", 0.5, 100.0)
+    seen = {"client": []}
+    refs = []
+
+    def client(env):
+        rpc = RpcClient(net, "client", "server", 2000)
+        yield from rpc.connect()
+        refs.append(weakref.ref(rpc._conn))
+        seen["client"].append((yield from _outcome(
+            lambda: rpc.call("slow"))))
+        seen["client"].append(("connected", rpc.connected))
+        yield from rpc.close()
+
+    c = env.process(client(env))
+    env.run(until=c)
+    return {"seen": seen, "calls_served": server.calls_served,
+            "eid": env._eid}, refs
+
+
+_C, _S = "client->server:1000", "client->server:1000/srv"
+
+
+def _closed(label, what):
+    return ("ConnectionClosedError", f"{label}: {what}")
+
+
+def _pair_expected(eid):
+    """What ``_closing_pair`` produced at the parent commit, whoever
+    closed first: each side reads its data, is woken by a FIN (its own
+    close reads as "peer closed" too), then finds a closed end on recv
+    and on send.  Only the event count depends on the order."""
+    def side(label, data):
+        return [("ok", data), _closed(label, "peer closed"),
+                _closed(label, "connection closed"),
+                _closed(label, "connection closed")]
+
+    return {"seen": {"client": side(_C, "from-server"),
+                     "server": side(_S, "from-client")},
+            "counters": {"server": (100, 100, True),
+                         "client": (100, 100, True)},
+            "eid": eid}
+
+
+#: Scenario -> (builder, what the parent commit produced).  Exception
+#: types and messages, which receivers woke and how, the byte counters
+#: and ``env._eid`` are the parent's: dropping the peer links when both
+#: ends are closed moves none of them.
+CLOSE_ORDERS = {
+    "client_first": (lambda: _closing_pair("client", None),
+                     _pair_expected(20)),
+    "server_first": (lambda: _closing_pair("server", None),
+                     _pair_expected(20)),
+    "client_then_server": (lambda: _closing_pair("client", 2.0),
+                           _pair_expected(21)),
+    "both_in_one_instant": (lambda: _closing_pair("client", 1.0),
+                            _pair_expected(21)),
+    "peer_closes_mid_flight": (_mid_flight, {
+        "seen": {"client": [_closed(_C, "peer closed mid-flight"),
+                            _closed(_C, "peer closed"),
+                            _closed(_C, "connection closed")],
+                 "server": [_closed(_S, "connection closed")]},
+        "counters": {"server": (0, 0, True), "client": (0, 0, True)},
+        "eid": 12}),
+    "rpc_server_answers_a_lost_path": (_rpc_lost_path, {
+        "seen": {"client": [("ConnectionClosedError", "connection closed"),
+                            ("connected", False)]},
+        "calls_served": 1, "eid": 18}),
+}
+
+
+class TestCloseOrders:
+    """Every way a connection can end, held to the parent's behaviour —
+    and, with the collector off, both ends freed by reference count."""
+
+    @pytest.mark.parametrize("order", sorted(CLOSE_ORDERS))
+    def test_observable_behaviour_is_pinned(self, order):
+        build, expected = CLOSE_ORDERS[order]
+        observed, _ = build()
+        assert observed == expected
+
+    @pytest.mark.parametrize("order", sorted(CLOSE_ORDERS))
+    def test_closed_pair_dies_without_the_collector(self, order):
+        build, _ = CLOSE_ORDERS[order]
+        with collector_paused():
+            _, refs = build()
+            assert refs and all(ref() is None for ref in refs)
 
 
 class TestRpc:

@@ -1,8 +1,11 @@
 """Unit tests for the environment's run loop."""
 
+import gc
+
 import pytest
 
-from repro.sim import EmptySchedule, Environment, Infinity, SimulationError
+from repro.sim import (EmptySchedule, Environment, Infinity, SimulationError,
+                       collector_paused)
 
 
 class TestRun:
@@ -47,6 +50,85 @@ class TestRun:
         env.timeout(5)
         env.run()
         assert env.now == 105.0
+
+
+class TestCollectionEpoch:
+    """A run pauses the cyclic collector and leaves it as it found it."""
+
+    @staticmethod
+    def churn(env, seen, steps=40):
+        """Allocate far past the collector's thresholds, in cycles."""
+        for _ in range(steps):
+            for _ in range(1000):
+                cycle = []
+                cycle.append(cycle)
+            seen.append(gc.isenabled())
+            yield env.timeout(1)
+
+    def test_no_collection_starts_during_a_run(self, env,
+                                               collections_started):
+        seen = []
+        env.process(self.churn(env, seen))
+        assert gc.isenabled()
+        env.run()
+        assert collections_started == [] and seen == [False] * 40
+        assert gc.isenabled()
+
+    def test_state_is_restored_when_the_run_returns(self, env, collector):
+        seen = []
+        env.process(self.churn(env, seen, steps=2))
+        env.run(until=1.5)          # stops on the until event
+        assert gc.isenabled() is collector
+        env.run()                   # drains
+        assert gc.isenabled() is collector
+        assert seen == [False, False]
+
+    def test_state_is_restored_when_a_process_raises_out(self, env,
+                                                         collector):
+        def boom(env):
+            yield env.timeout(1)
+            raise RuntimeError("boom")
+
+        env.process(boom(env))
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert gc.isenabled() is collector
+
+    def test_nested_run_leaves_the_outer_pause_alone(self, env, collector):
+        seen = []
+
+        def outer(env):
+            yield env.timeout(1)
+            inner = Environment()
+            inner.process(self.churn(inner, seen, steps=1))
+            inner.run()
+            seen.append(gc.isenabled())  # the inner exit re-enabled nothing
+
+        env.process(outer(env))
+        env.run()
+        assert seen == [False, False]
+        assert gc.isenabled() is collector
+
+    def test_helper_restores_on_exceptions_and_nests(self, collector):
+        with pytest.raises(KeyError):
+            with collector_paused():
+                with collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+                raise KeyError("x")
+        assert gc.isenabled() is collector
+
+    def test_a_steered_run_keeps_the_collector(self, env,
+                                               collections_started):
+        class IdleController:
+            def drain(self):
+                pass
+
+        env.control = IdleController()
+        seen = []
+        env.process(self.churn(env, seen, steps=3))
+        env.run()
+        assert seen == [True] * 3 and collections_started
 
 
 class TestStepAndPeek:
