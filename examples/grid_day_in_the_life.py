@@ -26,7 +26,7 @@ from repro.workloads import (
 
 def main() -> None:
     handle = Scenario(sites=4, scenario="europe", nodes_per_site=3,
-                      seed=2026).build()
+                      seed=2026, trace=True).build()
     testbed = handle.testbed
     broker = handle.broker
 
@@ -55,7 +55,7 @@ def main() -> None:
         testbed.env.run(until=testbed.env.now + 120)
 
     print()
-    print(render_timeline(broker.trace, width=76, max_jobs=24))
+    print(render_timeline(handle.tracer, width=76, max_jobs=24))
 
     paths = Counter(s.report.path.value for s in submitted if s.report.path)
     print("\nsubmission paths taken:")

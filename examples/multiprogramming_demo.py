@@ -20,7 +20,7 @@ from repro.workloads import cpu_bound_app, progress_app
 def main() -> None:
     # ONE machine in the grid.
     handle = Scenario(sites=1, scenario="campus", nodes_per_site=1,
-                      seed=3).build()
+                      seed=3, trace=True).build()
     env = handle.env
     broker = handle.broker
 
@@ -67,7 +67,7 @@ def main() -> None:
     from repro.metrics import render_timeline
 
     print()
-    print(render_timeline(broker.trace))
+    print(render_timeline(handle.tracer))
 
 
 if __name__ == "__main__":

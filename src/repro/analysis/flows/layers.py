@@ -112,7 +112,6 @@ REPRO_LAYERS = LayerMap(
         # 2 — the grid fabric and result streaming.
         "grid": 2,
         "streaming": 2,
-        "interposition": 2,
         # 3 — scheduling policy stacks.
         "multiprog": 3,
         "baselines": 3,
@@ -122,9 +121,12 @@ REPRO_LAYERS = LayerMap(
         # 5 — the runner (cache/engine) and scenario facade.
         "runner": 5,
         "scenario": 5,
-        # 6 — the top: experiments and the CLI.
+        # 6 — the top: experiments, the CLI, and the real-socket twin of
+        #     the streaming layer (DESIGN.md's proof; only an example
+        #     drives it, and nothing under the simulator may import it).
         "experiments": 6,
         "cli": 6,
+        "interposition": 6,
     },
     isolated=("obs",),
     observes=("sim", "core", "grid", "streaming", "multiprog", "net"),
@@ -136,10 +138,12 @@ REPRO_LAYERS = LayerMap(
         # `gc`: a run pauses the cyclic collector (collector_paused);
         # `hashlib`: rng.py names its streams by blake2b, once per
         # stream — an import statement inside that branch ran 11 k
-        # times per grid_day.
-        "sim": ("__future__", "collections", "dataclasses", "enum",
-                "functools", "gc", "hashlib", "heapq", "itertools", "math",
-                "os", "types", "typing", "warnings", "weakref", "numpy"),
+        # times per grid_day; `contextlib`: trace_span's no-op context
+        # for an untraced environment.
+        "sim": ("__future__", "collections", "contextlib", "dataclasses",
+                "enum", "functools", "gc", "hashlib", "heapq", "itertools",
+                "math", "os", "types", "typing", "warnings", "weakref",
+                "numpy"),
     },
     factory_only={
         # Driver layers must build brokers via core.protocol.make_broker

@@ -37,7 +37,8 @@ from ..grid.testbed import BROKER_HOST, MDS_HOST
 from ..jdl import JobDescription
 from ..multiprog import AgentRegistry
 from ..net import Network, NetworkError
-from ..sim import Environment, Event, EventTrace, Process, RandomStreams
+from ..sim import (Environment, Event, Process, RandomStreams, trace_event,
+                   trace_span)
 from ..streaming import InteractiveSession
 from .fairshare import FairShareAccounting, af_batch, af_interactive
 from .leases import LeaseTable
@@ -126,7 +127,6 @@ class BrokerBase:
         self.fairshare = FairShareAccounting(env, calibration.fairshare,
                                              total_cpus=1)
         self.agents = AgentRegistry(env)
-        self.trace = EventTrace()
         self.replicas = replicas
         self.reports: List[SubmissionReport] = []
 
@@ -192,8 +192,8 @@ class BrokerBase:
         reason."""
         if submitted.finished.triggered:
             return False
-        self.trace.log(self.env.now, "cancel", job=submitted.job.job_id,
-                       reason=reason)
+        trace_event(self.env, "cancel", job=submitted.job.job_id,
+                    reason=reason)
         submitted.report.error = f"Cancelled: {reason}"
         if submitted.session is not None:
             yield from submitted.session.kill_job(reason)
@@ -227,28 +227,23 @@ class BrokerBase:
              factory: BehaviorFactory) -> Generator:
         job = submitted.job
         report = submitted.report
-        self.trace.log(self.env.now, "submit", job=job.job_id,
-                       owner=job.owner, interactive=job.is_interactive)
-        tr = self.env.tracer
-        span = tr.begin("submit", job=job.job_id, owner=job.owner,
-                        interactive=job.is_interactive) \
-            if tr is not None else None
+        trace_event(self.env, "submit", job=job.job_id, owner=job.owner,
+                    interactive=job.is_interactive)
         try:
-            yield from self._execute(submitted, factory)
+            with trace_span(self.env, "submit", job=job.job_id,
+                            owner=job.owner, interactive=job.is_interactive):
+                yield from self._execute(submitted, factory)
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             report.error = f"{type(exc).__name__}: {exc}"
-            self.trace.log(self.env.now, "failed", job=job.job_id,
-                           error=report.error)
+            tr = self.env.tracer
             if tr is not None:
-                tr.end(span, status="error")
+                tr.event("failed", job=job.job_id, error=report.error)
                 tr.count("jobs_failed", job=job.job_id)
             if not submitted.finished.triggered:
                 submitted.finished.fail(exc)
                 submitted.finished.defuse()
             return
         report.finished_at = self.env.now
-        if tr is not None:
-            tr.end(span)
 
     # ------------------------------------------------------------------
     # Discovery/selection (push-family; the pull broker never calls it)
@@ -257,23 +252,18 @@ class BrokerBase:
         """Stages 1+2; fills the report's timing columns."""
         job = submitted.job
         report = submitted.report
-        tr = self.env.tracer
-        span = tr.begin("match", job=job.job_id, path="mds") \
-            if tr is not None else None
         match_started = self.env.now
-        adverts, discovery_time = yield from self.selector.discover()
-        report.discovery_time = discovery_time
-        self._note_grid_size(adverts)
-        outcome = yield from self.selector.select(job, adverts)
-        report.selection_time = outcome.selection_time
-        candidates = yield from self._refine_candidates(
-            submitted, outcome.candidates)
-        self.trace.log(self.env.now, "selected", job=job.job_id,
-                       n_candidates=len(candidates),
-                       discovery=discovery_time,
-                       selection=report.selection_time)
-        if tr is not None:
-            tr.end(span)
+        with trace_span(self.env, "match", job=job.job_id, path="mds"):
+            adverts, discovery_time = yield from self.selector.discover()
+            report.discovery_time = discovery_time
+            self._note_grid_size(adverts)
+            outcome = yield from self.selector.select(job, adverts)
+            report.selection_time = outcome.selection_time
+            candidates = yield from self._refine_candidates(
+                submitted, outcome.candidates)
+        trace_event(self.env, "selected", job=job.job_id,
+                    n_candidates=len(candidates), discovery=discovery_time,
+                    selection=report.selection_time)
         t = self.env.telemetry
         if t is not None:
             t.histogram("broker.match_latency.mds").observe(
@@ -314,24 +304,15 @@ class BrokerBase:
         if not job.output_sandbox or not submitted.report.sites:
             return
         gatekeeper = f"gk.{submitted.report.sites[0]}"
-        tr = self.env.tracer
-        span = tr.begin("output_retrieval", job=job.job_id,
+        with trace_span(self.env, "output_retrieval", job=job.job_id,
                         site=submitted.report.sites[0],
-                        nbytes=job.output_sandbox) \
-            if tr is not None else None
-        try:
+                        nbytes=job.output_sandbox):
             elapsed = yield from retrieve_output(
                 self.env, self.network, self.rng, gatekeeper,
                 self.broker_host, job.output_sandbox)
-        except BaseException:
-            if tr is not None:
-                tr.end(span, status="error")
-            raise
-        if tr is not None:
-            tr.end(span)
         submitted.report.output_retrieval_time = elapsed
-        self.trace.log(self.env.now, "output-retrieved", job=job.job_id,
-                       elapsed=elapsed)
+        trace_event(self.env, "output-retrieved", job=job.job_id,
+                    elapsed=elapsed)
 
     def _charge_shadow_setup(self, submitted: SubmittedJob) -> Generator:
         """Start the console shadow + wait for its port to be probed
@@ -378,40 +359,36 @@ class BrokerBase:
             return
         report = submitted.report
         started = self.env.now
-        tr = self.env.tracer
-        span = tr.begin("data_staging", job=job.job_id, site=candidate.site,
-                        n_files=len(lfns)) if tr is not None else None
         pace = self.env.timer(name=f"broker/data-stage/{job.job_id}")
         local_hits = 0
-        try:
-            for lfn in lfns:
-                replica = self._pick_replica(lfn, candidate)
-                if replica is None:
-                    raise NoResourcesError(
-                        f"{job.job_id}: no replica registered for {lfn!r}")
-                if replica.site == candidate.site:
-                    local_hits += 1
-                    continue
-                elapsed = self.network.transfer_time(
-                    replica.gatekeeper, candidate.gatekeeper, replica.nbytes,
-                    stream=f"replica/{lfn}")
-                yield pace.arm(elapsed)
-        except BaseException:
-            pace.cancel()
-            if tr is not None:
-                tr.end(span, status="error")
-            raise
-        if tr is not None:
-            tr.end(span)
+        with trace_span(self.env, "data_staging", job=job.job_id,
+                        site=candidate.site, n_files=len(lfns)):
+            try:
+                for lfn in lfns:
+                    replica = self._pick_replica(lfn, candidate)
+                    if replica is None:
+                        raise NoResourcesError(
+                            f"{job.job_id}: no replica registered for "
+                            f"{lfn!r}")
+                    if replica.site == candidate.site:
+                        local_hits += 1
+                        continue
+                    elapsed = self.network.transfer_time(
+                        replica.gatekeeper, candidate.gatekeeper,
+                        replica.nbytes, stream=f"replica/{lfn}")
+                    yield pace.arm(elapsed)
+            except BaseException:
+                pace.cancel()
+                raise
         report.data_staging_time = self.env.now - started
         t = self.env.telemetry
         if t is not None:
             t.histogram("broker.data.staging").observe(report.data_staging_time)
             if local_hits:
                 t.counter("broker.data.local_hits").inc(local_hits)
-        self.trace.log(self.env.now, "data-staged", job=job.job_id,
-                       site=candidate.site, files=len(lfns),
-                       local=local_hits, elapsed=report.data_staging_time)
+        trace_event(self.env, "data-staged", job=job.job_id,
+                    site=candidate.site, files=len(lfns), local=local_hits,
+                    elapsed=report.data_staging_time)
 
     # -- GRAM path ---------------------------------------------------------
     def _submit_via_gram(self, submitted: SubmittedJob,
@@ -423,62 +400,59 @@ class BrokerBase:
         job = submitted.job
         report = submitted.report
         submit_started = self.env.now
-        tr = self.env.tracer
-        span = tr.begin("gram_submit", job=job.job_id, site=candidate.site,
-                        rank=rank) if tr is not None else None
-        yield from self._charge_shadow_setup(submitted)
-        lease = self.leases.acquire(candidate.site, job.job_id)
-        gram = GramClient(self.env, self.network, self.rng, self.broker_host,
-                          candidate.gatekeeper, self.costs)
-        try:
-            yield from gram.connect()
-            if job.input_sandbox:
-                yield from stage_input(self.env, self.network, self.rng,
-                                       self.broker_host, candidate.gatekeeper,
-                                       job.input_sandbox)
-            else:
-                # Sandbox preparation still costs a transfer setup.
-                yield self.env.timeout(self.rng.jitter(
-                    "broker/stage-setup", self.costs.input_staging, 0.15))
-            yield from self._stage_job_data(submitted, candidate)
-            setup = None
-            if submitted.session is not None:
-                setup = submitted.session.make_setup(candidate.gatekeeper,
-                                                     rank)
-            ticket = yield from gram.submit(
-                f"{job.job_id}/r{rank}", job.owner, factory(rank),
-                interactive=job.is_interactive, two_phase=True,
-                priority=self.fairshare.ordering_key(job.owner),
-                setup=setup)
-        except BaseException:
-            self.leases.release(lease)
-            yield from gram.close()
-            if tr is not None:
-                tr.end(span, status="error")
-            raise
-        self.leases.release(lease)
-
-        # On-line scheduling (§3): the scheduler attempts to run each
-        # interactive job immediately — if it enters a queue instead, it is
-        # cancelled and resubmitted to another available resource.
-        timeout = self.env.timeout(self.config.queued_resubmit_timeout)
-        yield ticket.handle.started | timeout
-        if not ticket.handle.started.triggered:
-            self.trace.log(self.env.now, "resubmit", job=job.job_id,
-                           site=candidate.site)
-            if tr is not None:
-                tr.end(span, status="queued-timeout")
-                tr.count("resubmits", job=job.job_id, site=candidate.site)
+        with trace_span(self.env, "gram_submit", job=job.job_id,
+                        site=candidate.site, rank=rank) as span:
+            yield from self._charge_shadow_setup(submitted)
+            lease = self.leases.acquire(candidate.site, job.job_id)
+            gram = GramClient(self.env, self.network, self.rng,
+                              self.broker_host, candidate.gatekeeper,
+                              self.costs)
             try:
-                yield from gram.cancel(ticket.gram_id)
-            except NetworkError:
-                pass
-            yield from gram.close()
-            return False
-        yield from gram.close()
+                yield from gram.connect()
+                if job.input_sandbox:
+                    yield from stage_input(
+                        self.env, self.network, self.rng, self.broker_host,
+                        candidate.gatekeeper, job.input_sandbox)
+                else:
+                    # Sandbox preparation still costs a transfer setup.
+                    yield self.env.timeout(self.rng.jitter(
+                        "broker/stage-setup", self.costs.input_staging, 0.15))
+                yield from self._stage_job_data(submitted, candidate)
+                setup = None
+                if submitted.session is not None:
+                    setup = submitted.session.make_setup(candidate.gatekeeper,
+                                                         rank)
+                ticket = yield from gram.submit(
+                    f"{job.job_id}/r{rank}", job.owner, factory(rank),
+                    interactive=job.is_interactive, two_phase=True,
+                    priority=self.fairshare.ordering_key(job.owner),
+                    setup=setup)
+            except BaseException:
+                self.leases.release(lease)
+                yield from gram.close()
+                raise
+            self.leases.release(lease)
 
-        if tr is not None:
-            tr.end(span)
+            # On-line scheduling (§3): the scheduler attempts to run each
+            # interactive job immediately — if it enters a queue instead,
+            # it is cancelled and resubmitted to another available resource.
+            timeout = self.env.timeout(self.config.queued_resubmit_timeout)
+            yield ticket.handle.started | timeout
+            if not ticket.handle.started.triggered:
+                tr = self.env.tracer
+                if tr is not None:
+                    tr.event("resubmit", job=job.job_id, site=candidate.site)
+                    # The span covers the wait, not the cancel that follows.
+                    tr.end(span, status="queued-timeout")
+                    tr.count("resubmits", job=job.job_id, site=candidate.site)
+                try:
+                    yield from gram.cancel(ticket.gram_id)
+                except NetworkError:
+                    pass
+                yield from gram.close()
+                return False
+            yield from gram.close()
+
         report.sites.append(candidate.site)
         report.started_at = self.env.now
         report.submission_time = self.env.now - submit_started
@@ -505,7 +479,7 @@ class BrokerBase:
         finally:
             self._charge_finish(job)
             submitted.report.finished_at = self.env.now
-            self.trace.log(self.env.now, "finished", job=job.job_id)
+            trace_event(self.env, "finished", job=job.job_id)
 
     # -- introspection ---------------------------------------------------
     @property

@@ -35,7 +35,7 @@ from ..grid.gram import GramClient
 from ..grid.mpi import plan_allocation, subjobs_for
 from ..multiprog import AGENT_PORT, AgentRecord, AgentRuntime
 from ..net import NetworkError, RpcClient, RpcError
-from ..sim import Event
+from ..sim import Event, trace_event, trace_span
 from .base import BehaviorFactory, BrokerBase, BrokerConfig, SubmittedJob
 from .fairshare import af_batch, af_displaced_batch
 from .reports import SubmissionPath
@@ -131,10 +131,9 @@ class CrossBroker(BrokerBase):
             # Whole grid busy: park in the broker queue (Figure 5, arrow 2).
             report.path = SubmissionPath.BROKER_QUEUED
             attempts += 1
-            self.trace.log(self.env.now, "broker-queued", job=job.job_id,
-                           attempt=attempts)
             tr = self.env.tracer
             if tr is not None:
+                tr.event("broker-queued", job=job.job_id, attempt=attempts)
                 tr.count("broker_queued", job=job.job_id)
             self._queued_batch.append(submitted)
             t = self.env.telemetry
@@ -205,14 +204,10 @@ class CrossBroker(BrokerBase):
         job = submitted.job
         report = submitted.report
         # Combined discovery+selection: the VM registry is local state.
-        tr = self.env.tracer
-        span = tr.begin("match", job=job.job_id, path="registry") \
-            if tr is not None else None
         match_started = self.env.now
-        yield self.env.timeout(self.rng.jitter(
-            "broker/registry", self.config.registry_lookup_cost, 0.2))
-        if tr is not None:
-            tr.end(span)
+        with trace_span(self.env, "match", job=job.job_id, path="registry"):
+            yield self.env.timeout(self.rng.jitter(
+                "broker/registry", self.config.registry_lookup_cost, 0.2))
         t = self.env.telemetry
         if t is not None:
             t.histogram("broker.match_latency.registry").observe(
@@ -252,6 +247,7 @@ class CrossBroker(BrokerBase):
         # "CrossBroker searches for an idle machine and submits the agent
         # and the application in a similar way to... a batch job").
         self._vm_miss_times.append(self.env.now)
+        tr = self.env.tracer
         if tr is not None:
             tr.count("vm_miss", job=job.job_id)
         report.path = SubmissionPath.INTERACTIVE_SHARED_NEW_AGENT
@@ -320,37 +316,32 @@ class CrossBroker(BrokerBase):
         yield from self._charge_shadow_setup(submitted)
         finish_events: List[Event] = []
         start_events: List[Event] = []
-        tr = self.env.tracer
         for subjob in subjobs:
             candidate = by_site[subjob.site]
             lease = self.leases.acquire(candidate.site, job.job_id)
             gram = GramClient(self.env, self.network, self.rng,
                               self.broker_host, candidate.gatekeeper,
                               self.costs)
-            span = tr.begin("gram_submit", job=job.job_id,
-                            site=candidate.site, rank=subjob.rank) \
-                if tr is not None else None
-            ok = False
-            try:
-                yield from gram.connect()
-                setup = None
-                # §4: MPICH-G2 gets one Console Agent per subjob; MPICH-P4
-                # (and sequential) a single CA on the master rank.
-                if submitted.session is not None \
-                        and subjob.rank < job.console_agents:
-                    setup = submitted.session.make_setup(
-                        candidate.gatekeeper, subjob.rank)
-                ticket = yield from gram.submit(
-                    subjob.label, job.owner, factory(subjob.rank),
-                    interactive=True, two_phase=True,
-                    priority=self.fairshare.ordering_key(job.owner),
-                    setup=setup)
-                ok = True
-            finally:
-                self.leases.release(lease)
-                yield from gram.close()
-                if tr is not None:
-                    tr.end(span, status="ok" if ok else "error")
+            with trace_span(self.env, "gram_submit", job=job.job_id,
+                            site=candidate.site, rank=subjob.rank):
+                try:
+                    yield from gram.connect()
+                    setup = None
+                    # §4: MPICH-G2 gets one Console Agent per subjob;
+                    # MPICH-P4 (and sequential) a single CA on the master
+                    # rank.
+                    if submitted.session is not None \
+                            and subjob.rank < job.console_agents:
+                        setup = submitted.session.make_setup(
+                            candidate.gatekeeper, subjob.rank)
+                    ticket = yield from gram.submit(
+                        subjob.label, job.owner, factory(subjob.rank),
+                        interactive=True, two_phase=True,
+                        priority=self.fairshare.ordering_key(job.owner),
+                        setup=setup)
+                finally:
+                    self.leases.release(lease)
+                    yield from gram.close()
             start_events.append(ticket.handle.started)
             finish_events.append(ticket.handle.finished)
             if candidate.site not in report.sites:
@@ -370,63 +361,52 @@ class CrossBroker(BrokerBase):
     def _plant_agent(self, submitted: SubmittedJob, candidate) -> Generator:
         """Submit a glide-in agent to a site through GRAM and wait for it."""
         job = submitted.job
-        site_obj_host = candidate.gatekeeper
-        tr = self.env.tracer
-        span = tr.begin("agent_bootstrap", job=job.job_id,
-                        site=candidate.site) if tr is not None else None
-        gram = GramClient(self.env, self.network, self.rng, self.broker_host,
-                          site_obj_host, self.costs)
-        try:
-            yield from gram.connect()
-        except BaseException:
-            if tr is not None:
-                tr.end(span, status="error")
-            raise
-        # Glide-in sandbox transfer (the agent binary) dominates staging.
-        yield self.env.timeout(self.rng.jitter(
-            "broker/glidein-transfer", self.costs.glidein_transfer, 0.10))
-
         ready_records: List[AgentRecord] = []
+        with trace_span(self.env, "agent_bootstrap", job=job.job_id,
+                        site=candidate.site):
+            gram = GramClient(self.env, self.network, self.rng,
+                              self.broker_host, candidate.gatekeeper,
+                              self.costs)
+            yield from gram.connect()
+            # Glide-in sandbox transfer (the agent binary) dominates staging.
+            yield self.env.timeout(self.rng.jitter(
+                "broker/glidein-transfer", self.costs.glidein_transfer, 0.10))
 
-        def on_ready(runtime: AgentRuntime) -> None:
-            ready_records.append(self.agents.register(runtime, candidate.site))
+            def on_ready(runtime: AgentRuntime) -> None:
+                ready_records.append(
+                    self.agents.register(runtime, candidate.site))
 
-        # The runtime object is created lazily on the chosen node via a
-        # bootstrap behavior (the LRMS picks the node, not the broker).
-        broker = self
+            # The runtime object is created lazily on the chosen node via a
+            # bootstrap behavior (the LRMS picks the node, not the broker).
+            interactive_slots = self._interactive_slots_for_next_agent()
 
-        interactive_slots = self._interactive_slots_for_next_agent()
+            def bootstrap(ctx) -> Generator:
+                runtime = AgentRuntime(
+                    self.env, self.network, self.rng, ctx.node,
+                    self.costs, interactive_slots=interactive_slots)
+                inner = runtime.behavior(on_ready=on_ready)
+                result = yield from inner(ctx)
+                return result
 
-        def bootstrap(ctx) -> Generator:
-            runtime = AgentRuntime(
-                broker.env, broker.network, broker.rng, ctx.node,
-                broker.costs, interactive_slots=interactive_slots)
-            inner = runtime.behavior(on_ready=on_ready)
-            result = yield from inner(ctx)
-            return result
-
-        try:
-            ticket = yield from gram.submit(f"glidein/{candidate.site}",
-                                            "crossbroker", bootstrap,
-                                            daemon=True)
-        except BaseException:
+            try:
+                ticket = yield from gram.submit(f"glidein/{candidate.site}",
+                                                "crossbroker", bootstrap,
+                                                daemon=True)
+            except BaseException:
+                yield from gram.close()
+                raise
             yield from gram.close()
-            if tr is not None:
-                tr.end(span, status="error")
-            raise
-        yield from gram.close()
-        yield ticket.handle.started
-        # Wait for the runtime to boot and register (re-armable poll
-        # timer: no per-cycle event garbage).
-        boot_poll = self.env.timer(name=f"broker/boot-poll/{job.job_id}")
-        while not ready_records:
-            yield boot_poll.arm(0.05)
+            yield ticket.handle.started
+            # Wait for the runtime to boot and register (re-armable poll
+            # timer: no per-cycle event garbage).
+            boot_poll = self.env.timer(name=f"broker/boot-poll/{job.job_id}")
+            while not ready_records:
+                yield boot_poll.arm(0.05)
         record = ready_records[0]
-        self.trace.log(self.env.now, "agent-ready",
-                       agent=record.runtime.agent_id, site=candidate.site,
-                       job=job.job_id)
+        tr = self.env.tracer
         if tr is not None:
-            tr.end(span)
+            tr.event("agent-ready", agent=record.runtime.agent_id,
+                     site=candidate.site, job=job.job_id)
             tr.count("agents_planted", site=candidate.site)
         return record
 
@@ -448,15 +428,14 @@ class CrossBroker(BrokerBase):
         report = submitted.report
         if submit_started is None:
             submit_started = self.env.now
-        tr = self.env.tracer
-        span = tr.begin("dispatch", job=job.job_id, site=record.site,
-                        agent=record.runtime.agent_id, vm="batch") \
-            if tr is not None else None
-        yield from self._charge_shadow_setup(submitted)
-        setup = None
-        if submitted.session is not None:
-            setup = submitted.session.make_setup(record.runtime.node.name, 0)
-        try:
+        with trace_span(self.env, "dispatch", job=job.job_id,
+                        site=record.site, agent=record.runtime.agent_id,
+                        vm="batch"):
+            yield from self._charge_shadow_setup(submitted)
+            setup = None
+            if submitted.session is not None:
+                setup = submitted.session.make_setup(
+                    record.runtime.node.name, 0)
             rpc = yield from self._agent_rpc(record)
             try:
                 ticket = yield from rpc.call(
@@ -465,12 +444,6 @@ class CrossBroker(BrokerBase):
             finally:
                 yield from rpc.close()
             yield ticket.started
-        except BaseException:
-            if tr is not None:
-                tr.end(span, status="error")
-            raise
-        if tr is not None:
-            tr.end(span)
         report.sites.append(record.site)
         report.started_at = self.env.now
         report.submission_time = self.env.now - submit_started
@@ -506,15 +479,11 @@ class CrossBroker(BrokerBase):
                     and submitted.report.resubmissions \
                     < self.config.max_resubmissions:
                 submitted.report.resubmissions += 1
-                self.trace.log(self.env.now, "agent-died-resubmit",
-                               job=job.job_id,
-                               agent=record.runtime.agent_id,
-                               attempt=submitted.report.resubmissions)
                 tr = self.env.tracer
                 if tr is not None:
                     tr.count("agent_died_resubmit", job=job.job_id,
                              site=record.site)
-                    tr.event("agent_died", job=job.job_id,
+                    tr.event("agent-died-resubmit", job=job.job_id,
                              agent=record.runtime.agent_id,
                              attempt=submitted.report.resubmissions)
                 try:
@@ -530,8 +499,7 @@ class CrossBroker(BrokerBase):
                 submitted.finished.fail(exc)
                 submitted.finished.defuse()
             submitted.report.finished_at = self.env.now
-            self.trace.log(self.env.now, "finished", job=job.job_id,
-                           failed=True)
+            trace_event(self.env, "finished", job=job.job_id, failed=True)
             return
         self._charge_finish(job)
         self._agent_batch.pop(record.runtime.agent_id, None)
@@ -539,7 +507,7 @@ class CrossBroker(BrokerBase):
         if not submitted.finished.triggered:
             submitted.finished.succeed([result])
         submitted.report.finished_at = self.env.now
-        self.trace.log(self.env.now, "finished", job=job.job_id)
+        trace_event(self.env, "finished", job=job.job_id)
 
     def _dispatch_interactive_to_agents(self, submitted: SubmittedJob,
                                         factory: BehaviorFactory,
@@ -547,19 +515,17 @@ class CrossBroker(BrokerBase):
         job = submitted.job
         report = submitted.report
         submit_started = self.env.now
-        tr = self.env.tracer
         yield from self._charge_shadow_setup(submitted)
         finish_events: List[Event] = []
         displaced: List[Tuple[str, str, float]] = []
         for rank, record in enumerate(records):
-            span = tr.begin("dispatch", job=job.job_id, site=record.site,
-                            agent=record.runtime.agent_id, rank=rank,
-                            vm="interactive") if tr is not None else None
-            setup = None
-            if submitted.session is not None:
-                setup = submitted.session.make_setup(
-                    record.runtime.node.name, rank)
-            try:
+            with trace_span(self.env, "dispatch", job=job.job_id,
+                            site=record.site, agent=record.runtime.agent_id,
+                            rank=rank, vm="interactive"):
+                setup = None
+                if submitted.session is not None:
+                    setup = submitted.session.make_setup(
+                        record.runtime.node.name, rank)
                 rpc = yield from self._agent_rpc(record)
                 try:
                     ticket = yield from rpc.call(
@@ -569,12 +535,6 @@ class CrossBroker(BrokerBase):
                 finally:
                     yield from rpc.close()
                 yield ticket.started
-            except BaseException:
-                if tr is not None:
-                    tr.end(span, status="error")
-                raise
-            if tr is not None:
-                tr.end(span)
             finish_events.append(ticket.finished)
             if record.site not in report.sites:
                 report.sites.append(record.site)

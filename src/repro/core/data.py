@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Generator, List
 
 from ..grid.errors import NoResourcesError
+from ..sim import trace_event, trace_span
 from .base import BrokerConfig, SubmittedJob
 from .broker import CrossBroker
 from .matchmaker import Candidate
@@ -77,14 +78,12 @@ class DataAwareBroker(CrossBroker):
 
         started = self.env.now
         report = submitted.report
-        tr = self.env.tracer
-        span = tr.begin("data_refine", job=job.job_id,
-                        n_candidates=len(candidates), n_files=len(lfns)) \
-            if tr is not None else None
-        # One indexed catalog query per declared file.
-        yield self.env.timeout(self.rng.jitter(
-            "broker/replica-lookup",
-            config.replica_lookup_cost * max(len(lfns), 1), 0.15))
+        with trace_span(self.env, "data_refine", job=job.job_id,
+                        n_candidates=len(candidates), n_files=len(lfns)):
+            # One indexed catalog query per declared file.
+            yield self.env.timeout(self.rng.jitter(
+                "broker/replica-lookup",
+                config.replica_lookup_cost * max(len(lfns), 1), 0.15))
 
         runtime = job.estimated_runtime \
             if job.estimated_runtime is not None \
@@ -116,8 +115,6 @@ class DataAwareBroker(CrossBroker):
         refined.sort(key=lambda c: -c.rank)
 
         report.selection_time += self.env.now - started
-        if tr is not None:
-            tr.end(span)
         t = self.env.telemetry
         if t is not None:
             t.counter("broker.data.refines").inc()
@@ -125,9 +122,9 @@ class DataAwareBroker(CrossBroker):
                 t.counter("broker.data.dropped.deadline").inc(dropped_deadline)
             if dropped_budget:
                 t.counter("broker.data.dropped.budget").inc(dropped_budget)
-        self.trace.log(self.env.now, "data-refined", job=job.job_id,
-                       kept=len(refined), deadline_dropped=dropped_deadline,
-                       budget_dropped=dropped_budget)
+        trace_event(self.env, "data-refined", job=job.job_id,
+                    kept=len(refined), deadline_dropped=dropped_deadline,
+                    budget_dropped=dropped_budget)
         if not refined:
             raise NoResourcesError(
                 f"{job.job_id}: no site satisfies the deadline/budget "

@@ -31,7 +31,7 @@ from ..grid.siteagent import PULL_PORT, SiteAgent
 from ..grid.site import Site
 from ..jdl import matches
 from ..net import NetworkError, RpcError, RpcServer
-from ..sim import Event
+from ..sim import Event, trace_event
 from .base import BehaviorFactory, BrokerBase, BrokerConfig, SubmittedJob
 from .matchmaker import Candidate
 from .reports import SubmissionPath
@@ -177,9 +177,8 @@ class PullBroker(BrokerBase):
     # ------------------------------------------------------------------
     def _enqueue(self, task: _PullTask) -> None:
         self._tasks.append(task)
-        self.trace.log(self.env.now, "task-queued",
-                       job=task.submitted.job.job_id,
-                       depth=len(self._tasks))
+        trace_event(self.env, "task-queued", job=task.submitted.job.job_id,
+                    depth=len(self._tasks))
         t = self.env.telemetry
         if t is not None:
             t.gauge("broker.queue.tasks").set(len(self._tasks))
@@ -230,9 +229,9 @@ class PullBroker(BrokerBase):
                     self._dequeue(task)
                     self._inflight[site] = self._inflight.get(site, 0) + 1
                     task.claimed.succeed(site)
-                    self.trace.log(self.env.now, "task-claimed",
-                                   job=task.submitted.job.job_id, site=site,
-                                   wait=self.env.now - task.enqueued_at)
+                    trace_event(self.env, "task-claimed",
+                                job=task.submitted.job.job_id, site=site,
+                                wait=self.env.now - task.enqueued_at)
                     if t is not None:
                         t.counter("broker.pulls.claimed").inc()
                     return task.submitted.job.job_id

@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..jdl import JobDescription
-from ..workloads import cpu_bound_app
+from ..workloads import cpu_bound_app, synthetic_job
 from .status import job_stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (scenario is a
@@ -69,15 +68,10 @@ class SteeringAdapter:
         if count < 1:
             raise ValueError("inject needs count >= 1")
         injected: List[str] = []
-        jobtype = ["interactive", "sequential"] if interactive \
-            else ["sequential"]
         for _ in range(count):
             n = next(self._inject_counter)
-            job = JobDescription.from_attributes({
-                "executable": "chaos-load",
-                "jobtype": jobtype,
-                "estimatedruntime": float(runtime),
-            }, owner=owner).clone(job_id=f"chaos-{n:03d}")
+            job = synthetic_job(f"chaos-{n:03d}", owner, runtime,
+                                "chaos-load", interactive=interactive)
             submitted = self.handle.submit(
                 job, lambda rank: cpu_bound_app(float(runtime)),
                 attach_console=False)

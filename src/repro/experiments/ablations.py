@@ -20,7 +20,7 @@ from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..metrics import AsciiTable, Series
 from ..runner.spec import CellKey, ExperimentSpec, register
 from .common import ConfigCodec, ExperimentResult
-from .fig8 import _direct_ctx
+from .fig8 import agent_in_place
 
 
 def _campus(seed: int, calibration: Calibration):
@@ -217,7 +217,6 @@ def plan_pl_cells(config: PerformanceLossSweepConfig) -> List[CellKey]:
 
 
 def run_pl_cell(config: PerformanceLossSweepConfig, key: CellKey) -> float:
-    from ..multiprog import AgentRuntime
     from ..workloads import cpu_hog, make_loop_app
 
     pl = int(key[0])
@@ -226,16 +225,10 @@ def run_pl_cell(config: PerformanceLossSweepConfig, key: CellKey) -> float:
                       iterations=config.iterations)
     handle = _campus(config.seed + i, config.calibration)
     env = handle.env
-    tb = handle.testbed
-    node = handle.node()
-    runtime = AgentRuntime(env, handle.network, handle.rng, node,
-                           config.calibration.middleware)
-    node.acquire(runtime.agent_id)
+    runtime, boot = agent_in_place(handle, "pl/agent")
 
     def driver() -> Generator:
-        env.process(runtime.behavior()(_direct_ctx(env, tb, node)),
-                    name="pl/agent", daemon=True)
-        yield runtime.ready
+        yield from boot()
         bt = yield from runtime.run_job("hog", cpu_hog(), False, 0,
                                         daemon=True)
         yield bt.started
@@ -303,7 +296,6 @@ def plan_degree_cells(config: DegreeSweepConfig) -> List[CellKey]:
 
 
 def run_degree_cell(config: DegreeSweepConfig, key: CellKey) -> float:
-    from ..multiprog import AgentRuntime
     from ..workloads import make_loop_app
 
     degree = int(key[0])
@@ -312,17 +304,11 @@ def run_degree_cell(config: DegreeSweepConfig, key: CellKey) -> float:
                       iterations=config.iterations)
     handle = _campus(config.seed + i, config.calibration)
     env = handle.env
-    tb = handle.testbed
-    node = handle.node()
-    runtime = AgentRuntime(env, handle.network, handle.rng, node,
-                           config.calibration.middleware,
-                           interactive_slots=degree)
-    node.acquire(runtime.agent_id)
+    runtime, boot = agent_in_place(handle, "deg/agent",
+                                   interactive_slots=degree)
 
     def driver() -> Generator:
-        env.process(runtime.behavior()(_direct_ctx(env, tb, node)),
-                    name="deg/agent", daemon=True)
-        yield runtime.ready
+        yield from boot()
         tickets = []
         for k in range(degree):
             t = yield from runtime.run_job(f"loop{k}",

@@ -32,15 +32,18 @@ and cache-served execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..metrics import AsciiTable, Series
 from ..runner.spec import CellKey, ExperimentSpec, register
-from .common import ConfigCodec, ExperimentResult
-
-if TYPE_CHECKING:
-    from ..jdl import JobDescription
+from .common import (
+    ConfigCodec,
+    ExperimentResult,
+    drive_paced_jobs,
+    opt_cell,
+    opt_mean,
+)
 
 MODES = ("push", "pull", "data")
 REGIMES = ("baseline", "stale-mds", "site-failure", "many-sites")
@@ -94,30 +97,11 @@ class ModeMeasurement:
     staging: Series
 
 
-def _make_job(index: int, runtime: float,
-              lfns: Tuple[str, ...]) -> JobDescription:
-    from ..jdl import JobDescription
-
-    attrs = {
-        "executable": "bm-app",
-        "jobtype": ["interactive", "sequential"],
-        "machineaccess": "exclusive",
-        "streamingmode": "fast",
-        "estimatedruntime": runtime,
-    }
-    if lfns:
-        attrs["inputdata"] = list(lfns)
-    job = JobDescription.from_attributes(attrs, owner=f"user{index % 3}")
-    # Pin the id: the matchmaker's tie-break stream is keyed by job id,
-    # and the process-global counter is not cross-process deterministic.
-    return job.clone(job_id=f"bm-{index:03d}")
-
-
 def _measure(config: BrokerModesConfig, regime: str,
              mode: str) -> ModeMeasurement:
     from ..core import BrokerConfig, DataBrokerConfig
     from ..scenario import Scenario
-    from ..workloads import cpu_bound_app
+    from ..workloads import synthetic_job
 
     offset = REGIMES.index(regime) * len(MODES) + MODES.index(mode)
     n_sites = config.many_sites if regime == "many-sites" else config.sites
@@ -160,22 +144,17 @@ def _measure(config: BrokerModesConfig, regime: str,
     successes = 0
     resubmissions = 0
 
+    extra = {"inputdata": list(lfns)} if lfns else {}
+    jobs = (synthetic_job(f"bm-{i:03d}", f"user{i % 3}", runtime, "bm-app",
+                          machineaccess="exclusive", streamingmode="fast",
+                          **extra)
+            for i in range(config.jobs))
+
     def driver() -> Generator:
         nonlocal successes, resubmissions
-        pace = env.timer(name="bm/pace")
-        submitted = []
-        for i in range(config.jobs):
-            job = _make_job(i, runtime, lfns)
-            submitted.append(handle.submit(
-                job, lambda rank: cpu_bound_app(runtime),
-                attach_console=False))
-            if i < config.jobs - 1:
-                yield pace.arm(gap)
+        submitted = yield from drive_paced_jobs(handle, jobs, gap, runtime,
+                                                "bm/pace")
         for s in submitted:
-            try:
-                yield s.finished
-            except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- a failed submission is a measured outcome here, recorded via report.success
-                pass
             report = s.report
             match.append(report.selection_time)
             resubmissions += report.resubmissions
@@ -210,14 +189,6 @@ def run_cell(config: BrokerModesConfig, key: CellKey) -> ModeMeasurement:
     return _measure(config, regime, mode)
 
 
-def _mean(series: Series) -> Optional[float]:
-    return series.mean if series.values else None
-
-
-def _fmt(value: Optional[float]) -> object:
-    return value if value is not None else "-"
-
-
 def merge_cells(config: BrokerModesConfig,
                 payloads: Dict[CellKey, ModeMeasurement]) -> ExperimentResult:
     result = ExperimentResult(
@@ -234,9 +205,9 @@ def merge_cells(config: BrokerModesConfig,
         for mode in MODES:
             m = payloads[(regime, mode)]
             table.add_row(
-                mode, f"{m.successes}/{m.jobs}", _fmt(_mean(m.response)),
-                _fmt(_mean(m.match)), m.resubmissions,
-                _fmt(_mean(m.staging)))
+                mode, f"{m.successes}/{m.jobs}",
+                opt_cell(opt_mean(m.response)), opt_cell(opt_mean(m.match)),
+                m.resubmissions, opt_cell(opt_mean(m.staging)))
         result.tables.append(table)
     result.data["measurements"] = payloads
 
@@ -250,8 +221,8 @@ def merge_cells(config: BrokerModesConfig,
         all(m.successes == m.jobs for m in base.values()),
         ", ".join(f"{mode}:{m.successes}/{m.jobs}"
                   for mode, m in base.items()))
-    push_resp = _mean(base["push"].response)
-    data_resp = _mean(base["data"].response)
+    push_resp = opt_mean(base["push"].response)
+    data_resp = opt_mean(base["data"].response)
     result.check(
         "baseline: data-aware response <= push response (replica locality)",
         data_resp is not None and push_resp is not None
@@ -263,8 +234,8 @@ def merge_cells(config: BrokerModesConfig,
         stale["pull"].successes >= stale["push"].successes,
         f"pull {stale['pull'].successes}/{stale['pull'].jobs} vs "
         f"push {stale['push'].successes}/{stale['push'].jobs}")
-    pull_stale = _mean(stale["pull"].response)
-    push_stale = _mean(stale["push"].response)
+    pull_stale = opt_mean(stale["pull"].response)
+    push_stale = opt_mean(stale["push"].response)
     result.check(
         "stale-mds: the baseline ordering flips — pull responds faster "
         "than push",
@@ -279,8 +250,8 @@ def merge_cells(config: BrokerModesConfig,
         and fail["pull"].successes == fail["pull"].jobs,
         f"pull {fail['pull'].successes}/{fail['pull'].jobs} vs "
         f"push {fail['push'].successes}/{fail['push'].jobs}")
-    pull_many = _mean(many["pull"].match)
-    push_many = _mean(many["push"].match)
+    pull_many = opt_mean(many["pull"].match)
+    push_many = opt_mean(many["push"].match)
     result.check(
         "many-sites: pull match latency beats the push refresh fan-out",
         pull_many is not None and push_many is not None

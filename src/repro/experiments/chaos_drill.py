@@ -34,15 +34,20 @@ canonical order (chaos is opt-in): run it with ``repro run chaos-drill``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..metrics import AsciiTable, Series
 from ..runner.spec import CellKey, ExperimentSpec, register
-from .common import ConfigCodec, ExperimentResult
+from .common import (
+    ConfigCodec,
+    ExperimentResult,
+    drive_paced_jobs,
+    opt_cell,
+    opt_mean,
+)
 
 if TYPE_CHECKING:
-    from ..jdl import JobDescription
     from ..obs import ChaosSchedule
 
 REGIMES = ("calm", "drain", "partition", "burst")
@@ -111,28 +116,10 @@ def schedule_for(config: ChaosDrillConfig, regime: str) -> ChaosSchedule:
     return ChaosSchedule.from_dict({"version": 1, "actions": actions})
 
 
-def _make_job(index: int, runtime: float) -> JobDescription:
-    from ..jdl import JobDescription
-
-    job = JobDescription.from_attributes({
-        "executable": "drill-app",
-        "jobtype": ["interactive", "sequential"],
-        # Exclusive access: completion is observed on the in-process
-        # LRMS handle, so jobs already running at a partitioned site
-        # still finish (a shared-VM job's completion message would be
-        # lost with the WAN link and strand the submission forever).
-        "machineaccess": "exclusive",
-        "estimatedruntime": float(runtime),
-    }, owner=f"user{index % 3}")
-    # Pinned id: the matchmaker tie-break stream is keyed by job id and
-    # the process-global counter is not cross-process deterministic.
-    return job.clone(job_id=f"drill-{index:03d}")
-
-
 def _measure(config: ChaosDrillConfig, regime: str) -> DrillMeasurement:
     from ..obs import control_scope
     from ..scenario import Scenario
-    from ..workloads import cpu_bound_app
+    from ..workloads import synthetic_job
 
     offset = REGIMES.index(regime)
     schedule = schedule_for(config, regime)
@@ -146,22 +133,20 @@ def _measure(config: ChaosDrillConfig, regime: str) -> DrillMeasurement:
         successes = 0
         resubmissions = 0
 
+        # Exclusive access: completion is observed on the in-process
+        # LRMS handle, so jobs already running at a partitioned site
+        # still finish (a shared-VM job's completion message would be
+        # lost with the WAN link and strand the submission forever).
+        jobs = (synthetic_job(f"drill-{i:03d}", f"user{i % 3}",
+                              config.runtime, "drill-app",
+                              machineaccess="exclusive")
+                for i in range(config.jobs))
+
         def driver() -> Generator:
             nonlocal successes, resubmissions
-            pace = env.timer(name="drill/pace")
-            submitted = []
-            for i in range(config.jobs):
-                job = _make_job(i, config.runtime)
-                submitted.append(handle.submit(
-                    job, lambda rank: cpu_bound_app(config.runtime),
-                    attach_console=False))
-                if i < config.jobs - 1:
-                    yield pace.arm(config.gap)
+            submitted = yield from drive_paced_jobs(
+                handle, jobs, config.gap, config.runtime, "drill/pace")
             for s in submitted:
-                try:
-                    yield s.finished
-                except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- a failed submission is a measured outcome, recorded via report.success
-                    pass
                 report = s.report
                 resubmissions += report.resubmissions
                 if report.success:
@@ -216,14 +201,6 @@ def run_cell(config: ChaosDrillConfig, key: CellKey) -> DrillMeasurement:
     return _measure(config, regime)
 
 
-def _mean(series: Series) -> Optional[float]:
-    return series.mean if series.values else None
-
-
-def _fmt(value: Optional[float]) -> object:
-    return value if value is not None else "-"
-
-
 def merge_cells(config: ChaosDrillConfig,
                 payloads: Dict[CellKey, DrillMeasurement]) -> ExperimentResult:
     result = ExperimentResult(
@@ -239,9 +216,9 @@ def merge_cells(config: ChaosDrillConfig,
     for regime in REGIMES:
         m = payloads[(regime,)]
         table.add_row(
-            regime, f"{m.successes}/{m.jobs}", _fmt(_mean(m.response)),
-            m.resubmissions, f"{m.injected_done}/{m.injected}",
-            len(m.fired))
+            regime, f"{m.successes}/{m.jobs}",
+            opt_cell(opt_mean(m.response)), m.resubmissions,
+            f"{m.injected_done}/{m.injected}", len(m.fired))
     result.tables.append(table)
     result.data["measurements"] = payloads
 
@@ -268,15 +245,16 @@ def merge_cells(config: ChaosDrillConfig,
              or partition.resubmissions > 0),
         f"{partition.successes}/{partition.jobs}, "
         f"{partition.resubmissions} resubmissions")
-    calm_resp = _mean(calm.response)
-    burst_resp = _mean(burst.response)
+    calm_resp = opt_mean(calm.response)
+    burst_resp = opt_mean(burst.response)
     result.check(
         "burst: the injected load runs and steals foreground capacity",
         burst.injected == config.burst_jobs and burst.injected_done >= 1
         and burst.successes < calm.successes,
         f"injected {burst.injected_done}/{burst.injected}; foreground "
         f"{burst.successes}/{burst.jobs} vs calm {calm.successes}"
-        f"/{calm.jobs}; response {_fmt(burst_resp)} vs {_fmt(calm_resp)}")
+        f"/{calm.jobs}; response {opt_cell(burst_resp)} vs "
+        f"{opt_cell(calm_resp)}")
     result.notes.append(
         "Every cell replays its regime's ChaosSchedule inside a "
         "control_scope; the calm cell proves an attached-but-idle "

@@ -3,12 +3,52 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..codec import ConfigCodec
-from ..metrics import AsciiTable
+from ..metrics import AsciiTable, Series
 
 __all__ = ["ConfigCodec", "ShapeCheck", "ExperimentResult"]
+
+
+def opt_mean(series: Series) -> Optional[float]:
+    """A series' mean; ``None`` when nothing was measured."""
+    return series.mean if series.values else None
+
+
+def opt_cell(value: Optional[float]) -> object:
+    """Table-cell form of an optional number."""
+    return value if value is not None else "-"
+
+
+def drive_paced_jobs(handle, jobs: Iterable, gap: float, runtime: float,
+                     timer_name: str,
+                     on_submit: Optional[Callable] = None) -> Generator:
+    """Driver body of ``broker-modes``, ``chaos-drill`` and ``repro
+    serve``: submit ``jobs`` ``gap`` sim-seconds apart as console-less
+    CPU-bound work (``on_submit(record)`` sees each record), then wait
+    until every one has resolved.  Returns the records.
+    """
+    from ..workloads import cpu_bound_app, paced_submissions
+
+    submitted: List = []
+
+    def submit(job) -> None:
+        record = handle.submit(job, lambda rank: cpu_bound_app(runtime),
+                               attach_console=False)
+        if on_submit is not None:
+            on_submit(record)
+        submitted.append(record)
+
+    yield from paced_submissions(
+        handle.env, ((gap if i else 0.0, job) for i, job in enumerate(jobs)),
+        submit, timer_name)
+    for s in submitted:
+        try:
+            yield s.finished
+        except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- a failed submission is a measured outcome, recorded via report.success
+            pass
+    return submitted
 
 
 @dataclass

@@ -59,7 +59,6 @@ def _scenario_table(config: Fig8Config) -> List[Tuple[str, Optional[int],
 def _scenario(config: Fig8Config, pl: Optional[int], with_batch: bool,
               shared: bool, seed_offset: int) -> Tuple[Series, Series]:
     """Run one configuration; returns (io_series, cpu_series)."""
-    from ..multiprog import AgentRuntime
     from ..scenario import Scenario
     from ..workloads import cpu_hog, make_loop_app
 
@@ -70,8 +69,7 @@ def _scenario(config: Fig8Config, pl: Optional[int], with_batch: bool,
     handle = Scenario(sites=1, scenario="campus", nodes_per_site=1,
                       seed=config.seed + seed_offset,
                       calibration=calibration).build()
-    tb = handle.testbed
-    env = tb.env
+    env = handle.env
     node = handle.node()
     loop = make_loop_app(profile)
 
@@ -82,16 +80,10 @@ def _scenario(config: Fig8Config, pl: Optional[int], with_batch: bool,
         env.run(until=proc)
         samples = proc.value
     else:
-        runtime = AgentRuntime(env, tb.network, tb.rng, node,
-                               calibration.middleware)
-        node.acquire(runtime.agent_id)
+        runtime, boot = agent_in_place(handle, "fig8/agent")
 
         def driver() -> Generator:
-            # Boot the runtime in place (no GRAM path needed here; Fig. 8
-            # isolates the steady-state overhead, not startup).
-            boot = env.process(runtime.behavior()(_direct_ctx(env, tb, node)),
-                               name="fig8/agent", daemon=True)
-            yield runtime.ready
+            yield from boot()
             if with_batch:
                 bt = yield from runtime.run_job("hog", cpu_hog(), False, 0,
                                                 daemon=True)
@@ -115,6 +107,27 @@ def _direct_ctx(env, tb, node):
 
     tenant = node.cpu.attach("fig8-agent", interactive=False, daemon=True)
     return MachineContext(env, node, tenant, tb.rng, "fig8-agent")
+
+
+def agent_in_place(handle, name: str, **options):
+    """An :class:`AgentRuntime` owning the world's node, and the
+    generator function (``yield from boot()``) that boots it in place —
+    no GRAM path: Fig. 8 and the PL/degree ablations isolate
+    steady-state overhead, not startup.
+    """
+    from ..multiprog import AgentRuntime
+
+    env, tb, node = handle.env, handle.testbed, handle.node()
+    runtime = AgentRuntime(env, tb.network, tb.rng, node,
+                           handle.calibration.middleware, **options)
+    node.acquire(runtime.agent_id)
+
+    def boot() -> Generator:
+        env.process(runtime.behavior()(_direct_ctx(env, tb, node)),
+                    name=name, daemon=True)
+        yield runtime.ready
+
+    return runtime, boot
 
 
 # ---------------------------------------------------------------------------

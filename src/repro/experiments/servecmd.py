@@ -25,38 +25,19 @@ import sys
 import threading
 from typing import List, Optional
 
-def _make_job(index: int, runtime: float):
-    from ..jdl import JobDescription
-
-    job = JobDescription.from_attributes({
-        "executable": "served-app",
-        "jobtype": ["interactive", "sequential"],
-        "estimatedruntime": float(runtime),
-    }, owner=f"user{index % 3}")
-    return job.clone(job_id=f"srv-{index:03d}")
-
 
 def _driver(handle, controller, jobs: int, gap: float, runtime: float):
     """The served workload: paced submissions, then wait for everything."""
-    from ..workloads import cpu_bound_app
+    from ..workloads import synthetic_job
+    from .common import drive_paced_jobs
 
-    env = handle.env
-    pace = env.timer(name="serve/pace")
-    submitted = []
-    for index in range(jobs):
-        job = _make_job(index, runtime)
-        s = handle.submit(job, lambda rank: cpu_bound_app(runtime),
-                          attach_console=False)
-        if controller.world is not None:
-            controller.world.track(s)
-        submitted.append(s)
-        if gap > 0 and index < jobs - 1:
-            yield pace.arm(gap)
-    for s in submitted:
-        try:
-            yield s.finished
-        except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- job failure is data here; the summary reports the stage
-            pass
+    world = controller.world
+    yield from drive_paced_jobs(
+        handle,
+        (synthetic_job(f"srv-{i:03d}", f"user{i % 3}", runtime, "served-app")
+         for i in range(jobs)),
+        gap, runtime, "serve/pace",
+        on_submit=world.track if world is not None else None)
     yield from handle.broker.drain()
 
 

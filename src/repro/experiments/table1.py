@@ -61,19 +61,21 @@ class MethodMeasurement:
     submission: Series
 
 
-def _world(config: Table1Config, scenario: str, offset: int) -> Tuple[Testbed, str]:
+def _world(config: Table1Config, scenario: str, offset: int,
+           **observers: bool) -> Tuple[Testbed, str]:
     """A 20-site Europe testbed whose target site sits on the scenario path.
 
     Each (scenario, method) cell gets its own world seeded purely from
     ``(config.seed, offset)`` where ``offset`` is the method's canonical
     index — never the shard or completion order — so per-cell RNG streams
     are independent of how the runner distributes the work.
+    ``observers``: ``Scenario``'s ``trace``/``telemetry`` switches.
     """
     from ..scenario import Scenario
 
     handle = Scenario(sites=config.n_sites, scenario=scenario,
                       seed=config.seed * 1000 + offset,
-                      calibration=config.calibration).build()
+                      calibration=config.calibration, **observers).build()
     assert handle.target is not None
     return handle.testbed, handle.target
 
@@ -94,13 +96,12 @@ def _pinned_job(target: str, owner: str, interactive: bool,
     }, owner=owner)
 
 
-def _measure_glogin(config: Table1Config, scenario: str,
-                    offset: int) -> MethodMeasurement:
+def _measure_glogin(config: Table1Config, tb: Testbed, target: str,
+                    scenario: str) -> MethodMeasurement:
     """Glogin: user picks the machine by hand; we time channel + first output."""
     from ..baselines import GloginMechanism
 
     submissions: List[float] = []
-    tb, target = _world(config, scenario, offset)
     env = tb.env
     node = tb.site(target).nodes[0]
 
@@ -122,12 +123,11 @@ def _measure_glogin(config: Table1Config, scenario: str,
     return MethodMeasurement(empty, empty, Series.of("glogin", submissions))
 
 
-def _measure_broker_method(config: Table1Config, scenario: str, method: str,
-                           offset: int) -> MethodMeasurement:
+def _measure_broker_method(config: Table1Config, tb: Testbed, target: str,
+                           method: str) -> MethodMeasurement:
     from ..core import make_broker
     from ..workloads import cpu_bound_app, immediate_output_app
 
-    tb, target = _world(config, scenario, offset)
     env = tb.env
     broker = make_broker(env, tb.network, tb.rng, config.calibration)
     discovery: List[float] = []
@@ -144,13 +144,12 @@ def _measure_broker_method(config: Table1Config, scenario: str, method: str,
             yield seeded.started
 
         pace = env.timer(name=f"t1/{method}/pace")
+        # idle: interactive, exclusive; VM: interactive, shared;
+        # job+agent: a batch job that plants its own agent.
+        interactive = method != "job+agent"
+        shared = method == "virtual-machine"
         for i in range(config.jobs_per_method):
-            if method == "idle":
-                job = _pinned_job(target, f"user{i%5}", True, False)
-            elif method == "virtual-machine":
-                job = _pinned_job(target, f"user{i%5}", True, True)
-            else:  # job+agent
-                job = _pinned_job(target, f"user{i%5}", False, False)
+            job = _pinned_job(target, f"user{i%5}", interactive, shared)
             submitted = broker.submit(
                 job, lambda r: immediate_output_app(run_for=0.5),
                 attach_console=True)
@@ -185,10 +184,10 @@ def plan_cells(config: Table1Config) -> List[CellKey]:
 
 def run_cell(config: Table1Config, key: CellKey) -> MethodMeasurement:
     scenario, method = key
-    offset = METHODS.index(method)
+    tb, target = _world(config, scenario, METHODS.index(method))
     if method == "glogin":
-        return _measure_glogin(config, scenario, offset)
-    return _measure_broker_method(config, scenario, method, offset)
+        return _measure_glogin(config, tb, target, scenario)
+    return _measure_broker_method(config, tb, target, method)
 
 
 def merge_cells(config: Table1Config,

@@ -34,7 +34,8 @@ from .cli import DEFAULT_CACHE_DIR, worker_count
 _CLEAR = "\x1b[2J\x1b[H"
 
 
-def _render_tables(merged: Dict[str, Any], title: str) -> str:
+def _render_tables(merged: Dict[str, Any], title: str,
+                   series_note: str = "") -> str:
     from ..metrics import (
         telemetry_counters_table,
         telemetry_gauges_table,
@@ -49,7 +50,8 @@ def _render_tables(merged: Dict[str, Any], title: str) -> str:
     if merged.get("histograms"):
         parts += [telemetry_histograms_table(
             merged, title=f"Telemetry histograms — {title}").render(), ""]
-    parts += [f"Time series — {title}", telemetry_overview(merged)]
+    parts += [f"Time series — {title}{series_note}",
+              telemetry_overview(merged)]
     return "\n".join(parts)
 
 
@@ -143,13 +145,6 @@ def top_main(argv: List[str]) -> int:
         parser.error(f"unknown experiment {args.experiment!r}; choose from "
                      f"{sorted(specs)}")
 
-    from ..metrics import (
-        telemetry_counters_table,
-        telemetry_gauges_table,
-        telemetry_histograms_table,
-        telemetry_overview,
-    )
-
     cache = None if args.no_cache else args.cache_dir
     result = run_experiment(args.experiment, quick=args.quick,
                             parallel=args.parallel, cache=cache,
@@ -157,20 +152,9 @@ def top_main(argv: List[str]) -> int:
     telemetry = result.data["telemetry"]
     merged = telemetry["merged"]
 
-    print(telemetry_counters_table(
-        merged, title=f"Telemetry counters — {args.experiment}").render())
-    print()
-    print(telemetry_gauges_table(
-        merged, title=f"Telemetry gauges — {args.experiment}").render())
-    print()
-    if merged.get("histograms"):
-        print(telemetry_histograms_table(
-            merged,
-            title=f"Telemetry histograms — {args.experiment}").render())
-        print()
-    print(f"Time series — {args.experiment} "
-          f"({len(telemetry['cells'])} cells, merged in plan order)")
-    print(telemetry_overview(merged))
+    print(_render_tables(
+        merged, args.experiment,
+        f" ({len(telemetry['cells'])} cells, merged in plan order)"))
 
     stats = result.data["runner"]
     print(stats.describe(), file=sys.stderr)

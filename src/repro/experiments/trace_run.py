@@ -1,10 +1,12 @@
-"""``repro trace`` — traced Table-I runs with a per-phase latency breakdown.
+"""``repro trace`` — a Table I cell under a tracer, broken down by phase.
 
-Reuses the Table I harness (world construction + pinned jobs) but installs
-a :class:`repro.obs.Tracer` on the environment, so every middleware stage
-the broker traverses (matchmaking, GRAM submission, glide-in bootstrap,
-agent dispatch, VM acquisition, streaming, output retrieval) is attributed
-against sim-time.  Output is the per-phase breakdown table plus counters;
+Runs ``table1``'s own broker-method cell (same world, same seed, same
+driver — the same simulation, event for event) with a
+:class:`repro.obs.Tracer` installed on the environment, so every
+middleware stage the broker traverses (matchmaking, GRAM submission,
+glide-in bootstrap, agent dispatch, VM acquisition, streaming, output
+retrieval) is attributed against sim-time — tracing observes, it does
+not perturb.  Output is the per-phase breakdown table plus counters;
 ``--json``/``--csv`` dump the raw trace for notebooks and CI artifacts.
 
 Usage::
@@ -25,8 +27,9 @@ succeeded) does not fail the command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-from typing import Generator, List, Optional
+from typing import List, Optional
 
 from ..metrics import (
     counters_table,
@@ -34,10 +37,8 @@ from ..metrics import (
     phase_breakdown_table,
     write_trace_csv,
 )
-from ..obs import Tracer
-from ..scenario import Scenario
-from ..workloads import cpu_bound_app, immediate_output_app
-from .table1 import _pinned_job
+from ..obs import Tracer, profile_scope
+from .table1 import METHODS, Table1Config, _measure_broker_method, _world
 
 #: Broker-mediated Table I methods (glogin bypasses the broker entirely,
 #: so there is nothing for the lifecycle tracer to attribute).
@@ -58,57 +59,13 @@ def run_traced_method(method: str, scenario: str = "campus", jobs: int = 5,
     if method not in TRACE_METHODS:
         raise ValueError(f"method must be one of {TRACE_METHODS}, "
                          f"got {method!r}")
-    # Same world-seed formula as the Table I cells: (seed, canonical
-    # method offset) — here shifted by +1 so traces never share RNG
-    # streams with the un-traced Table I measurements.
-    offset = TRACE_METHODS.index(method) + 1
-    if profile:
-        from ..obs import profile_scope
-
-        with profile_scope():
-            handle = Scenario(sites=n_sites, scenario=scenario,
-                              seed=seed * 1000 + offset, trace=True,
-                              telemetry=telemetry).build()
-    else:
-        handle = Scenario(sites=n_sites, scenario=scenario,
-                          seed=seed * 1000 + offset, trace=True,
-                          telemetry=telemetry).build()
-    tb = handle.testbed
-    env = handle.env
-    target = handle.target
-    assert handle.tracer is not None
-    tracer = handle.tracer
-    broker = handle.broker
-
-    def driver() -> Generator:
-        if method == "virtual-machine":
-            # Seed one glide-in agent so the shared path finds a free VM.
-            seed_job = _pinned_job(target, "background", False, False)
-            seeded = broker.submit(seed_job, lambda r: cpu_bound_app(1e7),
-                                   daemon=True)  # background by design
-            yield seeded.started
-        pace = env.timer(name=f"trace/{method}/pace")
-        for i in range(jobs):
-            if method == "idle":
-                job = _pinned_job(target, f"user{i % 5}", True, False)
-            elif method == "virtual-machine":
-                job = _pinned_job(target, f"user{i % 5}", True, True)
-            else:  # job+agent
-                job = _pinned_job(target, f"user{i % 5}", False, False)
-            submitted = broker.submit(
-                job, lambda r: immediate_output_app(run_for=0.5),
-                attach_console=True)
-            yield submitted.finished
-            yield pace.arm(5.0)
-            if method == "job+agent":
-                while broker.agents.live_agents():
-                    yield pace.arm(1.0)
-                tb.publish_all_now()
-        return None
-
-    proc = env.process(driver(), name=f"trace/{method}")
-    env.run(until=proc)
-    return tracer
+    # The Table I cell itself, world seeded like it: one simulation.
+    config = Table1Config(jobs_per_method=jobs, n_sites=n_sites, seed=seed)
+    with profile_scope() if profile else contextlib.nullcontext():
+        tb, target = _world(config, scenario, METHODS.index(method),
+                            trace=True, telemetry=telemetry)
+    _measure_broker_method(config, tb, target, method)
+    return tb.env.tracer
 
 
 def _tracer_fatal(tracer: Tracer) -> bool:

@@ -95,8 +95,9 @@ class RealConsoleAgent:
             thread.start()
             self._threads.append(thread)
             self._pump_threads.append(thread)
-        for name, target in (("sender", self._sender_loop),
-                             ("receiver", self._receiver_loop),
+        # The receiver first: the sender asks whether it is still there.
+        for name, target in (("receiver", self._receiver_loop),
+                             ("sender", self._sender_loop),
                              ("waiter", self._wait_job)):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
@@ -204,9 +205,7 @@ class RealConsoleAgent:
             self._ack.clear()
             try:
                 self._send_now(frame)
-                # Only the shadow's ACK commits the frame — a TCP send can
-                # "succeed" into a socket whose peer is already gone.
-                acked = self._ack.wait(timeout=max(self.retry_interval, 1.0))
+                acked = self._committed()
             except OSError:
                 acked = False
             if not acked:
@@ -225,6 +224,24 @@ class RealConsoleAgent:
             failures = 0
             self._pending.pop(0)
         return True
+
+    def _ack_can_arrive(self) -> bool:
+        """False once the job is gone and the receiver has exited (a
+        KILL order, or a drained stream): nobody is left to see an ACK."""
+        assert self.proc is not None
+        return self.proc.poll() is None or any(
+            t.name == "receiver" and t.is_alive() for t in self._threads)
+
+    def _committed(self) -> bool:
+        """Did the frame just sent reach the shadow?  Only the shadow's
+        ACK says so — a TCP send can "succeed" into a socket whose peer
+        is already gone.  When no ACK can arrive any more the send is
+        all the delivery there will be: retrying would only spin until
+        the retry budget runs out."""
+        if self._ack_can_arrive() \
+                and self._ack.wait(timeout=self.retry_interval):
+            return True
+        return not self._ack_can_arrive()
 
     def _fatal(self, reason: str) -> None:
         """§3: after the retries are exhausted, kill the process."""

@@ -1,8 +1,8 @@
-"""ASCII timeline (Gantt) rendering of a broker trace.
+"""ASCII timeline (Gantt) rendering of a traced broker run.
 
-Turns a :class:`~repro.sim.EventTrace` into a per-job lifecycle chart:
-submission, selection, agent planting, start, and completion markers on a
-shared time axis — the quickest way to *see* what a scheduling scenario
+Turns a :class:`~repro.obs.Tracer`'s job events into a per-job lifecycle
+chart: submission, selection, agent planting, start, and completion
+markers on a shared time axis — the quickest way to *see* what a scheduling scenario
 did (the multiprogramming demo's "interactive job starts instantly on a
 busy grid" is one glance here).
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
-    from ..sim.monitor import EventTrace
+    from ..obs import Tracer
 
 #: Marker glyphs by trace kind (first match wins when cells collide).
 MARKERS = [
@@ -36,12 +36,10 @@ class JobLane:
     events: List[Tuple[float, str]] = field(default_factory=list)
 
 
-def _collect_lanes(trace: EventTrace) -> List[JobLane]:
+def _collect_lanes(tracer: Tracer) -> List[JobLane]:
     lanes: Dict[str, JobLane] = {}
-    for record in trace.records:
-        job_id = record.data.get("job")
-        if job_id is None:
-            continue
+    for record in tracer.job_events:
+        job_id = record.data["job"]
         if record.kind == "submit":
             lanes[job_id] = JobLane(job_id, record.time)
             continue
@@ -55,15 +53,16 @@ def _collect_lanes(trace: EventTrace) -> List[JobLane]:
     return list(lanes.values())
 
 
-def render_timeline(trace: EventTrace, width: int = 72,
+def render_timeline(tracer: Tracer, width: int = 72,
                     max_jobs: int = 40) -> str:
-    """Render one lane per job on a shared time axis.
+    """Render one lane per job on a shared time axis (the world must be
+    built with ``trace=True``: an untraced broker records nothing).
 
     Legend: ``[`` submit … ``]`` finish, ``=`` running window, plus the
     kind markers (s selection done, A agent ready, r/R resubmissions,
     q broker-queued, o output retrieved, x cancelled, ! failed).
     """
-    lanes = _collect_lanes(trace)
+    lanes = _collect_lanes(tracer)
     if not lanes:
         return "(empty trace)"
     shown = lanes[:max_jobs]

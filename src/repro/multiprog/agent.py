@@ -30,7 +30,7 @@ from typing import Callable, Dict, Generator, Optional
 
 from ..calibration import MiddlewareCosts
 from ..net import Network, RpcServer
-from ..sim import Environment, Event, RandomStreams
+from ..sim import Environment, Event, RandomStreams, trace_span
 from ..grid.errors import NoResourcesError
 from ..grid.workernode import Behavior, MachineContext, WorkerNode
 from .vm import VmKind, VmSlot
@@ -130,23 +130,23 @@ class AgentRuntime:
         # Reserve the slot immediately (so the agent cannot decide to leave
         # mid-dispatch), then pay the slot preparation: sandbox dir,
         # environment, priority plumbing.
-        tr = self.env.tracer
-        span = tr.begin("vm_acquire", job=label, site=self.node.site,
-                        agent=self.agent_id, vm=kind.value) \
-            if tr is not None else None
-        slot.occupy(label, self.env.now)
-        self.jobs_dispatched += 1
-        t = self.env.telemetry
-        if t is not None:
-            t.counter("vm.dispatches").inc()
-            t.counter(f"vm.dispatches.{kind.value}").inc()
-            t.gauge(f"vm.slots_busy.{kind.value}").inc()
-        yield self.env.timeout(self.rng.jitter(
-            f"{self.agent_id}/slot-setup", self.costs.agent_slot_setup, 0.12))
+        with trace_span(self.env, "vm_acquire", job=label,
+                        site=self.node.site, agent=self.agent_id,
+                        vm=kind.value):
+            slot.occupy(label, self.env.now)
+            self.jobs_dispatched += 1
+            t = self.env.telemetry
+            if t is not None:
+                t.counter("vm.dispatches").inc()
+                t.counter(f"vm.dispatches.{kind.value}").inc()
+                t.gauge(f"vm.slots_busy.{kind.value}").inc()
+            yield self.env.timeout(self.rng.jitter(
+                f"{self.agent_id}/slot-setup", self.costs.agent_slot_setup,
+                0.12))
         ticket = AgentJobTicket(label, kind, self.env.event(),
                                 self.env.event(), self.node.name)
+        tr = self.env.tracer
         if tr is not None:
-            tr.end(span)
             tr.count("vm_dispatches", job=label, site=self.node.site)
 
         def job_runner() -> Generator:

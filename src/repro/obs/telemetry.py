@@ -22,23 +22,15 @@ Hook contract (mirrors ``env.tracer`` exactly):
 * **Read-only**: recording a sample never creates events, consumes
   kernel eids, or draws from an RNG stream — installing telemetry is
   guaranteed not to change the simulation outcome, which is what keeps
-  the golden renders byte-identical with telemetry on.  (The one
-  exception is the *opt-in* sampling timer, see below.)
+  the golden renders byte-identical with telemetry on.
 * **Bounded memory**: every :class:`TimeSeries` is capped at
   ``max_points`` via deterministic stride decimation (keep every 2nd
-  retained point, double the stride), and histograms keep exact
-  aggregates plus a bounded percentile window, so soaks cannot grow the
-  registry unboundedly.
+  retained point, double the stride), and a histogram is one bounded
+  :class:`QuantileSketch`, so soaks cannot grow the registry
+  unboundedly.
 
-Sampling modes
---------------
-The default is **on-change** recording: each gauge/counter update
-appends a ``(sim_time, value)`` point (subject to decimation).  A
-registry may additionally be given ``sample_interval=...`` to arm a
-periodic sampling timer that snapshots every gauge on a fixed cadence —
-useful for dashboards, but the timer consumes kernel event ids and so
-*does* perturb the event interleaving; never enable it on a run whose
-output must stay byte-identical to an untelemetered one.
+Recording is **on-change**: each gauge/counter update appends a
+``(sim_time, value)`` point (subject to decimation).
 
 Snapshots
 ---------
@@ -54,7 +46,6 @@ it to carry per-cell telemetry through its content-addressed cache.
 from __future__ import annotations
 
 import math
-from collections import deque
 from contextlib import contextmanager
 from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -335,79 +326,41 @@ class Gauge:
     def dec(self, n: float = 1.0) -> None:
         self.set(self.value - n)
 
-    def sample(self) -> None:
-        """Append the current level to the series without changing it."""
-        if self._series is not None:
-            self._series.record(self._telemetry.env.now, self.value)
-
 
 class Histogram:
-    """Exact aggregates of observed values plus bounded percentile state.
+    """Observed values, folded into one :class:`QuantileSketch`.
 
-    Percentiles are *exact* (interpolated over the retained window) while
-    every observation still fits in the window, and come from the
-    :class:`QuantileSketch` once the stream outgrows it — so a
-    million-job campaign reports tail latencies with bounded memory and
-    a guaranteed relative-error bound instead of window-truncated ones.
+    The sketch is all the state there is — count, total and extrema are
+    exact, percentiles are within its relative-error bound at every
+    stream length — so a registry's own snapshot and any merge of
+    snapshots report the same numbers for the same stream.
     """
 
-    __slots__ = ("name", "count", "total", "minimum", "maximum", "_window",
-                 "_sketch")
+    __slots__ = ("name", "sketch")
 
-    def __init__(self, name: str, window: int = 1024) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        # -inf, not 0.0: an all-negative stream must report its true
-        # (negative) maximum, not a phantom 0.0 (to_dict guards on count).
-        self.maximum = float("-inf")
-        self._window: deque = deque(maxlen=window)
-        self._sketch = QuantileSketch()
+        #: The mergeable summary of *every* observation.
+        self.sketch = QuantileSketch()
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self._window.append(value)
-        self._sketch.observe(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    @property
-    def sketch(self) -> QuantileSketch:
-        """The mergeable quantile summary of *every* observation."""
-        return self._sketch
+        self.sketch.observe(value)
 
     def percentile(self, q: float) -> float:
-        if not self._window:
-            return float("nan")
-        if self.count > len(self._window):
-            # The window no longer holds the full stream: answer from the
-            # sketch, which has seen every observation.
-            return self._sketch.quantile(q)
-        ordered = sorted(self._window)
-        idx = (len(ordered) - 1) * (q / 100.0)
-        lo = int(idx)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = idx - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return self.sketch.quantile(q)
 
     def to_dict(self) -> Dict[str, Any]:
+        """The snapshot entry: a pure function of the sketch."""
+        sketch, n = self.sketch, self.sketch.count
         return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean if self.count else None,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum if self.count else None,
-            "p50": self.percentile(50) if self.count else None,
-            "p95": self.percentile(95) if self.count else None,
-            "sketch": self._sketch.to_dict() if self.count else None,
+            "count": n,
+            "total": sketch.total,
+            "mean": sketch.total / n if n else None,
+            "min": sketch.minimum if n else None,
+            "max": sketch.maximum if n else None,
+            "p50": sketch.quantile(50) if n else None,
+            "p95": sketch.quantile(95) if n else None,
+            "sketch": sketch.to_dict() if n else None,
         }
 
 
@@ -423,24 +376,13 @@ class Telemetry:
     """
 
     def __init__(self, env: "Environment", *, series: bool = True,
-                 max_points: int = 1024, window: int = 1024,
-                 sample_interval: Optional[float] = None) -> None:
+                 max_points: int = 1024) -> None:
         self.env = env
-        self.enabled = True
         self.record_series = series
         self.max_points = max_points
-        self.window = window
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
-        #: Sampling cadence of the (opt-in) periodic gauge sampler.  When
-        #: set, the registry arms a daemon timer — which consumes kernel
-        #: event ids and therefore perturbs the deterministic event
-        #: interleaving.  Leave unset for byte-identical runs.
-        self.sample_interval = sample_interval
-        self._sample_timer: Optional[Any] = None
-        if sample_interval is not None:
-            self.start_sampling(sample_interval)
 
     # -- installation ----------------------------------------------------
     def install(self) -> "Telemetry":
@@ -472,30 +414,8 @@ class Telemetry:
     def histogram(self, name: str) -> Histogram:
         metric = self.histograms.get(name)
         if metric is None:
-            metric = self.histograms[name] = Histogram(name, self.window)
+            metric = self.histograms[name] = Histogram(name)
         return metric
-
-    # -- opt-in periodic sampling ---------------------------------------
-    def start_sampling(self, interval: float) -> None:
-        """Arm the periodic gauge sampler (NOT byte-identical safe)."""
-        if interval <= 0:
-            raise ValueError("sample_interval must be > 0")
-        self.sample_interval = interval
-        if self._sample_timer is None:
-            self._sample_timer = self.env.timer(
-                callback=self._on_sample, name="telemetry/sampler",
-                daemon=True)
-        self._sample_timer.arm(interval)
-
-    def stop_sampling(self) -> None:
-        if self._sample_timer is not None:
-            self._sample_timer.cancel()
-
-    def _on_sample(self, _timer: Any) -> None:
-        for name in sorted(self.gauges):
-            self.gauges[name].sample()
-        if self.sample_interval is not None:
-            _timer.arm(self.sample_interval)
 
     # -- snapshots -------------------------------------------------------
     def series(self) -> Dict[str, TimeSeries]:
@@ -535,21 +455,17 @@ class Telemetry:
 
 
 # -- snapshot algebra ----------------------------------------------------
-def _empty_snapshot() -> Dict[str, Any]:
-    return {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
-
-
 def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold snapshots (in the given order) into one aggregate snapshot.
 
     * counters sum;
     * gauges keep the *last* observed level plus global min/max and the
       summed update count;
-    * histograms keep exact count/total/min/max (and the recomputed
-      mean); their :class:`QuantileSketch` states merge *exactly*
-      (bucket counts add), so merged ``p50``/``p95`` are real values —
-      they only come back as ``None`` when a legacy snapshot in the fold
-      carries no sketch state;
+    * histograms merge their :class:`QuantileSketch` states *exactly*
+      (bucket counts add) and are re-derived from the merged sketch the
+      way a registry derives its own entry — so the merge of one
+      snapshot is that snapshot, and ``p50``/``p95`` do not depend on
+      how a stream was split;
     * series are concatenated in fold order (times may restart between
       segments — each segment is one independent cell/environment).
 
@@ -557,14 +473,10 @@ def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     canonical plan order, so serial, parallel, and cache-served runs
     merge identically.
     """
-    merged = _empty_snapshot()
-    counters: Dict[str, float] = merged["counters"]
-    gauges: Dict[str, Dict[str, Any]] = merged["gauges"]
-    histograms: Dict[str, Dict[str, Any]] = merged["histograms"]
-    series: Dict[str, List[List[float]]] = merged["series"]
-    #: name -> merged sketch, or None once any contributing snapshot
-    #: lacked sketch state (legacy) — those keep ``None`` percentiles.
-    sketches: Dict[str, Optional[QuantileSketch]] = {}
+    counters: Dict[str, float] = {}
+    gauges: Dict[str, Dict[str, Any]] = {}
+    histograms: Dict[str, Histogram] = {}
+    series: Dict[str, List[List[float]]] = {}
     for snap in snapshots:
         if not snap:
             continue
@@ -580,52 +492,20 @@ def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
                 agg["max"] = max(agg["max"], g["max"])
                 agg["updates"] += g["updates"]
         for name, h in snap.get("histograms", {}).items():
-            agg = histograms.get(name)
-            if agg is None:
-                histograms[name] = {
-                    "count": h["count"], "total": h["total"],
-                    "mean": h["mean"], "min": h["min"], "max": h["max"],
-                    "p50": None, "p95": None,
-                }
-                if h["count"] and h.get("sketch") is not None:
-                    sketches[name] = QuantileSketch.from_dict(h["sketch"])
-                elif h["count"]:
-                    sketches[name] = None  # legacy snapshot: no sketch
-            else:
-                agg["count"] += h["count"]
-                agg["total"] += h["total"]
-                if h["min"] is not None:
-                    agg["min"] = (h["min"] if agg["min"] is None
-                                  else min(agg["min"], h["min"]))
-                if h["max"] is not None:
-                    agg["max"] = (h["max"] if agg["max"] is None
-                                  else max(agg["max"], h["max"]))
-                agg["mean"] = (agg["total"] / agg["count"]
-                               if agg["count"] else None)
-                if h["count"]:
-                    sketch = sketches.get(name)
-                    if h.get("sketch") is None:
-                        sketches[name] = None  # poisoned: stay mergeable-not
-                    elif name not in sketches:
-                        sketches[name] = QuantileSketch.from_dict(h["sketch"])
-                    elif sketch is not None:
-                        sketch.merge(QuantileSketch.from_dict(h["sketch"]))
+            merged = histograms.setdefault(name, Histogram(name))
+            if h["count"]:
+                merged.sketch.merge(QuantileSketch.from_dict(h["sketch"]))
         for name, points in snap.get("series", {}).items():
             series.setdefault(name, []).extend(
                 [list(p) for p in points])
-    # Quantiles of the merged stream, from the exactly-merged sketches.
-    for name, sketch in sketches.items():
-        if sketch is not None and sketch.count:
-            agg = histograms[name]
-            agg["p50"] = sketch.quantile(50)
-            agg["p95"] = sketch.quantile(95)
-            agg["sketch"] = sketch.to_dict()
     # Deterministic key order regardless of fold interleaving.
-    merged["counters"] = {k: counters[k] for k in sorted(counters)}
-    merged["gauges"] = {k: gauges[k] for k in sorted(gauges)}
-    merged["histograms"] = {k: histograms[k] for k in sorted(histograms)}
-    merged["series"] = {k: series[k] for k in sorted(series)}
-    return merged
+    return {
+        "counters": {k: counters[k] for k in sorted(counters)},
+        "gauges": {k: gauges[k] for k in sorted(gauges)},
+        "histograms": {k: histograms[k].to_dict()
+                       for k in sorted(histograms)},
+        "series": {k: series[k] for k in sorted(series)},
+    }
 
 
 @contextmanager

@@ -5,8 +5,9 @@ middleware stages: broker matchmaking, GRAM traversal, glide-in
 bootstrap, Console Agent streaming, output retrieval.  The
 :class:`Tracer` attributes where that time goes: instrumented layers
 record *spans* (named intervals against sim-time, nested per job),
-bump per-job / per-site *counters*, and append debug *events* into a
-bounded ring buffer.
+bump per-job / per-site *counters*, and append *events* (the broker's
+job lifecycle records, plus drops, retries, kills) into bounded ring
+buffers.
 
 Design constraints:
 
@@ -15,7 +16,7 @@ Design constraints:
   untraced run allocates nothing and pays one attribute load per hook;
 * **bounded memory** — raw spans are retained up to ``max_spans``
   (aggregates stay exact past the bound), per-phase duration windows are
-  ring-buffered for percentiles, and the event log is a ``deque`` with
+  ring-buffered for percentiles, and the event logs are ``deque``s with
   ``maxlen`` — a heavy-traffic soak cannot grow the tracer unboundedly;
 * **sim-time only** — all timestamps come from ``env.now``; wall-clock
   never leaks into a trace, keeping runs reproducible.
@@ -40,7 +41,9 @@ reports):
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -118,7 +121,7 @@ class Span:
 
 
 class TraceEvent:
-    """One ring-buffered debug record (drops, retries, kills, ...)."""
+    """One ring-buffered record (lifecycle steps, drops, retries, ...)."""
 
     __slots__ = ("time", "kind", "data")
 
@@ -201,28 +204,33 @@ class Tracer:
     Install with ``env.tracer = Tracer(env)`` (or :meth:`install`);
     instrumented layers do::
 
+        with trace_span(self.env, "gram_submit", job=job_id, site=site):
+            ...                       # repro.sim.trace_span -> tr.span()
         tr = self.env.tracer
         if tr is not None:
-            span = tr.begin("gram_submit", job=job_id, site=site)
-            ...
-            tr.end(span)
+            tr.event("selected", job=job_id, n_candidates=n)
 
-    so a disabled run performs one ``None`` check and allocates nothing.
+    so a disabled run performs one ``None`` check and allocates nothing
+    (the per-chunk streaming sites keep explicit ``begin``/``end`` pairs
+    behind one guard: they run tens of thousands of times a second).
     """
 
     def __init__(self, env: "Environment", ring_size: int = 4096,
                  max_spans: int = 50_000,
                  percentile_window: int = 2048) -> None:
         self.env = env
-        self.enabled = True
         #: Completed spans in end order, bounded by ``max_spans``.
         self.spans: List[Span] = []
         self.max_spans = max_spans
         #: Spans that finished past the retention bound (aggregates still
         #: counted them).
         self.dropped_spans = 0
-        #: Ring-buffered debug events.
+        #: Ring-buffered events, every kind in one chronological ring.
         self.events: deque = deque(maxlen=ring_size)
+        #: The job-scoped ones (``job=...``: submit, selected, finished,
+        #: ...) again in a ring of their own, so a job's lifecycle is
+        #: not evicted by chunk-rate ``spool``/``drop``/``retry`` noise.
+        self.job_events: deque = deque(maxlen=ring_size)
         #: Global counters (name -> count).
         self.counters: Dict[str, int] = {}
         #: Per-job and per-site counter maps.
@@ -291,10 +299,18 @@ class Tracer:
             self.dropped_spans += 1
         return span
 
+    @contextmanager
     def span(self, name: str, job: Optional[str] = None,
-             site: Optional[str] = None, **meta: Any) -> "_SpanContext":
-        """Context-manager form (safe across generator yields)."""
-        return _SpanContext(self, name, job, site, meta)
+             site: Optional[str] = None, **meta: Any) -> Iterator[Span]:
+        """Context-manager form (safe across generator yields): the span
+        closes ``ok``, or ``error`` when the block raises."""
+        span = self.begin(name, job=job, site=site, **meta)
+        try:
+            yield span
+        except BaseException:
+            self.end(span, status="error")
+            raise
+        self.end(span)
 
     # -- counters --------------------------------------------------------
     def count(self, name: str, n: int = 1, job: Optional[str] = None,
@@ -309,7 +325,10 @@ class Tracer:
 
     # -- event ring -------------------------------------------------------
     def event(self, kind: str, **data: Any) -> None:
-        self.events.append(TraceEvent(self.env.now, kind, data))
+        record = TraceEvent(self.env.now, kind, data)
+        self.events.append(record)
+        if "job" in data:
+            self.job_events.append(record)
 
     # -- queries -----------------------------------------------------------
     def phase_stats(self) -> Dict[str, PhaseStats]:
@@ -371,26 +390,3 @@ class Tracer:
         return (f"<Tracer spans={len(self.spans)} "
                 f"events={len(self.events)} "
                 f"counters={len(self.counters)}>")
-
-
-class _SpanContext:
-    """``with tracer.span(...)`` helper; marks status=error on exceptions."""
-
-    __slots__ = ("_tracer", "_args", "span")
-
-    def __init__(self, tracer: Tracer, name: str, job: Optional[str],
-                 site: Optional[str], meta: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._args = (name, job, site, meta)
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        name, job, site, meta = self._args
-        self.span = self._tracer.begin(name, job=job, site=site, **meta)
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        assert self.span is not None
-        self._tracer.end(self.span,
-                         status="ok" if exc_type is None else "error")
-        return False

@@ -32,7 +32,7 @@ from .events import (
     Timeout,
     URGENT,
 )
-from .monitor import EventTrace, Monitor, SummaryStats, TraceRecord
+from .monitor import SummaryStats, trace_event, trace_span
 from .process import Process
 from .resources import Container, PriorityRequest, PriorityResource, Request, Resource
 from .rng import RandomStreams
@@ -48,11 +48,9 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
-    "EventTrace",
     "FilterStore",
     "Infinity",
     "Interrupt",
-    "Monitor",
     "NORMAL",
     "PENDING",
     "PriorityRequest",
@@ -67,7 +65,8 @@ __all__ = [
     "SummaryStats",
     "Timeout",
     "Timer",
-    "TraceRecord",
     "URGENT",
     "collector_paused",
+    "trace_event",
+    "trace_span",
 ]

@@ -1,15 +1,15 @@
 """Measurement probes for simulations.
 
-:class:`Monitor` collects (time, value) samples; :class:`EventTrace`
-collects structured, timestamped records.  Both are plain in-memory
-recorders with numpy-backed summary statistics — the experiment harness
-builds every table and figure series from these.
+:class:`SummaryStats` is the numpy-backed summary every table and figure
+series is built from; :func:`trace_span` and :func:`trace_event` are how
+an instrumented layer records on whatever tracer the environment carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+import contextlib
+from dataclasses import dataclass
+from typing import Any, ContextManager, Iterable
 
 import numpy as np
 
@@ -48,88 +48,22 @@ class SummaryStats:
                 f"p95={self.p95:.6g} max={self.maximum:.6g}")
 
 
-class Monitor:
-    """Time-stamped scalar samples with summary statistics."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        self._times.append(float(time))
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values)
-
-    def stats(self) -> SummaryStats:
-        return SummaryStats.of(self._values)
-
-    def series(self) -> Iterator[Tuple[float, float]]:
-        return iter(zip(self._times, self._values))
+_NO_SPAN = contextlib.nullcontext()
 
 
-@dataclass
-class TraceRecord:
-    """One structured trace entry."""
+def trace_span(env: Any, name: str, **meta: Any) -> ContextManager[Any]:
+    """``with trace_span(env, "match", job=...) as span:`` — a span on the
+    environment's tracer, closed ``ok`` or (when the block raises)
+    ``error``; a no-op yielding ``None`` when no tracer is installed.
 
-    time: float
-    kind: str
-    data: Dict[str, Any] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> Any:
-        return self.data[key]
+    Instrumented layers call this instead of importing ``repro.obs``.
+    """
+    tr = env.tracer
+    return _NO_SPAN if tr is None else tr.span(name, **meta)
 
 
-class EventTrace:
-    """Append-only log of structured records, filterable by kind."""
-
-    def __init__(self) -> None:
-        self.records: List[TraceRecord] = []
-
-    def log(self, time: float, kind: str, **data: Any) -> TraceRecord:
-        rec = TraceRecord(float(time), kind, data)
-        self.records.append(rec)
-        return rec
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def kinds(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.kind, None)
-        return list(seen)
-
-    def last(self, kind: Optional[str] = None) -> Optional[TraceRecord]:
-        if kind is None:
-            return self.records[-1] if self.records else None
-        for rec in reversed(self.records):
-            if rec.kind == kind:
-                return rec
-        return None
-
-    def durations(self, start_kind: str, end_kind: str, key: str) -> List[float]:
-        """Pair start/end records on ``data[key]`` and return elapsed times."""
-        starts: Dict[Any, float] = {}
-        out: List[float] = []
-        for rec in self.records:
-            if rec.kind == start_kind:
-                starts[rec.data.get(key)] = rec.time
-            elif rec.kind == end_kind:
-                t0 = starts.pop(rec.data.get(key), None)
-                if t0 is not None:
-                    out.append(rec.time - t0)
-        return out
+def trace_event(env: Any, kind: str, **data: Any) -> None:
+    """Record one event on the environment's tracer, if there is one."""
+    tr = env.tracer
+    if tr is not None:
+        tr.event(kind, **data)

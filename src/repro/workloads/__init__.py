@@ -13,8 +13,10 @@ from .mixes import (
     MixConfig,
     generate_mix,
     iter_mix,
+    paced_submissions,
     replay,
     replay_stream,
+    synthetic_job,
 )
 from .pingpong import PAPER_SEQUENCES, PAPER_SIZES, run_sequences
 from .scale import (
@@ -43,6 +45,7 @@ __all__ = [
     "iter_trace",
     "load_trace",
     "make_loop_app",
+    "paced_submissions",
     "progress_app",
     "replay",
     "replay_stream",
@@ -50,5 +53,6 @@ __all__ = [
     "save_trace",
     "steerable_simulation",
     "summarize_campaign",
+    "synthetic_job",
     "trace_header",
 ]

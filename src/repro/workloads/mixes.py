@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..jdl import JobDescription, JobCategory, JobFlavor, MachineAccess, StreamingMode
 from ..sim import RandomStreams
@@ -131,6 +132,43 @@ def generate_mix(rng: RandomStreams, config: Optional[MixConfig] = None,
     return list(iter_mix(rng, config, stream))
 
 
+def synthetic_job(job_id: str, owner: str, runtime: float, executable: str,
+                  interactive: bool = True, **attributes) -> JobDescription:
+    """The one builder of driver and chaos load: a sequential job with
+    a pinned id — the matchmaker's tie-break stream is keyed by job id
+    and the process-global id counter is not cross-process deterministic.
+    ``attributes`` are further JDL attributes (``machineaccess``, ...).
+    """
+    return JobDescription.from_attributes({
+        "executable": executable,
+        "jobtype": ["interactive", "sequential"] if interactive
+        else ["sequential"],
+        "estimatedruntime": float(runtime),
+        **attributes,
+    }, owner=owner).clone(job_id=job_id)
+
+
+def paced_submissions(env, delayed: Iterable[Tuple[float, Any]],
+                      submit: Callable[[Any], Any],
+                      timer_name: str = "mix/feeder/pace"):
+    """The one paced-submission loop, as a generator (wrap it in a
+    process, or reach it with ``yield from`` from a driver process).
+
+    For each ``(delay, item)`` of ``delayed``: wait ``delay`` sim-seconds
+    on one re-armable timer — not armed for a non-positive delay, so
+    nothing follows the last item; armed as given, never re-derived from
+    absolute times — then ``submit(item)``.  Returns the item count.
+    """
+    pace = env.timer(name=timer_name)
+    submitted = 0
+    for delay, item in delayed:
+        if delay > 0:
+            yield pace.arm(delay)
+        submit(item)
+        submitted += 1
+    return submitted
+
+
 def replay_stream(env, broker, arrivals: Iterable[JobArrival], behavior_for,
                   ui_host: str = "ui", on_submit=None):
     """Submit an arrival stream against a broker without retaining it.
@@ -143,26 +181,21 @@ def replay_stream(env, broker, arrivals: Iterable[JobArrival], behavior_for,
     state.  Returns the feeder process; its value is the submit count.
     """
 
-    def feeder():
+    def delayed():
         t_prev = 0.0
-        submitted = 0
-        # Re-armable pacing timer for the whole arrival sequence.
-        pace = env.timer(name="mix/feeder/pace")
         for arrival in arrivals:
-            if arrival.at > t_prev:
-                yield pace.arm(arrival.at - t_prev)
+            yield arrival.at - t_prev, arrival
             t_prev = arrival.at
-            record = broker.submit(
-                arrival.job,
-                lambda rank, a=arrival: behavior_for(a, rank),
-                ui_host=ui_host,
-                attach_console=arrival.job.is_interactive)
-            submitted += 1
-            if on_submit is not None:
-                on_submit(record, arrival)
-        return submitted
 
-    return env.process(feeder(), name="mix/feeder")
+    def submit(arrival):
+        record = broker.submit(
+            arrival.job, lambda rank: behavior_for(arrival, rank),
+            ui_host=ui_host, attach_console=arrival.job.is_interactive)
+        if on_submit is not None:
+            on_submit(record, arrival)
+
+    return env.process(paced_submissions(env, delayed(), submit),
+                       name="mix/feeder")
 
 
 def replay(env, broker, arrivals: Iterable[JobArrival], behavior_for,

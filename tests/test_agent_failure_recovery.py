@@ -6,6 +6,7 @@ from repro import Scenario
 from repro.core import BrokerConfig, CrossBroker, SubmissionPath
 from repro.grid.errors import AgentDeadError
 from repro.jdl import JobDescription
+from repro.obs import Tracer
 from repro.sim import Interrupt
 from repro.workloads import cpu_bound_app
 
@@ -55,6 +56,7 @@ class TestAgentDeath:
 
     def test_batch_job_resubmitted_after_agent_death(self):
         tb, broker = make_world(seed=121, n_nodes=2)
+        tracer = Tracer(tb.env).install()
         submitted = broker.submit(batch_job(), lambda r: cpu_bound_app(30.0))
         tb.env.run(until=submitted.started)
         first_agent = broker.agents.live_agents()[0].runtime
@@ -69,7 +71,7 @@ class TestAgentDeath:
         assert submitted.report.success
         assert submitted.report.resubmissions == 1
         assert submitted.finished.value == [30.0]
-        kinds = broker.trace.kinds()
+        kinds = {e.kind for e in tracer.job_events}
         assert "agent-died-resubmit" in kinds
         # A fresh agent carried the restarted job.
         deaths = broker.agents.deaths

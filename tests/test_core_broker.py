@@ -6,6 +6,7 @@ from repro import Scenario
 from repro.core import BrokerConfig, CrossBroker, SubmissionPath
 from repro.grid import europe_testbed
 from repro.jdl import JobDescription
+from repro.obs import Tracer
 from repro.workloads import cpu_bound_app, immediate_output_app
 
 
@@ -252,11 +253,12 @@ class TestReports:
 
     def test_trace_records_lifecycle(self):
         tb, broker = make_world(seed=77)
+        tracer = Tracer(tb.env).install()
         submitted = broker.submit(interactive_job(),
                                   lambda r: immediate_output_app())
         tb.env.run(until=submitted.finished)
         tb.env.run(until=tb.env.now + 1)
-        kinds = broker.trace.kinds()
+        kinds = {e.kind for e in tracer.job_events}
         assert "submit" in kinds
         assert "selected" in kinds
         assert "finished" in kinds

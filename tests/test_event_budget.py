@@ -4,7 +4,9 @@ The goldens hold what is *printed*; nothing else in tier-1 notices a change
 that renders the same bytes through more (or fewer) kernel events, and
 ``bench/expected.json`` is only consulted when the benchmark runs.  This
 pins ``env._eid`` — every event id the environment ever handed out — for
-each cell of ``table1 --quick`` and for a small 2-site ``Scenario`` day.
+each cell of ``table1 --quick``, for every world of the experiments and
+``repro serve`` runs that drive a broker through the shared paced feeder
+or boot an agent in place, and for a small 2-site ``Scenario`` day.
 
 The counts depend on process history (ARCHITECTURE.md, "Known history
 dependence"), so they are taken in a fresh interpreter.  A change that
@@ -26,7 +28,30 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: ``env._eid`` per environment, in construction (= plan) order.
 EXPECTED = {
     "table1_quick": [2327, 8270, 3525, 10989, 2807, 8619, 3595, 11375],
+    "broker_modes_quick": [2604, 2142, 2599, 1504, 2104, 1599,
+                           1710, 1760, 1692, 5209, 3105, 5331],
+    "chaos_drill_quick": [1878, 1748, 1638, 2315],
+    "fig8_quick": [831, 845, 880, 916],
+    "ablation_pl_quick": [852, 859, 880, 916, 1001],
+    "ablation_degree_quick": [353, 680, 997],
+    "serve_europe_chaos": [4366],
+    "serve_campus_gap01": [3191],
     "scenario_2site": [23517],
+}
+
+#: Experiments pinned beside ``table1``: every driver of the one paced
+#: feeder and every caller of the in-place agent boot.
+EXPERIMENTS = ("table1", "broker-modes", "chaos-drill", "fig8",
+               "ablation-pl", "ablation-degree")
+
+CHAOS = Path(__file__).resolve().parent / "data" / "chaos" / "drain_burst.json"
+
+#: ``repro serve --headless`` worlds.  ``--gap 0.1`` is not a dyadic
+#: float: a feeder that re-derived delays from arrival times
+#: (``at - t_prev``) would move this count.
+SERVE = {
+    "serve_europe_chaos": ["europe", "--headless", "--chaos", str(CHAOS)],
+    "serve_campus_gap01": ["campus", "--headless", "--gap", "0.1"],
 }
 
 
@@ -58,18 +83,27 @@ def scenario_day():
 
 
 def count_events():
+    import contextlib
+    import io
+
+    from repro.experiments.servecmd import serve_main
     from repro.obs import telemetry_scope
     from repro.runner import run_experiment
 
-    # series=False: registries only record which environments were built.
-    with telemetry_scope(series=False) as table1:
-        run_experiment("table1", quick=True)
+    def eids(run):
+        # series=False: registries only record which environments were built.
+        with telemetry_scope(series=False) as built:
+            run()
+        return [t.env._eid for t in built]
 
-    with telemetry_scope(series=False) as day:
-        scenario_day()
-
-    return {"table1_quick": [t.env._eid for t in table1],
-            "scenario_2site": [t.env._eid for t in day]}
+    counts = {f"{name.replace('-', '_')}_quick":
+              eids(lambda: run_experiment(name, quick=True))
+              for name in EXPERIMENTS}
+    for name, argv in SERVE.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            counts[name] = eids(lambda: serve_main(argv))
+    counts["scenario_2site"] = eids(scenario_day)
+    return counts
 
 
 def test_event_counts_are_pinned():

@@ -67,8 +67,8 @@ EXPECTED = {
     "ablation-pl": [0, 0, 0],
     "ablation-degree": [0, 0, 0],
     "ablation-halflife": [0, 0, 0],
-    "broker-modes": [12, 743, 1480],
-    "chaos-drill": [6, 146, 399],
+    "broker-modes": [12, 504, 1217],
+    "chaos-drill": [6, 144, 391],
     "scenario_2site": [0, 240, 720],
 }
 

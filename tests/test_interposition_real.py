@@ -136,8 +136,13 @@ time.sleep(60)
             event = shadow.read_line(timeout=10)
             assert event.data.strip() == b"running"
             shadow.kill_job()
+            killed_at = time.perf_counter()
             code = agent.join(timeout=10)
             assert code not in (0, None)
+            # Nothing waits for an ACK the exited receiver can never see
+            # (the sender used to spin its whole retry budget here).
+            assert [t.name for t in agent._threads if t.is_alive()] == []
+            assert time.perf_counter() - killed_at < 2.0
         finally:
             agent.close()
 

@@ -1,13 +1,26 @@
 """Unit tests for the trace timeline renderer."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.metrics import render_timeline
-from repro.sim import EventTrace
+from repro.obs import Tracer
+
+
+class ClockedTracer(Tracer):
+    """A tracer on a bare clock, so records can be stamped at will."""
+
+    def __init__(self):
+        super().__init__(SimpleNamespace(now=0.0))
+
+    def log(self, time, kind, **data):
+        self.env.now = time
+        self.event(kind, **data)
 
 
 def make_trace():
-    trace = EventTrace()
+    trace = ClockedTracer()
     trace.log(0.0, "submit", job="a")
     trace.log(1.0, "selected", job="a")
     trace.log(5.0, "agent-ready", job="a", agent="x")
@@ -31,10 +44,10 @@ class TestTimeline:
         assert "r" in lane_b
 
     def test_empty_trace(self):
-        assert render_timeline(EventTrace()) == "(empty trace)"
+        assert render_timeline(ClockedTracer()) == "(empty trace)"
 
     def test_unfinished_job_runs_to_edge(self):
-        trace = EventTrace()
+        trace = ClockedTracer()
         trace.log(0.0, "submit", job="run-on")
         trace.log(5.0, "selected", job="run-on")
         text = render_timeline(trace, width=40)
@@ -42,7 +55,7 @@ class TestTimeline:
         assert "]" not in lane
 
     def test_max_jobs_cap(self):
-        trace = EventTrace()
+        trace = ClockedTracer()
         for i in range(10):
             trace.log(float(i), "submit", job=f"j{i}")
             trace.log(float(i) + 1, "finished", job=f"j{i}")
@@ -50,7 +63,7 @@ class TestTimeline:
         assert "7 more not shown" in text
 
     def test_failed_marker(self):
-        trace = EventTrace()
+        trace = ClockedTracer()
         trace.log(0.0, "submit", job="bad")
         trace.log(2.0, "failed", job="bad", error="boom")
         trace.log(2.0, "finished", job="bad")
@@ -59,7 +72,7 @@ class TestTimeline:
         assert "!" in lane
 
     def test_records_without_job_ignored(self):
-        trace = EventTrace()
+        trace = ClockedTracer()
         trace.log(0.0, "submit", job="x")
         trace.log(0.5, "unrelated", other="thing")
         trace.log(1.0, "finished", job="x")

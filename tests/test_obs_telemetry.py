@@ -4,8 +4,11 @@ profiler, and the Chrome/Perfetto trace_event exporter (repro.obs)."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     KernelProfiler,
@@ -84,19 +87,26 @@ class TestRegistry:
         assert snap["count"] == 0
         assert snap["min"] is None and snap["max"] is None
 
-    def test_histogram_percentiles_stay_exact_within_window(self, env):
-        t = Telemetry(env)
-        h = t.histogram("w")
-        for v in range(1, 101):
-            h.observe(float(v))
-        assert h.percentile(50) == pytest.approx(50.5)
+    def test_histogram_percentiles_within_sketch_error_at_every_length(
+            self, env):
+        """One mechanism at every stream length: the sketch's rank is
+        exact and its value is within alpha = 0.01 of the value at that
+        rank (there is no exact-below-a-window regime any more)."""
+        for n in (1, 2, 10, 100, 1023, 1024, 1025, 10_000):
+            h = Telemetry(env).histogram("w")
+            for v in range(1, n + 1):
+                h.observe(float(v))
+            for q in (50, 95, 99):
+                at_rank = float(max(1, math.ceil(n * q / 100)))
+                assert h.percentile(q) == pytest.approx(at_rank, rel=0.01), \
+                    (n, q)
+            assert h.percentile(0) == 1.0 and h.percentile(100) == float(n)
 
     def test_histogram_percentiles_use_sketch_past_the_window(self, env):
         t = Telemetry(env)
         h = t.histogram("big")
         for v in range(1, 10_001):
             h.observe(float(v))
-        # The bounded window saw only a suffix; the sketch saw everything.
         assert h.percentile(50) == pytest.approx(5000.0, rel=0.02)
         assert h.percentile(99) == pytest.approx(9900.0, rel=0.02)
 
@@ -183,14 +193,39 @@ class TestMergeSnapshots:
         assert h["p50"] == pytest.approx(1.0, rel=0.02)
         assert h["p95"] == pytest.approx(5.0, rel=0.02)
 
-    def test_legacy_snapshots_without_sketch_state_keep_none(self):
-        a, b = self._snap(1.0), self._snap(5.0)
-        del a["histograms"]["h"]["sketch"]  # pre-sketch snapshot shape
-        merged = merge_snapshots([a, b])
-        h = merged["histograms"]["h"]
-        assert h["count"] == 2
-        assert h["p50"] is None and h["p95"] is None
-        assert "sketch" not in h
+    @staticmethod
+    def _registry_snapshot(observations):
+        """One environment's snapshot.  Integer-valued observations:
+        float sums of them are exact, so splitting a stream cannot move
+        a total by a rounding and the properties below hold bit for bit."""
+        env = Environment()
+        t = Telemetry(env)
+        for v in observations:
+            t.counter("c").inc(abs(v))
+            t.gauge("g").set(v)
+            t.histogram("h").observe(v)
+        t.histogram("unused")
+        return t.snapshot()
+
+    _streams = st.lists(
+        st.lists(st.integers(-1000, 1000).map(float), max_size=40),
+        min_size=1, max_size=6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(observations=_streams.map(lambda cells: cells[0]))
+    def test_merge_of_one_snapshot_is_that_snapshot(self, observations):
+        """``repro top`` (merged) and ``/snapshot`` (one registry) must
+        show the same numbers for the same stream."""
+        snap = self._registry_snapshot(observations)
+        assert merge_snapshots([snap]) == snap
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=_streams, data=st.data())
+    def test_merge_is_associative_over_plan_order_splits(self, cells, data):
+        snaps = [self._registry_snapshot(cell) for cell in cells]
+        cut = data.draw(st.integers(0, len(snaps)))
+        halves = [merge_snapshots(snaps[:cut]), merge_snapshots(snaps[cut:])]
+        assert merge_snapshots(halves) == merge_snapshots(snaps)
 
     def test_series_concatenate_in_fold_order(self):
         merged = merge_snapshots([self._snap(1.0), self._snap(2.0)])

@@ -246,6 +246,42 @@ class TestTracedStreaming:
         assert all(s.status == "ok" for s in chunks)
 
 
+    def test_chunk_events_do_not_evict_the_job_lifecycle(self):
+        """A reliable stream logs one ``spool`` event per chunk; over a
+        long-running job they roll the shared ring many times over, and
+        the job's own lifecycle records must survive that."""
+        from repro.core import CrossBroker
+        from repro.jdl import JobDescription
+        from repro.metrics import render_timeline
+
+        tb = Scenario(sites=1, scenario="campus", nodes_per_site=1,
+                      seed=43).build().testbed
+        env = tb.env
+        tracer = Tracer(env, ring_size=32).install()
+        broker = CrossBroker(env, tb.network, tb.rng, tb.calibration)
+
+        def app(ctx):
+            for i in range(200):
+                yield from ctx.io(0.05)
+                yield from ctx.stdio.write(f"line {i}", eol=True)
+            yield from ctx.stdio.eof()
+
+        job = JobDescription.from_attributes({
+            "executable": "chatty",
+            "jobtype": ["interactive", "sequential"],
+            "streamingmode": "reliable",
+        }, owner="alice")
+        submitted = broker.submit(job, lambda rank: app)
+        env.run(until=submitted.finished)
+
+        assert tracer.counters["chunks_sent"] > 5 * 32
+        assert "submit" not in {e.kind for e in tracer.events}  # rolled over
+        kinds = [e.kind for e in tracer.job_events]
+        assert kinds[:2] == ["submit", "selected"]
+        assert "finished" in kinds
+        assert f"{job.job_id} |[" in render_timeline(tracer)
+
+
 class TestTraceRunner:
     def test_traced_idle_method_breaks_down_phases(self):
         from repro.experiments.trace_run import run_traced_method
@@ -260,6 +296,49 @@ class TestTraceRunner:
         assert breakdown["match"] + breakdown["gram_submit"] \
             <= breakdown["submit"] + 1e-9
         assert not tracer.open_spans()
+
+    @pytest.mark.parametrize("method",
+                             ["idle", "virtual-machine", "job+agent"])
+    def test_traced_run_is_the_table1_cell(self, method, monkeypatch):
+        """``repro trace`` runs Table I's own cell: same clock, same
+        events, and the spans *are* the table's columns, to the bit —
+        tracing observes, it does not perturb."""
+        import itertools
+
+        from repro.experiments.trace_run import run_traced_method
+        from repro.obs import telemetry_scope
+        from repro.runner import get_spec
+
+        def rewind_ids():
+            # Job and message ids come from process-global counters and
+            # key RNG streams (ROADMAP 1 W2(a)): start both runs alike.
+            monkeypatch.setattr("repro.jdl.job._job_counter",
+                                itertools.count(1))
+            monkeypatch.setattr("repro.streaming.messages._seq_counter",
+                                itertools.count(1))
+
+        spec = get_spec("table1")
+        config = spec.make_config(quick=True)
+        rewind_ids()
+        # series=False: the registry only remembers the environment.
+        with telemetry_scope(series=False) as built:
+            cell = spec.run_cell(config, ("campus", method))
+        [untraced] = [t.env for t in built]
+        rewind_ids()
+        tracer = run_traced_method(method, jobs=config.jobs_per_method,
+                                   seed=config.seed, n_sites=config.n_sites)
+
+        assert (tracer.env.now, tracer.env._eid) \
+            == (untraced.now, untraced._eid)
+        measured = [s.job for s in sorted(tracer.spans_of("submit"),
+                                          key=lambda s: s.start)
+                    if s.meta["owner"] != "background"]
+        assert [tracer.job_breakdown(j)["match"] for j in measured] \
+            == [d + s for d, s in zip(cell.discovery.values,
+                                      cell.selection.values)]
+        if method == "idle":
+            assert [tracer.job_breakdown(j)["gram_submit"]
+                    for j in measured] == list(cell.submission.values)
 
     def test_unknown_method_rejected(self):
         from repro.experiments.trace_run import run_traced_method

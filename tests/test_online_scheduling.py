@@ -10,6 +10,7 @@ from repro.calibration import CAMPUS
 from repro.core import BrokerConfig, CrossBroker, SubmissionPath
 from repro.grid import SiteConfig, base_world
 from repro.jdl import JobDescription
+from repro.obs import Tracer
 from repro.workloads import cpu_bound_app, immediate_output_app
 
 
@@ -36,6 +37,7 @@ class TestOnlineScheduling:
     def test_resubmission_after_remote_queueing(self):
         tb, broker = self._two_site_world(seed=150)
         env = tb.env
+        tracer = Tracer(env).install()
         slow = tb.site("slow")
 
         job = interactive_exclusive()
@@ -57,7 +59,7 @@ class TestOnlineScheduling:
         assert report.success
         assert report.resubmissions >= 1
         assert report.sites == ["spare"]
-        assert any(r.kind == "resubmit" for r in broker.trace.records)
+        assert any(e.kind == "resubmit" for e in tracer.job_events)
 
     def test_no_resubmission_when_it_starts_promptly(self):
         tb, broker = self._two_site_world(seed=151)

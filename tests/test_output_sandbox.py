@@ -6,6 +6,7 @@ from repro import Scenario
 from repro.core import CrossBroker
 from repro.grid import retrieve_output
 from repro.jdl import JobDescription
+from repro.obs import Tracer
 from repro.workloads import cpu_bound_app, immediate_output_app
 
 
@@ -36,6 +37,7 @@ class TestBrokerIntegration:
                       publish=False).build().testbed
         tb.publish_all_now()
         broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration)
+        tracer = Tracer(tb.env).install()
         job = JobDescription.from_attributes({
             "executable": "sim",
             "outputsandbox": [("results.dat", 10 << 20), "sim.log"],
@@ -44,8 +46,8 @@ class TestBrokerIntegration:
         tb.env.run(until=submitted.finished)
         assert submitted.report.success
         assert submitted.report.output_retrieval_time > 0
-        assert any(r.kind == "output-retrieved"
-                   for r in broker.trace.records)
+        assert any(e.kind == "output-retrieved"
+                   for e in tracer.job_events)
 
     def test_no_sandbox_no_cost(self):
         tb = Scenario(sites=1, scenario="campus", nodes_per_site=1, seed=182,

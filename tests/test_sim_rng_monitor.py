@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import EventTrace, Monitor, RandomStreams, SummaryStats
+from repro.sim import RandomStreams, SummaryStats
 
 
 class TestRandomStreams:
@@ -79,26 +79,19 @@ class TestRandomStreams:
 
 
 class TestMonitor:
+    """``sim/monitor.py``'s summary probe."""
+
     def test_record_and_stats(self):
-        monitor = Monitor("m")
-        for t, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-            monitor.record(float(t), v)
-        stats = monitor.stats()
+        stats = SummaryStats.of([1.0, 2.0, 3.0, 4.0])
         assert stats.count == 4
         assert stats.mean == 2.5
         assert stats.minimum == 1.0
         assert stats.maximum == 4.0
 
     def test_empty_stats_are_nan(self):
-        stats = Monitor().stats()
+        stats = SummaryStats.of([])
         assert stats.count == 0
         assert np.isnan(stats.mean)
-
-    def test_series_pairs(self):
-        monitor = Monitor()
-        monitor.record(1.0, 10.0)
-        monitor.record(2.0, 20.0)
-        assert list(monitor.series()) == [(1.0, 10.0), (2.0, 20.0)]
 
     @settings(max_examples=30, deadline=None)
     @given(values=st.lists(
@@ -113,36 +106,3 @@ class TestMonitor:
                                           rel=1e-9, abs=1e-9)
         assert stats.minimum == min(values)
         assert stats.maximum == max(values)
-
-
-class TestEventTrace:
-    def test_log_and_filter(self):
-        trace = EventTrace()
-        trace.log(1.0, "submit", job="j1")
-        trace.log(2.0, "start", job="j1")
-        trace.log(3.0, "submit", job="j2")
-        assert len(trace) == 3
-        assert len(trace.of_kind("submit")) == 2
-        assert trace.kinds() == ["submit", "start"]
-
-    def test_last(self):
-        trace = EventTrace()
-        assert trace.last() is None
-        trace.log(1.0, "a")
-        trace.log(2.0, "b")
-        assert trace.last().kind == "b"
-        assert trace.last("a").time == 1.0
-        assert trace.last("zzz") is None
-
-    def test_durations_pairing(self):
-        trace = EventTrace()
-        trace.log(1.0, "start", job="x")
-        trace.log(2.0, "start", job="y")
-        trace.log(4.0, "end", job="x")
-        trace.log(7.0, "end", job="y")
-        assert trace.durations("start", "end", "job") == [3.0, 5.0]
-
-    def test_record_getitem(self):
-        trace = EventTrace()
-        rec = trace.log(1.0, "k", field="v")
-        assert rec["field"] == "v"

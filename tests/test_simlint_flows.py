@@ -279,6 +279,10 @@ class TestEngineEdgeCases:
         assert REPRO_LAYERS.rank_of("repro.sim.events") == 0
         assert REPRO_LAYERS.rank_of("repro.core.broker") == 4
         assert REPRO_LAYERS.rank_of("repro.experiments.table1") == 6
+        # The real-socket twin sits at the top: nothing under the
+        # simulator may import it.
+        assert REPRO_LAYERS.rank_of("repro.interposition.agent") \
+            == max(REPRO_LAYERS.ranks.values())
         assert REPRO_LAYERS.rank_of("repro.obs.telemetry") is None
         assert REPRO_LAYERS.is_isolated("repro.obs.tracer")
         assert REPRO_LAYERS.rank_of("repro.analysis.engine") is None
