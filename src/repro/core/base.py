@@ -235,10 +235,7 @@ class BrokerBase:
                 yield from self._execute(submitted, factory)
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             report.error = f"{type(exc).__name__}: {exc}"
-            tr = self.env.tracer
-            if tr is not None:
-                tr.event("failed", job=job.job_id, error=report.error)
-                tr.count("jobs_failed", job=job.job_id)
+            trace_event(self.env, "failed", job=job.job_id, error=report.error)
             if not submitted.finished.triggered:
                 submitted.finished.fail(exc)
                 submitted.finished.defuse()
@@ -444,7 +441,6 @@ class BrokerBase:
                     tr.event("resubmit", job=job.job_id, site=candidate.site)
                     # The span covers the wait, not the cancel that follows.
                     tr.end(span, status="queued-timeout")
-                    tr.count("resubmits", job=job.job_id, site=candidate.site)
                 try:
                     yield from gram.cancel(ticket.gram_id)
                 except NetworkError:

@@ -131,10 +131,8 @@ class CrossBroker(BrokerBase):
             # Whole grid busy: park in the broker queue (Figure 5, arrow 2).
             report.path = SubmissionPath.BROKER_QUEUED
             attempts += 1
-            tr = self.env.tracer
-            if tr is not None:
-                tr.event("broker-queued", job=job.job_id, attempt=attempts)
-                tr.count("broker_queued", job=job.job_id)
+            trace_event(self.env, "broker-queued", job=job.job_id,
+                        attempt=attempts)
             self._queued_batch.append(submitted)
             t = self.env.telemetry
             if t is not None:
@@ -247,9 +245,7 @@ class CrossBroker(BrokerBase):
         # "CrossBroker searches for an idle machine and submits the agent
         # and the application in a similar way to... a batch job").
         self._vm_miss_times.append(self.env.now)
-        tr = self.env.tracer
-        if tr is not None:
-            tr.count("vm_miss", job=job.job_id)
+        trace_event(self.env, "vm-miss", job=job.job_id)
         report.path = SubmissionPath.INTERACTIVE_SHARED_NEW_AGENT
         candidates = yield from self._discover_and_select(submitted)
         idle = [c for c in candidates
@@ -403,11 +399,8 @@ class CrossBroker(BrokerBase):
             while not ready_records:
                 yield boot_poll.arm(0.05)
         record = ready_records[0]
-        tr = self.env.tracer
-        if tr is not None:
-            tr.event("agent-ready", agent=record.runtime.agent_id,
-                     site=candidate.site, job=job.job_id)
-            tr.count("agents_planted", site=candidate.site)
+        trace_event(self.env, "agent-ready", agent=record.runtime.agent_id,
+                    site=candidate.site, job=job.job_id)
         return record
 
     def _agent_rpc(self, record: AgentRecord) -> Generator:
@@ -479,13 +472,9 @@ class CrossBroker(BrokerBase):
                     and submitted.report.resubmissions \
                     < self.config.max_resubmissions:
                 submitted.report.resubmissions += 1
-                tr = self.env.tracer
-                if tr is not None:
-                    tr.count("agent_died_resubmit", job=job.job_id,
-                             site=record.site)
-                    tr.event("agent-died-resubmit", job=job.job_id,
-                             agent=record.runtime.agent_id,
-                             attempt=submitted.report.resubmissions)
+                trace_event(self.env, "agent-died-resubmit", job=job.job_id,
+                            agent=record.runtime.agent_id,
+                            attempt=submitted.report.resubmissions)
                 try:
                     yield from self._run_batch(submitted, factory)
                 except Exception as resubmit_exc:  # noqa: BLE001

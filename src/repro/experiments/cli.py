@@ -8,7 +8,7 @@ Usage::
     repro cache ls
     repro cache clear fig6
     repro trace --method virtual-machine --json t.json
-    repro trace export --chrome trace.json   # Perfetto/Chrome export
+    repro trace --chrome trace.json          # Perfetto/Chrome export
     repro top table1 --quick                 # telemetry summary
     repro lint src --json simlint.json       # simlint static analysis
     repro scale generate --jobs 1000000 --out campaign.trace

@@ -34,27 +34,6 @@ from .cli import DEFAULT_CACHE_DIR, worker_count
 _CLEAR = "\x1b[2J\x1b[H"
 
 
-def _render_tables(merged: Dict[str, Any], title: str,
-                   series_note: str = "") -> str:
-    from ..metrics import (
-        telemetry_counters_table,
-        telemetry_gauges_table,
-        telemetry_histograms_table,
-        telemetry_overview,
-    )
-
-    parts = [telemetry_counters_table(
-        merged, title=f"Telemetry counters — {title}").render(), ""]
-    parts += [telemetry_gauges_table(
-        merged, title=f"Telemetry gauges — {title}").render(), ""]
-    if merged.get("histograms"):
-        parts += [telemetry_histograms_table(
-            merged, title=f"Telemetry histograms — {title}").render(), ""]
-    parts += [f"Time series — {title}{series_note}",
-              telemetry_overview(merged)]
-    return "\n".join(parts)
-
-
 def _live_header(snap: Dict[str, Any]) -> str:
     state = "finished" if snap.get("finished") else "running"
     lines = [f"t={snap.get('time', 0.0):.2f} sim-s ({state}); "
@@ -71,6 +50,7 @@ def _live_header(snap: Dict[str, Any]) -> str:
 
 def _watch(args: argparse.Namespace) -> int:
     """Re-render the telemetry tables from a live snapshot source."""
+    from ..metrics import render_telemetry
     from ..obs.serve import fetch_snapshot
 
     def read_snapshot() -> Dict[str, Any]:
@@ -86,7 +66,7 @@ def _watch(args: argparse.Namespace) -> int:
         merged = snap.get("telemetry")
         body = [_live_header(snap), ""]
         if merged is not None:
-            body.append(_render_tables(merged, title))
+            body.append(render_telemetry(merged, title))
         else:
             body.append("(no telemetry registry installed on this run)")
         out = "\n".join(body)
@@ -100,6 +80,7 @@ def _watch(args: argparse.Namespace) -> int:
 
 
 def top_main(argv: List[str]) -> int:
+    from ..metrics import render_telemetry
     from ..runner import all_specs, run_experiment
 
     parser = argparse.ArgumentParser(
@@ -152,7 +133,7 @@ def top_main(argv: List[str]) -> int:
     telemetry = result.data["telemetry"]
     merged = telemetry["merged"]
 
-    print(_render_tables(
+    print(render_telemetry(
         merged, args.experiment,
         f" ({len(telemetry['cells'])} cells, merged in plan order)"))
 

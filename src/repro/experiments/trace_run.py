@@ -6,8 +6,9 @@ driver — the same simulation, event for event) with a
 middleware stage the broker traverses (matchmaking, GRAM submission,
 glide-in bootstrap, agent dispatch, VM acquisition, streaming, output
 retrieval) is attributed against sim-time — tracing observes, it does
-not perturb.  Output is the per-phase breakdown table plus counters;
-``--json``/``--csv`` dump the raw trace for notebooks and CI artifacts.
+not perturb.  Output is the per-phase breakdown table plus the event
+tallies; ``--json``/``--csv`` dump the raw trace for notebooks and CI
+artifacts, ``--chrome`` a Perfetto/Chrome ``trace_event`` file.
 
 Usage::
 
@@ -15,7 +16,7 @@ Usage::
     repro trace --method virtual-machine --jobs 10
     repro trace --scenario wan --json trace.json
     repro trace --telemetry --profile
-    repro trace export --chrome out.json
+    repro trace --method idle --telemetry --chrome out.json
 
 Exit codes follow the ``repro lint`` contract: 0 — run clean; 1 — the
 traced run recorded *fatal* signals (error-status spans, failed jobs, a
@@ -29,15 +30,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-from typing import List, Optional
+import os
+from typing import Any, Dict, List, Optional
 
 from ..metrics import (
     counters_table,
     job_breakdown_table,
     phase_breakdown_table,
+    render_telemetry,
     write_trace_csv,
+    write_trace_json,
 )
-from ..obs import Tracer, profile_scope
+from ..obs import Tracer, export_chrome_trace, profile_scope
 from .table1 import METHODS, Table1Config, _measure_broker_method, _world
 
 #: Broker-mediated Table I methods (glogin bypasses the broker entirely,
@@ -71,52 +75,25 @@ def run_traced_method(method: str, scenario: str = "campus", jobs: int = 5,
 def _tracer_fatal(tracer: Tracer) -> bool:
     """True when a traced run recorded genuinely fatal signals.
 
-    Deliberately narrower than ``PhaseStats.errors`` (which also counts
-    expected lifecycle noise: ``queued-timeout`` resubmissions, fast-mode
-    ``dropped`` chunks, reliable ``retry`` attempts).
+    Deliberately narrower than the phase table's ``errors`` column (which
+    also counts expected lifecycle noise: ``queued-timeout``
+    resubmissions, fast-mode ``dropped`` chunks, reliable ``retry``
+    attempts).
     """
-    if tracer.counters.get("jobs_failed", 0) > 0:
-        return True
-    if tracer.counters.get("sender_fatal", 0) > 0:
+    tally = tracer.event_counts
+    if tally.get("failed") or tally.get("sender_fatal"):
         return True
     return any(span.status == "error" for span in tracer.spans)
 
 
-def trace_export_main(argv: Optional[List[str]] = None) -> int:
-    """``repro trace export --chrome out.json`` — Perfetto/Chrome export."""
-    parser = argparse.ArgumentParser(
-        prog="repro trace export",
-        description="Run a traced method and export the merged spans + "
-                    "telemetry counter tracks as Chrome trace_event JSON "
-                    "(loadable in ui.perfetto.dev).")
-    parser.add_argument("--chrome", metavar="PATH", required=True,
-                        help="output path for the trace_event JSON")
-    parser.add_argument("--method", choices=TRACE_METHODS, default="idle")
-    parser.add_argument("--scenario", choices=("campus", "wan"),
-                        default="campus")
-    parser.add_argument("--jobs", type=int, default=5)
-    parser.add_argument("--sites", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--no-telemetry", action="store_true",
-                        help="export spans only (skip counter tracks)")
-    args = parser.parse_args(argv)
-
-    from ..obs import export_chrome_trace
-
-    tracer = run_traced_method(args.method, scenario=args.scenario,
-                               jobs=args.jobs, seed=args.seed,
-                               n_sites=args.sites,
-                               telemetry=not args.no_telemetry)
-    registry = tracer.env.telemetry
-    n = export_chrome_trace(args.chrome, tracer=tracer, telemetry=registry)
-    print(f"wrote {n} trace events to {args.chrome} "
-          f"(open in ui.perfetto.dev)")
-    return 1 if _tracer_fatal(tracer) else 0
+def _method_path(path: str, method: str) -> str:
+    """``path`` with ``method`` inserted before the file name's extension
+    (``runs.d/spans.csv`` -> ``runs.d/spans.idle.csv``)."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{method}{ext}"
 
 
 def trace_main(argv: Optional[List[str]] = None) -> int:
-    if argv and argv[0] == "export":
-        return trace_export_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro trace",
         description="Traced Table I run: per-phase latency breakdown of "
@@ -144,11 +121,18 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
                         help="dump retained spans as CSV (one file per "
                              "method, method name inserted when tracing "
                              "several)")
+    parser.add_argument("--chrome", metavar="PATH",
+                        help="export spans (+ telemetry counter tracks "
+                             "with --telemetry) as Chrome trace_event JSON "
+                             "for ui.perfetto.dev (one file per method, "
+                             "like --csv)")
     args = parser.parse_args(argv)
 
     methods = list(TRACE_METHODS) if args.method == "all" else [args.method]
-    payload = {"scenario": args.scenario, "jobs": args.jobs,
-               "sites": args.sites, "seed": args.seed, "methods": {}}
+    several = len(methods) > 1
+    run: Dict[str, Any] = {"scenario": args.scenario, "jobs": args.jobs,
+                           "sites": args.sites, "seed": args.seed}
+    traces: Dict[str, Any] = {}
     fatal = False
     for method in methods:
         tracer = run_traced_method(method, scenario=args.scenario,
@@ -161,19 +145,14 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
                  f"({args.jobs} jobs)")
         print(phase_breakdown_table(tracer, title=title).render())
         print()
-        print(counters_table(tracer, title=f"Counters — {method}").render())
+        print(counters_table(
+            tracer, title=f"Event tallies — {method}").render())
         print()
         if args.per_job:
             print(job_breakdown_table(tracer).render())
             print()
         if args.telemetry and tracer.env.telemetry is not None:
-            from ..metrics import telemetry_gauges_table, telemetry_overview
-
-            snapshot = tracer.env.telemetry.snapshot()
-            print(telemetry_gauges_table(
-                snapshot, title=f"Telemetry gauges — {method}").render())
-            print()
-            print(telemetry_overview(snapshot))
+            print(render_telemetry(tracer.env.telemetry.snapshot(), method))
             print()
         if args.profile and tracer.env.profiler is not None:
             prof = tracer.env.profiler
@@ -183,30 +162,30 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {stats.site:<40} n={stats.count:<8} "
                       f"total={stats.total:.4f}s mean={stats.mean:.2e}s")
             print()
-        payload["methods"][method] = tracer.to_dict()
+        if args.json and several:
+            traces[method] = tracer.to_dict()
         if args.csv:
-            path = args.csv
-            if len(methods) > 1:
-                stem, dot, ext = path.rpartition(".")
-                path = f"{stem}.{method}.{ext}" if dot else f"{path}.{method}"
+            path = _method_path(args.csv, method) if several else args.csv
             n = write_trace_csv(tracer, path)
             print(f"wrote {n} spans to {path}")
+        if args.chrome:
+            path = _method_path(args.chrome, method) if several \
+                else args.chrome
+            n = export_chrome_trace(path, tracer=tracer,
+                                    telemetry=tracer.env.telemetry)
+            print(f"wrote {n} trace events to {path}")
     if args.json:
-        if len(methods) == 1:
-            # Single-method runs keep the flat tracer snapshot layout.
-            tracer_dict = payload["methods"][methods[0]]
-            tracer_dict["run"] = {k: v for k, v in payload.items()
-                                  if k != "methods"}
-            tracer_dict["run"]["method"] = methods[0]
-            body = tracer_dict
+        if several:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump({**run, "methods": traces}, fh, indent=2,
+                          default=str)
+                fh.write("\n")
         else:
-            body = payload
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(body, fh, indent=2, default=str)
-            fh.write("\n")
+            # Single-method runs keep the flat tracer snapshot layout.
+            write_trace_json(tracer, args.json,
+                             extra={**run, "method": methods[0]})
         print(f"wrote {args.json}")
     return 1 if fatal else 0
 
 
-__all__ = ["TRACE_METHODS", "run_traced_method", "trace_export_main",
-           "trace_main"]
+__all__ = ["TRACE_METHODS", "run_traced_method", "trace_main"]

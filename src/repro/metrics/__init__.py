@@ -9,6 +9,7 @@ from .phases import (
     write_trace_json,
 )
 from .telemetry_tables import (
+    render_telemetry,
     telemetry_counters_table,
     telemetry_gauges_table,
     telemetry_histograms_table,
@@ -37,6 +38,7 @@ __all__ = [
     "phase_breakdown_table",
     "write_trace_csv",
     "write_trace_json",
+    "render_telemetry",
     "render_timeline",
     "series_chart",
     "size_profile_chart",

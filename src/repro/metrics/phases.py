@@ -33,9 +33,9 @@ def phase_breakdown_table(tracer: "Tracer",
         ["phase", "count", "mean (s)", "p50 (s)", "p95 (s)", "max (s)",
          "total (s)", "errors"],
         title=title, precision=3)
-    for name, agg in tracer.phase_stats().items():
-        table.add_row(name, agg.count, agg.mean, agg.percentile(50),
-                      agg.percentile(95), agg.maximum, agg.total, agg.errors)
+    for name, row in tracer.phase_stats().items():
+        table.add_row(name, row["count"], row["mean"], row["p50"], row["p95"],
+                      row["max"], row["total"], row["errors"])
     return table
 
 
@@ -43,29 +43,30 @@ def job_breakdown_table(tracer: "Tracer", jobs: Optional[List[str]] = None,
                         title: str = "Per-job phase totals (s)") -> AsciiTable:
     """Jobs as rows, canonical phases as columns (totals in seconds)."""
     jobs = tracer.jobs() if jobs is None else jobs
+    breakdowns = [tracer.job_breakdown(job) for job in jobs]
     phases: List[str] = []
-    for job in jobs:
-        for name in tracer.job_breakdown(job):
+    for breakdown in breakdowns:
+        for name in breakdown:
             if name not in phases:
                 phases.append(name)
     table = AsciiTable(["job"] + phases, title=title, precision=3)
-    for job in jobs:
-        breakdown = tracer.job_breakdown(job)
+    for job, breakdown in zip(jobs, breakdowns):
         table.add_row(job, *[breakdown.get(p) for p in phases])
     return table
 
 
 def counters_table(tracer: "Tracer",
-                   title: str = "Counters") -> AsciiTable:
-    table = AsciiTable(["counter", "count"], title=title)
-    for name in sorted(tracer.counters):
-        table.add_row(name, tracer.counters[name])
+                   title: str = "Event tallies") -> AsciiTable:
+    """One row per event kind: how many were recorded (exact)."""
+    table = AsciiTable(["event", "count"], title=title)
+    for name in sorted(tracer.event_counts):
+        table.add_row(name, tracer.event_counts[name])
     return table
 
 
 def write_trace_json(tracer: "Tracer", path: str,
                      extra: Optional[Dict[str, Any]] = None) -> None:
-    """Dump the full tracer snapshot (phases, counters, spans, events)."""
+    """Dump the full tracer snapshot (phases, tallies, spans, events)."""
     payload = tracer.to_dict()
     if extra:
         payload["run"] = extra

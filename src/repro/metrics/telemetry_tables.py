@@ -15,6 +15,7 @@ from .series import sparkline
 from .tables import AsciiTable
 
 __all__ = [
+    "render_telemetry",
     "telemetry_counters_table",
     "telemetry_gauges_table",
     "telemetry_histograms_table",
@@ -85,3 +86,19 @@ def telemetry_overview(snapshot: Mapping[str, Any], width: int = 42) -> str:
         lines.append(f"{name:<{name_width}}  {spark}  "
                      f"last={last} n={len(points)}")
     return "\n".join(lines)
+
+
+def render_telemetry(snapshot: Mapping[str, Any], title: str,
+                     series_note: str = "") -> str:
+    """Every table above plus the sparkline overview, one block of text
+    (what ``repro top`` and ``repro trace --telemetry`` print)."""
+    parts = [telemetry_counters_table(
+        snapshot, title=f"Telemetry counters — {title}").render(), ""]
+    parts += [telemetry_gauges_table(
+        snapshot, title=f"Telemetry gauges — {title}").render(), ""]
+    if snapshot.get("histograms"):
+        parts += [telemetry_histograms_table(
+            snapshot, title=f"Telemetry histograms — {title}").render(), ""]
+    parts += [f"Time series — {title}{series_note}",
+              telemetry_overview(snapshot)]
+    return "\n".join(parts)

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Generator, Optional
 
 from ..calibration import MiddlewareCosts
 from ..net import Network, RpcServer
-from ..sim import Environment, Event, RandomStreams, trace_span
+from ..sim import Environment, Event, RandomStreams, trace_event, trace_span
 from ..grid.errors import NoResourcesError
 from ..grid.workernode import Behavior, MachineContext, WorkerNode
 from .vm import VmKind, VmSlot
@@ -145,9 +145,6 @@ class AgentRuntime:
                 0.12))
         ticket = AgentJobTicket(label, kind, self.env.event(),
                                 self.env.event(), self.node.name)
-        tr = self.env.tracer
-        if tr is not None:
-            tr.count("vm_dispatches", job=label, site=self.node.site)
 
         def job_runner() -> Generator:
             proc = self.node.execute(behavior, label, interactive=interactive,
@@ -181,9 +178,8 @@ class AgentRuntime:
         if self._batch_done and self.batch_free and self.interactive_free \
                 and not self.leave.triggered:
             self.leave.succeed(self.env.now)
-            tr = self.env.tracer
-            if tr is not None:
-                tr.count("agents_left", site=self.node.site)
+            trace_event(self.env, "agent-left", agent=self.agent_id,
+                        site=self.node.site)
 
     def kill(self, cause: str = "killed") -> None:
         """The local scheduler (or a node crash) killed the agent.
@@ -195,11 +191,8 @@ class AgentRuntime:
         """
         if not self.dead.triggered:
             self.dead.succeed(cause)
-        tr = self.env.tracer
-        if tr is not None:
-            tr.count("agents_killed", site=self.node.site)
-            tr.event("agent_killed", agent=self.agent_id, cause=cause,
-                     guests=len(self._guests))
+        trace_event(self.env, "agent_killed", agent=self.agent_id, cause=cause,
+                    guests=len(self._guests))
         if self.server is not None:
             self.server.close()
         from ..grid.errors import AgentDeadError

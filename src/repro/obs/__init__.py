@@ -6,7 +6,7 @@ grid, net — never import it; they only read the ``Environment.tracer``
 and ``Environment.telemetry`` hooks, which are ``None`` unless a
 :class:`Tracer` / :class:`Telemetry` has been installed.  That keeps
 observability strictly opt-in and zero-cost for uninstrumented runs
-(enforced by the ``obs-direct-import`` simlint rule).
+(enforced by the ``flow-layer-dag`` simlint rule).
 
 Typical use::
 
@@ -58,7 +58,7 @@ from .serve import (
     format_sse,
     snapshot_stream,
 )
-from .tracer import PHASES, PhaseStats, Span, TraceEvent, Tracer
+from .tracer import PHASES, Span, TraceEvent, Tracer
 
 __all__ = [
     "PHASES",
@@ -76,7 +76,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "KernelProfiler",
-    "PhaseStats",
     "QuantileSketch",
     "SiteStats",
     "Span",

@@ -352,7 +352,6 @@ class SimController:
         tr = self.env.tracer
         if tr is not None:
             tr.event(f"steer:{verb}", source=source, **args)
-            tr.count(f"steer.{verb}")
         return result
 
     def _apply(self, verb: str, args: Dict[str, Any]) -> Any:

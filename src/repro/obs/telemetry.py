@@ -18,7 +18,7 @@ Hook contract (mirrors ``env.tracer`` exactly):
 
   so an uninstrumented run pays one attribute load per hook and
   allocates nothing.  The layers never import ``repro.obs`` (enforced
-  by the ``obs-direct-import`` simlint rule).
+  by the ``flow-layer-dag`` simlint rule).
 * **Read-only**: recording a sample never creates events, consumes
   kernel eids, or draws from an RNG stream — installing telemetry is
   guaranteed not to change the simulation outcome, which is what keeps

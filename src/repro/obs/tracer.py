@@ -4,20 +4,24 @@ The paper's end-to-end numbers (Table I, Figs. 6-8) are sums of many
 middleware stages: broker matchmaking, GRAM traversal, glide-in
 bootstrap, Console Agent streaming, output retrieval.  The
 :class:`Tracer` attributes where that time goes: instrumented layers
-record *spans* (named intervals against sim-time, nested per job),
-bump per-job / per-site *counters*, and append *events* (the broker's
-job lifecycle records, plus drops, retries, kills) into bounded ring
-buffers.
+record *spans* (named intervals against sim-time, nested per job) and
+append *events* (the broker's job lifecycle records, plus drops,
+retries, kills) into bounded ring buffers.  Every number the tracer
+reports is derived from those two records: per-phase aggregates from
+the spans, per-kind tallies from the events, per-job totals from the
+retained spans.
 
 Design constraints:
 
 * **zero cost when disabled** — there is no global tracer; layers read
   ``env.tracer`` (``None`` by default) and skip all bookkeeping, so an
   untraced run allocates nothing and pays one attribute load per hook;
-* **bounded memory** — raw spans are retained up to ``max_spans``
-  (aggregates stay exact past the bound), per-phase duration windows are
-  ring-buffered for percentiles, and the event logs are ``deque``s with
-  ``maxlen`` — a heavy-traffic soak cannot grow the tracer unboundedly;
+* **bounded memory** — raw spans are retained up to ``max_spans``, each
+  phase folds its durations into one telemetry :class:`Histogram`
+  (count, total and extrema exact, percentiles within the sketch's
+  relative error), the event logs are ``deque``s with ``maxlen`` and the
+  tallies are keyed by event kind — a heavy-traffic soak cannot grow the
+  tracer unboundedly;
 * **sim-time only** — all timestamps come from ``env.now``; wall-clock
   never leaks into a trace, keeping runs reproducible.
 
@@ -45,10 +49,12 @@ from contextlib import contextmanager
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     Optional, Tuple)
 
+from .telemetry import Histogram
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
 
-__all__ = ["PHASES", "PhaseStats", "Span", "Tracer", "TraceEvent"]
+__all__ = ["PHASES", "Span", "Tracer", "TraceEvent"]
 
 #: The canonical lifecycle phases (documentation + ordering for reports).
 PHASES: Tuple[str, ...] = (
@@ -137,87 +143,23 @@ class TraceEvent:
         return f"<TraceEvent {self.kind}@{self.time:.6g} {self.data!r}>"
 
 
-class PhaseStats:
-    """Exact running aggregates for one span name, plus a percentile window.
-
-    ``count``/``total``/``minimum``/``maximum`` are exact no matter how many
-    spans ran; percentiles come from the most recent ``window`` durations so
-    memory stays bounded on long soaks.
-    """
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum", "errors",
-                 "_window")
-
-    def __init__(self, name: str, window: int = 2048) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        # -inf mirrors ``minimum``: an all-negative stream (clock skew,
-        # corrected timestamps) must not report a phantom max of 0.0.
-        # ``to_dict`` guards both behind ``count``.
-        self.maximum = float("-inf")
-        self.errors = 0
-        self._window: deque = deque(maxlen=window)
-
-    def add(self, elapsed: float, ok: bool) -> None:
-        self.count += 1
-        self.total += elapsed
-        if elapsed < self.minimum:
-            self.minimum = elapsed
-        if elapsed > self.maximum:
-            self.maximum = elapsed
-        if not ok:
-            self.errors += 1
-        self._window.append(elapsed)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def percentile(self, q: float) -> float:
-        """Percentile over the retained window (q in [0, 100])."""
-        if not self._window:
-            return float("nan")
-        ordered = sorted(self._window)
-        idx = (len(ordered) - 1) * (q / 100.0)
-        lo = int(idx)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = idx - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name, "count": self.count, "total": self.total,
-            "mean": self.mean if self.count else None,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum if self.count else None,
-            "p50": self.percentile(50) if self.count else None,
-            "p95": self.percentile(95) if self.count else None,
-            "errors": self.errors,
-        }
-
-
 class Tracer:
-    """Collects spans, counters, and ring-buffered events against sim-time.
+    """Collects spans and ring-buffered events against sim-time.
 
     Install with ``env.tracer = Tracer(env)`` (or :meth:`install`);
     instrumented layers do::
 
         with trace_span(self.env, "gram_submit", job=job_id, site=site):
             ...                       # repro.sim.trace_span -> tr.span()
-        tr = self.env.tracer
-        if tr is not None:
-            tr.event("selected", job=job_id, n_candidates=n)
+        trace_event(self.env, "selected", job=job_id, n_candidates=n)
 
-    so a disabled run performs one ``None`` check and allocates nothing
+    so a disabled run performs one ``None`` check per hook
     (the per-chunk streaming sites keep explicit ``begin``/``end`` pairs
     behind one guard: they run tens of thousands of times a second).
     """
 
     def __init__(self, env: "Environment", ring_size: int = 4096,
-                 max_spans: int = 50_000,
-                 percentile_window: int = 2048) -> None:
+                 max_spans: int = 50_000) -> None:
         self.env = env
         #: Completed spans in end order, bounded by ``max_spans``.
         self.spans: List[Span] = []
@@ -231,15 +173,12 @@ class Tracer:
         #: ...) again in a ring of their own, so a job's lifecycle is
         #: not evicted by chunk-rate ``spool``/``drop``/``retry`` noise.
         self.job_events: deque = deque(maxlen=ring_size)
-        #: Global counters (name -> count).
-        self.counters: Dict[str, int] = {}
-        #: Per-job and per-site counter maps.
-        self.job_counters: Dict[str, Dict[str, int]] = {}
-        self.site_counters: Dict[str, Dict[str, int]] = {}
-        self._agg: Dict[str, PhaseStats] = {}
-        self._percentile_window = percentile_window
-        #: Per-job totals: job -> phase -> accumulated seconds.
-        self._job_phase: Dict[str, Dict[str, float]] = {}
+        #: Exact per-kind tally of every event ever recorded (the rings
+        #: forget; the tally does not).
+        self.event_counts: Dict[str, int] = {}
+        #: Per-phase durations and non-``ok`` span counts.
+        self._agg: Dict[str, Histogram] = {}
+        self._errors: Dict[str, int] = {}
         #: Per-job stacks of open spans (for nesting).
         self._open: Dict[Optional[str], List[Span]] = {}
 
@@ -287,12 +226,10 @@ class Tracer:
                 self._open.pop(span.job, None)
         agg = self._agg.get(span.name)
         if agg is None:
-            agg = self._agg[span.name] = PhaseStats(
-                span.name, window=self._percentile_window)
-        agg.add(span.end - span.start, ok=(status == "ok"))
-        if span.job is not None:
-            phases = self._job_phase.setdefault(span.job, {})
-            phases[span.name] = phases.get(span.name, 0.0) + span.elapsed
+            agg = self._agg[span.name] = Histogram(span.name)
+        agg.observe(span.end - span.start)
+        if status != "ok":
+            self._errors[span.name] = self._errors.get(span.name, 0) + 1
         if len(self.spans) < self.max_spans:
             self.spans.append(span)
         else:
@@ -312,42 +249,48 @@ class Tracer:
             raise
         self.end(span)
 
-    # -- counters --------------------------------------------------------
-    def count(self, name: str, n: int = 1, job: Optional[str] = None,
-              site: Optional[str] = None) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-        if job is not None:
-            per = self.job_counters.setdefault(job, {})
-            per[name] = per.get(name, 0) + n
-        if site is not None:
-            per = self.site_counters.setdefault(site, {})
-            per[name] = per.get(name, 0) + n
-
     # -- event ring -------------------------------------------------------
     def event(self, kind: str, **data: Any) -> None:
         record = TraceEvent(self.env.now, kind, data)
         self.events.append(record)
         if "job" in data:
             self.job_events.append(record)
+        self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
 
     # -- queries -----------------------------------------------------------
-    def phase_stats(self) -> Dict[str, PhaseStats]:
-        """Aggregated span stats, canonical phases first."""
-        ordered: Dict[str, PhaseStats] = {}
-        for name in PHASES:
-            if name in self._agg:
-                ordered[name] = self._agg[name]
-        for name, agg in self._agg.items():
-            if name not in ordered:
-                ordered[name] = agg
-        return ordered
+    def phase_stats(self) -> Dict[str, Dict[str, Any]]:
+        """Per-phase aggregates, canonical phases first.
+
+        Each entry is the phase's :class:`Histogram` entry (count, total,
+        mean, min and max exact; p50/p95 the sketch's nearest-rank values)
+        plus ``errors``, the spans that closed with a non-``ok`` status.
+        """
+        names = [name for name in PHASES if name in self._agg]
+        names += [name for name in self._agg if name not in names]
+        stats: Dict[str, Dict[str, Any]] = {}
+        for name in names:
+            entry = stats[name] = self._agg[name].to_dict()
+            del entry["sketch"]
+            entry["errors"] = self._errors.get(name, 0)
+        return stats
+
+    def _job_totals(self) -> Dict[str, Dict[str, float]]:
+        """job -> phase -> seconds, summed over the retained spans in end
+        order (exact while ``dropped_spans`` is 0)."""
+        totals: Dict[str, Dict[str, float]] = {}
+        for span in self.spans:
+            if span.job is not None:
+                phases = totals.setdefault(span.job, {})
+                phases[span.name] = phases.get(span.name, 0.0) + span.elapsed
+        return totals
 
     def job_breakdown(self, job: str) -> Dict[str, float]:
         """Total seconds per phase accumulated for one job."""
-        return dict(self._job_phase.get(job, {}))
+        return self._job_totals().get(job, {})
 
     def jobs(self) -> List[str]:
-        return list(self._job_phase)
+        """Jobs with a retained span, in the order their first span ended."""
+        return list(self._job_totals())
 
     def spans_of(self, name: Optional[str] = None,
                  job: Optional[str] = None) -> List[Span]:
@@ -364,23 +307,18 @@ class Tracer:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable snapshot of everything the tracer holds.
 
-        Counter maps are emitted in sorted key order so two identical
-        runs serialise byte-identically regardless of which layer bumped
-        a counter first (spans/events keep their chronological order).
+        Tallies and per-job totals are emitted in sorted key order so two
+        identical runs serialise byte-identically regardless of which
+        layer recorded first (spans/events keep their chronological order).
         """
         def _sorted(mapping: Dict[str, Any]) -> Dict[str, Any]:
             return {key: mapping[key] for key in sorted(mapping)}
 
         return {
-            "phases": {name: agg.to_dict()
-                       for name, agg in self.phase_stats().items()},
-            "counters": _sorted(self.counters),
-            "job_counters": {j: _sorted(c)
-                             for j, c in sorted(self.job_counters.items())},
-            "site_counters": {s: _sorted(c)
-                              for s, c in sorted(self.site_counters.items())},
+            "phases": self.phase_stats(),
+            "event_counts": _sorted(self.event_counts),
             "jobs": {j: _sorted(p)
-                     for j, p in sorted(self._job_phase.items())},
+                     for j, p in sorted(self._job_totals().items())},
             "spans": [s.to_dict() for s in self.spans],
             "events": [e.to_dict() for e in self.events],
             "dropped_spans": self.dropped_spans,
@@ -389,4 +327,4 @@ class Tracer:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Tracer spans={len(self.spans)} "
                 f"events={len(self.events)} "
-                f"counters={len(self.counters)}>")
+                f"kinds={len(self.event_counts)}>")

@@ -123,9 +123,6 @@ class StreamBuffer:
         if self._timer is not None:
             self._timer.cancel()
         self.flush_counts[reason] += 1
-        tr = self.env.tracer
-        if tr is not None:
-            tr.count(f"flush_{reason}")
         t = self.env.telemetry
         if t is not None:
             t.counter(f"buffer.flushes.{reason}").inc()

@@ -18,7 +18,7 @@ from typing import Callable, Generator, Optional
 from ..calibration import StreamingCosts
 from ..jdl import StreamingMode
 from ..net import ConnectionEnd, NetworkError
-from ..sim import Environment, RandomStreams, Store, Timer
+from ..sim import Environment, RandomStreams, Store, Timer, trace_event
 from .messages import FRAME_OVERHEAD, StreamChunk
 from .spool import DiskSpool
 
@@ -141,7 +141,6 @@ class ChunkSender:
             self.stats.bytes_sent += chunk.nbytes
             if tr is not None:
                 tr.end(span)
-                tr.count("chunks_sent")
             t = self.env.telemetry
             if t is not None:
                 t.counter("stream.chunks_sent.fast").inc()
@@ -152,7 +151,6 @@ class ChunkSender:
             self.stats.bytes_dropped += chunk.nbytes
             if tr is not None:
                 tr.end(span, status="dropped")
-                tr.count("chunks_dropped")
                 tr.event("drop", sender=self.name, nbytes=chunk.nbytes)
             t = self.env.telemetry
             if t is not None:
@@ -176,7 +174,6 @@ class ChunkSender:
                 self.stats.retries += 1
                 if tr is not None:
                     tr.end(span, status="retry")
-                    tr.count("retries")
                     tr.event("retry", sender=self.name, failures=failures,
                              spool_depth=len(self.spool))
                 t = self.env.telemetry
@@ -205,7 +202,6 @@ class ChunkSender:
             self.stats.bytes_sent += chunk.nbytes
             if tr is not None:
                 tr.end(span)
-                tr.count("chunks_sent")
             t = self.env.telemetry
             if t is not None:
                 t.counter("stream.chunks_sent.reliable").inc()
@@ -214,10 +210,7 @@ class ChunkSender:
 
     def _fatal(self, reason: str) -> None:
         self.dead = True
-        tr = self.env.tracer
-        if tr is not None:
-            tr.count("sender_fatal")
-            tr.event("sender_fatal", sender=self.name, reason=reason)
+        trace_event(self.env, "sender_fatal", sender=self.name, reason=reason)
         t = self.env.telemetry
         if t is not None:
             t.counter("stream.sender_fatal").inc()

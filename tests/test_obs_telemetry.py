@@ -375,8 +375,8 @@ class TestTraceExportCli:
         from repro.experiments.trace_run import trace_main
 
         out = tmp_path / "trace.json"
-        rc = trace_main(["export", "--chrome", str(out), "--method", "idle",
-                         "--jobs", "1", "--sites", "4"])
+        rc = trace_main(["--chrome", str(out), "--method", "idle",
+                         "--jobs", "1", "--sites", "4", "--telemetry"])
         assert rc == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
