@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 from ..net import Network
 from ..sim import Environment, RandomStreams
@@ -65,8 +65,22 @@ class Mechanism(abc.ABC):
         chunks = max(1, math.ceil(nbytes / chunk)) if nbytes > 0 else 1
         return chunks * per_op + nbytes * per_byte
 
-    def _transfer(self, nbytes: int, to_server: bool, stream: str) -> float:
-        src = self.client_host if to_server else self.server_host
-        dst = self.server_host if to_server else self.client_host
+    def _ends(self, to_server: bool) -> Tuple[str, str]:
+        if to_server:
+            return self.client_host, self.server_host
+        return self.server_host, self.client_host
+
+    def _one_way_streams(self) -> Dict[bool, Tuple[str, str]]:
+        """Per direction (``to_server``), the RNG streams of a one-way
+        model's CPU cost and transfer jitter, built once."""
+        streams = {}
+        for to_server, direction in ((True, "up"), (False, "down")):
+            prefix = f"{self.name}/{direction}"
+            streams[to_server] = (f"{prefix}/cpu", self.network.jitter_name(
+                prefix, *self._ends(to_server)))
+        return streams
+
+    def _transfer(self, nbytes: int, to_server: bool, name: str) -> float:
+        src, dst = self._ends(to_server)
         self.network.check_path(src, dst)
-        return self.network.transfer_time(src, dst, nbytes, stream=stream)
+        return self.network.transfer_time(src, dst, nbytes, name=name)

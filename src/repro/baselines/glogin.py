@@ -35,6 +35,7 @@ class GloginMechanism(Mechanism):
         super().__init__(env, network, rng, client_host, server_host)
         self.costs = costs
         self.wan = wan
+        self._streams = self._one_way_streams()
 
     def establish(self) -> Generator:
         """Full glogin startup: GSI + GRAM traversal + channel bootstrap.
@@ -63,10 +64,10 @@ class GloginMechanism(Mechanism):
 
     def one_way(self, nbytes: int, to_server: bool) -> Generator:
         start = self.env.now
-        direction = "up" if to_server else "down"
+        cpu_stream, net_stream = self._streams[to_server]
         cost = self._chunked_cost(nbytes, self.costs.chunk,
                                   self.costs.per_op, self.costs.per_byte)
-        cost = self.rng.jitter(f"glogin/{direction}/cpu", cost, 0.15)
-        transfer = self._transfer(nbytes, to_server, f"glogin/{direction}")
+        cost = self.rng.jitter(cpu_stream, cost, 0.15)
+        transfer = self._transfer(nbytes, to_server, net_stream)
         yield self.env.timeout(cost + transfer)
         return self.env.now - start

@@ -28,6 +28,7 @@ class SshMechanism(Mechanism):
                  client_host: str, server_host: str, costs: SshCosts) -> None:
         super().__init__(env, network, rng, client_host, server_host)
         self.costs = costs
+        self._streams = self._one_way_streams()
 
     def establish(self) -> Generator:
         start = self.env.now
@@ -43,10 +44,10 @@ class SshMechanism(Mechanism):
 
     def one_way(self, nbytes: int, to_server: bool) -> Generator:
         start = self.env.now
-        direction = "up" if to_server else "down"
+        cpu_stream, net_stream = self._streams[to_server]
         cost = self._chunked_cost(nbytes, self.costs.chunk,
                                   self.costs.per_op, self.costs.per_byte)
-        cost = self.rng.jitter(f"ssh/{direction}/cpu", cost, 0.12)
-        transfer = self._transfer(nbytes, to_server, f"ssh/{direction}")
+        cost = self.rng.jitter(cpu_stream, cost, 0.12)
+        transfer = self._transfer(nbytes, to_server, net_stream)
         yield self.env.timeout(cost + transfer)
         return self.env.now - start

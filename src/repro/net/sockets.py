@@ -102,6 +102,7 @@ class ConnectionEnd:
         self.remote = remote
         self.flow_id = flow_id
         self.label = label
+        self._jitter_name = network.jitter_name(f"conn/{label}", local, remote)
         self.inbox: Store = Store(network.env)
         self.peer: Optional["ConnectionEnd"] = None
         self.closed = False
@@ -121,7 +122,7 @@ class ConnectionEnd:
             raise ConnectionClosedError(f"{self.label}: connection closed")
         self.network.check_path(self.local, self.remote)
         delay = self.network.transfer_time(self.local, self.remote, nbytes,
-                                           stream=f"conn/{self.label}")
+                                           name=self._jitter_name)
         delay = self.network.ordered_arrival(self.flow_id, delay)
         t = self.env.telemetry
         if t is not None:

@@ -230,17 +230,29 @@ class Network:
             return 0.0
         return path.latency + nbytes / path.bandwidth
 
+    @staticmethod
+    def jitter_name(stream: str, src: str, dst: str) -> str:
+        """The RNG stream :meth:`transfer_time` draws ``stream``'s
+        ``src -> dst`` jitter from."""
+        return f"{stream}/{src}->{dst}"
+
     def transfer_time(self, src: str, dst: str, nbytes: int,
-                      stream: str = "net") -> float:
-        """Jittered delivery time; jitter scale is the max along the path."""
+                      stream: str = "net", *,
+                      name: Optional[str] = None) -> float:
+        """Jittered delivery time; jitter scale is the max along the path.
+
+        A caller on a hot path builds ``jitter_name(stream, src, dst)``
+        once and passes it as ``name``.
+        """
         path = self.path(src, dst)
         if not path.links:
             return 0.0
         base = path.latency + nbytes / path.bandwidth
         if base == 0.0:
             return 0.0
-        return self.rng.jitter(f"{stream}/{src}->{dst}", base, path.jitter,
-                               floor=base * 0.25)
+        if name is None:
+            name = self.jitter_name(stream, src, dst)
+        return self.rng.jitter(name, base, path.jitter, floor=base * 0.25)
 
     def check_path(self, src: str, dst: str) -> None:
         """Raise :class:`LinkDownError` if the path is currently broken."""

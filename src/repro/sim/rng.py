@@ -10,24 +10,76 @@ changing one mechanism's randomness does not perturb another's.
 from __future__ import annotations
 
 import hashlib
+from math import copysign
 from typing import Dict, Iterable, List, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
+#: Largest block of standard normals a normal-only name draws ahead.
+NORMAL_BLOCK = 64
+
+
+class _NormalDraws:
+    """A normal-only name: its generator and the standard normals it has
+    drawn ahead, in reverse order so the next one is a ``pop()``.
+
+    Blocks double from 1 to :data:`NORMAL_BLOCK`, so a name drawn once
+    (a connection's SYN) costs one draw and holds nothing ahead.
+    """
+
+    __slots__ = ("gen", "pending", "block")
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.gen = gen
+        self.pending: List[float] = []
+        self.block = 1
+
+    def refill(self) -> List[float]:
+        pending = self.gen.standard_normal(self.block).tolist()
+        pending.reverse()
+        self.pending = pending
+        if self.block < NORMAL_BLOCK:
+            self.block *= 2
+        return pending
+
 
 class RandomStreams:
-    """Factory of named, independent :class:`numpy.random.Generator` streams."""
+    """Factory of named, independent :class:`numpy.random.Generator` streams.
+
+    A name is drawn one way, decided by its first use.  A name first
+    drawn through :meth:`normal` (and so :meth:`jitter`) takes its
+    standard normals from numpy in blocks, and ``loc + scale * z``
+    equals the scalar ``Generator.normal(loc, scale)`` bit for bit
+    (``tests/test_rng_block_draws.py``).  A block runs the generator
+    ahead of the scalar path, so any other draw on that name would see
+    a different state: :meth:`stream` and every other draw raise on a
+    normal-only name, and :meth:`normal` raises on a name :meth:`stream`
+    has handed out.
+    """
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._root = np.random.SeedSequence(self._seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        self._normals: Dict[str, _NormalDraws] = {}
 
     @property
     def seed(self) -> int:
         return self._seed
+
+    def _generator(self, name: str) -> np.random.Generator:
+        # Derive a child seed from the root seed and a stable hash of the
+        # name so that stream identity does not depend on call order
+        # (blake2 is stable across runs, unlike Python's hash()).
+        digest = int.from_bytes(
+            hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(),
+            "little")
+        child = np.random.SeedSequence(
+            entropy=self._seed,
+            spawn_key=(digest & 0x7FFFFFFF, (digest >> 31) & 0x7FFFFFFF))
+        return np.random.default_rng(child)
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
@@ -37,18 +89,10 @@ class RandomStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
-            # Derive a child seed from the root seed and a stable hash of the
-            # name so that stream identity does not depend on call order
-            # (blake2 is stable across runs, unlike Python's hash()).
-            digest = int.from_bytes(
-                hashlib.blake2b(name.encode("utf-8"),
-                                digest_size=8).digest(), "little")
-            child = np.random.SeedSequence(
-                entropy=self._seed,
-                spawn_key=(digest & 0x7FFFFFFF,
-                           (digest >> 31) & 0x7FFFFFFF))
-            gen = np.random.default_rng(child)
-            self._streams[name] = gen
+            if name in self._normals:
+                raise ValueError(
+                    f"random stream {name!r} is drawn only through normal()")
+            gen = self._streams[name] = self._generator(name)
         return gen
 
     def spawn(self, name: str) -> "RandomStreams":
@@ -57,6 +101,23 @@ class RandomStreams:
         return RandomStreams(int(gen.integers(0, 2**31 - 1)))
 
     # -- convenience draws used across the substrate --------------------
+    def normal(self, name: str, loc: float, scale: float) -> float:
+        """One ``Generator.normal(loc, scale)`` draw from ``name``, taken
+        from a block of standard normals; ``name`` becomes normal-only."""
+        if scale <= 0.0 and copysign(1.0, scale) < 0.0:
+            raise ValueError("scale < 0")  # numpy's check and message
+        draws = self._normals.get(name)
+        if draws is None:
+            if name in self._streams:
+                raise ValueError(
+                    f"random stream {name!r} was handed out by stream(); "
+                    f"it cannot also be drawn through normal()")
+            draws = self._normals[name] = _NormalDraws(self._generator(name))
+        pending = draws.pending
+        if not pending:
+            pending = draws.refill()
+        return loc + scale * pending.pop()
+
     def jitter(self, name: str, mean: float, rel_std: float = 0.1,
                floor: float = 0.0) -> float:
         """A positive, normally-jittered sample around ``mean``.
@@ -66,8 +127,10 @@ class RandomStreams:
         """
         if mean <= 0:
             return max(mean, floor)
-        sample = self.stream(name).normal(mean, rel_std * mean)
-        return max(float(sample), floor)
+        sample = float(self.normal(name, mean, rel_std * mean))
+        # max(sample, floor), which returns floor only if floor > sample,
+        # without the builtin's generic call path.
+        return floor if floor > sample else sample
 
     def exponential(self, name: str, mean: float) -> float:
         return float(self.stream(name).exponential(mean))

@@ -39,7 +39,7 @@ class JobStdio:
         agent = self._agent
         size = len(data) if nbytes is None else nbytes
         cost = agent.rng.jitter(
-            f"{agent.name}/trap", agent.costs.per_op_fast
+            agent.trap_stream, agent.costs.per_op_fast
             + size * agent.costs.per_byte, 0.10)
         yield agent.env.timeout(cost)
         buffer = agent.out_buffer if stream is StreamName.STDOUT else agent.err_buffer
@@ -82,6 +82,8 @@ class ConsoleAgent:
         self.mode = mode
         self.subjob = subjob
         self.name = f"ca/{node_host}/{subjob}"
+        #: RNG stream of the per-write interposition cost.
+        self.trap_stream = f"{self.name}/trap"
         self.on_fatal = on_fatal
 
         outbox = Store(env)

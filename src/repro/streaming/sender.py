@@ -47,6 +47,10 @@ class ChunkSender:
         self.outbox = outbox
         self.name = name
         self.on_fatal = on_fatal
+        # Per-chunk names, built once.
+        self._burst_stream = f"{name}/burst"
+        self._backlog_gauge = "stream.backlog_bytes.reliable" \
+            if mode is StreamingMode.RELIABLE else "stream.backlog_bytes.fast"
         self.stats = SenderStats()
         self.spool = DiskSpool(env, rng, costs, name=f"{name}/spool") \
             if mode is StreamingMode.RELIABLE else None
@@ -97,8 +101,7 @@ class ChunkSender:
             self._in_flight = True
             t = self.env.telemetry
             if t is not None:
-                t.gauge(f"stream.backlog_bytes.{self.mode.value}").inc(
-                    chunk.nbytes)
+                t.gauge(self._backlog_gauge).inc(chunk.nbytes)
             try:
                 if self.mode is StreamingMode.RELIABLE:
                     assert self.spool is not None
@@ -125,11 +128,11 @@ class ChunkSender:
         # exhibits a higher variance" on the wide area.  The extra term is
         # a half-normal with scale proportional to the path latency, so it
         # vanishes on the campus LAN.
-        latency = self._conn.network.base_transfer_time(
-            self._conn.local, self._conn.remote, 0)
+        latency = self._conn.network.path(
+            self._conn.local, self._conn.remote).latency
         if latency > 0 and self.costs.fast_wan_jitter > 0:
-            burst = abs(self.rng.stream(f"{self.name}/burst").normal(
-                0.0, self.costs.fast_wan_jitter * latency))
+            burst = abs(self.rng.normal(
+                self._burst_stream, 0.0, self.costs.fast_wan_jitter * latency))
             if burst > 0:
                 yield self._pace_timer.arm(burst)
         tr = self.env.tracer

@@ -48,6 +48,8 @@ class ConsoleShadow:
         self.ui_host = ui_host
         self.mode = mode
         self.expected_agents = expected_agents
+        self._type_stream = f"js/{ui_host}/type"
+        self._spool_stream = f"js/{ui_host}/spool"
         if endpoint is not None:
             # Tunnel mode (§7): agents arrive through a relay; no inbound
             # port on the user's machine at all.
@@ -103,7 +105,7 @@ class ConsoleShadow:
         spools it first).
         """
         size = len(data) if nbytes is None else nbytes
-        cost = self.rng.jitter(f"js/{self.ui_host}/type",
+        cost = self.rng.jitter(self._type_stream,
                                self.costs.per_op_fast
                                + size * self.costs.per_byte, 0.10)
         yield self.env.timeout(cost)
@@ -180,7 +182,7 @@ class ConsoleShadow:
         """Shadow-side arrival: optional disk buffering, then presentation."""
         if self.mode is StreamingMode.RELIABLE:
             cost = self.rng.jitter(
-                f"js/{self.ui_host}/spool",
+                self._spool_stream,
                 self.costs.disk_per_op + chunk.nbytes * self.costs.disk_per_byte,
                 0.15)
             yield self.env.timeout(cost)

@@ -26,6 +26,8 @@ class DiskSpool:
         self.rng = rng
         self.costs = costs
         self.name = name
+        self._write_stream = f"{name}/write"
+        self._read_stream = f"{name}/read"
         self._items: Deque[StreamChunk] = deque()
         self.bytes_written = 0
         self.bytes_read = 0
@@ -37,13 +39,13 @@ class DiskSpool:
     def empty(self) -> bool:
         return not self._items
 
-    def _cost(self, nbytes: int, op: str) -> float:
+    def _cost(self, nbytes: int, stream: str) -> float:
         base = self.costs.disk_per_op + nbytes * self.costs.disk_per_byte
-        return self.rng.jitter(f"{self.name}/{op}", base, 0.15)
+        return self.rng.jitter(stream, base, 0.15)
 
     def write(self, chunk: StreamChunk) -> Generator:
         """Append a chunk to the spool file (charges the write cost)."""
-        yield self.env.timeout(self._cost(chunk.nbytes, "write"))
+        yield self.env.timeout(self._cost(chunk.nbytes, self._write_stream))
         self._items.append(chunk)
         self.bytes_written += chunk.nbytes
 
@@ -57,7 +59,7 @@ class DiskSpool:
         if not self._items:
             raise IndexError(f"{self.name}: spool is empty")
         chunk = self._items[0]
-        yield self.env.timeout(self._cost(chunk.nbytes, "read"))
+        yield self.env.timeout(self._cost(chunk.nbytes, self._read_stream))
         self.bytes_read += chunk.nbytes
         return chunk
 

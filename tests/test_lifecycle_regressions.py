@@ -46,7 +46,7 @@ class _SlowLink:
         self.local = "node"
         self.remote = "ui"
         self.network = types.SimpleNamespace(
-            base_transfer_time=lambda src, dst, nbytes: 0.0)
+            path=lambda src, dst: types.SimpleNamespace(latency=0.0))
 
     def send(self, payload, nbytes):
         yield self.env.timeout(self.delay)

@@ -1,20 +1,27 @@
-"""Evidence for ROADMAP 3(a), taken before anyone prefetches RNG blocks.
+"""The contract of ``RandomStreams``' block-drawn normals.
 
-``RandomStreams.jitter`` draws one scalar ``Generator.normal(mean,
-rel_std * mean)`` per simulated message.  Prefetching a block of standard
-normals per stream and scaling at use (``mean + (rel_std * mean) * z``)
-would cut that cost — but only if it reproduces the scalar draws *bit for
-bit*, or every golden moves.  These tests pin, on the installed numpy,
-that it does, and what breaks it: any other draw interleaved on the same
-stream.  Test-only; nothing under ``src/`` changes.
+A name first drawn through ``RandomStreams.normal`` (and so ``jitter``,
+one draw per simulated message) takes its standard normals from numpy in
+blocks and returns ``loc + scale * z``.  That must reproduce the scalar
+``Generator.normal(loc, scale)`` draws *bit for bit*, or every golden
+moves.  Two kinds of evidence live here:
 
-numpy documents neither property, so a numpy that breaks one skips with
-the reason (the prefetch is then simply not available there) instead of
-failing the suite.
+* about numpy: scaled ``standard_normal`` blocks equal scalar ``normal``
+  draws, and any other draw interleaved on the same generator breaks the
+  equivalence (which is why a normal-only name is exclusive);
+* about ``RandomStreams`` itself: random programs of draws give the same
+  values as a scalar reference kept in this file — the per-call
+  ``stream(name).normal(...)`` the class used to make — and the
+  exclusivity, argument checks and order independence hold.
+
+numpy documents neither property and ``src/`` depends on both, so a numpy
+that breaks one fails here.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RandomStreams
 
@@ -32,14 +39,13 @@ def parameters(count):
 
 
 def scalar_draws(stream, means, rel_stds):
-    """What ``RandomStreams.jitter`` does today, one draw per message."""
+    """One scalar ``Generator.normal`` per message."""
     return [float(stream.normal(mean, rel_std * mean))
             for mean, rel_std in zip(means, rel_stds)]
 
 
 def block_draws(stream, means, rel_stds, block):
-    """The candidate: standard normals in blocks of ``block``, scaled and
-    shifted at use."""
+    """Standard normals in blocks of ``block``, scaled and shifted at use."""
     out = []
     while len(out) < len(means):
         for z in stream.standard_normal(block).tolist():
@@ -50,14 +56,7 @@ def block_draws(stream, means, rel_stds, block):
     return out
 
 
-def skip_unless_identical(got, want, what):
-    if got != want:
-        differing = sum(a != b for a, b in zip(got, want))
-        pytest.skip(
-            f"numpy {np.__version__}: {what} differs from scalar "
-            f"Generator.normal in {differing}/{len(want)} draws — block "
-            f"prefetch (ROADMAP 3a) is not bit-identical on this numpy")
-
+# -- numpy --------------------------------------------------------------------
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_scaled_standard_normal_blocks_equal_scalar_normal_draws(block):
@@ -68,7 +67,6 @@ def test_scaled_standard_normal_blocks_equal_scalar_normal_draws(block):
     assert len(got) == len(want) == DRAWS
     # == on floats, draw by draw: a last-ulp difference is a failure of
     # the property, not noise.
-    skip_unless_identical(got, want, f"standard_normal({block}) blocks")
     assert got == want
 
 
@@ -77,8 +75,8 @@ def test_an_interleaved_draw_on_the_same_stream_breaks_the_equivalence(
         other):
     """A block has already consumed the generator past the point where
     the scalar path makes its ``integers``/``exponential`` draw, so that
-    draw — and every jitter after it — comes out different.  A prefetch
-    must therefore be exclusive to jitter-only streams."""
+    draw — and every jitter after it — comes out different.  Block draws
+    must therefore be exclusive to normal-only names."""
     means, rel_stds = parameters(40)
     block, cut = 64, 10  # the other draw lands inside the first block
 
@@ -97,7 +95,6 @@ def test_an_interleaved_draw_on_the_same_stream_breaks_the_equivalence(
     got_other = draw_other(blocked)  # after the block, not after draw 10
     got = [m + (r * m) * z for m, r, z in zip(means, rel_stds, zs)]
 
-    skip_unless_identical(got[:cut], want[:cut], "the first block")
     assert got[:cut] == want[:cut]
     # The interleaved draw itself moves...
     assert got_other != want_other
@@ -120,5 +117,175 @@ def test_a_jitter_only_stream_is_unaffected_by_draws_on_other_streams():
         zs = busy.stream("jitter-only").standard_normal(64).tolist()
         got += [m + (r * m) * z for m, r, z in
                 zip(means[start:start + 64], rel_stds[start:start + 64], zs)]
-    skip_unless_identical(got, want, "standard_normal(64) blocks")
     assert got == want
+
+
+# -- RandomStreams against the scalar reference ---------------------------------
+
+class ScalarStreams:
+    """Every draw is one scalar call on ``stream(name)``: what
+    ``RandomStreams`` did before normals came in blocks.  Kept here, not
+    in ``src/``, so no second code path ships."""
+
+    def __init__(self, seed):
+        self._rng = RandomStreams(seed)
+
+    def normal(self, name, loc, scale):
+        return float(self._rng.stream(name).normal(loc, scale))
+
+    def jitter(self, name, mean, rel_std=0.1, floor=0.0):
+        if mean <= 0:
+            return max(mean, floor)
+        return max(float(self._rng.stream(name).normal(mean, rel_std * mean)),
+                   floor)
+
+    def exponential(self, name, mean):
+        return self._rng.exponential(name, mean)
+
+    def uniform(self, name, low, high):
+        return self._rng.uniform(name, low, high)
+
+    def choice(self, name, options):
+        return self._rng.choice(name, options)
+
+    def shuffled(self, name, options):
+        return self._rng.shuffled(name, options)
+
+
+def run(rng, program):
+    """Apply ``program`` to ``rng``; every value drawn, in order."""
+    out = []
+    for op, name, *args in program:
+        if op == "normals":  # a run of draws, to cross block boundaries
+            loc, scale, count = args
+            out += [rng.normal(name, loc, scale) for _ in range(count)]
+        elif op == "choice":
+            out.append(rng.choice(name, list(range(args[0]))))
+        elif op == "shuffled":
+            out.append(tuple(rng.shuffled(name, range(args[0]))))
+        else:
+            out.append(getattr(rng, op)(name, *args))
+    return out
+
+
+_NORMAL_NAMES = st.sampled_from(["conn/a->b", "ca/n0/0/trap", "js/ui/type"])
+_OTHER_NAMES = st.sampled_from(["mix/gap", "matchmaker/7"])
+_mean = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e-4]),
+                  st.floats(-1.0, 1e3, allow_nan=False))
+_scale = st.one_of(st.just(0.0), st.floats(0.0, 50.0, allow_nan=False))
+_ops = st.one_of(
+    st.tuples(st.just("jitter"), _NORMAL_NAMES, _mean,
+              st.floats(0.0, 0.5), st.floats(0.0, 1.0)),
+    st.tuples(st.just("normal"), _NORMAL_NAMES, _mean, _scale),
+    st.tuples(st.just("normals"), _NORMAL_NAMES, _mean, _scale,
+              st.integers(1, 150)),
+    st.tuples(st.just("exponential"), _OTHER_NAMES, st.floats(0.1, 10.0)),
+    st.tuples(st.just("uniform"), _OTHER_NAMES, st.just(0.0),
+              st.floats(0.0, 5.0)),
+    st.tuples(st.just("choice"), _OTHER_NAMES, st.integers(1, 9)),
+    st.tuples(st.just("shuffled"), _OTHER_NAMES, st.integers(0, 6)),
+)
+
+# One name crossing every block size (1, 2, 4, ..., 64, 64, ...).
+ACROSS_BLOCKS = [("normals", "conn/a->b", 0.01, 0.0005, 150),
+                 ("normals", "conn/a->b", 3.0, 0.3, 150)]
+# Draws around a skipped mean <= 0 and a zero scale.
+NO_DRAW_BETWEEN = [("jitter", "js/ui/type", 2.0, 0.1, 0.0),
+                   ("jitter", "js/ui/type", 0.0, 0.1, 0.0),
+                   ("jitter", "js/ui/type", -1.0, 0.1, 0.5),
+                   ("normal", "js/ui/type", 5.0, 0.0),
+                   ("jitter", "js/ui/type", 2.0, 0.1, 1.9)]
+
+
+class TestRandomStreamsMatchesScalarReference:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           program=st.lists(_ops, max_size=40))
+    @example(seed=7, program=ACROSS_BLOCKS)
+    @example(seed=7, program=NO_DRAW_BETWEEN)
+    def test_programs(self, seed, program):
+        assert run(RandomStreams(seed), program) == run(ScalarStreams(seed),
+                                                        program)
+
+    def test_a_name_drawn_once_holds_no_block(self):
+        rng = RandomStreams(3)
+        rng.jitter("syn/a->b:20000/a->b", 0.01, 0.05)
+        assert rng._normals["syn/a->b:20000/a->b"].pending == []
+
+
+class TestOneWayPerName:
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.stream("x"),
+        lambda rng: rng.exponential("x", 1.0),
+        lambda rng: rng.uniform("x", 0.0, 1.0),
+        lambda rng: rng.choice("x", [1, 2]),
+        lambda rng: rng.shuffled("x", [1, 2]),
+    ], ids=["stream", "exponential", "uniform", "choice", "shuffled"])
+    def test_a_normal_only_name_refuses_every_other_draw(self, draw):
+        rng = RandomStreams(1)
+        rng.normal("x", 0.0, 1.0)
+        with pytest.raises(ValueError, match="'x'"):
+            draw(rng)
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.normal("y", 0.0, 1.0),
+        lambda rng: rng.jitter("y", 1.0),
+    ], ids=["normal", "jitter"])
+    def test_a_name_handed_out_by_stream_refuses_normal(self, draw):
+        rng = RandomStreams(1)
+        rng.exponential("y", 1.0)
+        with pytest.raises(ValueError, match="'y'"):
+            draw(rng)
+
+    def test_an_unused_normal_name_stays_free(self):
+        """``mean <= 0`` draws nothing, so it decides nothing either."""
+        rng = RandomStreams(1)
+        rng.jitter("z", 0.0)
+        rng.stream("z")
+
+
+class TestArguments:
+    @pytest.mark.parametrize("scale", [-1.0, -0.0, -1e-300])
+    def test_negative_scale_raises_as_numpy_does(self, scale):
+        with pytest.raises(ValueError) as numpy_error:
+            RandomStreams(1).stream("n").normal(0.0, scale)
+        rng = RandomStreams(1)
+        with pytest.raises(ValueError) as ours:
+            rng.normal("n", 0.0, scale)
+        assert str(ours.value) == str(numpy_error.value)
+        # The refused call consumed nothing.
+        assert rng.normal("n", 0.0, 1.0) == RandomStreams(1).normal(
+            "n", 0.0, 1.0)
+
+    def test_negative_rel_std_raises(self):
+        with pytest.raises(ValueError):
+            RandomStreams(1).jitter("j", 1.0, rel_std=-0.1)
+
+    @pytest.mark.parametrize("mean", [0.0, -0.0, -3.0])
+    def test_mean_at_or_below_zero_consumes_no_draw(self, mean):
+        rng = RandomStreams(5)
+        assert rng.jitter("j", mean, floor=0.25) == max(mean, 0.25)
+        assert rng.jitter("j", 2.0) == RandomStreams(5).jitter("j", 2.0)
+
+    def test_nan_scale_passes_as_in_numpy(self):
+        assert np.isnan(RandomStreams(1).normal("n", 0.0, float("nan")))
+
+
+class TestOrderIndependence:
+    def test_a_names_draws_do_not_depend_on_creation_order(self):
+        names = ["conn/a->b", "conn/b->a", "ca/n0/0/trap"]
+
+        def draws(order, rounds):
+            rng = RandomStreams(11)
+            out = {name: [] for name in names}
+            for _ in range(rounds):
+                for name in order:
+                    out[name].append(rng.jitter(name, 1.0, 0.2))
+            return out
+
+        first = draws(names, 100)
+        assert draws(names[::-1], 100) == first
+        # One name alone, drawn before any other exists.
+        alone = RandomStreams(11)
+        assert [alone.jitter(names[1], 1.0, 0.2)
+                for _ in range(100)] == first[names[1]]
