@@ -128,7 +128,6 @@ class BrokerBase:
                                              total_cpus=1)
         self.agents = AgentRegistry(env)
         self.replicas = replicas
-        self.reports: List[SubmissionReport] = []
 
     def _default_config(self) -> BrokerConfig:
         return BrokerConfig()
@@ -167,7 +166,6 @@ class BrokerBase:
         submitted.process = self.env.process(
             self._run(submitted, behavior_factory),
             name=f"broker/{job.job_id}", daemon=daemon)
-        self.reports.append(report)
         t = self.env.telemetry
         if t is not None:
             t.counter("broker.submits").inc()

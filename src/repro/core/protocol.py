@@ -34,7 +34,6 @@ from .broker import CrossBroker
 from .data import DataAwareBroker, DataBrokerConfig
 from .pull import PullBroker, PullBrokerConfig
 from .replicas import ReplicaCatalog
-from .reports import SubmissionReport
 
 #: Scenario-facing mode names, in documentation order.
 BROKER_MODES = ("push", "pull", "data")
@@ -58,7 +57,6 @@ class BrokerProtocol(Protocol):
 
     mode: str
     config: BrokerConfig
-    reports: List[SubmissionReport]
 
     def submit(self, job: JobDescription, behavior_factory: BehaviorFactory,
                ui_host: str = "ui", attach_console: Optional[bool] = None,

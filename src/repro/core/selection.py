@@ -13,7 +13,7 @@ sites).  Refresh RPCs overlap up to a configurable parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List
 
 from ..calibration import MiddlewareCosts
 from ..jdl import JobDescription, rank_value
@@ -29,9 +29,7 @@ class SelectionOutcome:
     """Result + timing decomposition of one discovery/selection pass."""
 
     candidates: List[Candidate] = field(default_factory=list)
-    discovery_time: float = 0.0
     selection_time: float = 0.0
-    sites_discovered: int = 0
     sites_refreshed: int = 0
 
 
@@ -97,16 +95,9 @@ class ResourceSelector:
         return Candidate(candidate.site, candidate.gatekeeper, merged,
                          candidate.rank)
 
-    def select(self, job: JobDescription, adverts: List[SiteAdvert],
-               fresh_attributes: Optional[Dict[str, Dict]] = None,
-               exclude: Optional[List[str]] = None) -> Generator:
-        """Filter, refresh (bounded parallelism), and order candidates.
-
-        ``fresh_attributes`` lets the caller merge authoritative queue
-        state fetched during refresh (site -> attribute overrides); the
-        default experiment topology reads it from the refresh responses'
-        timing only, since adverts in this substrate carry the site name.
-        """
+    def select(self, job: JobDescription,
+               adverts: List[SiteAdvert]) -> Generator:
+        """Filter, refresh (bounded parallelism), and order candidates."""
         start = self.env.now
         matched = self.matchmaker.filter_candidates(job, adverts)
         # Matchmaking CPU cost scales with candidate count.
@@ -115,12 +106,10 @@ class ResourceSelector:
         if not self.refresh_enabled:
             # Stale path: rank over the advert attributes as-is.  No RPCs,
             # no extra events — decisions are only as good as the index.
-            ordered = self.matchmaker.order(job, list(matched),
-                                            exclude=exclude)
+            ordered = self.matchmaker.order(job, list(matched))
             return SelectionOutcome(
                 candidates=ordered,
                 selection_time=self.env.now - start,
-                sites_discovered=len(adverts),
                 sites_refreshed=0,
             )
 
@@ -136,11 +125,6 @@ class ResourceSelector:
             for proc in procs:
                 result = yield proc
                 if result is not None:
-                    if fresh_attributes and result.site in fresh_attributes:
-                        merged = dict(result.attributes)
-                        merged.update(fresh_attributes[result.site])
-                        result = Candidate(result.site, result.gatekeeper,
-                                           merged, result.rank)
                     refreshed.append(result)
 
         # Re-rank against the authoritative attributes (a Rank expression
@@ -151,10 +135,9 @@ class ResourceSelector:
                       rank_value(job.rank, own, c.attributes))
             for c in refreshed
         ]
-        ordered = self.matchmaker.order(job, refreshed, exclude=exclude)
+        ordered = self.matchmaker.order(job, refreshed)
         return SelectionOutcome(
             candidates=ordered,
             selection_time=self.env.now - start,
-            sites_discovered=len(adverts),
             sites_refreshed=len(refreshed),
         )

@@ -1,26 +1,13 @@
-"""``repro bench``: kernel microbenchmarks without external tooling.
+"""The six kernel microbenchmark workloads (``WORKLOADS``).
 
-This module owns the six kernel workloads (``WORKLOADS``) and times them
-with nothing but :func:`time.perf_counter`, so the CLI (and CI's bench
-artifact job) does not depend on a benchmarking plugin being installed;
-``bench/workloads.py``'s ``kernel_micro`` workload times the same
-registry.
+Each workload drives one kernel pattern — timeout churn, process
+chains, ``Store`` handoff, ``AnyOf`` fan-in, ``Timer`` re-arming and
+zero-delay lanes — and returns nothing.  ``bench/workloads.py``'s
+``kernel_micro`` workload is the one timing method for them; to time a
+single workload by hand::
 
-Each workload runs ``--rounds`` times after ``--warmup`` discarded
-rounds; we report min/median/mean.  **min** is the comparison number —
-it is the least noise-contaminated statistic on a shared machine.
-
-Usage::
-
-    repro bench                      # table on stdout
-    repro bench --json BENCH.json    # machine-readable results as well
-    repro bench --only event_throughput,timer_churn
-    repro bench --scale              # workload-engine lane -> BENCH_scale.json
-
-The ``--scale`` lane benchmarks the streaming workload engine instead of
-the kernel: generation throughput (jobs/sec) of a lazy campaign folded
-into bounded statistics, plus the peak-memory evidence for the O(1)
-claim (tracemalloc peak of the streamed pass and the process ru_maxrss).
+    python -m timeit -s 'from repro.experiments.benchcmd import WORKLOADS' \
+        'WORKLOADS["event_throughput"]()'
 
 .. simlint: the bench workloads *deliberately* allocate raw timeouts in
    tight loops — timeout churn is the pattern being measured (and the
@@ -29,13 +16,7 @@ claim (tracemalloc peak of the streamed pass and the process ru_maxrss).
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import statistics
-import sys
-import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..sim import AnyOf, Environment, Store, Timer
 
@@ -145,144 +126,3 @@ WORKLOADS: Dict[str, Callable[[], None]] = {
     "timer_churn": _timer_churn,
     "zero_delay_lanes": _zero_delay_lanes,
 }
-
-
-def time_workload(fn: Callable[[], None], rounds: int,
-                  warmup: int) -> Dict[str, float]:
-    for _ in range(warmup):
-        fn()
-    samples: List[float] = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return {
-        "min_s": min(samples),
-        "median_s": statistics.median(samples),
-        "mean_s": statistics.fmean(samples),
-        "rounds": rounds,
-    }
-
-
-def _scale_bench(jobs: int, rounds: int, json_path: str) -> int:
-    """The ``--scale`` lane: throughput + peak memory of a streamed fold."""
-    import resource
-    import tracemalloc
-
-    from ..sim import RandomStreams
-    from ..workloads.scale import ScaleConfig, iter_campaign, \
-        summarize_campaign
-
-    config = ScaleConfig(jobs=jobs)
-
-    def one_pass() -> int:
-        return summarize_campaign(
-            iter_campaign(RandomStreams(2006), config)).jobs
-
-    one_pass()  # warmup (stream-name caches, import costs)
-    samples: List[float] = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        folded = one_pass()
-        samples.append(time.perf_counter() - start)
-        assert folded == jobs
-    best = min(samples)
-
-    # Memory pass, measured separately so the timing stays untraced:
-    # tracemalloc peak is the streamed pass's Python-heap high-water mark
-    # (the O(1) evidence); ru_maxrss is the whole-process ceiling.
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    one_pass()
-    _, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-    results = {
-        "jobs": jobs,
-        "rounds": rounds,
-        "min_s": best,
-        "median_s": statistics.median(samples),
-        "jobs_per_sec": jobs / best,
-        "traced_peak_bytes": traced_peak,
-        "ru_maxrss_kb": maxrss_kb,
-    }
-    print(f"scale: {jobs:,} jobs in {best:.3f}s "
-          f"({results['jobs_per_sec']:,.0f} jobs/s), "
-          f"streamed-pass peak {traced_peak / 1e6:.1f} MB traced, "
-          f"process ru_maxrss {maxrss_kb / 1024:.0f} MB")
-    payload = {
-        "schema": "repro-bench-scale/3",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "results": results,
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {json_path}", file=sys.stderr)
-    return 0
-
-
-def bench_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Kernel microbenchmarks (perf_counter; no plugins). "
-                    "Compare on `min_s`.")
-    parser.add_argument("--rounds", type=int, default=10,
-                        help="timed rounds per workload (default 10)")
-    parser.add_argument("--warmup", type=int, default=2,
-                        help="discarded warmup rounds (default 2)")
-    parser.add_argument("--only", metavar="NAMES",
-                        help="comma-separated workload subset "
-                             f"(from: {', '.join(WORKLOADS)})")
-    parser.add_argument("--json", metavar="PATH",
-                        help="also write results as JSON")
-    parser.add_argument("--scale", action="store_true",
-                        help="run the workload-engine lane instead "
-                             "(writes BENCH_scale.json)")
-    parser.add_argument("--scale-jobs", type=int, default=200_000,
-                        metavar="N",
-                        help="campaign size for --scale (default 200,000)")
-    args = parser.parse_args(argv)
-
-    if args.scale:
-        return _scale_bench(args.scale_jobs, max(args.rounds // 2, 1),
-                            args.json or "BENCH_scale.json")
-
-    names = list(WORKLOADS)
-    if args.only:
-        names = [n.strip() for n in args.only.split(",") if n.strip()]
-        unknown = [n for n in names if n not in WORKLOADS]
-        if unknown:
-            parser.error(f"unknown workload(s): {unknown}; "
-                         f"choose from {list(WORKLOADS)}")
-
-    results: Dict[str, Dict[str, float]] = {}
-    width = max(len(n) for n in names)
-    print(f"{'workload':<{width}}  {'min':>9}  {'median':>9}  {'mean':>9}")
-    for name in names:
-        stats = time_workload(WORKLOADS[name], args.rounds, args.warmup)
-        results[name] = stats
-        print(f"{name:<{width}}  {stats['min_s'] * 1e3:>7.2f}ms  "
-              f"{stats['median_s'] * 1e3:>7.2f}ms  "
-              f"{stats['mean_s'] * 1e3:>7.2f}ms", flush=True)
-
-    if args.json:
-        payload = {
-            "schema": "repro-bench/1",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "rounds": args.rounds,
-            "warmup": args.warmup,
-            "results": results,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(bench_main(sys.argv[1:]))

@@ -17,7 +17,9 @@ Usage::
 
 ``repro``, ``python -m repro`` and ``python -m repro.experiments`` are
 the same entry point (:func:`main`).  Experiments run only through
-``repro run``, i.e. :func:`repro.runner.run_experiments`.
+``repro run``, i.e. :func:`repro.runner.run_experiments`.  Nothing here
+times anything: speed is measured one way, by ``bench/run.py`` (see
+``bench/README.md``).
 
 Determinism contract: experiment renders go to **stdout**; per-cell
 progress and runner statistics go to **stderr**.  ``repro run X
@@ -239,15 +241,14 @@ def cache_main(argv: List[str]) -> int:
 
 #: The one subcommand table: name -> (module, ``main(argv) -> exit code``).
 #: Modules load on dispatch, so ``repro run`` never imports the HTTP
-#: plane, the bench registry or the linter, and ``repro cache`` /
-#: ``repro lint`` never import an experiment, numpy or the simulator.
+#: plane or the linter, and ``repro cache`` / ``repro lint`` never
+#: import an experiment, numpy or the simulator.
 SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "run": (".cli", "run_main"),
     "cache": (".cli", "cache_main"),
     "trace": (".trace_run", "trace_main"),
     "top": (".topcmd", "top_main"),
     "serve": (".servecmd", "serve_main"),
-    "bench": (".benchcmd", "bench_main"),
     "scale": (".scalecmd", "scale_main"),
     "lint": ("..analysis.cli", "lint_main"),
 }

@@ -1,7 +1,7 @@
 """Kernel wall-clock profiler: where does *real* time go?
 
-``repro bench`` tells you the kernel got slower; this profiler tells you
-*why*.  ``Environment(profile=True)`` (or the :func:`profile_scope`
+``bench/run.py``'s ``kernel_micro`` tells you the kernel got slower;
+this profiler tells you *why*.  ``Environment(profile=True)`` (or the :func:`profile_scope`
 class-default context manager) attaches a :class:`KernelProfiler` and
 routes ``run()`` through the kernel's observed loop, which attributes
 ``time.perf_counter()`` deltas to *sites*:

@@ -21,16 +21,18 @@ This module is the generator half of that engine:
 
 Determinism: every random draw comes from a *fixed* set of named
 substreams (no per-job stream names, which would grow the stream cache
-linearly) and is taken in array batches of ``ScaleConfig.chunk`` draws.
-The chunk size is therefore part of the determinism contract: it only
-changes how many values are drawn per request, never their sequence.
+linearly), each drawn ahead in small blocks by
+:meth:`RandomStreams.draws <repro.sim.rng.RandomStreams.draws>` — the
+same values, in the same order, as one scalar draw per value.  A second
+campaign drawn from the same ``RandomStreams`` and ``stream`` continues
+each substream where the first stopped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
 from ..jdl import (
     JobCategory,
@@ -88,8 +90,6 @@ class ScaleConfig:
     pareto_shape: float = 1.8
     #: Hard cap on any runtime (keeps bounded-Pareto moments finite).
     runtime_cap: float = 172_800.0
-    #: RNG batch size (part of the determinism contract — see module doc).
-    chunk: int = 8_192
 
     def validate(self) -> None:
         if self.jobs < 0:
@@ -106,8 +106,6 @@ class ScaleConfig:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
         if self.pareto_shape <= 1.0:
             raise ValueError("pareto_shape must be > 1 (finite mean)")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
 
     # -- the arrival-rate curve ------------------------------------------
     def rate_at(self, t: float) -> float:
@@ -131,61 +129,23 @@ class ScaleConfig:
         return self.base_rate * self.flash_multiplier
 
 
-class _BatchedDraws:
-    """Sequential draws from one named substream, fetched in arrays.
-
-    Drawing one value at a time through :class:`RandomStreams` costs a
-    dict lookup and a Python-level numpy call per draw; fetching
-    ``chunk``-sized arrays amortises that ~50× while producing the exact
-    same value sequence (numpy generators are sequential streams).
-    """
-
-    __slots__ = ("_gen", "_kind", "_args", "_chunk", "_buf", "_i")
-
-    def __init__(self, rng: RandomStreams, name: str, kind: str,
-                 args: tuple, chunk: int) -> None:
-        self._gen = rng.stream(name)
-        self._kind = kind
-        self._args = args
-        self._chunk = chunk
-        self._buf: Any = None
-        self._i = 0
-
-    def __call__(self) -> float:
-        if self._buf is None or self._i >= len(self._buf):
-            self._buf = getattr(self._gen, self._kind)(*self._args,
-                                                       size=self._chunk)
-            self._i = 0
-        value = self._buf[self._i]
-        self._i += 1
-        return float(value)
-
-
 def _runtime_draw(rng: RandomStreams, config: ScaleConfig, name: str,
-                  mean: float) -> "_BatchedDraws":
-    """A batched sampler for the configured runtime distribution with the
+                  mean: float) -> Callable[[], float]:
+    """A sampler for the configured runtime distribution with the
     requested mean (each class keeps its calibrated average load)."""
     if config.runtime_dist == "exponential":
-        return _BatchedDraws(rng, name, "exponential", (mean,), config.chunk)
+        return rng.draws(name, "exponential", mean)
     if config.runtime_dist == "lognormal":
         sigma = config.lognormal_sigma
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2)  =>  solve for mu.
         mu = math.log(mean) - 0.5 * sigma * sigma
-        return _BatchedDraws(rng, name, "lognormal", (mu, sigma),
-                             config.chunk)
+        return rng.draws(name, "lognormal", mu, sigma)
     # Bounded Pareto: scale x_m chosen so the *unbounded* mean matches
     # (shape/(shape-1)) * x_m = mean; the cap then trims the far tail.
     shape = config.pareto_shape
     x_m = mean * (shape - 1.0) / shape
-    sampler = _BatchedDraws(rng, name, "pareto", (shape,), config.chunk)
-
-    class _ParetoDraws:
-        __slots__ = ()
-
-        def __call__(self) -> float:
-            return (sampler() + 1.0) * x_m
-
-    return _ParetoDraws()  # type: ignore[return-value]
+    pareto = rng.draws(name, "pareto", shape)
+    return lambda: (pareto() + 1.0) * x_m
 
 
 def iter_campaign(rng: RandomStreams, config: Optional[ScaleConfig] = None,
@@ -201,20 +161,13 @@ def iter_campaign(rng: RandomStreams, config: Optional[ScaleConfig] = None,
     config.validate()
 
     peak = config.peak_rate()
-    gaps = _BatchedDraws(rng, f"{stream}/gap", "exponential",
-                         (1.0 / peak,), config.chunk)
-    thins = _BatchedDraws(rng, f"{stream}/thin", "uniform", (0.0, 1.0),
-                          config.chunk)
-    classes = _BatchedDraws(rng, f"{stream}/class", "uniform", (0.0, 1.0),
-                            config.chunk)
-    shareds = _BatchedDraws(rng, f"{stream}/shared", "uniform", (0.0, 1.0),
-                            config.chunk)
-    parallels = _BatchedDraws(rng, f"{stream}/parallel", "uniform",
-                              (0.0, 1.0), config.chunk)
-    nodes_draw = _BatchedDraws(rng, f"{stream}/nodes", "uniform", (0.0, 1.0),
-                               config.chunk)
-    users = _BatchedDraws(rng, f"{stream}/user", "uniform", (0.0, 1.0),
-                          config.chunk)
+    gaps = rng.draws(f"{stream}/gap", "exponential", 1.0 / peak)
+    thins = rng.draws(f"{stream}/thin", "uniform", 0.0, 1.0)
+    classes = rng.draws(f"{stream}/class", "uniform", 0.0, 1.0)
+    shareds = rng.draws(f"{stream}/shared", "uniform", 0.0, 1.0)
+    parallels = rng.draws(f"{stream}/parallel", "uniform", 0.0, 1.0)
+    nodes_draw = rng.draws(f"{stream}/nodes", "uniform", 0.0, 1.0)
+    users = rng.draws(f"{stream}/user", "uniform", 0.0, 1.0)
     batch_rt = _runtime_draw(rng, config, f"{stream}/run/batch",
                              config.batch_runtime_mean)
     inter_rt = _runtime_draw(rng, config, f"{stream}/run/int",

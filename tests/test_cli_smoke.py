@@ -95,11 +95,12 @@ class TestSubcommandTable:
         assert exit_info.value.code == 0
         assert f"repro {name}" in capsys.readouterr().out
 
-    def test_table_is_the_eight_subcommands(self):
+    def test_table_is_the_seven_subcommands(self):
         assert list(SUBCOMMANDS) == ["run", "cache", "trace", "top", "serve",
-                                     "bench", "scale", "lint"]
+                                     "scale", "lint"]
 
-    @pytest.mark.parametrize("argv", [["table1", "--quick"], ["all"], []])
+    @pytest.mark.parametrize("argv", [["table1", "--quick"], ["all"], [],
+                                      ["bench"]])
     def test_bare_experiment_name_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

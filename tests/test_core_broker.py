@@ -244,12 +244,14 @@ class TestSharedPath:
 class TestReports:
     def test_reports_collected(self):
         tb, broker = make_world(seed=76)
+        reports = []
         for _ in range(2):
             submitted = broker.submit(interactive_job(),
                                       lambda r: immediate_output_app())
             tb.env.run(until=submitted.finished)
-        assert len(broker.reports) == 2
-        assert all(r.finished_at is not None for r in broker.reports)
+            reports.append(submitted.report)
+        assert reports[0] is not reports[1]
+        assert all(r.finished_at is not None for r in reports)
 
     def test_trace_records_lifecycle(self):
         tb, broker = make_world(seed=77)

@@ -22,8 +22,11 @@ builds held alive (the live world is not garbage), collects under
 
 Success paths leave nothing.  What is left is the failure path, about
 30 objects per refused job: the exception stored on a job's ``finished``
-event keeps its traceback, whose frames point back at the job
-(fair-share rejections, "no idle machine", chaos-injected outages).  The
+event keeps its traceback, whose frames point back at the job and its
+``SubmissionReport`` (fair-share rejections, "no idle machine",
+chaos-injected outages).  The broker keeps no list of reports, so a
+refused job's report is part of that garbage, and an unreachable
+broker's finished reports are not.  The
 two non-zero ``message_path`` rows are of that kind, not closed
 connections waiting for a collector: ``broker-modes`` counts each pull
 broker's own RPC listener and backlog (the broker is unreachable once
@@ -61,15 +64,15 @@ EXPECTED = {
     "fig7": [0, 0, 0],
     "fig8": [0, 0, 0],
     "selection-scaling": [0, 0, 0],
-    "fairshare-saturation": [0, 25, 80],
+    "fairshare-saturation": [0, 28, 86],
     "ablation-buffer": [0, 0, 0],
     "ablation-retry": [0, 0, 0],
     "ablation-pl": [0, 0, 0],
     "ablation-degree": [0, 0, 0],
     "ablation-halflife": [0, 0, 0],
-    "broker-modes": [12, 504, 1217],
-    "chaos-drill": [6, 144, 391],
-    "scenario_2site": [0, 240, 720],
+    "broker-modes": [12, 464, 1131],
+    "chaos-drill": [6, 164, 431],
+    "scenario_2site": [0, 264, 768],
 }
 
 

@@ -4,9 +4,11 @@ quantile sketch that makes its statistics mergeable."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -21,6 +23,21 @@ from repro.workloads import (
     MixConfig,
     summarize_campaign,
 )
+
+
+class ScalarDraws(RandomStreams):
+    """One scalar numpy call per value: the sequence a drawn-ahead
+    substream must reproduce."""
+
+    def draws(self, name, kind, *args):
+        draw = getattr(self.stream(name), kind)
+        return lambda: float(draw(*args))
+
+
+def _rows(arrivals):
+    return [(a.at, a.runtime, a.job.job_id, a.job.owner, a.job.category.name,
+             a.job.flavor.name, a.job.node_number, a.job.machine_access.name)
+            for a in arrivals]
 
 
 class TestQuantileSketch:
@@ -126,13 +143,46 @@ class TestScaleEngine:
         with pytest.raises(ValueError):
             ScaleConfig(diurnal_amplitude=1.5).validate()
 
-    def test_chunk_size_does_not_change_the_stream(self):
-        """The batch size is an amortisation knob, not a semantic one."""
-        small = ScaleConfig(jobs=400, chunk=16)
-        large = ScaleConfig(jobs=400, chunk=4096)
-        a = summarize_campaign(iter_campaign(RandomStreams(10), small))
-        b = summarize_campaign(iter_campaign(RandomStreams(10), large))
-        assert a.to_dict() == b.to_dict()
+    def test_a_reused_random_streams_continues_each_substream(self):
+        """Two campaigns from one ``RandomStreams`` draw one sequence per
+        substream: the first equals a fresh campaign and the second
+        continues where it stopped, as one scalar draw per value does.
+        The pin is what the engine's former array sampler gave with one
+        value per array; its default 8 192-value arrays threw away the
+        unread tail between the campaigns instead."""
+        config = ScaleConfig(jobs=50)
+        rng, scalar = RandomStreams(7), ScalarDraws(7)
+        first = _rows(iter_campaign(rng, config))
+        second = _rows(iter_campaign(rng, config))
+        assert first == _rows(iter_campaign(RandomStreams(7), config))
+        assert first == _rows(iter_campaign(scalar, config))
+        assert second == _rows(iter_campaign(scalar, config))
+        assert first != second
+        assert hashlib.blake2b(repr(second).encode(), digest_size=16) \
+            .hexdigest() == "7b5ebe2718519beaee3d60b5f53421df"
+
+    @pytest.mark.parametrize("dist", ["exponential", "lognormal", "pareto"])
+    def test_drawn_ahead_values_equal_scalar_draws(self, dist):
+        config = ScaleConfig(jobs=500, runtime_dist=dist, curve="flash")
+        assert _rows(iter_campaign(RandomStreams(10), config)) == \
+            _rows(iter_campaign(ScalarDraws(10), config))
+
+    def test_fold_memory_does_not_grow_with_campaign_size(self):
+        """The streamed fold holds bounded state: sketches plus a block
+        of at most 64 values per substream, whatever the job count."""
+        def peak(jobs):
+            rng = RandomStreams(1)
+            tracemalloc.start()
+            try:
+                summarize_campaign(iter_campaign(rng, ScaleConfig(jobs=jobs)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-use allocations (interned names, code caches)
+        small, large = peak(1_000), peak(8_000)
+        assert large < 1.25 * small
+        assert small < 256_000 and large < 256_000
 
 
 class TestCampaignStats:
@@ -255,19 +305,3 @@ class TestScaleCli:
         payload = json.loads((tmp_path / "campaign.json").read_text())
         assert payload["campaign"]["jobs"] == 1500
         assert payload["header"]["version"] == 2
-
-    def test_bench_scale_lane_writes_artifact(self, tmp_path, capsys):
-        from repro.experiments.benchcmd import bench_main
-
-        path = str(tmp_path / "BENCH_scale.json")
-        rc = bench_main(["--scale", "--scale-jobs", "3000",
-                         "--rounds", "2", "--json", path])
-        assert rc == 0
-        payload = json.loads((tmp_path / "BENCH_scale.json").read_text())
-        assert payload["schema"] == "repro-bench-scale/3"
-        assert set(payload) == {"schema", "python", "platform", "results"}
-        results = payload["results"]
-        assert results["jobs"] == 3000
-        assert results["jobs_per_sec"] > 0
-        assert results["traced_peak_bytes"] > 0
-        assert results["ru_maxrss_kb"] > 0
