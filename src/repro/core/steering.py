@@ -1,20 +1,19 @@
-"""World-side handlers for the live steering verbs.
+"""World-side handlers for the chaos steering verbs.
 
 :class:`SteeringAdapter` wraps a built :class:`repro.scenario.ScenarioHandle`
-and implements the world verbs of the steering API — ``inject``, ``kill``,
-``drain_site``, ``undrain_site``, ``fail_site``, ``recover_site`` — plus
-the ``status()`` read used by the ``/sites`` and ``/jobs`` endpoints.
+and implements the steering verbs — ``inject``, ``kill``, ``drain_site``,
+``undrain_site``, ``fail_site``, ``recover_site`` — plus the
+``site_rows()`` / ``job_rows()`` reads ``repro serve`` summarises.
 ``Scenario.build()`` constructs one and binds it to the environment's
 controller whenever a :func:`repro.obs.control.control_scope` is active;
 drivers never instantiate it directly (simlint's ``flow-layer-dag``
 rule enforces this, like the broker classes themselves).
 
-Every method runs at the controller's drain point — between kernel
-events, on the simulation thread — so the handlers may mutate world
-state freely without locking.  Verb methods return JSON-able dicts (the
-``POST /steer`` response body).  G-Monitor (cs/0302007) is the model:
-the portal steers jobs through the broker's own verbs rather than
-reaching into resources behind its back.
+Every verb runs at the controller's drain point — between kernel
+events — so the handlers may mutate world state freely.  Verb methods
+return JSON-able dicts describing what they changed.  G-Monitor
+(cs/0302007) is the model: the portal steers jobs through the broker's
+own verbs rather than reaching into resources behind its back.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class SteeringAdapter:
 
     # -- bookkeeping -------------------------------------------------------
     def track(self, submitted: "SubmittedJob") -> "SubmittedJob":
-        """Register a driver-submitted job so ``kill`` and ``status``
+        """Register a driver-submitted job so ``kill`` and ``job_rows``
         can see it.  Returns the job unchanged (chainable)."""
         self.jobs[submitted.job.job_id] = submitted
         return submitted
@@ -116,7 +115,7 @@ class SteeringAdapter:
         restored = self.handle.network.restore_host(target.gatekeeper_host)
         return {"site": target.name, "failed": False, "links": restored}
 
-    # -- reads (feed /sites, /jobs, /snapshot) -----------------------------
+    # -- reads (the `repro serve` summary) ---------------------------------
     def site_rows(self) -> List[Dict[str, Any]]:
         env = self.handle.env
         network = self.handle.network
@@ -148,18 +147,3 @@ class SteeringAdapter:
                 "resubmissions": report.resubmissions,
             })
         return rows
-
-    def status(self) -> Dict[str, Any]:
-        """One JSON-able bundle of everything steerable-world-shaped."""
-        out: Dict[str, Any] = {
-            "time": self.handle.env.now,
-            "sites": self.site_rows(),
-            "jobs": self.job_rows(),
-        }
-        broker = self.handle._broker
-        if broker is not None and hasattr(broker, "fairshare"):
-            fairshare = broker.fairshare
-            out["priorities"] = {
-                user: fairshare.priority(user)
-                for user in sorted(fairshare.users())}
-        return out

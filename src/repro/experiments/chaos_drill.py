@@ -87,7 +87,7 @@ class DrillMeasurement:
     #: Chaos-injected jobs observed / completed successfully.
     injected: int
     injected_done: int
-    #: The controller's verb log: ``{"at", "verb", "source"}`` dicts.
+    #: The controller's verb log: ``{"at", "verb"}`` dicts.
     fired: List[Dict[str, Any]]
 
 

@@ -36,6 +36,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
+    from ..obs.control import ChaosSchedule
     from .common import ExperimentResult
 
 
@@ -81,6 +82,17 @@ def worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be >= 0 (0 = auto), not {count}")
     return count
+
+
+def load_chaos(parser: argparse.ArgumentParser, path: str) -> ChaosSchedule:
+    """``--chaos PATH`` as a schedule; a bad file is a usage error."""
+    from ..obs.control import ChaosSchedule
+
+    try:
+        return ChaosSchedule.load(path)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        parser.error(f"--chaos {path}: {reason}")
 
 
 def run_main(argv: List[str]) -> int:
@@ -140,10 +152,8 @@ def run_main(argv: List[str]) -> int:
     cache = None if args.no_cache else args.cache_dir
     chaos = None
     if args.chaos:
-        from ..obs.control import ChaosSchedule
-
         # Passed to the engine as a plain dict (picklable for workers).
-        chaos = ChaosSchedule.load(args.chaos).to_dict()
+        chaos = load_chaos(parser, args.chaos).to_dict()
 
     results: List[ExperimentResult] = []
     for result in run_experiments(names, quick=args.quick,
@@ -240,9 +250,9 @@ def cache_main(argv: List[str]) -> int:
 
 
 #: The one subcommand table: name -> (module, ``main(argv) -> exit code``).
-#: Modules load on dispatch, so ``repro run`` never imports the HTTP
-#: plane or the linter, and ``repro cache`` / ``repro lint`` never
-#: import an experiment, numpy or the simulator.
+#: Modules load on dispatch, so ``repro run`` never imports the linter,
+#: and ``repro cache`` / ``repro lint`` never import an experiment, numpy
+#: or the simulator.
 SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "run": (".cli", "run_main"),
     "cache": (".cli", "cache_main"),
@@ -265,7 +275,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(usage, file=sys.stderr)
         return 2
     module, entry = SUBCOMMANDS[argv[0]]
-    return getattr(import_module(module, __package__), entry)(argv[1:])
+    try:
+        code = getattr(import_module(module, __package__), entry)(argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # `repro ... | head`: the reader left, which is not an error.
+        # Point stdout at devnull so the interpreter's exit-time flush
+        # of what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

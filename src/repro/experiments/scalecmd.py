@@ -179,11 +179,11 @@ def scale_main(argv: List[str]) -> int:
         if args.command == "replay":
             return _replay(args)
         return _verify(args)
-    except BrokenPipeError:
-        return 0  # `repro scale replay t | head` is fine, not an error
-    except (ValueError, OSError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         # Config validation (negative jobs, bad amplitude) and file
-        # errors get the argparse treatment, not a traceback.
+        # errors get the argparse treatment, not a traceback.  (A closed
+        # stdout is not among them: `cli.main` answers BrokenPipeError.)
         print(f"repro scale {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,11 +24,11 @@ For real-time attribution of kernel work, use
 Chrome/Perfetto trace of spans + counter tracks, see
 :func:`export_chrome_trace`.
 
-Live observation and steering use the third hook, ``Environment.control``:
-a :class:`SimController` (installed by :func:`control_scope`) drains a
-thread-safe command queue between kernel events, replays
-:class:`ChaosSchedule` verbs at fixed sim-times, and backs the
-``repro serve`` HTTP control plane (:class:`ControlPlaneServer`).
+Steering uses the third hook, ``Environment.control``: a
+:class:`SimController` (installed by :func:`control_scope`) replays
+:class:`ChaosSchedule` verbs at fixed sim-times between kernel events —
+what ``repro run --chaos``, the ``chaos-drill`` experiment and ``repro
+serve`` drive.
 """
 
 from .control import (
@@ -51,27 +51,15 @@ from .telemetry import (
     scope_snapshot,
     telemetry_scope,
 )
-from .serve import (
-    ControlPlaneServer,
-    fetch_json,
-    fetch_snapshot,
-    format_sse,
-    snapshot_stream,
-)
 from .tracer import PHASES, Span, TraceEvent, Tracer
 
 __all__ = [
     "PHASES",
     "ChaosAction",
     "ChaosSchedule",
-    "ControlPlaneServer",
     "SimController",
     "SteerError",
     "control_scope",
-    "fetch_json",
-    "fetch_snapshot",
-    "format_sse",
-    "snapshot_stream",
     "Counter",
     "Gauge",
     "Histogram",

@@ -359,7 +359,7 @@ class Environment:
         the event fires; its value is returned).
 
         The cyclic garbage collector is paused while the loop drains (see
-        :class:`collector_paused`) unless a controller is attached.
+        :class:`collector_paused`).
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
@@ -380,19 +380,13 @@ class Environment:
 
         # Observed runs stay interpreted: detours, not hot paths.
         try:
-            if self.control is not None:
-                # Steered runs keep the collector: a live `repro serve`
-                # is wall-clock paced for as long as someone watches,
-                # with an HTTP thread allocating beside the loop.
-                self._drain_observed()
-            else:
-                with collector_paused():
-                    if self.profiler is not None:
-                        self._drain_observed()
-                    elif _SPEEDUPS is not None:
-                        _SPEEDUPS.drain(self)
-                    else:
-                        self._drain()
+            with collector_paused():
+                if self.control is not None or self.profiler is not None:
+                    self._drain_observed()
+                elif _SPEEDUPS is not None:
+                    _SPEEDUPS.drain(self)
+                else:
+                    self._drain()
         except StopSimulation as stop:
             value = stop.value
         else:
@@ -508,26 +502,18 @@ class Environment:
         """The observed loop: :meth:`_drain` semantics with hook points.
 
         A controller's ``drain()`` runs once *between* pops — the only
-        place steering commands and chaos verbs execute, so they land at
-        a deterministic position of the event order, never mid-callback;
-        an idle one consumes no event ids.  A profiler times every
+        place chaos verbs execute, so they land at a deterministic
+        position of the event order, never mid-callback; an idle one
+        consumes no event ids.  A profiler times every
         callback and timer shot (fires, deferrals and tombstones alike);
         wall-clock readings never touch simulation state.
         """
         control, prof = self.control, self.profiler
-        drain = begin_run = end_run = None
-        if control is not None:
-            drain = control.drain
-            # Optional run boundaries (duck-typed): tell a threaded
-            # controller whether commands must queue or may run inline.
-            begin_run = getattr(control, "begin_run", None)
-            end_run = getattr(control, "end_run", None)
+        drain = control.drain if control is not None else None
         if prof is not None:
             clock, record = prof.clock, prof.record
             site_of, timer_site = prof.site_of, prof.timer_site
             wall_start = clock()
-        if begin_run is not None:
-            begin_run()
         try:
             while True:
                 # Before the pop, so verbs still due when the queue
@@ -568,8 +554,6 @@ class Environment:
         finally:
             if prof is not None:
                 prof.run_wall += clock() - wall_start
-            if end_run is not None:
-                end_run()
 
 
 def _unhandled(event: Event) -> BaseException:

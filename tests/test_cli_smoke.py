@@ -1,4 +1,5 @@
-"""CLI smoke tests: `repro run`, `repro cache`, `repro trace`, the table.
+"""CLI smoke tests: `repro run`, `repro cache`, `repro trace`, `repro
+serve`, the table.
 
 Each test drives the real entry point (``python -m repro ...``) in a
 subprocess, asserting exit codes and the stdout/stderr split that the
@@ -7,6 +8,9 @@ stderr).  The fastest experiment (``ablation-halflife``: three pure-math
 cells, no simulation world) keeps these subprocess round trips cheap.
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -14,18 +18,26 @@ import sys
 import pytest
 
 from repro.experiments.cli import SUBCOMMANDS, main
+from repro.experiments.servecmd import serve_main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
+GOLDEN = os.path.join(REPO, "tests", "golden")
+CHAOS = os.path.join(REPO, "tests", "data", "chaos", "drain_burst.json")
 
 
-def run_cli(*args, cwd=None, module="repro"):
+def cli_env(**extra):
     env = dict(os.environ)  # simlint: disable=environ-read -- building a subprocess environment, not sim state
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(extra)
+    return env
+
+
+def run_cli(*args, cwd=None, module="repro", timeout=600):
     return subprocess.run(
         [sys.executable, "-m", module, *args],
-        capture_output=True, text=True, timeout=600,
-        cwd=cwd or REPO, env=env)
+        capture_output=True, text=True, timeout=timeout,
+        cwd=cwd or REPO, env=cli_env())
 
 
 class TestRunCommand:
@@ -177,3 +189,81 @@ class TestTraceCommand:
         assert proc.returncode == 0, proc.stderr
         assert "Per-phase latency breakdown" in proc.stdout
         assert out.exists()
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("golden, argv", [
+        ("serve_europe_chaos.out", ["europe", "--chaos", CHAOS]),
+        ("serve_campus_gap01.out", ["campus", "--gap", "0.1"]),
+    ])
+    def test_summary_matches_golden(self, golden, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert serve_main(argv) == 0
+        with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+            assert out.getvalue() == fh.read()
+
+
+def _chaos_file(tmp_path, kind):
+    """A ``--chaos`` argument that cannot be replayed."""
+    if kind == "missing":
+        return str(tmp_path / "missing.json")
+    verb = {"unknown-verb": "explode", "pause": "pause"}[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"version": 1, "actions": [
+        {"at": 5.0, "verb": verb}]}), encoding="utf-8")
+    return str(path)
+
+
+class TestBadChaosFile:
+    """A bad ``--chaos`` file is a one-line usage error naming the file —
+    never a traceback, and never a run that holds (the 5 s timeout)."""
+
+    @pytest.mark.parametrize("kind", ["missing", "unknown-verb", "pause"])
+    @pytest.mark.parametrize("command", [
+        ["run", "fig8", "--quick", "--no-cache"], ["serve", "campus"]])
+    def test_exits_2_naming_the_file(self, tmp_path, command, kind):
+        path = _chaos_file(tmp_path, kind)
+        proc = run_cli(*command, "--chaos", path, timeout=5)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = proc.stderr.splitlines()[-1]
+        assert error.startswith(f"repro {command[0]}: error: --chaos {path}")
+
+
+class TestClosedStdout:
+    """`repro ... | head`: a reader that leaves early is not an error.
+    The read end is closed before the first byte is written."""
+
+    def run_closed(self, *args, unbuffered=False):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = cli_env(PYTHONUNBUFFERED="1") if unbuffered else cli_env()
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120, cwd=REPO,
+                env=env)
+        finally:
+            os.close(write_end)
+
+    def test_run(self):
+        # Unbuffered, the first render line meets the closed pipe before
+        # the runner statistics reach stderr.
+        proc = self.run_closed("run", "ablation-halflife", "--quick",
+                               "--no-cache", "--no-progress",
+                               unbuffered=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_serve(self):
+        # Buffered: the pipe error surfaces when cli.main flushes.
+        proc = self.run_closed("serve", "europe", "--chaos", CHAOS)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_scale_replay(self, tmp_path):
+        trace = str(tmp_path / "t.trace")
+        assert run_cli("scale", "generate", "--jobs", "50",
+                       "--out", trace).returncode == 0
+        proc = self.run_closed("scale", "replay", trace)
+        assert (proc.returncode, proc.stderr) == (0, "")

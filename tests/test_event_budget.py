@@ -46,12 +46,12 @@ EXPERIMENTS = ("table1", "broker-modes", "chaos-drill", "fig8",
 
 CHAOS = Path(__file__).resolve().parent / "data" / "chaos" / "drain_burst.json"
 
-#: ``repro serve --headless`` worlds.  ``--gap 0.1`` is not a dyadic
+#: ``repro serve`` worlds.  ``--gap 0.1`` is not a dyadic
 #: float: a feeder that re-derived delays from arrival times
 #: (``at - t_prev``) would move this count.
 SERVE = {
-    "serve_europe_chaos": ["europe", "--headless", "--chaos", str(CHAOS)],
-    "serve_campus_gap01": ["campus", "--headless", "--gap", "0.1"],
+    "serve_europe_chaos": ["europe", "--chaos", str(CHAOS)],
+    "serve_campus_gap01": ["campus", "--gap", "0.1"],
 }
 
 

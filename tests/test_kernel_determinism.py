@@ -64,7 +64,7 @@ def _environment(encoding: str) -> Environment:
     env = Environment(sanitize=True,
                       profile=encoding in ("profiler", "both"))
     if encoding in ("controller", "both"):
-        SimController(env).install()  # idle: no commands, no schedule
+        SimController(env).install()  # idle: no schedule
     return env
 
 

@@ -1,25 +1,18 @@
 """Tests for the control bridge (repro.obs.control), the steering verbs,
-the chaos-schedule replay, and the SSE control plane (repro.obs.serve)."""
+and the chaos-schedule replay."""
 
 from __future__ import annotations
 
 import json
-import socket
-import threading
-import urllib.request
 
 import pytest
 
 from repro.jdl import JobDescription
 from repro.obs import (
     ChaosSchedule,
-    ControlPlaneServer,
     SimController,
     SteerError,
     control_scope,
-    fetch_json,
-    format_sse,
-    snapshot_stream,
 )
 from repro.scenario import Scenario
 from repro.sim import Environment
@@ -82,10 +75,24 @@ class TestChaosSchedule:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "chaos.json"
         path.write_text(json.dumps({"version": 1, "actions": [
-            {"at": 5.0, "verb": "pause"}]}), encoding="utf-8")
+            {"at": 5.0, "verb": "drain_site", "site": "site00"}]}),
+            encoding="utf-8")
         sched = ChaosSchedule.load(str(path))
         assert len(sched) == 1
-        assert sched.to_dict()["actions"][0]["verb"] == "pause"
+        assert sched.to_dict()["actions"][0] == {
+            "at": 5.0, "verb": "drain_site", "site": "site00"}
+
+    @pytest.mark.parametrize("verb", ["pause", "resume", "step", "set_rate"])
+    def test_clock_verbs_are_rejected_at_load_time(self, verb):
+        # There is no clock to steer: the schedule refuses the verb when
+        # it is loaded and names the six world verbs.
+        with pytest.raises(SteerError) as excinfo:
+            ChaosSchedule.from_dict({"version": 1, "actions": [
+                {"at": 5.0, "verb": verb}]})
+        message = str(excinfo.value)
+        assert repr(verb) in message
+        assert ("inject, kill, drain_site, undrain_site, fail_site, "
+                "recover_site") in message
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +108,12 @@ class TestSimController:
         controller = SimController(env).install()
         with pytest.raises(SteerError):
             controller.apply("frobnicate")
-        with pytest.raises(SteerError):
-            controller.apply("set_rate", {"rate": -1.0})
-        with pytest.raises(SteerError):
-            controller.apply("step", {"events": 0})
 
     def test_failed_verbs_never_enter_the_fired_log(self, env):
         controller = SimController(env).install()
         with pytest.raises(SteerError):
             controller.apply("drain_site", {"site": "x"})
         assert controller.fired == []
-
-    def test_call_runs_inline_when_loop_is_stopped(self, env):
-        controller = SimController(env).install()
-        assert controller.call(lambda c: c.env.now) == 0.0
-        snap = controller.snapshot()
-        assert snap["time"] == 0.0
-        assert snap["finished"] is False
 
     def test_idle_controller_changes_nothing(self):
         def workload(environment):
@@ -188,7 +184,7 @@ class TestSteeringWorld:
                             "redrained": False, "up_again": True}
         assert [f["verb"] for f in controller.fired] == [
             "drain_site", "fail_site", "undrain_site", "recover_site"]
-        assert all(f["source"] == "chaos" for f in controller.fired)
+        assert [f["at"] for f in controller.fired] == [2.0, 4.0, 6.0, 8.0]
         # Satellite: every steering action is a tracer ring event.
         kinds = [e.kind for e in handle.tracer.events
                  if e.kind.startswith("steer:")]
@@ -222,179 +218,3 @@ class TestSteeringWorld:
                         world.site_rows(), world.job_rows())
 
         assert once() == once()
-
-
-# ---------------------------------------------------------------------------
-# Satellite: mid-run snapshots obey the merge algebra
-# ---------------------------------------------------------------------------
-def _assert_snapshot_invariants(snap):
-    telemetry = snap["telemetry"]
-    assert telemetry is not None
-    for name, value in telemetry["counters"].items():
-        assert value >= 0, name
-    for name, gauge in telemetry["gauges"].items():
-        assert gauge["min"] <= gauge["max"], name
-        assert gauge["min"] <= gauge["last"] <= gauge["max"], name
-        assert gauge["updates"] >= 1, name
-    for name, hist in telemetry["histograms"].items():
-        if not hist["count"]:
-            continue
-        assert hist["min"] <= hist["p50"] <= hist["p95"] <= hist["max"], name
-        assert hist["sketch"] is not None and \
-            hist["sketch"]["count"] == hist["count"], name
-        assert hist["total"] == pytest.approx(
-            hist["mean"] * hist["count"]), name
-    for name, points in telemetry["series"].items():
-        times = [t for t, _ in points]
-        assert times == sorted(times), name
-
-
-class TestSnapshotConsistency:
-    def test_hammered_snapshots_stay_consistent(self):
-        """Snapshots taken from another thread mid-run are internally
-        consistent: they are produced at the drain point, never torn by
-        the simulation thread mid-update."""
-        with control_scope(rate=400.0) as controllers:
-            handle = Scenario(sites=3, scenario="europe", seed=5,
-                              telemetry=True).build()
-            proc, subs = _submit_batch(handle, 8, runtime=10.0, gap=3.0)
-            controller = controllers[0]
-            snaps = []
-            errors = []
-
-            def hammer():
-                while not controller.finished:
-                    try:
-                        snaps.append(controller.snapshot())
-                    except SteerError:  # timed out against a stopped loop
-                        errors.append("timeout")
-                        return
-
-            thread = threading.Thread(target=hammer)
-            thread.start()
-            try:
-                handle.env.run(until=proc)
-            finally:
-                controller.finish()
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-
-        assert not errors
-        assert snaps, "the hammer thread never snapshotted"
-        for snap in snaps:
-            _assert_snapshot_invariants(snap)
-        # Sim time only moves forward between snapshots.
-        times = [s["time"] for s in snaps]
-        assert times == sorted(times)
-
-
-# ---------------------------------------------------------------------------
-# Satellite: SSE framing
-# ---------------------------------------------------------------------------
-class TestSseFraming:
-    def test_format_sse_fields(self):
-        frame = format_sse('{"a": 1}', event="snapshot", event_id=7,
-                           retry=2000)
-        lines = frame.decode("utf-8").split("\n")
-        assert lines[0] == "retry: 2000"
-        assert lines[1] == "id: 7"
-        assert lines[2] == "event: snapshot"
-        assert lines[3] == 'data: {"a": 1}'
-        assert lines[-1] == "" and lines[-2] == ""  # blank terminator
-
-    def test_format_sse_splits_multiline_data(self):
-        frame = format_sse("one\ntwo")
-        assert frame == b"data: one\ndata: two\n\n"
-
-    def test_stream_ids_retry_and_done(self, env):
-        controller = SimController(env).install()
-        frames = list(snapshot_stream(controller, interval=0.0,
-                                      max_events=2))
-        assert len(frames) == 2
-        first, second = (f.decode("utf-8") for f in frames)
-        assert "retry: " in first and "id: 1" in first
-        assert "event: snapshot" in first
-        assert "retry: " not in second and "id: 2" in second
-
-        controller.finished = True
-        frames = list(snapshot_stream(controller, interval=0.0,
-                                      max_events=5))
-        assert "event: done" in frames[-1].decode("utf-8")
-
-
-# ---------------------------------------------------------------------------
-# The HTTP control plane
-# ---------------------------------------------------------------------------
-@pytest.fixture
-def plane():
-    """A ControlPlaneServer over a small built world (sim not running)."""
-    with control_scope() as controllers:
-        handle = Scenario(sites=2, scenario="europe", seed=9,
-                          telemetry=True).build()
-        server = ControlPlaneServer(controllers[0], port=0, interval=0.05)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield server, handle, controllers[0]
-        finally:
-            server.shutdown()
-            thread.join(timeout=5.0)
-
-
-class TestControlPlaneServer:
-    def test_health_snapshot_sites_and_steer(self, plane):
-        server, handle, controller = plane
-        health = fetch_json(server.url + "/health")
-        assert health["status"] == "ok"
-
-        snap = fetch_json(server.url + "/snapshot")
-        _assert_snapshot_invariants(snap)
-
-        sites = fetch_json(server.url + "/sites")
-        assert [row["site"] for row in sites] == ["site00", "site01"]
-
-        body = json.dumps({"verb": "drain_site", "site": "site00"}).encode()
-        req = urllib.request.Request(server.url + "/steer", data=body,
-                                     headers={"Content-Type":
-                                              "application/json"})
-        with urllib.request.urlopen(req, timeout=10) as resp:
-            result = json.loads(resp.read().decode("utf-8"))
-        assert result["verb"] == "drain_site"
-        sites = fetch_json(server.url + "/sites")
-        assert sites[0]["drained"] is True
-
-    def test_bad_steer_verb_is_a_400(self, plane):
-        server, _, _ = plane
-        body = json.dumps({"verb": "explode"}).encode()
-        req = urllib.request.Request(server.url + "/steer", data=body)
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(req, timeout=10)
-        assert excinfo.value.code == 400
-
-    def test_dashboard_and_404(self, plane):
-        server, _, _ = plane
-        with urllib.request.urlopen(server.url + "/", timeout=10) as resp:
-            page = resp.read().decode("utf-8")
-        assert "<html" in page.lower() and "EventSource" in page
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(server.url + "/nope", timeout=10)
-        assert excinfo.value.code == 404
-
-    def test_sse_client_disconnect_leaves_server_alive(self, plane):
-        server, _, _ = plane
-        host, port = server.httpd.server_address[:2]
-        raw = socket.create_connection((host, port), timeout=10)
-        try:
-            raw.sendall(b"GET /events HTTP/1.1\r\n"
-                        b"Host: x\r\nConnection: close\r\n\r\n")
-            data = b""
-            while b"event: snapshot" not in data:
-                chunk = raw.recv(4096)
-                assert chunk, "no SSE frame before disconnect"
-                data += chunk
-        finally:
-            raw.close()  # mid-stream disconnect
-        assert b"text/event-stream" in data
-        # The handler swallowed the broken pipe; the server still serves.
-        health = fetch_json(server.url + "/health")
-        assert health["status"] == "ok"

@@ -118,8 +118,8 @@ class TestCollectionEpoch:
                 raise KeyError("x")
         assert gc.isenabled() is collector
 
-    def test_a_steered_run_keeps_the_collector(self, env,
-                                               collections_started):
+    def test_a_steered_run_is_a_collection_epoch(self, env,
+                                                 collections_started):
         class IdleController:
             def drain(self):
                 pass
@@ -128,7 +128,7 @@ class TestCollectionEpoch:
         seen = []
         env.process(self.churn(env, seen, steps=3))
         env.run()
-        assert seen == [True] * 3 and collections_started
+        assert collections_started == [] and seen == [False] * 3
 
 
 class TestStepAndPeek:

@@ -159,7 +159,7 @@ def _step(env):
 def run_lane(lane, program):
     env = Environment(sanitize=True, profile=lane == "profiler")
     if lane == "controller":
-        SimController(env).install()  # idle: no commands, no schedule
+        SimController(env).install()  # idle: no schedule
     log = []
     build(env, program, log)
     if lane == "fast":
