@@ -23,34 +23,31 @@ def _driver(handle, controller, jobs: int, gap: float, runtime: float):
     from ..workloads import synthetic_job
     from .common import drive_paced_jobs
 
-    world = controller.world
     yield from drive_paced_jobs(
         handle,
         (synthetic_job(f"srv-{i:03d}", f"user{i % 3}", runtime, "served-app")
          for i in range(jobs)),
-        gap, runtime, "serve/pace",
-        on_submit=world.track if world is not None else None)
+        gap, runtime, "serve/pace", on_submit=controller.world.track)
     yield from handle.broker.drain()
 
 
 def _summary(controller, handle) -> List[str]:
     """Deterministic end-of-run report (byte-identical across replays)."""
     lines = [f"serve summary @ t={handle.env.now:.3f}"]
-    world = controller.world
-    if world is not None:
-        for row in world.site_rows():
-            flags = "".join(
-                [" drained" if row["drained"] else "",
-                 "" if row["up"] else " down"])
-            lines.append(
-                f"  site {row['site']}: {row['running']} running, "
-                f"{row['queued']} queued, {row['free']}/{row['total']} "
-                f"free{flags}")
-        for row in world.job_rows():
-            site = row["site"] or "-"
-            lines.append(
-                f"  job {row['job']} [{row['owner']}] {row['stage']} "
-                f"at {site} ({row['resubmissions']} resubmissions)")
+    world = controller.world  # bound by Scenario.build in the scope
+    for row in world.site_rows():
+        flags = "".join(
+            [" drained" if row["drained"] else "",
+             "" if row["up"] else " down"])
+        lines.append(
+            f"  site {row['site']}: {row['running']} running, "
+            f"{row['queued']} queued, {row['free']}/{row['total']} "
+            f"free{flags}")
+    for row in world.job_rows():
+        site = row["site"] or "-"
+        lines.append(
+            f"  job {row['job']} [{row['owner']}] {row['stage']} "
+            f"at {site} ({row['resubmissions']} resubmissions)")
     fired = controller.fired
     lines.append(f"  verbs fired: {len(fired)}")
     for record in fired:
