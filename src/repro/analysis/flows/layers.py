@@ -151,10 +151,10 @@ REPRO_LAYERS = LayerMap(
         "CrossBroker": ("experiments", "examples"),
         "PullBroker": ("experiments", "examples"),
         "DataAwareBroker": ("experiments", "examples"),
-        # Drivers reach steering through the controller that
-        # Scenario.build binds (env.control.world), never by wrapping a
-        # handle themselves — the adapter is the control bridge's world
-        # half, not a driver convenience.
+        # Drivers reach steering through the adapters control_scope
+        # yields (one per world Scenario.build steers), never by wrapping
+        # a handle themselves — the adapter is chaos replay's world half,
+        # not a driver convenience.
         "SteeringAdapter": ("experiments", "examples"),
     },
 )

@@ -77,6 +77,7 @@ class ResourceSelector:
         """
         rpc = RpcClient(self.network, self.broker_host, candidate.gatekeeper,
                         GRAM_PORT, label=f"refresh/{candidate.site}")
+        closed = False
         try:
             yield from rpc.connect()
             # The per-site query cost: jobmanager ping + queue inspection.
@@ -86,8 +87,13 @@ class ResourceSelector:
             fresh = yield from rpc.call("gram.queue_info", nbytes=512)
         except NetworkError:
             return None
+        except GeneratorExit:
+            # Collected while suspended (its world stopped mid-selection):
+            # a closing generator must not yield, so the channel is left.
+            closed = True
+            raise
         finally:
-            if rpc.connected:
+            if rpc.connected and not closed:
                 yield from rpc.close()
         merged = dict(candidate.attributes)
         if isinstance(fresh, dict):

@@ -4,13 +4,15 @@
 and implements the steering verbs — ``inject``, ``kill``, ``drain_site``,
 ``undrain_site``, ``fail_site``, ``recover_site`` — plus the
 ``site_rows()`` / ``job_rows()`` reads ``repro serve`` summarises.
-``Scenario.build()`` constructs one and binds it to the environment's
-controller whenever a :func:`repro.obs.control.control_scope` is active;
+Inside a :func:`repro.obs.control.control_scope`, ``Scenario.build()``
+constructs one per world, queues the scope's chaos schedule through
+:meth:`SteeringAdapter.replay` and hands the adapter to the scope;
 drivers never instantiate it directly (simlint's ``flow-layer-dag``
 rule enforces this, like the broker classes themselves).
 
-Every verb runs at the controller's drain point — between kernel
-events — so the handlers may mutate world state freely.  Verb methods
+Each chaos action is a kernel event of priority ``STEER``: its callback
+runs from the run loop like any other, before everything else at its
+instant, so the handlers may mutate world state freely.  Verb methods
 return JSON-able dicts describing what they changed.  G-Monitor
 (cs/0302007) is the model: the portal steers jobs through the broker's
 own verbs rather than reaching into resources behind its back.
@@ -19,14 +21,18 @@ own verbs rather than reaching into resources behind its back.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..sim import STEER
 from ..workloads import cpu_bound_app, synthetic_job
 from .status import job_stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (scenario is a
     # higher layer; the handle is handed in by Scenario.build)
+    from ..obs.control import ChaosAction, ChaosSchedule
     from ..scenario import ScenarioHandle
+    from ..sim import Event
     from .base import SubmittedJob
 
 __all__ = ["SteeringAdapter"]
@@ -41,7 +47,39 @@ class SteeringAdapter:
         #: injected ones plus driver submissions registered via
         #: :meth:`track`.  Keyed by job id (insertion-ordered dict).
         self.jobs: Dict[str, "SubmittedJob"] = {}
+        #: Every chaos action applied, in order: ``{"at": sim_time,
+        #: "verb": ...}``.  An action that fails leaves no record.
+        self.fired: List[Dict[str, Any]] = []
         self._inject_counter = itertools.count()
+
+    # -- chaos replay ------------------------------------------------------
+    def replay(self, schedule: "ChaosSchedule") -> None:
+        """Queue each action as a ``STEER`` entry at its ``at``.
+
+        The entry sorts before every other entry of its instant, however
+        late that one was scheduled, so the action sees the world as it
+        was when the clock reached ``at``.
+        """
+        env = self.handle.env
+        for action in schedule.actions:
+            entry = env.event()
+            entry.callbacks.append(partial(self._fire, action))
+            env.schedule(entry, STEER, action.at - env.now)
+
+    def _fire(self, action: "ChaosAction", _entry: "Event") -> None:
+        """Apply one action (its entry's callback), log it and emit a
+        ``steer:<verb>`` tracer event."""
+        try:
+            getattr(self, action.verb)(**action.args)
+        except (TypeError, ValueError) as exc:
+            from ..obs.control import SteerError
+
+            raise SteerError(f"chaos action {action.verb} at "
+                             f"t={action.at:g}: {exc}") from None
+        env = self.handle.env
+        self.fired.append({"at": env.now, "verb": action.verb})
+        if env.tracer is not None:
+            env.tracer.event(f"steer:{action.verb}", **action.args)
 
     # -- bookkeeping -------------------------------------------------------
     def track(self, submitted: "SubmittedJob") -> "SubmittedJob":
@@ -53,8 +91,10 @@ class SteeringAdapter:
     def _site(self, site: Optional[str]):
         try:
             return self.handle.site(site)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"unknown site {site!r}: {exc}") from None
+        except KeyError:
+            raise ValueError(
+                f"unknown site {site!r}; known: "
+                f"{', '.join(sorted(self.handle.testbed.sites))}") from None
 
     # -- world verbs -------------------------------------------------------
     def inject(self, count: int = 1, owner: str = "chaos",

@@ -1,15 +1,15 @@
 """Chaos drill: steering-verb regimes replayed over one grid workload.
 
 Not a paper table — a disaster-scenario companion to ``broker-modes``
-built on the :mod:`repro.obs.control` steering bridge.  Every cell runs
-the *same* paced interactive workload, then a regime-specific
+built on :mod:`repro.obs.control` chaos replay.  Every cell runs the
+*same* paced interactive workload, then a regime-specific
 :class:`~repro.obs.ChaosSchedule` replays steering verbs at fixed
 sim-times inside a :func:`~repro.obs.control_scope`:
 
 ``calm``
-    No schedule — the control hook is attached but idle, so this cell
-    doubles as a regression proof that an attached-but-silent controller
-    changes nothing.
+    An empty schedule — the world is built in the scope and bound to its
+    steering adapter, but nothing is queued, so this cell doubles as a
+    regression proof that an empty scope changes nothing.
 ``drain``
     The first site is drained mid-run and undrained later: its queue
     stops accepting work, the rest of the grid absorbs the load, and
@@ -87,7 +87,7 @@ class DrillMeasurement:
     #: Chaos-injected jobs observed / completed successfully.
     injected: int
     injected_done: int
-    #: The controller's verb log: ``{"at", "verb"}`` dicts.
+    #: The steering adapter's verb log: ``{"at", "verb"}`` dicts.
     fired: List[Dict[str, Any]]
 
 
@@ -123,11 +123,12 @@ def _measure(config: ChaosDrillConfig, regime: str) -> DrillMeasurement:
 
     offset = REGIMES.index(regime)
     schedule = schedule_for(config, regime)
-    with control_scope(schedule=schedule) as controllers:
+    with control_scope(schedule=schedule) as worlds:
         handle = Scenario(sites=config.sites, scenario="europe",
                           nodes_per_site=config.nodes_per_site,
                           seed=config.seed * 100 + offset,
                           calibration=config.calibration).build()
+        (world,) = worlds
         env = handle.env
         responses: List[float] = []
         successes = 0
@@ -154,30 +155,25 @@ def _measure(config: ChaosDrillConfig, regime: str) -> DrillMeasurement:
                     responses.append(report.finished_at - report.submitted_at)
             # Chaos-injected jobs were tracked by the steering adapter;
             # wait them out so the burst regime measures to completion.
-            world = controllers[0].world if controllers else None
-            if world is not None:
-                for job_id in list(world.jobs):
-                    if job_id.startswith("chaos-"):
-                        try:
-                            yield world.jobs[job_id].finished
-                        except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- injected-job failure is data, counted via injected_done
-                            pass
+            for job_id in list(world.jobs):
+                if job_id.startswith("chaos-"):
+                    try:
+                        yield world.jobs[job_id].finished
+                    except Exception:  # noqa: BLE001  # simlint: disable=swallowed-error -- injected-job failure is data, counted via injected_done
+                        pass
             yield from handle.broker.drain()
             return None
 
         proc = env.process(driver(), name="drill/driver")
         env.run(until=proc)
 
-        controller = controllers[0]
         injected = injected_done = 0
-        world = controller.world
-        if world is not None:
-            for job_id, s in world.jobs.items():
-                if not job_id.startswith("chaos-"):
-                    continue
-                injected += 1
-                if s.report.success:
-                    injected_done += 1
+        for job_id, s in world.jobs.items():
+            if not job_id.startswith("chaos-"):
+                continue
+            injected += 1
+            if s.report.success:
+                injected_done += 1
         return DrillMeasurement(
             jobs=config.jobs,
             successes=successes,
@@ -185,7 +181,7 @@ def _measure(config: ChaosDrillConfig, regime: str) -> DrillMeasurement:
             resubmissions=resubmissions,
             injected=injected,
             injected_done=injected_done,
-            fired=list(controller.fired),
+            fired=list(world.fired),
         )
 
 

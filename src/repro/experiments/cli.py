@@ -151,18 +151,27 @@ def run_main(argv: List[str]) -> int:
                 else lambda line: print(line, file=sys.stderr))
     cache = None if args.no_cache else args.cache_dir
     chaos = None
+    bad_verb: Tuple[type, ...] = ()  # nothing to catch without a schedule
     if args.chaos:
+        from ..obs.control import SteerError
+
         # Passed to the engine as a plain dict (picklable for workers).
         chaos = load_chaos(parser, args.chaos).to_dict()
+        bad_verb = (SteerError,)
 
     results: List[ExperimentResult] = []
-    for result in run_experiments(names, quick=args.quick,
-                                  parallel=args.parallel, cache=cache,
-                                  progress=progress,
-                                  telemetry=args.telemetry, chaos=chaos):
-        results.append(result)
-        print(result.render())
-        print()
+    try:
+        for result in run_experiments(names, quick=args.quick,
+                                      parallel=args.parallel, cache=cache,
+                                      progress=progress,
+                                      telemetry=args.telemetry, chaos=chaos):
+            results.append(result)
+            print(result.render())
+            print()
+    except bad_verb as exc:
+        # A verb that cannot apply to a world a cell built (an unknown
+        # site): a bad schedule, reported like a bad file.
+        parser.error(f"--chaos {args.chaos}: {exc}")
 
     # Wall-clock/speedup report: stderr, never part of rendered output.
     stats = [result.data["runner"] for result in results]

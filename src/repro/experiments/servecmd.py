@@ -1,15 +1,18 @@
 """``repro serve`` — replay a chaos schedule against a scripted workload.
 
-Builds a Scenario world inside a :func:`repro.obs.control.control_scope`,
-drives a stream of interactive jobs through the broker, fires the
-``--chaos`` schedule's verbs at their scheduled sim-times, and prints a
-deterministic summary — sites, jobs, and every verb fired::
+Builds a Scenario world inside a :func:`repro.obs.control.control_scope`
+(so the ``--chaos`` schedule's verbs are queued as kernel events at
+their sim-times), drives a stream of interactive jobs through the
+broker, and prints a deterministic summary read off the world adapter
+the scope yields — sites, jobs, and every verb fired::
 
     repro serve campus --sites 8 --jobs 30
     repro serve europe --chaos chaos.json
 
 Same schedule + same seed produce byte-identical output
-(``tests/golden/serve_*.out`` hold two of them).
+(``tests/golden/serve_*.out`` hold two of them).  A bad schedule file,
+or a verb that cannot apply to the world (an unknown site), is a
+one-line usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import argparse
 from typing import List, Optional
 
 
-def _driver(handle, controller, jobs: int, gap: float, runtime: float):
+def _driver(handle, world, jobs: int, gap: float, runtime: float):
     """The served workload: paced submissions, then wait for everything."""
     from ..workloads import synthetic_job
     from .common import drive_paced_jobs
@@ -27,14 +30,13 @@ def _driver(handle, controller, jobs: int, gap: float, runtime: float):
         handle,
         (synthetic_job(f"srv-{i:03d}", f"user{i % 3}", runtime, "served-app")
          for i in range(jobs)),
-        gap, runtime, "serve/pace", on_submit=controller.world.track)
+        gap, runtime, "serve/pace", on_submit=world.track)
     yield from handle.broker.drain()
 
 
-def _summary(controller, handle) -> List[str]:
+def _summary(world, handle) -> List[str]:
     """Deterministic end-of-run report (byte-identical across replays)."""
     lines = [f"serve summary @ t={handle.env.now:.3f}"]
-    world = controller.world  # bound by Scenario.build in the scope
     for row in world.site_rows():
         flags = "".join(
             [" drained" if row["drained"] else "",
@@ -48,7 +50,7 @@ def _summary(controller, handle) -> List[str]:
         lines.append(
             f"  job {row['job']} [{row['owner']}] {row['stage']} "
             f"at {site} ({row['resubmissions']} resubmissions)")
-    fired = controller.fired
+    fired = world.fired
     lines.append(f"  verbs fired: {len(fired)}")
     for record in fired:
         lines.append(f"    t={record['at']:.3f} {record['verb']} (chaos)")
@@ -56,7 +58,7 @@ def _summary(controller, handle) -> List[str]:
 
 
 def serve_main(argv: List[str]) -> int:
-    from ..obs.control import ChaosSchedule, control_scope
+    from ..obs.control import ChaosSchedule, SteerError, control_scope
     from ..scenario import Scenario
     from .cli import load_chaos
 
@@ -87,17 +89,20 @@ def serve_main(argv: List[str]) -> int:
     if args.chaos:
         schedule = load_chaos(parser, args.chaos)
 
-    with control_scope(schedule=schedule) as controllers:
+    with control_scope(schedule=schedule) as worlds:
         handle = Scenario(
             sites=args.sites, scenario=args.scenario,
             nodes_per_site=args.nodes, seed=args.seed,
             broker_mode=args.broker_mode).build()
-        controller = controllers[0]
+        (world,) = worlds
         proc = handle.env.process(
-            _driver(handle, controller, args.jobs, args.gap, args.runtime),
+            _driver(handle, world, args.jobs, args.gap, args.runtime),
             name="serve/driver")
-        handle.run(until=proc)
-    print("\n".join(_summary(controller, handle)))
+        try:
+            handle.run(until=proc)
+        except SteerError as exc:
+            parser.error(f"--chaos {args.chaos}: {exc}")
+    print("\n".join(_summary(world, handle)))
     return 0
 
 

@@ -24,17 +24,15 @@ For real-time attribution of kernel work, use
 Chrome/Perfetto trace of spans + counter tracks, see
 :func:`export_chrome_trace`.
 
-Steering uses the third hook, ``Environment.control``: a
-:class:`SimController` (installed by :func:`control_scope`) replays
-:class:`ChaosSchedule` verbs at fixed sim-times between kernel events —
-what ``repro run --chaos``, the ``chaos-drill`` experiment and ``repro
-serve`` drive.
+Steering needs no hook: inside a :func:`control_scope`,
+``Scenario.build`` queues a :class:`ChaosSchedule`'s verbs as kernel
+events that fire first at their sim-times — what ``repro run --chaos``,
+the ``chaos-drill`` experiment and ``repro serve`` drive.
 """
 
 from .control import (
     ChaosAction,
     ChaosSchedule,
-    SimController,
     SteerError,
     control_scope,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "PHASES",
     "ChaosAction",
     "ChaosSchedule",
-    "SimController",
     "SteerError",
     "control_scope",
     "Counter",

@@ -1,52 +1,33 @@
-"""The sim-loop bridge: scripted chaos replayed between kernel events.
+"""Scripted chaos: steering verbs replayed at fixed simulation times.
 
-:class:`SimController` installs on the ``Environment.control`` hook
-(mirroring ``env.tracer`` / ``env.telemetry``), and the kernel's
-observed run loop calls :meth:`SimController.drain` once **between**
-event pops.  That drain point is the only place a steering verb runs:
+A :class:`ChaosSchedule` is a list of ``(at, verb, args)`` actions (see
+``docs/chaos-schedules.md`` for the JSON format).  Inside a
+:func:`control_scope`, ``Scenario.build()`` binds a world adapter
+(:class:`repro.core.steering.SteeringAdapter`) and queues each action on
+the environment as an entry ``(at, STEER, eid)``.  ``STEER`` sorts
+before every URGENT and NORMAL entry, so an action fires before anything
+else at its instant — a regional outage at
+t=90 lands at the same position of the event order every run, on every
+run loop, and a steered run is exactly as deterministic as an unsteered
+one.  The kernel has no steering hook: the actions are just events.
 
-* verbs never run mid-callback, and they execute at a well-defined
-  position of the event order, so a :class:`ChaosSchedule` replays
-  deterministically: same schedule + same seed = byte-identical run;
-* an **idle** controller (no actions left) returns from ``drain()``
-  after one comparison without consuming event ids or touching state,
-  so an attached-but-idle controller leaves every golden render
-  byte-identical.
-
-Steering verbs
---------------
 The six verbs — ``inject``, ``kill``, ``drain_site``, ``undrain_site``,
-``fail_site``, ``recover_site`` — are delegated to the bound world
-adapter (:class:`repro.core.steering.SteeringAdapter`, attached by
-``Scenario.build()`` whenever a controller is present).  ``repro.obs``
-stays isolated: the adapter is *handed in*, never imported.
-
-Chaos schedules
----------------
-A :class:`ChaosSchedule` is a list of ``(at, verb, args)`` actions
-(see ``docs/chaos-schedules.md`` for the JSON format).  At each drain
-the controller fires every action whose time has come — i.e. the next
-scheduled event is at or past ``at`` (or the queue is empty), in which
-case the clock legally jumps forward via ``env.advance_to`` — so a
-regional outage at t=90 lands at the same position of the event order
-every single run.
+``fail_site``, ``recover_site`` — are the adapter's methods.
+``repro.obs`` stays isolated: it only hands the scope to
+``Scenario.build`` and never imports the adapter.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.environment import Environment
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 __all__ = [
     "WORLD_VERBS",
     "ChaosAction",
     "ChaosSchedule",
-    "SimController",
     "SteerError",
     "control_scope",
 ]
@@ -97,9 +78,12 @@ class ChaosSchedule:
 
     Actions are sorted by ``(at, original index)`` — a stable order, so
     two verbs at the same time fire in file order.  The schedule object
-    itself is immutable state shared across controllers; each controller
-    keeps its own cursor.
+    itself is immutable state shared by every world it steers.
     """
+
+    #: The innermost active :func:`control_scope` as ``(schedule, steered
+    #: worlds)``; ``Scenario.build`` reads it.  ``None`` outside a scope.
+    scope: Optional[Tuple["ChaosSchedule", List[Any]]] = None
 
     def __init__(self, actions: Sequence[ChaosAction],
                  description: str = "") -> None:
@@ -142,114 +126,24 @@ class ChaosSchedule:
         return f"<ChaosSchedule {len(self.actions)} actions>"
 
 
-class SimController:
-    """The ``env.control`` hook: a cursor over one chaos schedule.
-
-    Created by :func:`control_scope` (one per environment built inside
-    the scope) or installed manually with ``SimController(env).install()``.
-    """
-
-    def __init__(self, env: "Environment",
-                 schedule: Optional[ChaosSchedule] = None) -> None:
-        self.env = env
-        #: The bound world adapter (None until ``Scenario.build`` attaches
-        #: one); verbs raise :class:`SteerError` while unbound.
-        self.world: Optional[Any] = None
-        #: Deterministic log of every applied verb:
-        #: ``{"at": sim_time, "verb": ...}``.
-        self.fired: List[Dict[str, Any]] = []
-        self._actions: Tuple[ChaosAction, ...] = (
-            schedule.actions if schedule is not None else ())
-        self._cursor = 0
-
-    def install(self) -> "SimController":
-        """Attach this controller to its environment's hook point."""
-        self.env.control = self
-        return self
-
-    def bind_world(self, adapter: Any) -> None:
-        """Attach the steering adapter the verbs delegate to."""
-        self.world = adapter
-
-    def drain(self) -> None:
-        """Fire the chaos verbs that are due.
-
-        Called by ``Environment._drain_observed`` between event pops.
-        MUST stay cheap when idle: one comparison.
-        """
-        if self._cursor < len(self._actions):
-            self._fire_due()
-
-    def _fire_due(self) -> None:
-        """Fire every scheduled action whose time has come.
-
-        An action is due when the next scheduled event is at or past its
-        ``at`` (the clock may then legally jump to ``at``), including
-        when the queue is empty.  Fired verbs may schedule new events
-        (inject) — the loop re-peeks each iteration.
-        """
-        env = self.env
-        actions = self._actions
-        while self._cursor < len(actions):
-            action = actions[self._cursor]
-            if env.peek() < action.at:
-                return  # an earlier event must be processed first
-            self._cursor += 1
-            env.advance_to(action.at)
-            self.apply(action.verb, action.args)
-
-    def apply(self, verb: str,
-              args: Optional[Mapping[str, Any]] = None) -> Any:
-        """Execute one steering verb *at the drain point*.
-
-        Successful verbs are recorded in :attr:`fired` and emitted as
-        ``steer:<verb>`` tracer ring events (Perfetto shows them as
-        instants on the steering track); failed verbs leave no record.
-        """
-        args = dict(args or {})
-        result = self._apply(verb, args)
-        self.fired.append({"at": self.env.now, "verb": verb})
-        tr = self.env.tracer
-        if tr is not None:
-            tr.event(f"steer:{verb}", **args)
-        return result
-
-    def _apply(self, verb: str, args: Dict[str, Any]) -> Any:
-        if verb not in WORLD_VERBS:
-            raise _unknown_verb(verb)
-        if self.world is None:
-            raise SteerError(
-                f"verb {verb!r} needs a bound world (build through "
-                f"Scenario inside a control_scope)")
-        return getattr(self.world, verb)(**args)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<SimController actions={self._cursor}/{len(self._actions)}>"
-
-
 @contextmanager
 def control_scope(schedule: Optional[ChaosSchedule] = None
-                  ) -> Iterator[List[SimController]]:
-    """Auto-install a controller on every Environment built in this scope.
+                  ) -> Iterator[List[Any]]:
+    """Steer every world ``Scenario.build`` makes inside this scope.
 
-    Mirrors :func:`repro.obs.telemetry.telemetry_scope`: yields the
-    (initially empty) list of controllers in environment-construction
-    order.  Each environment gets its *own* controller sharing the
-    (immutable) schedule, so multi-environment cells replay the same
-    chaos in each world deterministically.
+    Each build binds a :class:`repro.core.steering.SteeringAdapter`,
+    queues the schedule's actions on its environment as ``STEER``
+    entries and appends the adapter (with its ``fired`` log) to the
+    yielded list, in build order.  Worlds share the (immutable)
+    schedule, so multi-world cells replay the same chaos in each.  An
+    environment built any other way is not steered.
     """
-    from ..sim.environment import Environment
-
-    created: List[SimController] = []
-
-    def factory(env: "Environment") -> SimController:
-        controller = SimController(env, schedule=schedule)
-        created.append(controller)
-        return controller
-
-    previous = Environment.control_factory
-    Environment.control_factory = factory  # simlint: disable=flow-worker-purity -- restored in finally; the write is scoped to this worker's own cell, never leaks across cells
+    if schedule is None:
+        schedule = ChaosSchedule(())
+    steered: List[Any] = []
+    previous = ChaosSchedule.scope
+    ChaosSchedule.scope = (schedule, steered)  # simlint: disable=flow-worker-purity -- restored in finally; the write is scoped to this worker's own cell, never leaks across cells
     try:
-        yield created
+        yield steered
     finally:
-        Environment.control_factory = previous  # simlint: disable=flow-worker-purity -- restores the pre-scope factory (cell-local by construction)
+        ChaosSchedule.scope = previous  # simlint: disable=flow-worker-purity -- restores the pre-scope schedule (cell-local by construction)

@@ -16,9 +16,9 @@ routes ``run()`` through the kernel's observed loop, which attributes
 Wall-clock readings never feed back into simulation state — the
 profiler is observation-only, and the observed loop preserves the exact
 event order of the fast loop (it mirrors ``Environment.step()``
-semantics) — with or without a controller attached alongside.  Profiled
-runs are slower (one ``perf_counter`` pair per callback); that is the
-price of attribution and the reason the flag is opt-in.
+semantics).  Profiled runs are slower (one ``perf_counter`` pair per
+callback); that is the price of attribution and the reason the flag is
+opt-in.
 """
 
 from __future__ import annotations

@@ -253,10 +253,11 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
         replay inside every cell.  A non-empty schedule steers the
         simulation, so the cell cache is bypassed entirely — chaos
         payloads must never be stored under (or served from) the
-        unperturbed cache key.  An *empty* schedule still attaches an
-        (idle) controller to every environment — by the kernel contract
-        that changes nothing, which is exactly what the CI idle-server
-        gate proves by diffing the golden — and keeps the cache usable.
+        unperturbed cache key.  An *empty* schedule still binds a steering
+        adapter to every world a cell builds through ``Scenario`` but
+        queues nothing, so it changes nothing — which is exactly what the
+        CI empty-schedule gate proves by diffing the golden — and keeps
+        the cache usable.
 
     ``RunStats.wall_seconds`` is the wall time an experiment *added* to
     the run (previous yield to its own), so the per-experiment walls sum

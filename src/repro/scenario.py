@@ -34,6 +34,7 @@ core.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
@@ -154,13 +155,17 @@ class Scenario:
             testbed.publish_all_now()
         handle = ScenarioHandle(scenario=self, testbed=testbed, target=target,
                                 tracer=tracer, telemetry=registry)
-        control = testbed.env.control
-        if control is not None and hasattr(control, "bind_world"):
-            # A control_scope is active: give its controller the world
-            # adapter so steering verbs (drain/fail/inject/kill) resolve.
+        # A control_scope can only be open once its module is imported, so
+        # an unsteered build never imports repro.obs just to look.
+        control = sys.modules.get("repro.obs.control")
+        scope = control.ChaosSchedule.scope if control is not None else None
+        if scope is not None:
             from .core.steering import SteeringAdapter
 
-            control.bind_world(SteeringAdapter(handle))
+            schedule, steered = scope
+            world = SteeringAdapter(handle)
+            world.replay(schedule)
+            steered.append(world)
         return handle
 
 

@@ -29,6 +29,7 @@ from .events import (
     Event,
     NORMAL,
     PENDING,
+    STEER,
     Timeout,
     URGENT,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "RandomStreams",
     "Request",
     "Resource",
+    "STEER",
     "SimulationError",
     "StopSimulation",
     "Store",

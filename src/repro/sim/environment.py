@@ -30,8 +30,11 @@ directly to the lanes / heap (``Event.succeed``/``fail``/``trigger``,
 invariants they must maintain are:
 
 1. bump ``env._eid`` by one and use the new value in the entry;
-2. zero-delay entries go to the lane matching their priority with
-   ``time == env._now``; anything with a positive delay is heap-pushed;
+2. zero-delay URGENT/NORMAL entries go to the lane matching their
+   priority with ``time == env._now``; anything with a positive delay,
+   and a zero-delay entry of any other priority (``STEER``, a chaos
+   action due now), is heap-pushed — the heap orders by priority before
+   eid, so a STEER entry still pops before the lane heads of its instant;
 3. only :class:`~repro.sim.timers.Timer` instances may appear in heap
    entries with ``event._is_timer`` true (lanes never hold timers), so
    the lane pop path stays free of timer bookkeeping.
@@ -42,11 +45,15 @@ One order, three encodings
 
 * the **fast loop** (:meth:`Environment._drain`): per-event three-head
   selection, queues bound to locals, ``Process._resume`` inlined;
-* the **observed loop** (:meth:`Environment._drain_observed`), taken when
-  a controller and/or profiler is attached; built on
-  :meth:`Environment._pop`, as is :meth:`Environment.step`;
+* the **observed loop** (:meth:`Environment._drain_observed`), taken
+  when a profiler is attached; built on :meth:`Environment._pop`, as is
+  :meth:`Environment.step`;
 * the **C mirror** of the fast loop (``sim/_speedups.c``, opt-in via
   ``REPRO_SIM_COMPILED=1`` — see ARCHITECTURE.md).
+
+Nothing runs between pops: scripted steering is queue entries of
+priority ``STEER`` (see invariant 2), so a steered run takes the same
+loop, fast or compiled, as an unsteered one.
 
 Cancellable timers (lazy tombstones)
 ------------------------------------
@@ -113,7 +120,7 @@ class Environment:
     # ``event``/``timeout`` are *instance* slots holding partials of the
     # constructors (one Python frame cheaper per call than a method).
     __slots__ = ("_now", "_urgent", "_fifo", "_heap", "_eid", "_active_proc",
-                 "tracer", "telemetry", "control", "event", "timeout",
+                 "tracer", "telemetry", "event", "timeout",
                  "sanitizer", "profiler")
 
     #: Class-level default for the ``sanitize`` flag.  Flipped by
@@ -132,10 +139,6 @@ class Environment:
     #: by :func:`repro.obs.telemetry.telemetry_scope`; the kernel itself
     #: never imports obs and never reads the registry.
     telemetry_factory: Optional[Callable[["Environment"], Any]] = None
-
-    #: Same for the ``control`` hook (``env -> controller``).  Managed by
-    #: :func:`repro.obs.control.control_scope`.
-    control_factory: Optional[Callable[["Environment"], Any]] = None
 
     def __init__(self, initial_time: float = 0.0, *,
                  sanitize: Optional[bool] = None,
@@ -161,13 +164,6 @@ class Environment:
         factory = Environment.telemetry_factory
         self.telemetry: Optional[Any] = \
             factory(self) if factory is not None else None
-        #: Steering/control hook (see :mod:`repro.obs.control`).  Same
-        #: zero-cost contract: ``None`` unless a controller is installed;
-        #: when set, ``run()`` takes the observed loop, which calls
-        #: ``control.drain()`` between events.
-        control_factory = Environment.control_factory
-        self.control: Optional[Any] = \
-            control_factory(self) if control_factory is not None else None
         #: Runtime lifecycle sanitizer (see :mod:`repro.analysis.sanitizer`).
         #: ``None`` unless ``sanitize=True`` (or the class default is
         #: flipped by an audit scope); the kernel's hot paths never touch
@@ -233,23 +229,6 @@ class Environment:
     def __len__(self) -> int:
         """Number of scheduled entries (including uncollected tombstones)."""
         return len(self._urgent) + len(self._fifo) + len(self._heap)
-
-    def advance_to(self, time: float) -> None:
-        """Advance the clock to ``time`` when nothing earlier is pending.
-
-        Control-hook helper: a scripted steering verb due at ``time``
-        must observe ``env.now >= time`` even when the next scheduled
-        entry lies further in the future (or the queue is empty).  The
-        jump is only legal when it cannot reorder events, so an entry
-        scheduled before ``time`` raises :class:`ValueError`.
-        """
-        if time <= self._now:
-            return
-        if self.peek() < time:
-            raise ValueError(
-                f"cannot advance to t={time}: an entry is scheduled "
-                f"earlier (t={self.peek()})")
-        self._now = time
 
     # -- event factories ---------------------------------------------------
     # ``event()`` and ``timeout(delay, value=None)`` are instance slots set
@@ -378,10 +357,10 @@ class Environment:
                 return until.value
             until.callbacks.append(_stop_simulate)
 
-        # Observed runs stay interpreted: detours, not hot paths.
+        # Profiled runs stay interpreted: detours, not hot paths.
         try:
             with collector_paused():
-                if self.control is not None or self.profiler is not None:
+                if self.profiler is not None:
                     self._drain_observed()
                 elif _SPEEDUPS is not None:
                     _SPEEDUPS.drain(self)
@@ -499,38 +478,23 @@ class Environment:
                 raise _unhandled(event)
 
     def _drain_observed(self) -> None:
-        """The observed loop: :meth:`_drain` semantics with hook points.
-
-        A controller's ``drain()`` runs once *between* pops — the only
-        place chaos verbs execute, so they land at a deterministic
-        position of the event order, never mid-callback; an idle one
-        consumes no event ids.  A profiler times every
-        callback and timer shot (fires, deferrals and tombstones alike);
-        wall-clock readings never touch simulation state.
-        """
-        control, prof = self.control, self.profiler
-        drain = control.drain if control is not None else None
-        if prof is not None:
-            clock, record = prof.clock, prof.record
-            site_of, timer_site = prof.site_of, prof.timer_site
-            wall_start = clock()
+        """The observed loop: :meth:`_drain` semantics, every callback and
+        timer shot (fires, deferrals and tombstones alike) timed by the
+        profiler; wall-clock readings never touch simulation state."""
+        prof = self.profiler
+        clock, record = prof.clock, prof.record
+        site_of, timer_site = prof.site_of, prof.timer_site
+        wall_start = clock()
         try:
             while True:
-                # Before the pop, so verbs still due when the queue
-                # empties fire (and may schedule events, extending the run).
-                if drain is not None:
-                    drain()
                 entry = self._pop()
                 if entry is None:
-                    return  # queue drained (post-drain: nothing revived it)
+                    return  # queue drained
                 event = entry[3]
                 if event._is_timer:
-                    if prof is None:
-                        event._pop_shot(entry)
-                    else:
-                        t0 = clock()
-                        event._pop_shot(entry)
-                        record(timer_site(event), t0)
+                    t0 = clock()
+                    event._pop_shot(entry)
+                    record(timer_site(event), t0)
                     continue
 
                 self._now = entry[0]
@@ -540,20 +504,16 @@ class Environment:
                     continue
                 event.callbacks = None
                 for cb in callbacks:
-                    if prof is None:
+                    t0 = clock()
+                    try:
                         cb(event)
-                    else:
-                        t0 = clock()
-                        try:
-                            cb(event)
-                        finally:
-                            record(site_of(cb), t0)
+                    finally:
+                        record(site_of(cb), t0)
 
                 if not event._ok and not event._defused:
                     raise _unhandled(event)
         finally:
-            if prof is not None:
-                prof.run_wall += clock() - wall_start
+            prof.run_wall += clock() - wall_start
 
 
 def _unhandled(event: Event) -> BaseException:

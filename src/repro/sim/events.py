@@ -28,6 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
 
 # Scheduling priorities: lower value == handled earlier at equal sim-time.
+#: Scripted steering (a chaos action's queue entry): before every URGENT
+#: and NORMAL entry of its instant, however late it was scheduled.
+STEER = -1
 URGENT = 0
 NORMAL = 1
 

@@ -41,8 +41,8 @@ def run_mixed_workload(env: Optional[Environment] = None,
                        ) -> List[Tuple[float, str]]:
     """Run the workload; return the ordered (time, tag) processing log.
 
-    ``env`` and ``drive`` select the kernel encoding under test: an
-    environment with hooks attached takes the observed loop, and a
+    ``env`` and ``drive`` select the kernel encoding under test: a
+    profiled environment takes the observed loop, and a
     ``drive`` other than ``Environment.run`` (e.g. a ``step()`` loop)
     replaces the run call.
     """

@@ -232,6 +232,32 @@ class TestBadChaosFile:
         assert error.startswith(f"repro {command[0]}: error: --chaos {path}")
 
 
+class TestVerbThatCannotApply:
+    """A schedule whose verb cannot apply to the world it steers (an
+    unknown site) is reported like a bad file: one error line naming the
+    action, exit 2, serial and pooled alike."""
+
+    @pytest.mark.parametrize("command, site", [
+        (["run", "fig8", "--quick", "--no-cache"], "site00"),
+        (["run", "fig8", "--quick", "--no-cache", "--parallel", "2"],
+         "site00"),
+        (["serve", "campus"], "nowhere"),
+    ], ids=["run", "run-parallel", "serve"])
+    def test_exits_2_naming_the_action(self, tmp_path, command, site):
+        path = tmp_path / "bad-site.json"
+        path.write_text(json.dumps({"version": 1, "actions": [
+            {"at": 30, "verb": "drain_site", "site": site}]}),
+            encoding="utf-8")
+        proc = run_cli(*command, "--chaos", str(path), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = proc.stderr.splitlines()[-1]
+        assert error.startswith(
+            f"repro {command[0]}: error: --chaos {path}: chaos action "
+            f"drain_site at t=30: unknown site {site!r}; known: ")
+
+
 class TestClosedStdout:
     """`repro ... | head`: a reader that leaves early is not an error.
     The read end is closed before the first byte is written."""

@@ -30,11 +30,11 @@ EXPECTED = {
     "table1_quick": [2327, 8270, 3525, 10989, 2807, 8619, 3595, 11375],
     "broker_modes_quick": [2604, 2142, 2599, 1504, 2104, 1599,
                            1710, 1760, 1692, 5209, 3105, 5331],
-    "chaos_drill_quick": [1878, 1748, 1638, 2315],
+    "chaos_drill_quick": [1878, 1750, 1640, 2316],
     "fig8_quick": [831, 845, 880, 916],
     "ablation_pl_quick": [852, 859, 880, 916, 1001],
     "ablation_degree_quick": [353, 680, 997],
-    "serve_europe_chaos": [4366],
+    "serve_europe_chaos": [4369],
     "serve_campus_gap01": [3191],
     "scenario_2site": [23517],
 }

@@ -71,7 +71,7 @@ EXPECTED = {
     "ablation-degree": [0, 0, 0],
     "ablation-halflife": [0, 0, 0],
     "broker-modes": [12, 464, 1131],
-    "chaos-drill": [6, 164, 431],
+    "chaos-drill": [6, 292, 738],
     "scenario_2site": [0, 264, 768],
 }
 

@@ -10,9 +10,9 @@ failures, stores and resources at once.  Any change to the kernel's
 before it corrupts an experiment render.
 
 Every surviving encoding of that order is held to both pinned fixtures:
-the fast loop, the observed loop (idle controller, profiler, both), a
-``step()`` driver — all in-process — and the compiled lane in a
-subprocess (lane selection is an import-time switch).
+the fast loop, the observed loop (profiler attached), a ``step()``
+driver — all in-process — and the compiled lane in a subprocess (lane
+selection is an import-time switch).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import sys
 
 import pytest
 
-from repro.obs.control import SimController
 from repro.sim import EmptySchedule, Environment
 from repro.sim._compiled import compiled_lane_active
 
@@ -56,16 +55,12 @@ def test_mixed_workload_is_self_deterministic():
 
 # -- one order, every in-process encoding ---------------------------------
 
-ENCODINGS = ("fast", "controller", "profiler", "both", "step")
+ENCODINGS = ("fast", "profiler", "step")
 
 
 def _environment(encoding: str) -> Environment:
     """A sanitized environment that takes the named encoding."""
-    env = Environment(sanitize=True,
-                      profile=encoding in ("profiler", "both"))
-    if encoding in ("controller", "both"):
-        SimController(env).install()  # idle: no schedule
-    return env
+    return Environment(sanitize=True, profile=encoding == "profiler")
 
 
 def _step_until_empty(env: Environment) -> None:
@@ -85,17 +80,6 @@ def test_every_encoding_replays_pinned_fixture(workload, fixture, encoding):
     drive = _step_until_empty if encoding == "step" else Environment.run
     assert workload(env=env, drive=drive) == _pinned(fixture)
     env.sanitizer.assert_clean()
-
-
-def test_controller_does_not_disable_profiler():
-    """Regression: run() used to take the controlled loop before it ever
-    looked at the profiler, so both hooks together recorded nothing."""
-    alone, both = _environment("profiler"), _environment("both")
-    assert run_burst_workload(env=both) == run_burst_workload(env=alone)
-    assert both.profiler.callbacks == alone.profiler.callbacks > 0
-    assert {s: st.count for s, st in both.profiler.sites.items()} \
-        == {s: st.count for s, st in alone.profiler.sites.items()}
-    assert both.profiler.run_wall > 0.0
 
 
 # -- same-timestamp burst: one tick, every tie-breaking rule at once ------

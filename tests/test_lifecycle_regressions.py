@@ -13,11 +13,16 @@ streaming layer:
   scheduling it twice and overwriting its value;
 * ``StreamBuffer.write`` left the residual tail of a capacity-crossing
   write without a running timeout window when the dirty clock had been
-  reset by the "full" flush, so the tail never flushed.
+  reset by the "full" flush, so the tail never flushed;
+* ``ResourceSelector.refresh_site`` yielded from its ``finally`` when a
+  world stopped mid-selection was collected, so every suspended refresh
+  printed ``generator ignored GeneratorExit``.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 import types
 
 import pytest
@@ -34,6 +39,7 @@ from repro.streaming import (
     StreamChunk,
     StreamName,
 )
+from repro.workloads import cpu_bound_app, synthetic_job
 
 
 class _SlowLink:
@@ -238,3 +244,19 @@ class TestReliableReconnectUnderRandomOutages:
         # Everything delivered: spool empty, sender idle again.
         assert sender.spool is not None and sender.spool.empty
         assert sender.idle
+
+
+class TestStoppedWorldCollection:
+    @pytest.mark.parametrize("mode", ["push", "pull", "data"])
+    def test_collecting_a_world_stopped_mid_selection_is_silent(
+            self, monkeypatch, mode):
+        reports = []
+        monkeypatch.setattr(sys, "unraisablehook", reports.append)
+        handle = Scenario(sites=20, seed=1, broker_mode=mode).build()
+        handle.submit(synthetic_job("j-000", "u", 5.0, "app"),
+                      lambda rank: cpu_bound_app(5.0),
+                      attach_console=False)
+        handle.run(until=1.5)  # the broker is refreshing sites
+        del handle
+        gc.collect()
+        assert [str(r.exc_value) for r in reports] == []

@@ -1,5 +1,5 @@
-"""Tests for the control bridge (repro.obs.control), the steering verbs,
-and the chaos-schedule replay."""
+"""Tests for chaos schedules (repro.obs.control), the steering verbs,
+and the replay of a schedule as queue entries."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.jdl import JobDescription
 from repro.obs import (
     ChaosSchedule,
-    SimController,
     SteerError,
     control_scope,
 )
@@ -96,50 +95,98 @@ class TestChaosSchedule:
 
 
 # ---------------------------------------------------------------------------
-# The controller bridge (no world)
+# The scope: which worlds are steered, and what a bad action does
 # ---------------------------------------------------------------------------
-class TestSimController:
-    def test_world_verbs_without_world_raise(self, env):
-        controller = SimController(env).install()
-        with pytest.raises(SteerError):
-            controller.apply("drain_site", {"site": "x"})
+def _schedule(*actions):
+    return ChaosSchedule.from_dict({"version": 1, "actions": list(actions)})
 
-    def test_unknown_verb_and_bad_args_raise(self, env):
-        controller = SimController(env).install()
-        with pytest.raises(SteerError):
-            controller.apply("frobnicate")
 
-    def test_failed_verbs_never_enter_the_fired_log(self, env):
-        controller = SimController(env).install()
-        with pytest.raises(SteerError):
-            controller.apply("drain_site", {"site": "x"})
-        assert controller.fired == []
+def _paced_world(seed=5):
+    """A small europe world run to the end of a paced batch; returns
+    (end time, eids scheduled, job rows)."""
+    handle = Scenario(sites=2, scenario="europe", seed=seed).build()
+    proc, submitted = _submit_batch(handle, 3)
+    handle.env.run(until=proc)
+    return (handle.env.now, handle.env._eid,
+            [(s.job.job_id, s.report.success, s.report.sites)
+             for s in submitted])
 
-    def test_idle_controller_changes_nothing(self):
-        def workload(environment):
-            ticks = []
 
-            def proc():
-                for _ in range(5):
-                    yield environment.timeout(1.5)
-                    ticks.append(environment.now)
+class TestControlScope:
+    @pytest.mark.parametrize("action, reason", [
+        ({"at": 1.0, "verb": "drain_site", "site": "nowhere"},
+         "unknown site 'nowhere'"),
+        ({"at": 2.5, "verb": "inject", "count": 0}, "count >= 1"),
+        ({"at": 1.0, "verb": "kill"}, "argument"),
+    ], ids=["unknown-site", "bad-count", "missing-argument"])
+    def test_an_action_that_cannot_apply_names_itself(self, action,
+                                                      reason):
+        with control_scope(schedule=_schedule(action)) as worlds:
+            handle = Scenario(sites=2, scenario="europe", seed=1).build()
+            with pytest.raises(SteerError) as excinfo:
+                handle.env.run(until=5.0)
+        message = str(excinfo.value)
+        assert message.startswith(
+            f"chaos action {action['verb']} at t={action['at']:g}: ")
+        assert reason in message
+        # A failed verb leaves no record.
+        assert worlds[0].fired == []
 
-            p = environment.process(proc(), name="w")
-            environment.run(until=p)
-            return ticks
+    def test_an_empty_scope_changes_nothing(self):
+        bare = _paced_world()
+        with control_scope() as worlds:
+            steered = _paced_world()
+        assert steered == bare
+        assert len(worlds) == 1 and worlds[0].fired == []
 
-        bare = workload(Environment())
-        with control_scope() as controllers:
-            controlled_env = Environment()
-            controlled = workload(controlled_env)
-            assert controllers and controllers[0].env is controlled_env
-        assert controlled == bare
+    def test_each_action_is_one_queue_entry(self):
+        # The only cost of a schedule before it fires: one eid per action.
+        actions = [{"at": 400.0, "verb": "drain_site", "site": "site00"},
+                   {"at": 500.0, "verb": "undrain_site", "site": "site00"}]
+        bare = _paced_world()
+        with control_scope(schedule=_schedule(*actions)) as worlds:
+            steered = _paced_world()
+        assert steered[0] < 400.0 and worlds[0].fired == []
+        assert steered[1] == bare[1] + len(actions)
+        assert steered[2] == bare[2]
 
-    def test_control_scope_restores_previous_factory(self):
-        before = Environment.control_factory
-        with control_scope():
-            assert Environment.control_factory is not before
-        assert Environment.control_factory is before
+    def test_worlds_not_built_by_scenario_are_not_steered(self):
+        sched = _schedule({"at": 1.0, "verb": "drain_site", "site": "x"})
+        with control_scope(schedule=sched) as worlds:
+            env = Environment()
+            env.timeout(3.0)
+            env.run()
+        assert worlds == [] and env._eid == 1
+
+    def test_control_scope_restores_the_previous_scope(self):
+        inner = _schedule({"at": 1.0, "verb": "inject"})
+        assert ChaosSchedule.scope is None
+        with control_scope() as outer_worlds:
+            outer = ChaosSchedule.scope
+            with control_scope(schedule=inner) as inner_worlds:
+                assert ChaosSchedule.scope == (inner, inner_worlds)
+            assert ChaosSchedule.scope is outer
+            assert outer[1] is outer_worlds
+        assert ChaosSchedule.scope is None
+
+    def test_an_action_fires_before_everything_else_at_its_instant(self):
+        # A probe that wakes at exactly t=2.0 (and one at t=0) already
+        # sees the drain the schedule put at that instant.
+        sched = _schedule({"at": 0.0, "verb": "drain_site", "site": "site00"},
+                          {"at": 2.0, "verb": "undrain_site", "site": "site00"})
+        with control_scope(schedule=sched):
+            handle = Scenario(sites=2, scenario="europe", seed=7).build()
+            env = handle.env
+            lrms = handle.testbed.sites["site00"].lrms
+            seen = []
+
+            def probe():
+                seen.append((env.now, lrms.drained))
+                yield env.timeout(2.0)
+                seen.append((env.now, lrms.drained))
+
+            env.run(until=env.process(probe(), name="probe"))
+        assert seen == [(0.0, True), (2.0, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +200,7 @@ class TestSteeringWorld:
             {"at": 6.0, "verb": "undrain_site", "site": "site00"},
             {"at": 8.0, "verb": "recover_site", "site": "site01"},
         ]})
-        with control_scope(schedule=sched) as controllers:
+        with control_scope(schedule=sched) as worlds:
             handle = Scenario(sites=3, scenario="europe", seed=7,
                               trace=True).build()
             env = handle.env
@@ -177,14 +224,14 @@ class TestSteeringWorld:
 
             proc = env.process(probe(), name="probe")
             env.run(until=proc)
-            controller = controllers[0]
+            (world,) = worlds
 
         assert observed == {"drained": True, "advert_free": 0,
                             "advert_flag": True, "down": True,
                             "redrained": False, "up_again": True}
-        assert [f["verb"] for f in controller.fired] == [
+        assert [f["verb"] for f in world.fired] == [
             "drain_site", "fail_site", "undrain_site", "recover_site"]
-        assert [f["at"] for f in controller.fired] == [2.0, 4.0, 6.0, 8.0]
+        assert [f["at"] for f in world.fired] == [2.0, 4.0, 6.0, 8.0]
         # Satellite: every steering action is a tracer ring event.
         kinds = [e.kind for e in handle.tracer.events
                  if e.kind.startswith("steer:")]
@@ -194,14 +241,14 @@ class TestSteeringWorld:
     def test_inject_submits_pinned_chaos_jobs(self):
         sched = ChaosSchedule.from_dict({"version": 1, "actions": [
             {"at": 1.0, "verb": "inject", "count": 2, "runtime": 3.0}]})
-        with control_scope(schedule=sched) as controllers:
+        with control_scope(schedule=sched) as worlds:
             handle = Scenario(sites=2, scenario="europe", seed=3).build()
             proc, _ = _submit_batch(handle, 2, runtime=3.0, gap=1.0)
             handle.env.run(until=proc)
-            world = controllers[0].world
+        (world,) = worlds
         chaos_ids = [j for j in world.jobs if j.startswith("chaos-")]
         assert chaos_ids == ["chaos-000", "chaos-001"]
-        assert controllers[0].fired[0]["verb"] == "inject"
+        assert world.fired[0]["verb"] == "inject"
 
     def test_chaos_replay_is_deterministic(self):
         def once():
@@ -209,12 +256,12 @@ class TestSteeringWorld:
                 {"at": 3.0, "verb": "drain_site", "site": "site00"},
                 {"at": 9.0, "verb": "undrain_site", "site": "site00"},
             ]})
-            with control_scope(schedule=sched) as controllers:
+            with control_scope(schedule=sched) as worlds:
                 handle = Scenario(sites=2, scenario="europe", seed=11).build()
                 proc, subs = _submit_batch(handle, 3)
                 handle.env.run(until=proc)
-                world = controllers[0].world
-                return (handle.env.now, controllers[0].fired,
-                        world.site_rows(), world.job_rows())
+            (world,) = worlds
+            return (handle.env.now, world.fired, world.site_rows(),
+                    world.job_rows())
 
         assert once() == once()

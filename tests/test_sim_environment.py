@@ -118,18 +118,6 @@ class TestCollectionEpoch:
                 raise KeyError("x")
         assert gc.isenabled() is collector
 
-    def test_a_steered_run_is_a_collection_epoch(self, env,
-                                                 collections_started):
-        class IdleController:
-            def drain(self):
-                pass
-
-        env.control = IdleController()
-        seen = []
-        env.process(self.churn(env, seen, steps=3))
-        env.run()
-        assert collections_started == [] and seen == [False] * 3
-
 
 class TestStepAndPeek:
     def test_peek_empty_is_infinity(self, env):

@@ -2,23 +2,32 @@
 
 The kernel has one event order and several loops that realise it: the
 fast loop (``Environment._drain``), the observed loop
-(``_drain_observed``, taken with a profiler or a controller attached), a
-``step()`` loop and, when the extension is built and selected
-(``REPRO_SIM_COMPILED=1``), the C transcription in ``sim/_speedups.c``.
+(``_drain_observed``, taken with a profiler attached), a ``step()`` loop
+and, when the extension is built and selected (``REPRO_SIM_COMPILED=1``),
+the C transcription in ``sim/_speedups.c``.
 ``tests/test_kernel_determinism.py`` holds them to two pinned fixtures;
 here Hypothesis generates the programs.  Each program mixes timeouts,
 zero-delay chains, URGENT interrupts, ``Timer`` cancel/re-arm,
-``AnyOf``/``AllOf`` fan-in, process failure and ``Store`` put/get, and
-every loop must give the same ``(env.now, tag)`` callback log, the same
-final ``env.now`` and ``env._eid``, and a clean sanitizer.
+``AnyOf``/``AllOf`` fan-in, process failure, ``Store`` put/get and
+scripted steering actions (``STEER`` entries, the way ``Scenario.build``
+queues a chaos schedule), and every loop must give the same
+``(env.now, tag)`` callback log, the same final ``env.now`` and
+``env._eid``, and a clean sanitizer.
+
+The steering actions are also replayed by :func:`run_cursor`, the
+between-pops cursor the kernel used before actions were queue entries:
+it fires every action whose ``at`` is at or before the next entry's
+time.  Entries and cursor must give the same log.
 """
+
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.control import SimController
 from repro.sim import (
+    STEER,
     AllOf,
     AnyOf,
     EmptySchedule,
@@ -27,14 +36,24 @@ from repro.sim import (
     Store,
     Timer,
 )
+from repro.sim.environment import _unhandled
 from repro.sim._compiled import compiled_lane_active
 
 
 # -- programs -------------------------------------------------------------------
 
-def build(env, program, log):
+def push_steer(env, at, fire):
+    """Queue ``fire`` as a steering action at ``at``, as
+    ``SteeringAdapter.replay`` queues a chaos action."""
+    entry = env.event()
+    entry.callbacks.append(lambda _entry: fire())
+    env.schedule(entry, STEER, at - env.now)
+
+
+def build(env, program, log, steer=push_steer):
     """Start every process of ``program`` on ``env``; ``log`` collects
-    ``(env.now, tag)`` from each callback."""
+    ``(env.now, tag)`` from each callback.  ``steer(env, at, fire)``
+    schedules each steering action."""
 
     def note(tag):
         log.append((env.now, tag))
@@ -98,6 +117,12 @@ def build(env, program, log):
             item = yield box.get()
             note(f"got:{k}:{item}")
 
+    def action(k):
+        # Like a chaos verb: act on the world and start work (an
+        # Initialize on the URGENT lane, then a zero-delay chain).
+        note(f"steer:{k}")
+        env.process(chain(k, 2))
+
     for k, (op, *args) in enumerate(program):
         if op == "timeouts":
             env.process(timeouts(k, args[0]))
@@ -121,6 +146,8 @@ def build(env, program, log):
             box = Store(env, capacity=capacity)
             env.process(consumer(k, box, len(delays)))
             env.process(producer(k, box, delays))
+        elif op == "steer":
+            steer(env, args[0], lambda k=k: action(k))
 
 
 _delay = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5])
@@ -135,6 +162,7 @@ _ops = st.one_of(
     st.tuples(st.just("fail"), _delay),
     st.tuples(st.just("store"), st.sampled_from([1, 2, float("inf")]),
               _delays),
+    st.tuples(st.just("steer"), _delay),
 )
 
 # Every feature at once, with same-time ties between all of them.
@@ -143,6 +171,7 @@ EVERYTHING_AT_ONCE = [
     ("interrupt", 0.5, 0.5), ("timer", 1.0, 0.5, 0.25),
     ("timer", 1.0, 0.5, None), ("anyof", [0.5, 0.0, 1.0]),
     ("allof", [0.5, 0.5]), ("fail", 0.5), ("store", 1, [0.0, 0.5, 0.0]),
+    ("steer", 0.0), ("steer", 0.5), ("steer", 0.25), ("steer", 0.5),
 ]
 
 
@@ -158,21 +187,55 @@ def _step(env):
 
 def run_lane(lane, program):
     env = Environment(sanitize=True, profile=lane == "profiler")
-    if lane == "controller":
-        SimController(env).install()  # idle: no schedule
     log = []
     build(env, program, log)
     if lane == "fast":
         env._drain()
     elif lane == "step":
         _step(env)
-    else:  # profiler/controller: the observed loop; compiled: the C loop
+    else:  # profiler: the observed loop; compiled: the C loop
         env.run()
     env.sanitizer.assert_clean()
     return log, env.now, env._eid
 
 
-LANES = ("profiler", "controller", "step")
+LANES = ("profiler", "step")
+
+
+def run_cursor(program):
+    """The reference: steering actions fired by the retired cursor.
+
+    The loop pops entries one at a time (tombstones too) and, before
+    each pop, fires every due action — one whose ``at`` is at or before
+    the next entry's time, or any action once the queue is empty — after
+    moving the clock forward to its ``at``.  The cursor consumed no eids,
+    so the queue-entry lanes end ``len(actions)`` eids further on.
+    """
+    env = Environment(sanitize=True)
+    log, actions = [], []
+    build(env, program, log,
+          steer=lambda env, at, fire: actions.append((at, fire)))
+    pending = deque(sorted(actions, key=lambda action: action[0]))
+    while True:
+        while pending and env.peek() >= pending[0][0]:
+            at, fire = pending.popleft()
+            env._now = max(env._now, at)
+            fire()
+        entry = env._pop()
+        if entry is None:
+            break
+        event = entry[3]
+        if event._is_timer:
+            event._pop_shot(entry)
+            continue
+        env._now = entry[0]
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks or ():
+            callback(event)
+        if not event._ok and not event._defused:
+            raise _unhandled(event)
+    env.sanitizer.assert_clean()
+    return log, env.now, env._eid + len(actions)
 
 
 class TestEveryLaneMatchesTheFastLoop:
@@ -183,6 +246,7 @@ class TestEveryLaneMatchesTheFastLoop:
         want = run_lane("fast", program)
         for lane in LANES:
             assert run_lane(lane, program) == want, lane
+        assert run_cursor(program) == want, "cursor"
 
     @pytest.mark.skipif(not compiled_lane_active(),
                         reason="compiled lane not selected "
@@ -198,5 +262,5 @@ class TestEveryLaneMatchesTheFastLoop:
         log, now, eid = run_lane("fast", EVERYTHING_AT_ONCE)
         kinds = {tag.split(":")[0] for _, tag in log}
         assert kinds >= {"timeout", "chain", "interrupted", "timer",
-                         "anyof", "allof", "caught", "put", "got"}
+                         "anyof", "allof", "caught", "put", "got", "steer"}
         assert now == 1.0 and eid > 0
