@@ -24,7 +24,7 @@ times anything: speed is measured one way, by ``bench/run.py`` (see
 Determinism contract: experiment renders go to **stdout**; per-cell
 progress and runner statistics go to **stderr**.  ``repro run X
 --parallel 4`` therefore produces byte-identical stdout to ``repro run
-X`` for the same config.
+X --parallel 1`` and to ``repro run X`` (auto) for the same config.
 """
 
 from __future__ import annotations
@@ -107,9 +107,11 @@ def run_main(argv: List[str]) -> int:
                         help="experiment names or 'all'")
     parser.add_argument("--quick", action="store_true",
                         help="smaller sample counts (for CI)")
-    parser.add_argument("--parallel", type=worker_count, default=1,
+    parser.add_argument("--parallel", type=worker_count, default=0,
                         metavar="N",
-                        help="worker processes (0 = auto, default 1)")
+                        help="worker processes: 1 = in-process, N = a pool "
+                             "of N; default 0 = auto (a pool once the run "
+                             "has computed long enough to pay for one)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help=f"cell cache directory "
@@ -294,6 +296,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # of what is still buffered cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except KeyboardInterrupt:
+        # Ctrl-C: the cells finished so far are cached; pool workers
+        # ignore SIGINT and the runner has shut them down.
+        print(f"repro {argv[0]}: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,9 +6,13 @@ Execution model (:func:`run_experiments`):
 2. cells present in the :class:`~repro.runner.cache.ResultCache` are
    loaded (0 simulation);
 3. missing cells are executed — in process, one experiment after the
-   other, or with ``parallel > 1`` those of *every* requested experiment
-   through ONE ``ProcessPoolExecutor``, plain FIFO in request-then-plan
-   order, each completion routed to its experiment as it arrives;
+   other, or through ONE ``ProcessPoolExecutor`` shared by *every*
+   requested experiment, plain FIFO in request-then-plan order, each
+   completion routed to its experiment as it arrives.  ``parallel > 1``
+   builds the pool before the first cell; ``parallel=0`` (auto) starts
+   in process and hands the cells still queued to a pool only once it
+   has computed for longer than a pool costs to start
+   (:data:`HAND_OFF_SECONDS`);
 4. payloads are merged **in plan order**, never completion order, so a
    parallel run is bit-identical to a serial run of the same config.
 
@@ -16,8 +20,8 @@ When the simulator loads: never at import.  This module, the cache and
 the experiment declarations are all a fully cached run touches; the
 first cell that has to be *executed* imports the simulator from inside
 its ``run_cell`` (its ``elapsed`` includes that one-off import), and a
-parallel run with missing cells imports it — and ``concurrent.futures``
-— once in the parent just before the pool forks, so workers share it.
+pool imports it — and ``concurrent.futures`` — once in the parent just
+before it forks, so workers share it.
 
 The engine reports a :class:`RunStats` in
 ``result.data["runner"]`` (wall-clock, cached/computed split, serial-
@@ -27,16 +31,29 @@ tables/notes so that timing noise can never break output determinism.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple, Union)
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 from .cache import ResultCache
 from .spec import CellKey, get_spec
 
 Progress = Callable[[str], None]
+
+#: Under ``parallel=0`` (auto), the in-process compute seconds after
+#: which the cells still queued go to a pool.  A pool costs ~0.15 s of
+#: wall to start and feed on the 2-CPU bench box, and the first cell a
+#: process computes carries the ~0.2 s simulator import: a run that is
+#: done computing before 0.5 s would not earn the pool back (measured
+#: table in ARCHITECTURE.md "One pool per run").
+HAND_OFF_SECONDS = 0.5
+
+#: cgroup v2 CPU bandwidth limit: ``"<quota> <period>"`` or ``"max ..."``.
+CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 @dataclass(frozen=True)
@@ -53,7 +70,8 @@ class RunStats:
     """Aggregate execution statistics for one experiment run."""
 
     experiment_id: str
-    parallel: int
+    #: Size of the pool that computed any of its cells, else 1.
+    parallel: int = 1
     wall_seconds: float = 0.0
     cells: List[CellOutcome] = field(default_factory=list)
 
@@ -145,10 +163,28 @@ def _execute_cell(experiment_id: str, config: Any, key: CellKey,
 
 def default_parallelism() -> int:
     """Worker count for ``--parallel 0`` (auto): the CPUs this process
-    may run on, which under a cgroup/affinity pin is fewer than exist."""
+    may run on — under an affinity pin fewer than exist, and under a
+    cgroup v2 CPU quota (``docker --cpus``) no more than the quota."""
     if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, (os.cpu_count() or 1))
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    try:
+        with open(CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()[:2]
+        if quota != "max":
+            cpus = min(cpus, math.ceil(int(quota) / int(period)))
+    except (OSError, ValueError):
+        pass  # no cgroup v2 quota to honour
+    return max(1, cpus)
+
+
+def _ignore_sigint() -> None:
+    """Pool worker initializer: Ctrl-C reaches the whole process group,
+    and only the parent answers it (it shuts the pool down)."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class _Run:
@@ -156,7 +192,7 @@ class _Run:
     :meth:`complete` per missing cell, then the plan-order :meth:`merge`."""
 
     def __init__(self, experiment_id: str, config: Any, *, quick: bool,
-                 parallel: int, cache: Optional[ResultCache],
+                 cache: Optional[ResultCache],
                  say: Progress, telemetry: bool) -> None:
         self.spec = spec = get_spec(experiment_id)
         if config is None:
@@ -164,8 +200,7 @@ class _Run:
         self.config, self.cache = config, cache
         self.say, self.telemetry = say, telemetry
         self.cells = list(spec.plan(config))
-        self.stats = RunStats(experiment_id=experiment_id,
-                              parallel=max(1, parallel))
+        self.stats = RunStats(experiment_id=experiment_id)
         self.payloads: Dict[CellKey, Any] = {}
         self.snapshots: Dict[CellKey, Any] = {}
         self.missing: List[CellKey] = []
@@ -234,9 +269,14 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
         Experiment ids, or ``(id, config)`` pairs; a missing/None config
         is the spec's paper-scale (or ``quick``) factory.
     parallel:
-        Worker processes.  ``<= 1`` runs each experiment start to finish
+        Worker processes.  ``1`` runs each experiment start to finish
         in turn, in-process (no executor, no pickling, nothing planned
-        ahead); ``0`` auto-sizes to the machine.
+        ahead); ``N > 1`` sends every missing cell to a pool of up to N
+        from the start.  ``0`` (auto) computes in process and hands the
+        cells still queued — at least two — to a pool of up to
+        :func:`default_parallelism` workers once its cells have taken
+        :data:`HAND_OFF_SECONDS`; a run done by then, a fully cached one
+        or one on a single CPU never loads ``concurrent.futures``.
     cache:
         A :class:`ResultCache`, a directory path, or None to disable.
     progress:
@@ -267,52 +307,51 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
         cache = None
     if isinstance(cache, str):
         cache = ResultCache(cache)
-    if parallel == 0:
-        parallel = default_parallelism()
+    auto = parallel == 0
+    workers = default_parallelism() if auto else parallel
     say = progress or (lambda line: None)
     t_prev = time.perf_counter()
     runs: Iterable[_Run] = (
         _Run(*((request, None) if isinstance(request, str) else request),
-             quick=quick, parallel=parallel, cache=cache, say=say,
-             telemetry=telemetry)
+             quick=quick, cache=cache, say=say, telemetry=telemetry)
         for request in requests)
-    executor, futures = None, {}
-    if parallel > 1:
+    # Missing cells in request-then-plan order: computed in process from
+    # the head, or handed to the pool all at once.
+    queue: Deque[Tuple[_Run, CellKey]] = deque()
+    ahead = workers > 1  # a pool may be built: plan everything first
+    if ahead:
         runs = list(runs)
-        jobs = [(run, key) for run in runs for key in run.missing]
-        try:
-            if jobs:
-                # Loaded only here: a run the cache serves, or a serial
-                # one, never pays for multiprocessing.
-                from concurrent.futures import (FIRST_COMPLETED,
-                                                ProcessPoolExecutor, wait)
-
-                # There are cells to simulate, so the simulator will load:
-                # once here, before the pool forks, not once per worker.
-                import repro.scenario  # noqa: F401
-
-                executor = ProcessPoolExecutor(
-                    max_workers=min(parallel, len(jobs)))
-                futures = {executor.submit(
-                    _execute_cell, run.stats.experiment_id, run.config, key,
-                    telemetry, chaos): run for run, key in jobs}
-        except OSError as exc:
-            # Environments without working process pools (restricted
-            # sandboxes) fall back to in-process execution.
-            say(f"process pool unavailable ({exc}); "
-                f"falling back to serial execution")
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-            executor = None
-    pending = set(futures)
+        queue.extend((run, key) for run in runs for key in run.missing)
+    executor, futures, pending = None, {}, set()
+    computed = 0.0  # seconds of in-process cells so far
     try:
         for run in runs:
-            if executor is None:
-                for key in run.missing:
-                    run.complete(*_execute_cell(
-                        run.stats.experiment_id, run.config, key,
-                        telemetry, chaos))
+            if not ahead:
+                queue.extend((run, key) for key in run.missing)
+            while queue:
+                if workers > 1 and (not auto or (
+                        computed > HAND_OFF_SECONDS and len(queue) > 1)):
+                    try:
+                        executor, futures = _start_pool(
+                            queue, workers, telemetry, chaos)
+                    except OSError as exc:
+                        # Environments without working process pools
+                        # (restricted sandboxes) stay in process.
+                        say(f"process pool unavailable ({exc}); "
+                            f"falling back to serial execution")
+                        workers = 1
+                    pending = set(futures)
+                elif queue[0][0] is run:
+                    _, key = queue.popleft()
+                    outcome = _execute_cell(run.stats.experiment_id,
+                                            run.config, key, telemetry, chaos)
+                    computed += outcome[2]
+                    run.complete(*outcome)
+                else:
+                    break
             while len(run.stats.cells) < len(run.cells):
+                from concurrent.futures import FIRST_COMPLETED, wait
+
                 finished, pending = wait(pending,
                                          return_when=FIRST_COMPLETED)
                 for future in finished:
@@ -323,8 +362,38 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
             yield result
     finally:
         if executor is not None:
-            # A failing cell or an abandoned iterator drops the queued cells.
+            # A failing cell, an abandoned iterator or Ctrl-C drops the
+            # queued cells.
             executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _start_pool(queue: Deque[Tuple[_Run, CellKey]], workers: int,
+                telemetry: bool, chaos: Optional[Dict[str, Any]]
+                ) -> Tuple[Any, Dict[Any, _Run]]:
+    """The run's one pool, of up to ``workers``, fed every queued cell in
+    order (the queue is emptied): ``(executor, {future: its run})``."""
+    # Loaded only here: a run the cache serves, or one that never hands
+    # off, never pays for multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    # The simulator loads once here, before the pool forks, not once
+    # per worker.
+    import repro.scenario  # noqa: F401
+
+    size = min(workers, len(queue))
+    executor = ProcessPoolExecutor(max_workers=size,
+                                   initializer=_ignore_sigint)
+    try:
+        futures = {executor.submit(_execute_cell, run.stats.experiment_id,
+                                   run.config, key, telemetry, chaos): run
+                   for run, key in queue}
+    except OSError:
+        executor.shutdown(wait=True, cancel_futures=True)
+        raise
+    for run, _ in queue:
+        run.stats.parallel = size
+    queue.clear()
+    return executor, futures
 
 
 def run_experiment(experiment_id: str, config: Any = None,

@@ -12,6 +12,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 
@@ -293,3 +295,43 @@ class TestClosedStdout:
                        "--out", trace).returncode == 0
         proc = self.run_closed("scale", "replay", trace)
         assert (proc.returncode, proc.stderr) == (0, "")
+
+
+class TestInterrupt:
+    """Ctrl-C reaches the whole process group: one stderr line, exit
+    130, and every cell finished before it is served to the re-run."""
+
+    @pytest.mark.parametrize("mode", [[], ["--parallel", "1"],
+                                      ["--parallel", "2"]],
+                             ids=["auto", "in-process", "pool"])
+    def test_sigint_then_rerun(self, tmp_path, mode):
+        args = ["run", "all", "--quick", "--cache-dir",
+                str(tmp_path / "cache"), *mode]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, cwd=REPO, env=cli_env(),
+            start_new_session=True)
+        seen = []
+        try:
+            for line in proc.stderr:
+                seen.append(line)
+                if ": computed in " in line:
+                    os.killpg(proc.pid, signal.SIGINT)
+                    break
+            _, rest = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:  # hung: leave no process behind
+                os.killpg(proc.pid, signal.SIGKILL)
+        err = "".join(seen) + rest
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "repro run: interrupted"
+
+        rerun = run_cli(*args)
+        assert rerun.returncode == 0, rerun.stderr
+        with open(os.path.join(GOLDEN, "experiments_quick.out")) as fh:
+            assert rerun.stdout == fh.read()
+        cached = re.findall(r" cells \(\d+ computed, (\d+) cached\)",
+                            rerun.stderr)
+        assert len(cached) == 11
+        assert sum(map(int, cached)) >= 1

@@ -104,6 +104,9 @@ class TestWarmRunLoadsNoSimulator:
                                       "--no-progress", "--cache-dir", cache)
         assert code == 0, err
         assert loaded(modules, EXECUTION) == []
+        # The default (auto) run had nothing to hand off to a pool.
+        assert loaded(modules, ["concurrent.futures",
+                                "multiprocessing"]) == []
         lines = statistics_lines(err)
         assert len(lines) == 11
         assert all("(0 computed" in line for line in lines)

@@ -82,15 +82,27 @@ class TestEngineDeterminism:
         in_order = {key: spec.run_cell(config, key) for key in cells}
         assert in_order[cells[-1]] == alone
 
-    def test_parallel_zero_auto_sizes(self, monkeypatch):
+    def test_parallel_zero_auto_sizes(self, monkeypatch, tmp_path):
+        # Stats report the pool a run built, or 1: auto on a three-cell
+        # run never hands off, and --parallel 8 builds a pool of 3.
         result = run_experiment("ablation-halflife", quick=True, parallel=0)
-        assert result.data["runner"].parallel >= 1
+        assert result.data["runner"].parallel == 1
+        result = run_experiment("ablation-halflife", quick=True, parallel=8)
+        assert result.data["runner"].parallel == 3
         # The CPUs this process may run on, not the CPUs that exist...
+        cpu_max = tmp_path / "cpu.max"
+        monkeypatch.setattr(engine, "CPU_MAX", str(cpu_max))  # absent
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         assert engine.default_parallelism() == 3
+        # ...capped by a cgroup v2 CPU quota, rounded up...
+        for line, expected in [("150000 100000", 2), ("50000 100000", 1),
+                               ("800000 100000", 3), ("max 100000", 3)]:
+            cpu_max.write_text(line + "\n")
+            assert engine.default_parallelism() == expected, line
         # ...and cpu_count() where the platform has no affinity call.
+        cpu_max.unlink()
         monkeypatch.delattr(os, "sched_getaffinity")
         assert engine.default_parallelism() == 64
 
@@ -102,6 +114,16 @@ def renders(results):
     return [result.render() for result in results]
 
 
+def planned(experiment_ids):
+    """Every quick cell of these experiments, request-then-plan order."""
+    cells = []
+    for experiment_id in experiment_ids:
+        spec = get_spec(experiment_id)
+        cells += [(experiment_id, key)
+                  for key in spec.plan(spec.make_config(quick=True))]
+    return cells
+
+
 class ReversedPool:
     """In-process stand-in for the process pool (patched in together
     with its ``wait``): ``submit`` only queues, and every ``wait``
@@ -110,7 +132,7 @@ class ReversedPool:
 
     constructed = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.max_workers = max_workers
         self.calls = {}  # future -> (fn, args), in submission order
         self.submitted = []
@@ -159,13 +181,8 @@ class TestOnePoolPerRun:
 
     def test_submission_is_request_then_plan_order(self, reversed_pool):
         list(run_experiments(TRIO, quick=True, parallel=2))
-        expected = []
-        for experiment_id in TRIO:
-            spec = get_spec(experiment_id)
-            expected += [(experiment_id, key)
-                         for key in spec.plan(spec.make_config(quick=True))]
         [pool] = reversed_pool
-        assert pool.submitted == expected
+        assert pool.submitted == planned(TRIO)
         assert pool.max_workers == 2
 
     def test_fully_cached_run_builds_no_executor(self, reversed_pool,
@@ -176,6 +193,7 @@ class TestOnePoolPerRun:
                                      parallel=2))
         assert reversed_pool == []
         assert all(r.data["runner"].cells_computed == 0 for r in again)
+        assert all(r.data["runner"].parallel == 1 for r in again)
         assert renders(again) == renders(first)
 
     def test_progress_counts_per_experiment_under_interleaving(
@@ -252,13 +270,99 @@ class TestOnePoolPerRun:
             assert capsys.readouterr().out == fh.read()
 
 
+class TestAutoHandOff:
+    """``parallel=0``: cells run in process until they have taken
+    ``HAND_OFF_SECONDS``; then, with at least two still queued, the rest
+    go to one pool.  Two CPUs unless a test pins fewer."""
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch, tmp_path):
+        """Pin the CPUs ``default_parallelism`` sees (no cgroup quota)."""
+        monkeypatch.setattr(engine, "CPU_MAX", str(tmp_path / "absent"))
+
+        def pin(count):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(count)), raising=False)
+
+        pin(2)
+        return pin
+
+    def test_run_shorter_than_the_hand_off_builds_no_pool(
+            self, monkeypatch, reversed_pool):
+        serial = renders(run_experiments(TRIO, quick=True))
+        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", float("inf"))
+        auto = list(run_experiments(TRIO, quick=True, parallel=0))
+        assert reversed_pool == []
+        assert renders(auto) == serial
+        assert all(r.data["runner"].parallel == 1 for r in auto)
+
+    def test_hand_off_submits_the_rest_to_one_pool(self, monkeypatch,
+                                                   reversed_pool):
+        serial = renders(run_experiments(TRIO, quick=True))
+        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
+        lines = []
+        auto = list(run_experiments(TRIO, quick=True, parallel=0,
+                                    progress=lines.append))
+        assert renders(auto) == serial
+        # The first cell ran in process; every other one, in order, in
+        # the run's one pool.
+        [pool] = reversed_pool
+        [first, *rest] = planned(TRIO)
+        assert pool.submitted == rest
+        assert pool.max_workers == 2
+        assert lines[0].startswith(f"[{first[0]}] {'/'.join(first[1])}: "
+                                   f"computed")
+        assert [r.data["runner"].parallel for r in auto] == [2, 2, 2]
+
+    def test_no_pool_for_a_single_remaining_cell(self, monkeypatch,
+                                                 reversed_pool):
+        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
+        pair = HalfLifeSweepConfig(half_lives=(600.0, 3600.0))
+        [result] = run_experiments([("ablation-halflife", pair)],
+                                   parallel=0)
+        assert reversed_pool == []
+        assert result.data["runner"].cells_computed == 2
+
+    def test_one_cpu_runs_in_process(self, monkeypatch, cpus,
+                                     reversed_pool):
+        cpus(1)
+        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
+        results = list(run_experiments(TRIO, quick=True, parallel=0))
+        assert reversed_pool == []
+        assert all(r.data["runner"].parallel == 1 for r in results)
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_default_run_all_hands_off_to_exactly_one_pool(
+            self, monkeypatch, capsys, telemetry):
+        from repro.experiments.cli import run_main
+
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
+        argv = ["all", "--quick", "--no-cache", "--no-progress"]
+        assert run_main(argv + ["--telemetry"] * telemetry) == 0
+        assert len(built) == 1
+        # The golden is the --parallel 1 render (CI diffs both against it).
+        golden = os.path.join(os.path.dirname(__file__), "golden",
+                              "experiments_quick.out")
+        with open(golden) as fh:
+            assert capsys.readouterr().out == fh.read()
+
+
 class TestPoolFallback:
     """Only a pool that cannot be built falls back to serial execution;
     any other ``OSError`` surfaces as itself."""
 
     def test_unavailable_pool_renders_the_same_bytes_serially(
             self, monkeypatch):
-        def no_pool(max_workers):
+        def no_pool(max_workers, initializer):
             raise PermissionError(13, "no semaphores here")
 
         serial = renders(run_experiments(TRIO, quick=True))
