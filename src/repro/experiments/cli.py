@@ -110,8 +110,8 @@ def run_main(argv: List[str]) -> int:
     parser.add_argument("--parallel", type=worker_count, default=0,
                         metavar="N",
                         help="worker processes: 1 = in-process, N = a pool "
-                             "of N; default 0 = auto (a pool once the run "
-                             "has computed long enough to pay for one)")
+                             "of N; default 0 = auto (a pool of the usable "
+                             "CPUs)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help=f"cell cache directory "

@@ -6,13 +6,11 @@ Execution model (:func:`run_experiments`):
 2. cells present in the :class:`~repro.runner.cache.ResultCache` are
    loaded (0 simulation);
 3. missing cells are executed — in process, one experiment after the
-   other, or through ONE ``ProcessPoolExecutor`` shared by *every*
-   requested experiment, plain FIFO in request-then-plan order, each
-   completion routed to its experiment as it arrives.  ``parallel > 1``
-   builds the pool before the first cell; ``parallel=0`` (auto) starts
-   in process and hands the cells still queued to a pool only once it
-   has computed for longer than a pool costs to start
-   (:data:`HAND_OFF_SECONDS`);
+   other, or with ``parallel > 1`` those of *every* requested experiment
+   through ONE ``ProcessPoolExecutor``, plain FIFO in request-then-plan
+   order, each completion routed to its experiment as it arrives;
+   ``parallel=0`` (auto) is a pool of :func:`default_parallelism`, so
+   one CPU runs in process;
 4. payloads are merged **in plan order**, never completion order, so a
    parallel run is bit-identical to a serial run of the same config.
 
@@ -33,24 +31,16 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
-                    Optional, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from .cache import ResultCache
 from .spec import CellKey, get_spec
 
 Progress = Callable[[str], None]
-
-#: Under ``parallel=0`` (auto), the in-process compute seconds after
-#: which the cells still queued go to a pool.  A pool costs ~0.15 s of
-#: wall to start and feed on the 2-CPU bench box, and the first cell a
-#: process computes carries the ~0.2 s simulator import: a run that is
-#: done computing before 0.5 s would not earn the pool back (measured
-#: table in ARCHITECTURE.md "One pool per run").
-HAND_OFF_SECONDS = 0.5
 
 #: cgroup v2 CPU bandwidth limit: ``"<quota> <period>"`` or ``"max ..."``.
 CPU_MAX = "/sys/fs/cgroup/cpu.max"
@@ -181,10 +171,10 @@ def default_parallelism() -> int:
 
 def _ignore_sigint() -> None:
     """Pool worker initializer: Ctrl-C reaches the whole process group,
-    and only the parent answers it (it shuts the pool down)."""
-    import signal
-
+    and only the parent answers it (it shuts the pool down).  A worker
+    forks with SIGINT blocked, so one sent meanwhile is dropped here."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
 class _Run:
@@ -269,14 +259,11 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
         Experiment ids, or ``(id, config)`` pairs; a missing/None config
         is the spec's paper-scale (or ``quick``) factory.
     parallel:
-        Worker processes.  ``1`` runs each experiment start to finish
+        Worker processes.  ``<= 1`` runs each experiment start to finish
         in turn, in-process (no executor, no pickling, nothing planned
-        ahead); ``N > 1`` sends every missing cell to a pool of up to N
-        from the start.  ``0`` (auto) computes in process and hands the
-        cells still queued — at least two — to a pool of up to
-        :func:`default_parallelism` workers once its cells have taken
-        :data:`HAND_OFF_SECONDS`; a run done by then, a fully cached one
-        or one on a single CPU never loads ``concurrent.futures``.
+        ahead); ``N > 1`` sends every missing cell to one pool of up to
+        N; ``0`` auto-sizes to the machine (:func:`default_parallelism`).
+        A run with nothing to compute never loads ``concurrent.futures``.
     cache:
         A :class:`ResultCache`, a directory path, or None to disable.
     progress:
@@ -307,48 +294,36 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
         cache = None
     if isinstance(cache, str):
         cache = ResultCache(cache)
-    auto = parallel == 0
-    workers = default_parallelism() if auto else parallel
+    if parallel == 0:
+        parallel = default_parallelism()
     say = progress or (lambda line: None)
     t_prev = time.perf_counter()
     runs: Iterable[_Run] = (
         _Run(*((request, None) if isinstance(request, str) else request),
              quick=quick, cache=cache, say=say, telemetry=telemetry)
         for request in requests)
-    # Missing cells in request-then-plan order: computed in process from
-    # the head, or handed to the pool all at once.
-    queue: Deque[Tuple[_Run, CellKey]] = deque()
-    ahead = workers > 1  # a pool may be built: plan everything first
-    if ahead:
-        runs = list(runs)
-        queue.extend((run, key) for run in runs for key in run.missing)
-    executor, futures, pending = None, {}, set()
-    computed = 0.0  # seconds of in-process cells so far
+    executor, futures = None, {}
     try:
+        if parallel > 1:
+            runs = list(runs)
+            jobs = [(run, key) for run in runs for key in run.missing]
+            if jobs:
+                try:
+                    executor, futures = _start_pool(jobs, parallel,
+                                                    telemetry, chaos)
+                except OSError as exc:
+                    # Environments without working process pools
+                    # (restricted sandboxes) fall back to in-process
+                    # execution.
+                    say(f"process pool unavailable ({exc}); "
+                        f"falling back to serial execution")
+        pending = set(futures)
         for run in runs:
-            if not ahead:
-                queue.extend((run, key) for key in run.missing)
-            while queue:
-                if workers > 1 and (not auto or (
-                        computed > HAND_OFF_SECONDS and len(queue) > 1)):
-                    try:
-                        executor, futures = _start_pool(
-                            queue, workers, telemetry, chaos)
-                    except OSError as exc:
-                        # Environments without working process pools
-                        # (restricted sandboxes) stay in process.
-                        say(f"process pool unavailable ({exc}); "
-                            f"falling back to serial execution")
-                        workers = 1
-                    pending = set(futures)
-                elif queue[0][0] is run:
-                    _, key = queue.popleft()
-                    outcome = _execute_cell(run.stats.experiment_id,
-                                            run.config, key, telemetry, chaos)
-                    computed += outcome[2]
-                    run.complete(*outcome)
-                else:
-                    break
+            if executor is None:
+                for key in run.missing:
+                    run.complete(*_execute_cell(
+                        run.stats.experiment_id, run.config, key,
+                        telemetry, chaos))
             while len(run.stats.cells) < len(run.cells):
                 from concurrent.futures import FIRST_COMPLETED, wait
 
@@ -367,32 +342,42 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
             executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _start_pool(queue: Deque[Tuple[_Run, CellKey]], workers: int,
+def _start_pool(jobs: List[Tuple[_Run, CellKey]], workers: int,
                 telemetry: bool, chaos: Optional[Dict[str, Any]]
                 ) -> Tuple[Any, Dict[Any, _Run]]:
-    """The run's one pool, of up to ``workers``, fed every queued cell in
-    order (the queue is emptied): ``(executor, {future: its run})``."""
-    # Loaded only here: a run the cache serves, or one that never hands
-    # off, never pays for multiprocessing.
+    """The run's one pool, of up to ``workers``, fed every job in order:
+    ``(executor, {future: its run})``.  Whatever stops it half-built —
+    an ``OSError`` or Ctrl-C — shuts it down before propagating."""
+    # Loaded only here: a run the cache serves, or a serial one, never
+    # pays for multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     # The simulator loads once here, before the pool forks, not once
     # per worker.
     import repro.scenario  # noqa: F401
 
-    size = min(workers, len(queue))
-    executor = ProcessPoolExecutor(max_workers=size,
-                                   initializer=_ignore_sigint)
+    size = min(workers, len(jobs))
+    # Ctrl-C is held while the workers fork (they inherit the mask and
+    # drop it in _ignore_sigint), then answered by the parent alone.
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        futures = {executor.submit(_execute_cell, run.stats.experiment_id,
-                                   run.config, key, telemetry, chaos): run
-                   for run, key in queue}
-    except OSError:
-        executor.shutdown(wait=True, cancel_futures=True)
-        raise
-    for run, _ in queue:
+        executor = ProcessPoolExecutor(max_workers=size,
+                                       initializer=_ignore_sigint)
+        try:
+            futures = {executor.submit(_execute_cell,
+                                       run.stats.experiment_id, run.config,
+                                       key, telemetry, chaos): run
+                       for run, key in jobs}
+            # A Ctrl-C held until now raises here, and the pool is shut
+            # down on its way out.
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        except BaseException:
+            executor.shutdown(wait=True, cancel_futures=True)
+            raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+    for run, _ in jobs:
         run.stats.parallel = size
-    queue.clear()
     return executor, futures
 
 

@@ -104,7 +104,7 @@ class TestWarmRunLoadsNoSimulator:
                                       "--no-progress", "--cache-dir", cache)
         assert code == 0, err
         assert loaded(modules, EXECUTION) == []
-        # The default (auto) run had nothing to hand off to a pool.
+        # The default (auto) run had nothing to compute: no pool.
         assert loaded(modules, ["concurrent.futures",
                                 "multiprocessing"]) == []
         lines = statistics_lines(err)

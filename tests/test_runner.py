@@ -23,6 +23,8 @@ import gc
 import os
 import pickle
 import random
+import signal
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from types import SimpleNamespace
@@ -83,15 +85,17 @@ class TestEngineDeterminism:
         assert in_order[cells[-1]] == alone
 
     def test_parallel_zero_auto_sizes(self, monkeypatch, tmp_path):
-        # Stats report the pool a run built, or 1: auto on a three-cell
-        # run never hands off, and --parallel 8 builds a pool of 3.
-        result = run_experiment("ablation-halflife", quick=True, parallel=0)
-        assert result.data["runner"].parallel == 1
+        # Stats report the pool a run built, or 1: --parallel 8 builds a
+        # pool of 3 for three cells, and auto on one CPU builds none.
         result = run_experiment("ablation-halflife", quick=True, parallel=8)
         assert result.data["runner"].parallel == 3
-        # The CPUs this process may run on, not the CPUs that exist...
         cpu_max = tmp_path / "cpu.max"
         monkeypatch.setattr(engine, "CPU_MAX", str(cpu_max))  # absent
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        result = run_experiment("ablation-halflife", quick=True, parallel=0)
+        assert result.data["runner"].parallel == 1
+        # The CPUs this process may run on, not the CPUs that exist...
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
@@ -270,10 +274,10 @@ class TestOnePoolPerRun:
             assert capsys.readouterr().out == fh.read()
 
 
-class TestAutoHandOff:
-    """``parallel=0``: cells run in process until they have taken
-    ``HAND_OFF_SECONDS``; then, with at least two still queued, the rest
-    go to one pool.  Two CPUs unless a test pins fewer."""
+class TestAutoDefault:
+    """``parallel=0`` (the CLI default): a pool of the usable CPUs from
+    the start, so one CPU runs in process.  Two CPUs unless a test pins
+    fewer."""
 
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch, tmp_path):
@@ -287,52 +291,23 @@ class TestAutoHandOff:
         pin(2)
         return pin
 
-    def test_run_shorter_than_the_hand_off_builds_no_pool(
-            self, monkeypatch, reversed_pool):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_auto_is_a_pool_of_the_usable_cpus(self, cpus, reversed_pool,
+                                               count):
         serial = renders(run_experiments(TRIO, quick=True))
-        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", float("inf"))
+        cpus(count)
         auto = list(run_experiments(TRIO, quick=True, parallel=0))
-        assert reversed_pool == []
         assert renders(auto) == serial
-        assert all(r.data["runner"].parallel == 1 for r in auto)
-
-    def test_hand_off_submits_the_rest_to_one_pool(self, monkeypatch,
-                                                   reversed_pool):
-        serial = renders(run_experiments(TRIO, quick=True))
-        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
-        lines = []
-        auto = list(run_experiments(TRIO, quick=True, parallel=0,
-                                    progress=lines.append))
-        assert renders(auto) == serial
-        # The first cell ran in process; every other one, in order, in
-        # the run's one pool.
-        [pool] = reversed_pool
-        [first, *rest] = planned(TRIO)
-        assert pool.submitted == rest
-        assert pool.max_workers == 2
-        assert lines[0].startswith(f"[{first[0]}] {'/'.join(first[1])}: "
-                                   f"computed")
-        assert [r.data["runner"].parallel for r in auto] == [2, 2, 2]
-
-    def test_no_pool_for_a_single_remaining_cell(self, monkeypatch,
-                                                 reversed_pool):
-        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
-        pair = HalfLifeSweepConfig(half_lives=(600.0, 3600.0))
-        [result] = run_experiments([("ablation-halflife", pair)],
-                                   parallel=0)
-        assert reversed_pool == []
-        assert result.data["runner"].cells_computed == 2
-
-    def test_one_cpu_runs_in_process(self, monkeypatch, cpus,
-                                     reversed_pool):
-        cpus(1)
-        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
-        results = list(run_experiments(TRIO, quick=True, parallel=0))
-        assert reversed_pool == []
-        assert all(r.data["runner"].parallel == 1 for r in results)
+        assert [r.data["runner"].parallel for r in auto] == [count] * 3
+        if count == 1:
+            assert reversed_pool == []
+        else:
+            [pool] = reversed_pool
+            assert pool.max_workers == 2
+            assert pool.submitted == planned(TRIO)
 
     @pytest.mark.parametrize("telemetry", [False, True])
-    def test_default_run_all_hands_off_to_exactly_one_pool(
+    def test_default_run_all_builds_exactly_one_pool(
             self, monkeypatch, capsys, telemetry):
         from repro.experiments.cli import run_main
 
@@ -345,7 +320,6 @@ class TestAutoHandOff:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
-        monkeypatch.setattr(engine, "HAND_OFF_SECONDS", 0.0)
         argv = ["all", "--quick", "--no-cache", "--no-progress"]
         assert run_main(argv + ["--telemetry"] * telemetry) == 0
         assert len(built) == 1
@@ -354,6 +328,39 @@ class TestAutoHandOff:
                               "experiments_quick.out")
         with open(golden) as fh:
             assert capsys.readouterr().out == fh.read()
+
+
+class TestInterruptedPoolStart:
+    """Ctrl-C while the pool starts: the half-fed pool is shut down with
+    its queued cells cancelled, and SIGINT is not left blocked."""
+
+    @pytest.mark.parametrize("how", ["raised", "signalled"])
+    def test_pool_is_shut_down(self, monkeypatch, reversed_pool, how):
+        masks = []
+
+        class InterruptedPool(ReversedPool):
+            def submit(self, fn, *args):
+                # What a worker forked from here would inherit.
+                masks.append(signal.pthread_sigmask(signal.SIG_BLOCK, []))
+                if how == "signalled":
+                    # Sent to this thread: held until every cell is in.
+                    signal.pthread_kill(threading.get_ident(),
+                                        signal.SIGINT)
+                elif self.submitted:
+                    raise KeyboardInterrupt
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InterruptedPool)
+        with pytest.raises(KeyboardInterrupt):
+            list(run_experiments(TRIO, quick=True, parallel=2))
+        [pool] = reversed_pool
+        assert pool.shut_down == (True, True)
+        expected = len(planned(TRIO)) if how == "signalled" else 1
+        assert len(pool.submitted) == expected
+        assert all(signal.SIGINT in mask for mask in masks)
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, set())
+        assert signal.SIGINT not in blocked
 
 
 class TestPoolFallback:
