@@ -5,9 +5,9 @@ otherwise (2 for usage errors), so the command gates CI directly.
 Beyond the per-file rule catalog this front-end drives:
 
 ``--flows``
-    The whole-program pass (:mod:`repro.analysis.flows`): the layer
-    map (``flow-layer-dag``) and worker purity (``flow-worker-purity``).
-    Parses the tree afresh on every run and writes nothing to disk.
+    The whole-program pass (:mod:`repro.analysis.flows`): worker purity
+    (``flow-worker-purity``).  Parses the tree afresh on every run and
+    writes nothing to disk.
 ``--format github``
     GitHub Actions ``::error`` annotations (inline PR comments) in
     addition to the text report.
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .engine import (FileLintResult, Finding, collect_files,
                      findings_to_json, lint_files_detailed,
                      render_findings)
-from .flows import FLOW_RULES, flow_rules_by_id, run_flows
+from .flows import WorkerPurityRule, run_flows
 from .rules import ALL_RULES, rules_by_category, rules_by_id
 
 _CATEGORIES = ("determinism", "kernel")
@@ -42,17 +42,16 @@ def _excluded(relpath: str, excludes: Sequence[str]) -> bool:
                for prefix in excludes)
 
 
-def _split_select(select: str) -> Tuple[List[str], List[str]]:
-    """Partition ``--select`` tokens into (per-file, flow) rule ids.
+def _split_select(select: str) -> Tuple[List[str], bool]:
+    """Partition ``--select`` tokens into (per-file rule ids, flows?).
 
-    Tokens may be rule ids from either catalog or a per-file category
-    name (``determinism``/``kernel``), which expands to every rule in
-    it.  Unknown tokens raise KeyError listing both catalogs.
+    Tokens may be per-file rule ids, ``flow-worker-purity`` or a
+    per-file category name (``determinism``/``kernel``), which expands
+    to every rule in it.  Unknown tokens raise KeyError listing them all.
     """
-    flow_ids = {rule.id for rule in FLOW_RULES}
     file_ids = {rule.id for rule in ALL_RULES}
     per_file: List[str] = []
-    flows: List[str] = []
+    flows = False
     for token in (t.strip() for t in select.split(",")):
         if not token:
             continue
@@ -60,10 +59,11 @@ def _split_select(select: str) -> Tuple[List[str], List[str]]:
             per_file.extend(r.id for r in rules_by_category(token))
         elif token in file_ids:
             per_file.append(token)
-        elif token in flow_ids:
-            flows.append(token)
+        elif token == WorkerPurityRule.id:
+            flows = True
         else:
-            known = sorted(file_ids) + sorted(flow_ids) + list(_CATEGORIES)
+            known = (sorted(file_ids) + [WorkerPurityRule.id]
+                     + list(_CATEGORIES))
             raise KeyError(f"unknown simlint rule(s): ['{token}']; "
                            f"known: {known}")
     return per_file, flows
@@ -95,9 +95,8 @@ def _render_markdown_catalog() -> None:
     print()
     print("| Rule | Category | Description |")
     print("| --- | --- | --- |")
-    for frule in FLOW_RULES:
-        print(f"| `{frule.id}` | {frule.category} | "
-              f"{frule.doc_summary()} |")
+    print(f"| `{WorkerPurityRule.id}` | {WorkerPurityRule.category} | "
+          f"{WorkerPurityRule.summary} |")
 
 
 def _audit(results: Sequence[FileLintResult],
@@ -169,25 +168,22 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
         else:
             for rule in ALL_RULES:
                 print(f"{rule.id:20s} [{rule.category}] {rule.summary}")
-            for frule in FLOW_RULES:
-                print(f"{frule.id:20s} [{frule.category}] "
-                      f"(flows) {frule.doc_summary()}")
+            print(f"{WorkerPurityRule.id:20s} "
+                  f"[{WorkerPurityRule.category}] (flows) "
+                  f"{WorkerPurityRule.summary}")
         return 0
 
     file_rules: Sequence = ALL_RULES
-    flow_rules = list(FLOW_RULES)
     run_file_pass = True
     if args.select:
         try:
-            file_ids, flow_ids = _split_select(args.select)
+            file_ids, flows = _split_select(args.select)
             file_rules = rules_by_id(file_ids)
-            flow_rules = flow_rules_by_id(flow_ids)
         except KeyError as exc:
             print(f"repro lint: {exc.args[0]}", file=sys.stderr)
             return 2
-        if flow_ids and not args.flows:
-            args.flows = True
-        run_file_pass = bool(file_ids) or not flow_ids
+        args.flows = args.flows or flows
+        run_file_pass = bool(file_ids) or not flows
 
     paths = args.paths or ["src"]
     files = [f for f in collect_files(paths)
@@ -206,7 +202,7 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
 
     flow_report = None
     if args.flows:
-        flow_report = run_flows(files, rules=flow_rules)
+        flow_report = run_flows(files)
         findings.extend(flow_report.findings)
         print(flow_report.stats.describe(), file=sys.stderr)
 
@@ -227,7 +223,7 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
         return 1 if stale else 0
 
     rule_ids = ([r.id for r in file_rules] if run_file_pass else []) + \
-        ([r.id for r in flow_rules] if args.flows else [])
+        ([WorkerPurityRule.id] if args.flows else [])
     payload = findings_to_json(findings, checked_files=len(files),
                                rule_ids=rule_ids)
     if args.json_path == "-":

@@ -1,15 +1,11 @@
-"""Whole-program import graph + per-module symbol/call summaries.
+"""Whole-program call graph: per-module symbol/call summaries.
 
 One :class:`ModuleSummary` per file, produced by a single AST walk; the
 whole tree parses in well under a second, so every run starts cold and
 nothing is written to disk.
 
-The summary records exactly what the two flow rules consume:
+The summary records exactly what the worker-purity rule consumes:
 
-* **imports** — every ``import``/``from`` edge, resolved to an absolute
-  dotted target (relative imports are resolved against the module's
-  package at parse time), tagged ``lazy`` when it sits inside a
-  function/lambda or a ``TYPE_CHECKING`` block;
 * **aliases** — local name -> dotted target, the per-module symbol
   table that call resolution walks (re-export chains are followed
   across modules, bounded);
@@ -26,7 +22,8 @@ The summary records exactly what the two flow rules consume:
 Module names derive from the package root (the topmost ancestor chain
 of ``__init__.py`` files), so ``src/repro/core/broker.py`` summarises
 as ``repro.core.broker`` and a fixture tree rooted anywhere does the
-same — the layer map keys on dotted names, not filesystem location.
+same — findings and call resolution key on dotted names, not
+filesystem location.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ __all__ = [
     "ClassSummary",
     "FlowStats",
     "FunctionSummary",
-    "ImportEdge",
     "ModuleSummary",
     "ProgramGraph",
     "SpecReg",
@@ -61,15 +57,6 @@ _MAX_ALIAS_HOPS = 6
 # ---------------------------------------------------------------------------
 # summary dataclasses
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ImportEdge:
-    """One import statement binding, resolved to an absolute target."""
-
-    target: str          #: dotted module as written/resolved ("repro.net")
-    line: int
-    lazy: bool           #: inside a function/lambda or TYPE_CHECKING block
-
-
 @dataclass(frozen=True)
 class CallSite:
     """One call expression whose callee is a plain dotted name."""
@@ -127,7 +114,6 @@ class ModuleSummary:
 
     module: str
     relpath: str       #: path as reported in findings
-    imports: List[ImportEdge] = field(default_factory=list)
     aliases: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
@@ -138,11 +124,6 @@ class ModuleSummary:
     worker_entries: List[Tuple[str, int]] = field(default_factory=list)
     suppressions: _Suppressions = field(default_factory=_Suppressions)
     syntax_error: Optional[Tuple[int, int, str]] = None
-
-    def all_functions(self) -> Iterable[FunctionSummary]:
-        yield from self.functions.values()
-        for klass in self.classes.values():
-            yield from klass.methods.values()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +194,6 @@ class _Summarizer(ast.NodeVisitor):
         self.func_stack: List[FunctionSummary] = []
         self.class_stack: List[ClassSummary] = []
         self.local_stack: List[Set[str]] = []
-        self.type_checking_depth = 0
 
     # -- imports ---------------------------------------------------------
     def _add_alias(self, name: str, target: str) -> None:
@@ -226,13 +206,8 @@ class _Summarizer(ast.NodeVisitor):
         elif not self.class_stack:
             self.s.aliases[name] = target
 
-    def _lazy(self) -> bool:
-        return bool(self.func_stack) or self.type_checking_depth > 0
-
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self.s.imports.append(ImportEdge(
-                target=alias.name, line=node.lineno, lazy=self._lazy()))
             bound = alias.asname or alias.name.split(".")[0]
             target = alias.name if alias.asname else alias.name.split(".")[0]
             self._add_alias(bound, target)
@@ -244,24 +219,9 @@ class _Summarizer(ast.NodeVisitor):
         else:
             module = node.module or ""
         for alias in node.names:
-            self.s.imports.append(ImportEdge(
-                target=module, line=node.lineno, lazy=self._lazy()))
             if alias.name != "*":
                 self._add_alias(alias.asname or alias.name,
                                 f"{module}.{alias.name}")
-
-    # -- TYPE_CHECKING blocks are typing-only (treated as lazy) ----------
-    def visit_If(self, node: ast.If) -> None:
-        test = _dotted(node.test)
-        if test in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
-            self.type_checking_depth += 1
-            for child in node.body:
-                self.visit(child)
-            self.type_checking_depth -= 1
-            for child in node.orelse:
-                self.visit(child)
-            return
-        self.generic_visit(node)
 
     # -- defs ------------------------------------------------------------
     def _visit_def(self, node: Any) -> None:

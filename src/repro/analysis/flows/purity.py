@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..engine import Finding
-from .base import FlowRule
 from .graph import FunctionSummary, ModuleSummary, ProgramGraph
 
 __all__ = ["WorkerPurityRule", "collect_worker_entries"]
@@ -69,17 +68,27 @@ def collect_worker_entries(graph: ProgramGraph,
     return [out[key] for key in sorted(out)]
 
 
-class WorkerPurityRule(FlowRule):
+class WorkerPurityRule:
     """Flags module/class-state writes reachable from worker entries.
 
     A finding means a function on some worker entry's call path writes
     state that outlives the call: the serial and parallel runs of the
     same plan then see different module state, which is exactly what
-    the golden-determinism contract forbids.
+    the golden-determinism contract forbids.  Mirrors the per-file
+    :class:`~repro.analysis.engine.Rule` attributes (``id``,
+    ``category``, ``summary``); suppression pragmas are honoured by
+    :func:`~.engine.run_flows` after the rule runs, so it just yields.
     """
 
     id = "flow-worker-purity"
     category = "determinism"
+    summary = "Flags module/class-state writes reachable from worker entries"
+
+    def finding(self, summary: ModuleSummary, line: int,
+                message: str) -> Finding:
+        return Finding(rule=self.id, category=self.category,
+                       path=summary.relpath, line=line, col=0,
+                       message=message)
 
     def check(self, graph: ProgramGraph) -> Iterable[Finding]:
         entries = collect_worker_entries(graph)

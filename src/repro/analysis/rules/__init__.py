@@ -7,9 +7,8 @@ in :mod:`.determinism` or :mod:`.kernel` (or a new module), then append
 an instance here — the engine, CLI, JSON report, and docs table pick it
 up from this registry.
 
-Layering policy is not a per-file rule: it is data in
-:data:`repro.analysis.flows.layers.REPRO_LAYERS`, enforced by the
-whole-program pass (``repro lint --flows``) as ``flow-layer-dag``.
+Layering policy is not a lint rule: ``tests/test_import_boundary.py``
+holds the layer table and checks it over each module's import closure.
 """
 
 from __future__ import annotations

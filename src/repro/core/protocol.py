@@ -6,7 +6,7 @@ pull (:class:`~repro.core.pull.PullBroker`), data-aware
 structural surface, so scenarios, experiments, and tooling can be
 written against the protocol and switched between modes with a single
 ``broker_mode=`` string.  Construct brokers through :func:`make_broker`
-(simlint's ``flow-layer-dag`` rule enforces this in experiment code):
+(``tests/test_import_boundary.py`` checks experiments and examples):
 the factory validates the mode/config pairing and performs the
 mode-specific wiring (pull agents per site, the replica catalog).
 """

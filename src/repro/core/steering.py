@@ -7,8 +7,8 @@ and implements the steering verbs — ``inject``, ``kill``, ``drain_site``,
 Inside a :func:`repro.obs.control.control_scope`, ``Scenario.build()``
 constructs one per world, queues the scope's chaos schedule through
 :meth:`SteeringAdapter.replay` and hands the adapter to the scope;
-drivers never instantiate it directly (simlint's ``flow-layer-dag``
-rule enforces this, like the broker classes themselves).
+experiments and examples never instantiate it directly
+(``tests/test_import_boundary.py`` checks this, like the broker classes).
 
 Each chaos action is a kernel event of priority ``STEER``: its callback
 runs from the run loop like any other, before everything else at its

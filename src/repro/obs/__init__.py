@@ -6,7 +6,8 @@ grid, net — never import it; they only read the ``Environment.tracer``
 and ``Environment.telemetry`` hooks, which are ``None`` unless a
 :class:`Tracer` / :class:`Telemetry` has been installed.  That keeps
 observability strictly opt-in and zero-cost for uninstrumented runs
-(enforced by the ``flow-layer-dag`` simlint rule).
+(``tests/test_import_boundary.py`` checks that no observed module's
+import closure reaches ``repro.obs``).
 
 Typical use::
 

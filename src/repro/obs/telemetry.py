@@ -17,8 +17,8 @@ Hook contract (mirrors ``env.tracer`` exactly):
           t.gauge("broker.queue.batch").inc()
 
   so an uninstrumented run pays one attribute load per hook and
-  allocates nothing.  The layers never import ``repro.obs`` (enforced
-  by the ``flow-layer-dag`` simlint rule).
+  allocates nothing.  The layers never import ``repro.obs``, directly
+  or through another package (``tests/test_import_boundary.py``).
 * **Read-only**: recording a sample never creates events, consumes
   kernel eids, or draws from an RNG stream — installing telemetry is
   guaranteed not to change the simulation outcome, which is what keeps

@@ -18,7 +18,7 @@ flag — is deliberate: worker processes spawned by the runner inherit it,
 keeping every shard of a parallel run on the same lane.
 
 Nothing in this module may import outside ``repro.sim`` + the stdlib
-allowlist (enforced by the ``flow-layer-dag`` simlint rule).
+allowlist (checked by ``tests/test_import_boundary.py``).
 """
 
 from __future__ import annotations

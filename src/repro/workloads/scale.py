@@ -41,7 +41,6 @@ from ..jdl import (
     MachineAccess,
     StreamingMode,
 )
-from ..obs.telemetry import QuantileSketch
 from ..sim import RandomStreams
 from .mixes import JobArrival
 
@@ -242,6 +241,8 @@ class CampaignStats:
         self.first_at = math.inf
         self.last_at = -math.inf
         self.total_runtime = 0.0
+        from ..obs.telemetry import QuantileSketch
+
         self.runtime_sketch = QuantileSketch()
         self.gap_sketch = QuantileSketch()
         self._prev_at: Optional[float] = None
@@ -323,6 +324,8 @@ class CampaignStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignStats":
+        from ..obs.telemetry import QuantileSketch
+
         stats = cls()
         stats.jobs = int(data["jobs"])
         stats.batch = int(data["batch"])

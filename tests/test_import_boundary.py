@@ -1,18 +1,26 @@
-"""The declaration/execution import boundary, by mechanism not stopwatch.
+"""Import boundaries, by mechanism not stopwatch.
 
 Declaration (configs, plan, merge, render, spec registration, runner,
 cache) is what every ``repro`` invocation may load; execution (the
 simulator and everything a ``run_cell`` needs) loads on the first cell
 the cache cannot serve.  Each CLI case runs ``cli.main`` in a fresh
 interpreter and inspects that interpreter's ``sys.modules``.
+
+The layer map (:class:`TestLayerMap`) is checked the same way, over
+what a bare ``import`` of each module loads: the transitive closure of
+its module-level imports, read from the AST and held to a fresh
+interpreter's ``sys.modules``.
 """
 
+import ast
+import glob
 import io
 import json
 import os
 import subprocess
 import sys
 import tarfile
+from collections import deque
 from importlib import import_module
 
 import pytest
@@ -230,6 +238,284 @@ class TestFacades:
         for experiment_id, spec in specs.items():
             assert spec.run_cell.__module__ == \
                 "repro.experiments" + index[experiment_id]
+
+
+# -- the layer map -----------------------------------------------------------
+#: The paper's stack, bottom up.  A module may load (through its
+#: module-level imports, transitively) only modules of its own rank or
+#: below; ranks follow the tree's actual dependency DAG.
+RANKS = {
+    # 0 — the substrate kernel (see also KERNEL_IMPORTS).
+    "sim": 0,
+    # 1 — leaf utilities: config codec, calibration, JDL, net model,
+    #     metrics aggregation.
+    "codec": 1, "calibration": 1, "jdl": 1, "net": 1, "metrics": 1,
+    # 2 — the grid fabric (GRAM, LRMS, MDS) and result streaming.
+    "grid": 2, "streaming": 2,
+    # 3 — scheduling policy stacks.
+    "multiprog": 3, "baselines": 3,
+    # 4 — broker core and workload synthesis.
+    "core": 4, "workloads": 4,
+    # 5 — the runner and the scenario facade.
+    "runner": 5, "scenario": 5,
+    # 6 — the top: experiments, and the real-socket twin of the
+    #     streaming layer (only an example drives it, and nothing under
+    #     the simulator may import it).
+    "experiments": 6, "interposition": 6,
+}
+#: Loadable from anywhere, ranked nowhere: the observer, the analysis
+#: package and the package's own plumbing.
+UNRANKED = ("obs", "analysis", "_lazy", "__main__")
+#: The layers ``repro.obs`` observes through the ``Environment`` hooks:
+#: none of them may load it, directly or through another package.
+OBSERVED = ("sim", "net", "grid", "streaming", "multiprog", "core")
+#: The only imports a ``repro.sim`` module may make outside ``repro.sim``,
+#: so the compiled lane sees no foreign imports.  ``gc``: a run pauses
+#: the cyclic collector; ``hashlib``: rng.py names its streams by
+#: blake2b; ``contextlib``: trace_span's no-op context.
+KERNEL_IMPORTS = frozenset({
+    "__future__", "collections", "contextlib", "dataclasses", "enum",
+    "functools", "gc", "hashlib", "heapq", "itertools", "math", "os",
+    "types", "typing", "warnings", "weakref", "numpy"})
+#: Experiments and examples build brokers through ``make_broker`` (so
+#: ``broker_mode`` stays data) and reach steering through the adapters
+#: ``control_scope`` yields, never by calling these.
+FACTORY_ONLY = frozenset({"CrossBroker", "PullBroker", "DataAwareBroker",
+                          "SteeringAdapter"})
+FACTORY_USERS = (os.path.join(SRC, "repro", "experiments", "**", "*.py"),
+           os.path.join(REPO, "examples", "*.py"))
+
+
+def ours(name):
+    return name == "repro" or name.startswith("repro.")
+
+
+def package_of(module):
+    """``core`` for ``repro.core.broker``; None for ``repro`` itself."""
+    return module.split(".")[1] if "." in module else None
+
+
+def rank(module):
+    return RANKS.get(package_of(module)) if ours(module) else None
+
+
+def eager_imports(body, package):
+    """Dotted targets of the imports that run when ``body`` runs at
+    module level: function bodies and ``if TYPE_CHECKING:`` blocks do
+    not.  ``from a import b`` targets both ``a`` and ``a.b``."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                up = package.rsplit(".", node.level - 1)[0]
+                base = f"{up}.{base}" if base else up
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.If) and "TYPE_CHECKING" in (
+                getattr(node.test, "id", None),
+                getattr(node.test, "attr", None)):
+            yield from eager_imports(node.orelse, package)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from eager_imports(getattr(node, field, ()), package)
+
+
+def import_graph(src=SRC):
+    """Module -> what its module-level imports load directly: ``repro``
+    modules (``a.b.c`` loads ``a`` and ``a.b`` too, and a module its
+    own package) and the top-level names of everything else."""
+    files = {}
+    for path in glob.glob(os.path.join(src, "repro", "**", "*.py"),
+                          recursive=True):
+        parts = os.path.relpath(path, src)[:-len(".py")].split(os.sep)
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        files[module] = path
+    graph = {}
+    for module, path in files.items():
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        package = (module if path.endswith("__init__.py")
+                   else module.rpartition(".")[0])
+        deps = {module.rpartition(".")[0]} & files.keys()
+        for target in eager_imports(tree.body, package):
+            parts = target.split(".")
+            deps |= ({".".join(parts[:i]) for i in range(1, len(parts) + 1)}
+                     & files.keys() if ours(target) else {parts[0]})
+        graph[module] = deps - {module}
+    return graph
+
+
+def load_order(graph, module):
+    """Every ``repro`` module a bare ``import module`` loads, mapped to
+    the module whose import loaded it, in breadth-first order."""
+    via = {module: None}
+    queue = deque([module])
+    while queue:
+        current = queue.popleft()
+        for dep in sorted(graph[current]):
+            if dep in graph and dep not in via:
+                via[dep] = current
+                queue.append(dep)
+    return via
+
+
+def first_chain(graph, module, bad):
+    """The shortest import chain from ``module`` to a module it loads
+    that ``bad`` accepts ("a -> b -> c"), or None."""
+    via = load_order(graph, module)
+    hit = next((m for m in via if bad(m)), None)
+    links = []
+    while hit is not None:
+        links.append(hit)
+        hit = via[hit]
+    return " -> ".join(reversed(links)) or None
+
+
+def shortest_first(lines):
+    """One bad import fails every module that loads it: list the
+    shortest chain, the bad import itself, first."""
+    return sorted(lines, key=lambda line: (line.count(" -> "), line))
+
+
+def rank_violations(graph):
+    out = []
+    for module in graph:
+        own = rank(module)
+        chain = own is not None and first_chain(
+            graph, module, lambda m: (rank(m) or 0) > own)
+        if chain:
+            top = chain.rsplit(" -> ", 1)[1]
+            out.append(f"{module} (layer {own}) loads {top} "
+                       f"(layer {rank(top)}): {chain}")
+    return shortest_first(out)
+
+
+def observer_violations(graph):
+    return shortest_first(
+        f"{module} loads the observer: {chain}"
+        for module in graph if package_of(module) in OBSERVED
+        for chain in [first_chain(graph, module,
+                                  lambda m: package_of(m) == "obs")]
+        if chain)
+
+
+def kernel_violations(graph):
+    out = []
+    for module in sorted(graph):
+        if package_of(module) != "sim":
+            continue
+        out += [f"{module} imports {name}" for name in sorted(graph[module])
+                if not ours(name) and name not in KERNEL_IMPORTS]
+        chain = first_chain(graph, module, lambda m: package_of(m) not in (
+            "sim", "_lazy", None))
+        if chain:
+            out.append(f"{module} loads outside the kernel: {chain}")
+    return out
+
+
+def factory_violations(paths):
+    out = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        out += [f"{os.path.relpath(path, REPO)}:{node.lineno}: {name}(...)"
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                for name in [getattr(node.func, "id", None)
+                             or getattr(node.func, "attr", None)]
+                if name in FACTORY_ONLY]
+    return out
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return import_graph()
+
+
+def with_import(graph, module, target):
+    mutated = {name: set(deps) for name, deps in graph.items()}
+    mutated[module].add(target)
+    return mutated
+
+
+class TestLayerMap:
+    def test_the_table_ranks_every_package(self, graph):
+        assert {package_of(m) for m in graph} - {None} == \
+            set(RANKS) | set(UNRANKED)
+        assert rank("repro.sim.events") == 0
+        assert rank("repro.core.broker") == 4
+        assert rank("repro.experiments.table1") == 6
+        assert rank("repro.interposition.agent") == max(RANKS.values())
+        for unranked in ("repro.obs.telemetry", "repro.analysis.engine",
+                         "repro", "outside.module"):
+            assert rank(unranked) is None
+
+    def test_no_module_loads_a_higher_layer(self, graph):
+        assert rank_violations(graph) == []
+
+    def test_observed_layers_never_load_the_observer(self, graph):
+        assert observer_violations(graph) == []
+
+    def test_the_kernel_loads_only_itself_and_its_allowlist(self, graph):
+        assert kernel_violations(graph) == []
+
+    def test_experiments_and_examples_use_the_factory(self):
+        files = [glob.glob(pattern, recursive=True)
+                 for pattern in FACTORY_USERS]
+        assert all(files)  # neither glob matches nothing
+        assert factory_violations(sorted(sum(files, []))) == []
+
+    def test_the_closure_is_what_a_fresh_interpreter_loads(self, graph):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, repro.core.steering;"
+             "print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        modules = [m for m in json.loads(proc.stdout) if ours(m)]
+        assert "repro.workloads.scale" in modules
+        assert loaded(modules, ["repro.obs"]) == []
+        assert sorted(load_order(graph, "repro.core.steering")) == modules
+
+    def test_function_and_type_checking_imports_load_nothing(self):
+        tree = ast.parse("from typing import TYPE_CHECKING\n"
+                         "if TYPE_CHECKING:\n"
+                         "    import repro.runner\n"
+                         "def later():\n"
+                         "    from ..runner import engine\n")
+        assert list(eager_imports(tree.body, "repro.grid")) == [
+            "typing", "typing.TYPE_CHECKING"]
+
+    @pytest.mark.parametrize("module, target, check, expected", [
+        ("repro.grid.site", "repro.runner", rank_violations,
+         "repro.grid.site (layer 2) loads repro.runner (layer 5): "
+         "repro.grid.site -> repro.runner"),
+        ("repro.net.rpc", "repro.obs", observer_violations,
+         "repro.net.rpc loads the observer: repro.net.rpc -> repro.obs"),
+        ("repro.workloads.scale", "repro.obs.telemetry",
+         observer_violations,
+         "repro.core.steering loads the observer: repro.core.steering -> "),
+        ("repro.sim.events", "threading", kernel_violations,
+         "repro.sim.events imports threading"),
+        ("repro.sim.events", "repro.core", kernel_violations,
+         "repro.sim.events loads outside the kernel: repro.sim.events -> "
+         "repro.core"),
+    ], ids=["upward", "observer", "observer-via-workloads",
+            "kernel-stdlib", "kernel-repro"])
+    def test_a_seeded_import_is_reported(self, graph, module, target,
+                                         check, expected):
+        assert check(graph) == []
+        assert any(line.startswith(expected)
+                   for line in check(with_import(graph, module, target)))
+
+    def test_a_seeded_construction_is_reported(self, tmp_path):
+        example = tmp_path / "example.py"
+        example.write_text("def build(env):\n"
+                          "    return broker.CrossBroker(env)\n",
+                          encoding="utf-8")
+        [line] = factory_violations([str(example)])
+        assert line.endswith("example.py:2: CrossBroker(...)")
 
 
 #: The last commit before the boundary was drawn; its cache entries are

@@ -1,14 +1,14 @@
 """Tests for the whole-program flows pass (``repro lint --flows``).
 
 The fixture universe under ``tests/data/simlint/flows`` is a
-repro-shaped package tree (never imported by Python) seeding one defect
-per ``LayerMap`` declaration plus the worker-purity pair; these tests
-pin that every seeded defect is detected at its exact path, line and
-message — the layer-DAG violation with its *full* import chain — plus
-suppression handling, the CLI surface (``--flows``, ``--select``,
-``--format github``, ``--audit-suppressions``), and the satellite
-engine edge cases (syntax-error pseudo-findings, unknown rule-id
-errors, sanitizer daemon semantics inside pool worker subprocesses).
+repro-shaped package tree (never imported by Python) seeding the
+worker-purity pair; these tests pin that both seeded defects are
+detected at their exact path, line and message, plus suppression
+handling, the CLI surface (``--flows``, ``--select``, ``--format
+github``, ``--audit-suppressions``), and the engine's edge
+cases (syntax-error pseudo-findings, unknown rule-id errors, sanitizer
+daemon semantics inside pool worker subprocesses).  The layer map is
+not a flow rule: ``tests/test_import_boundary.py`` checks it.
 """
 
 from __future__ import annotations
@@ -19,62 +19,35 @@ import shutil
 import pytest
 
 from repro.analysis.cli import lint_main
-from repro.analysis.flows import (FLOW_RULES, REPRO_LAYERS,
-                                  flow_rules_by_id, run_flows)
+from repro.analysis.flows import run_flows
 from repro.analysis.flows.graph import module_name_for
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(HERE)
 FLOWS_FIXTURES = os.path.join(HERE, "data", "simlint", "flows")
-
-FLOW_RULE_IDS = sorted(rule.id for rule in FLOW_RULES)
+WORKERIZED = "repro/experiments/workerized.py"
 
 
 def _fixture_report():
     return run_flows([FLOWS_FIXTURES], root=FLOWS_FIXTURES)
 
 
-def _by_rule(report):
-    out = {}
-    for finding in report.findings:
-        out.setdefault(finding.rule, []).append(finding)
-    return out
-
-
-#: Every ``flow-layer-dag`` finding on the fixture tree as ``(path, line,
-#: message)``: one seeded defect per ``LayerMap`` declaration (``ranks``,
-#: ``isolated``/``observes``, ``factory_only``, ``purity`` — its fixture
-#: breaks the allowlist and the self-containment half, and so commits a
-#: second rank violation).
-LAYERING_FINDINGS = [
-    ("repro/core/stats.py", 8,
-     "layer violation: repro.core.stats (layer 4) eagerly reaches "
-     "repro.experiments.report (layer 6) via repro.core.stats -> "
-     "repro.util.bridge -> repro.experiments.report"),
-    ("repro/core/watcher.py", 3,
-     "observed module repro.core.watcher eagerly imports repro.obs; "
-     "observability must attach via hooks, not imports (use a "
-     "function-level import if unavoidable)"),
-    ("repro/experiments/direct_broker.py", 7,
-     "direct CrossBroker(...) construction in "
-     "repro.experiments.direct_broker; use make_broker() / "
-     "Scenario(broker_mode=...) so the architecture stays configuration"),
-    ("repro/sim/impure.py", 5,
-     "kernel purity: repro.sim.impure imports 'threading' outside the "
-     "substrate allowlist for repro.sim"),
-    ("repro/sim/impure.py", 7,
-     "kernel purity: repro.sim.impure imports repro.core.stats; the "
-     "compiled lane requires repro.sim to be self-contained"),
-    ("repro/sim/impure.py", 7,
-     "layer violation: repro.sim.impure (layer 0) eagerly reaches "
-     "repro.core.stats (layer 4) via repro.sim.impure -> "
-     "repro.core.stats"),
+#: Every finding on the fixture tree as ``(path, line, message)``.
+PURITY_FINDINGS = [
+    (WORKERIZED, 10,
+     "worker purity: _note mutates module global 'CACHE' "
+     "(repro.experiments.workerized); reachable from worker entry "
+     f"[pool submit at {WORKERIZED}:52] via run_cell -> _note"),
+    (WORKERIZED, 14,
+     "worker purity: _bump rebinds module global 'CALLS' "
+     "(repro.experiments.workerized); reachable from worker entry "
+     f"[pool submit at {WORKERIZED}:52] via run_cell -> _bump"),
 ]
 
 
-def _layering(report):
+def _pinned(report):
     return [(f.path.replace(os.sep, "/"), f.line, f.message)
-            for f in _by_rule(report).get("flow-layer-dag", [])]
+            for f in report.findings]
 
 
 # -- seeded fixture defects ----------------------------------------------
@@ -84,47 +57,12 @@ class TestSeededDefects:
         return _fixture_report()
 
     def test_every_flow_rule_fires_on_the_fixture_tree(self, report):
-        fired = {f.rule for f in report.findings}
-        assert set(FLOW_RULE_IDS) <= fired, (
-            f"rules without fixture coverage: "
-            f"{set(FLOW_RULE_IDS) - fired}")
-
-    def test_layer_dag_reports_the_full_import_chain(self, report):
-        [finding] = [f for f in _by_rule(report)["flow-layer-dag"]
-                     if "core/stats" in f.path]
-        assert ("repro.core.stats -> repro.util.bridge -> "
-                "repro.experiments.report") in finding.message
-        assert "(layer 4)" in finding.message
-        assert "(layer 6)" in finding.message
-        assert finding.line > 0
-
-    def test_layering_findings_keep_path_line_and_message(self, report):
-        assert _layering(report) == LAYERING_FINDINGS
-
-    def test_obs_isolation_fires_on_observed_layer(self, report):
-        [finding] = [f for f in _by_rule(report)["flow-layer-dag"]
-                     if f.path.endswith("core/watcher.py")]
-        assert "eagerly imports repro.obs" in finding.message
-
-    def test_sim_purity_flags_allowlist_and_cross_package(self, report):
-        messages = [f.message for f in _by_rule(report)["flow-layer-dag"]
-                    if f.message.startswith("kernel purity")]
-        assert len(messages) == 2
-        assert any("'threading'" in m for m in messages)
-        assert any("repro.core.stats" in m for m in messages)
-
-    def test_broker_factory_flags_direct_construction(self, report):
-        [finding] = [f for f in _by_rule(report)["flow-layer-dag"]
-                     if f.path.endswith("direct_broker.py")]
-        assert "direct CrossBroker(...) construction" in finding.message
+        assert {f.rule for f in report.findings} == {"flow-worker-purity"}
 
     def test_worker_purity_flags_mutation_and_rebind(self, report):
-        messages = [f.message
-                    for f in _by_rule(report)["flow-worker-purity"]]
-        assert any("mutates module global 'CACHE'" in m for m in messages)
-        assert any("rebinds module global 'CALLS'" in m for m in messages)
-        # Findings name the worker entry and the call chain.
-        assert any("run_cell -> _note" in m for m in messages)
+        # Exact path, line and message: each names the worker entry and
+        # the call chain.
+        assert _pinned(report) == PURITY_FINDINGS
 
     def test_findings_are_deterministic(self, report):
         again = _fixture_report()
@@ -159,19 +97,19 @@ class TestFlowSuppressions:
     def test_pragma_silences_a_flow_finding(self, tmp_path):
         tree = tmp_path / "tree"
         shutil.copytree(FLOWS_FIXTURES, tree)
-        target = tree / "repro" / "core" / "watcher.py"
+        target = tree / WORKERIZED
         src = target.read_text(encoding="utf-8").replace(
-            "import repro.obs",
-            "import repro.obs  # simlint: disable=flow-layer-dag "
+            "CACHE[key] = payload",
+            "CACHE[key] = payload  # simlint: disable=flow-worker-purity "
             "-- fixture override")
         target.write_text(src, encoding="utf-8")
         report = run_flows([str(tree)], root=str(tree))
         # Exactly the one finding on that line moves to ``suppressed``.
-        assert _layering(report) == [
-            f for f in LAYERING_FINDINGS if "watcher" not in f[0]]
+        assert _pinned(report) == [
+            f for f in PURITY_FINDINGS if "'CACHE'" not in f[2]]
         [silenced] = report.suppressed
-        assert silenced.rule == "flow-layer-dag"
-        assert silenced.path.endswith("watcher.py")
+        assert silenced.rule == "flow-worker-purity"
+        assert (silenced.path, silenced.line) == (WORKERIZED, 10)
 
     def test_docstring_pragma_text_does_not_suppress(self):
         src = ('"""Doc mentioning  # simlint: disable-file=all -- nope\n'
@@ -189,24 +127,33 @@ class TestFlowsCli:
         code = lint_main([FLOWS_FIXTURES, "--flows"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "flow-layer-dag" in out
+        assert out.count("[flow-worker-purity]") == len(PURITY_FINDINGS)
 
     def test_github_format_emits_error_annotations(self, capsys):
         lint_main([FLOWS_FIXTURES, "--flows", "--format", "github"])
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert "title=simlint flow-layer-dag" in out
+        assert "title=simlint flow-worker-purity" in out
 
     def test_select_single_flow_rule(self, capsys):
-        code = lint_main([FLOWS_FIXTURES, "--select", "flow-layer-dag"])
+        code = lint_main([FLOWS_FIXTURES, "--select", "flow-worker-purity"])
         out = capsys.readouterr().out
         assert code == 1
-        # --select of the one layering id returns all six findings...
-        assert out.count("[flow-layer-dag]") == len(LAYERING_FINDINGS)
-        for _, _, message in LAYERING_FINDINGS:
-            assert message in out
-        # ...and nothing from the other rule.
-        assert "flow-worker-purity" not in out
+        # --select of the flow id runs the flows pass without --flows...
+        assert out.count("[flow-worker-purity]") == len(PURITY_FINDINGS)
+        for _, _, message in PURITY_FINDINGS:
+            assert message.split(";")[0] in out
+        # ...and a per-file id alone does not run it.
+        assert lint_main([FLOWS_FIXTURES, "--select", "wallclock"]) == 0
+
+    def test_select_flow_layer_dag_is_unknown(self, capsys):
+        # The layer map is a tier-1 test, not a rule.
+        assert lint_main(["--select", "flow-layer-dag", "src"]) == 2
+        assert "unknown simlint rule" in capsys.readouterr().err
+        assert lint_main(["--list-rules"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert len(listed) == 11
+        assert not any("flow-layer-dag" in line for line in listed)
 
     def test_unknown_rule_lists_catalogs_and_exits_2(self, capsys):
         assert lint_main(["--select", "flow-nope", "src"]) == 2
@@ -261,32 +208,12 @@ class TestEngineEdgeCases:
             or finding.path.endswith("pkg/bad.py")
         assert finding.line == 2
 
-    def test_flow_rules_by_id_unknown_lists_valid_ids(self):
-        with pytest.raises(KeyError) as exc:
-            flow_rules_by_id(["flow-bogus"])
-        message = str(exc.value)
-        for rule_id in FLOW_RULE_IDS:
-            assert rule_id in message
-
     def test_module_name_derivation(self):
-        path = os.path.join(FLOWS_FIXTURES, "repro", "core", "stats.py")
-        assert module_name_for(path) == "repro.core.stats"
-        init = os.path.join(FLOWS_FIXTURES, "repro", "core",
+        path = os.path.join(FLOWS_FIXTURES, *WORKERIZED.split("/"))
+        assert module_name_for(path) == "repro.experiments.workerized"
+        init = os.path.join(FLOWS_FIXTURES, "repro", "experiments",
                             "__init__.py")
-        assert module_name_for(init) == "repro.core"
-
-    def test_layer_map_ranks_match_the_real_tree(self):
-        assert REPRO_LAYERS.rank_of("repro.sim.events") == 0
-        assert REPRO_LAYERS.rank_of("repro.core.broker") == 4
-        assert REPRO_LAYERS.rank_of("repro.experiments.table1") == 6
-        # The real-socket twin sits at the top: nothing under the
-        # simulator may import it.
-        assert REPRO_LAYERS.rank_of("repro.interposition.agent") \
-            == max(REPRO_LAYERS.ranks.values())
-        assert REPRO_LAYERS.rank_of("repro.obs.telemetry") is None
-        assert REPRO_LAYERS.is_isolated("repro.obs.tracer")
-        assert REPRO_LAYERS.rank_of("repro.analysis.engine") is None
-        assert REPRO_LAYERS.rank_of("outside.module") is None
+        assert module_name_for(init) == "repro.experiments"
 
 
 # -- sanitizer daemon semantics inside pool workers (satellite) -----------
