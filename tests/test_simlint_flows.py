@@ -60,9 +60,19 @@ class TestSeededDefects:
         assert {f.rule for f in report.findings} == {"flow-worker-purity"}
 
     def test_worker_purity_flags_mutation_and_rebind(self, report):
-        # Exact path, line and message: each names the worker entry and
-        # the call chain.
+        messages = [f.message for f in report.findings
+                    if f.rule == "flow-worker-purity"]
+        assert any("mutates module global 'CACHE'" in m for m in messages)
+        assert any("rebinds module global 'CALLS'" in m for m in messages)
+        # Findings name the worker entry and the call chain.
+        assert any("run_cell -> _note" in m for m in messages)
+
+    def test_layering_findings_keep_path_line_and_message(self, report):
+        # Exact path, line and message of every finding.  None is a
+        # layering finding: the layer map is checked by
+        # tests/test_import_boundary.py, not by the flows pass.
         assert _pinned(report) == PURITY_FINDINGS
+        assert not any("layer" in f.message for f in report.findings)
 
     def test_findings_are_deterministic(self, report):
         again = _fixture_report()
