@@ -1,13 +1,9 @@
-"""``repro lint`` — run simlint (per-file rules and the flows pass).
+"""``repro lint`` — run simlint's per-file rules.
 
 Exit status is 0 when no findings survive pragma suppression, 1
 otherwise (2 for usage errors), so the command gates CI directly.
-Beyond the per-file rule catalog this front-end drives:
+Beyond the rule catalog this front-end drives:
 
-``--flows``
-    The whole-program pass (:mod:`repro.analysis.flows`): worker purity
-    (``flow-worker-purity``).  Parses the tree afresh on every run and
-    writes nothing to disk.
 ``--format github``
     GitHub Actions ``::error`` annotations (inline PR comments) in
     addition to the text report.
@@ -24,12 +20,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .engine import (FileLintResult, Finding, collect_files,
                      findings_to_json, lint_files_detailed,
                      render_findings)
-from .flows import WorkerPurityRule, run_flows
 from .rules import ALL_RULES, rules_by_category, rules_by_id
 
 _CATEGORIES = ("determinism", "kernel")
@@ -42,31 +37,29 @@ def _excluded(relpath: str, excludes: Sequence[str]) -> bool:
                for prefix in excludes)
 
 
-def _split_select(select: str) -> Tuple[List[str], bool]:
-    """Partition ``--select`` tokens into (per-file rule ids, flows?).
+def _split_select(select: str) -> List[str]:
+    """The rule ids that ``--select`` names.
 
-    Tokens may be per-file rule ids, ``flow-worker-purity`` or a
-    per-file category name (``determinism``/``kernel``), which expands
-    to every rule in it.  Unknown tokens raise KeyError listing them all.
+    Tokens may be rule ids or a category name (``determinism``/
+    ``kernel``), which expands to every rule in it.  An unknown token,
+    or no token at all (``--select ","``), raises KeyError: a select
+    that names nothing must not turn the gate off.
     """
-    file_ids = {rule.id for rule in ALL_RULES}
-    per_file: List[str] = []
-    flows = False
-    for token in (t.strip() for t in select.split(",")):
-        if not token:
-            continue
+    rule_ids = {rule.id for rule in ALL_RULES}
+    selected: List[str] = []
+    tokens = [t.strip() for t in select.split(",") if t.strip()]
+    if not tokens:
+        raise KeyError(f"--select {select!r} names no simlint rule")
+    for token in tokens:
         if token in _CATEGORIES:
-            per_file.extend(r.id for r in rules_by_category(token))
-        elif token in file_ids:
-            per_file.append(token)
-        elif token == WorkerPurityRule.id:
-            flows = True
+            selected.extend(r.id for r in rules_by_category(token))
+        elif token in rule_ids:
+            selected.append(token)
         else:
-            known = (sorted(file_ids) + [WorkerPurityRule.id]
-                     + list(_CATEGORIES))
+            known = sorted(rule_ids) + list(_CATEGORIES)
             raise KeyError(f"unknown simlint rule(s): ['{token}']; "
                            f"known: {known}")
-    return per_file, flows
+    return selected
 
 
 def _render_github(findings: Sequence[Finding]) -> None:
@@ -84,23 +77,13 @@ def _render_markdown_catalog() -> None:
     print("<!-- generated by `repro lint --list-rules --format markdown`"
           " — do not edit by hand; CI diffs this file. -->")
     print()
-    print("## Per-file rules")
-    print()
     print("| Rule | Category | Description |")
     print("| --- | --- | --- |")
     for rule in ALL_RULES:
         print(f"| `{rule.id}` | {rule.category} | {rule.summary} |")
-    print()
-    print("## Flow rules (`repro lint --flows`)")
-    print()
-    print("| Rule | Category | Description |")
-    print("| --- | --- | --- |")
-    print(f"| `{WorkerPurityRule.id}` | {WorkerPurityRule.category} | "
-          f"{WorkerPurityRule.summary} |")
 
 
-def _audit(results: Sequence[FileLintResult],
-           flow_suppressed: Sequence[Finding]) -> List[str]:
+def _audit(results: Sequence[FileLintResult]) -> List[str]:
     """Stale-suppression report lines (empty == all pragmas earn keep).
 
     A directive is *used* when some finding it names was actually
@@ -109,15 +92,9 @@ def _audit(results: Sequence[FileLintResult],
     is stale: the hazard was fixed, the rule changed, or the pragma
     never matched.
     """
-    suppressed_by_path: Dict[str, List[Finding]] = {}
-    for result in results:
-        suppressed_by_path.setdefault(result.relpath, []).extend(
-            result.suppressed)
-    for finding in flow_suppressed:
-        suppressed_by_path.setdefault(finding.path, []).append(finding)
     lines: List[str] = []
     for result in results:
-        hits = suppressed_by_path.get(result.relpath, [])
+        hits = result.suppressed
         for line, scope, rules in result.suppressions.directives:
             for rule_id in rules:
                 used = any(
@@ -148,8 +125,6 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
                         default=[],
                         help="skip files under this path prefix "
                              "(repeatable)")
-    parser.add_argument("--flows", action="store_true",
-                        help="also run the whole-program flows pass")
     parser.add_argument("--format", choices=("text", "github", "markdown"),
                         default="text",
                         help="output format (github adds ::error "
@@ -168,22 +143,15 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
         else:
             for rule in ALL_RULES:
                 print(f"{rule.id:20s} [{rule.category}] {rule.summary}")
-            print(f"{WorkerPurityRule.id:20s} "
-                  f"[{WorkerPurityRule.category}] (flows) "
-                  f"{WorkerPurityRule.summary}")
         return 0
 
-    file_rules: Sequence = ALL_RULES
-    run_file_pass = True
-    if args.select:
+    rules: Sequence = ALL_RULES
+    if args.select is not None:
         try:
-            file_ids, flows = _split_select(args.select)
-            file_rules = rules_by_id(file_ids)
+            rules = rules_by_id(_split_select(args.select))
         except KeyError as exc:
             print(f"repro lint: {exc.args[0]}", file=sys.stderr)
             return 2
-        args.flows = args.flows or flows
-        run_file_pass = bool(file_ids) or not flows
 
     paths = args.paths or ["src"]
     files = [f for f in collect_files(paths)
@@ -193,25 +161,11 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    results: List[FileLintResult] = []
-    findings: List[Finding] = []
-    if run_file_pass:
-        results = lint_files_detailed(files, file_rules)
-        for result in results:
-            findings.extend(result.findings)
-
-    flow_report = None
-    if args.flows:
-        flow_report = run_flows(files)
-        findings.extend(flow_report.findings)
-        print(flow_report.stats.describe(), file=sys.stderr)
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    results = lint_files_detailed(files, rules)
+    findings = [f for result in results for f in result.findings]
 
     if args.audit_suppressions:
-        flow_suppressed = (flow_report.suppressed
-                           if flow_report is not None else [])
-        stale = _audit(results, flow_suppressed)
+        stale = _audit(results)
         for line in stale:
             print(line)
         if args.format == "github":
@@ -222,10 +176,8 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
         print(f"simlint audit: {len(stale)} stale suppression(s)")
         return 1 if stale else 0
 
-    rule_ids = ([r.id for r in file_rules] if run_file_pass else []) + \
-        ([WorkerPurityRule.id] if args.flows else [])
     payload = findings_to_json(findings, checked_files=len(files),
-                               rule_ids=rule_ids)
+                               rule_ids=[r.id for r in rules])
     if args.json_path == "-":
         print(payload)
     else:

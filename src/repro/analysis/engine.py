@@ -295,9 +295,9 @@ class _Walker(ast.NodeVisitor):
         super().generic_visit(node)
 
 
-def lint_source(source: str, relpath: str,
-                rules: Sequence[Rule]) -> List[Finding]:
-    """Lint one source string; returns sorted findings."""
+def _lint(source: str, relpath: str, rules: Sequence[Rule]) -> LintContext:
+    """The one parse -> walk -> sort path behind every entry point: a
+    file that does not parse is one ``syntax-error`` pseudo-finding."""
     ctx = LintContext(relpath, source)
     try:
         tree = ast.parse(source, filename=relpath)
@@ -306,19 +306,30 @@ def lint_source(source: str, relpath: str,
             rule="syntax-error", category="parse", path=relpath,
             line=exc.lineno or 1, col=exc.offset or 0,
             message=f"file does not parse: {exc.msg}"))
-        return ctx.findings
+        return ctx
     _Walker(rules, ctx).visit(tree)
     ctx.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return ctx.findings
+    return ctx
+
+
+def _lint_path(path: str, rules: Sequence[Rule],
+               root: Optional[str]) -> LintContext:
+    relpath = os.path.relpath(path, root) if root else path
+    with open(path, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    return _lint(source, relpath, rules)
+
+
+def lint_source(source: str, relpath: str,
+                rules: Sequence[Rule]) -> List[Finding]:
+    """Lint one source string; returns sorted findings."""
+    return _lint(source, relpath, rules).findings
 
 
 def lint_file(path: str, rules: Sequence[Rule],
               root: Optional[str] = None) -> List[Finding]:
     """Lint one file; ``root`` anchors the relative path in reports."""
-    relpath = os.path.relpath(path, root) if root else path
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    return lint_source(source, relpath, rules)
+    return _lint_path(path, rules, root).findings
 
 
 def collect_files(paths: Iterable[str]) -> List[str]:
@@ -365,22 +376,9 @@ def lint_files_detailed(files: Sequence[str], rules: Sequence[Rule],
     against the findings they silenced."""
     out: List[FileLintResult] = []
     for path in files:
-        relpath = os.path.relpath(path, root) if root else path
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        ctx = LintContext(relpath, source)
-        try:
-            tree = ast.parse(source, filename=relpath)
-        except SyntaxError as exc:
-            ctx.findings.append(Finding(
-                rule="syntax-error", category="parse", path=relpath,
-                line=exc.lineno or 1, col=exc.offset or 0,
-                message=f"file does not parse: {exc.msg}"))
-        else:
-            _Walker(rules, ctx).visit(tree)
-        ctx.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        ctx = _lint_path(path, rules, root)
         out.append(FileLintResult(
-            relpath=relpath, findings=ctx.findings,
+            relpath=ctx.relpath, findings=ctx.findings,
             suppressed=ctx.suppressed, suppressions=ctx._suppressions))
     return out
 

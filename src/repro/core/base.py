@@ -237,8 +237,6 @@ class BrokerBase:
             if not submitted.finished.triggered:
                 submitted.finished.fail(exc)
                 submitted.finished.defuse()
-            return
-        report.finished_at = self.env.now
 
     # ------------------------------------------------------------------
     # Discovery/selection (push-family; the pull broker never calls it)

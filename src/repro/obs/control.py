@@ -142,8 +142,8 @@ def control_scope(schedule: Optional[ChaosSchedule] = None
         schedule = ChaosSchedule(())
     steered: List[Any] = []
     previous = ChaosSchedule.scope
-    ChaosSchedule.scope = (schedule, steered)  # simlint: disable=flow-worker-purity -- restored in finally; the write is scoped to this worker's own cell, never leaks across cells
+    ChaosSchedule.scope = (schedule, steered)
     try:
         yield steered
     finally:
-        ChaosSchedule.scope = previous  # simlint: disable=flow-worker-purity -- restores the pre-scope schedule (cell-local by construction)
+        ChaosSchedule.scope = previous

@@ -531,11 +531,11 @@ def telemetry_scope(**kwargs: Any) -> Iterator[List[Telemetry]]:
         return telemetry
 
     previous = Environment.telemetry_factory
-    Environment.telemetry_factory = factory  # simlint: disable=flow-worker-purity -- restored in finally; the write is scoped to this worker's own cell, never leaks across cells
+    Environment.telemetry_factory = factory
     try:
         yield created
     finally:
-        Environment.telemetry_factory = previous  # simlint: disable=flow-worker-purity -- restores the pre-scope factory (cell-local by construction)
+        Environment.telemetry_factory = previous
 
 
 def scope_snapshot(registries: Sequence[Telemetry]) -> Dict[str, Any]:

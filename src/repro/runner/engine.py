@@ -302,22 +302,21 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
         _Run(*((request, None) if isinstance(request, str) else request),
              quick=quick, cache=cache, say=say, telemetry=telemetry)
         for request in requests)
-    executor, futures = None, {}
+    executor, futures, done = None, {}, None
     try:
         if parallel > 1:
             runs = list(runs)
             jobs = [(run, key) for run in runs for key in run.missing]
             if jobs:
                 try:
-                    executor, futures = _start_pool(jobs, parallel,
-                                                    telemetry, chaos)
+                    executor, futures, done = _start_pool(
+                        jobs, parallel, telemetry, chaos)
                 except OSError as exc:
                     # Environments without working process pools
                     # (restricted sandboxes) fall back to in-process
                     # execution.
                     say(f"process pool unavailable ({exc}); "
                         f"falling back to serial execution")
-        pending = set(futures)
         for run in runs:
             if executor is None:
                 for key in run.missing:
@@ -325,12 +324,8 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
                         run.stats.experiment_id, run.config, key,
                         telemetry, chaos))
             while len(run.stats.cells) < len(run.cells):
-                from concurrent.futures import FIRST_COMPLETED, wait
-
-                finished, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                for future in finished:
-                    futures[future].complete(*future.result())
+                future = done.get()
+                futures[future].complete(*future.result())
             result = run.merge()
             now = time.perf_counter()
             run.stats.wall_seconds, t_prev = now - t_prev, now
@@ -344,13 +339,15 @@ def run_experiments(requests: Iterable[Union[str, Tuple[str, Any]]], *,
 
 def _start_pool(jobs: List[Tuple[_Run, CellKey]], workers: int,
                 telemetry: bool, chaos: Optional[Dict[str, Any]]
-                ) -> Tuple[Any, Dict[Any, _Run]]:
+                ) -> Tuple[Any, Dict[Any, _Run], Any]:
     """The run's one pool, of up to ``workers``, fed every job in order:
-    ``(executor, {future: its run})``.  Whatever stops it half-built —
+    ``(executor, {future: its run}, done)``, where each future is put on
+    the ``done`` queue as it completes.  Whatever stops it half-built —
     an ``OSError`` or Ctrl-C — shuts it down before propagating."""
     # Loaded only here: a run the cache serves, or a serial one, never
     # pays for multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
+    from queue import SimpleQueue
 
     # The simulator loads once here, before the pool forks, not once
     # per worker.
@@ -368,6 +365,14 @@ def _start_pool(jobs: List[Tuple[_Run, CellKey]], workers: int,
                                        run.stats.experiment_id, run.config,
                                        key, telemetry, chaos): run
                        for run, key in jobs}
+            # The parent then waits on this queue alone.  A Ctrl-C
+            # landing inside concurrent.futures.wait(), which locks every
+            # pending future in turn, could leave one locked, and
+            # shutdown() would hang cancelling it; registering takes
+            # each lock once, here, with Ctrl-C held.
+            done = SimpleQueue()
+            for future in futures:
+                future.add_done_callback(done.put)
             # A Ctrl-C held until now raises here, and the pool is shut
             # down on its way out.
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
@@ -378,7 +383,7 @@ def _start_pool(jobs: List[Tuple[_Run, CellKey]], workers: int,
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
     for run, _ in jobs:
         run.stats.parallel = size
-    return executor, futures
+    return executor, futures, done
 
 
 def run_experiment(experiment_id: str, config: Any = None,

@@ -253,6 +253,23 @@ class TestReports:
         assert reports[0] is not reports[1]
         assert all(r.finished_at is not None for r in reports)
 
+    def test_finished_at_is_stamped_when_finished_fires(self):
+        tb, broker = make_world(seed=79)
+        submitted = broker.submit(
+            interactive_job(),
+            lambda r: immediate_output_app(run_for=600.0))
+        # The submission returns at the job's first output ...
+        tb.env.run(until=submitted.process)
+        tb.env.run(until=tb.env.now + 5.0)
+        assert submitted.report.first_output_at is not None
+        assert not submitted.finished.triggered
+        assert submitted.report.finished_at is None
+        # ... and the job finishes its 600 s of CPU about 600 s later.
+        tb.env.run(until=submitted.finished)
+        assert submitted.report.finished_at == tb.env.now
+        assert tb.env.now - submitted.report.first_output_at == \
+            pytest.approx(600.0, rel=0.01)
+
     def test_trace_records_lifecycle(self):
         tb, broker = make_world(seed=77)
         tracer = Tracer(tb.env).install()

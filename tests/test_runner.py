@@ -17,11 +17,13 @@ experiment reports.  These tests pin that contract:
   the collector is left as the caller had it.
 """
 
+import collections
 import concurrent.futures
 import dataclasses
 import gc
 import os
 import pickle
+import queue
 import random
 import signal
 import threading
@@ -130,9 +132,10 @@ def planned(experiment_ids):
 
 class ReversedPool:
     """In-process stand-in for the process pool (patched in together
-    with its ``wait``): ``submit`` only queues, and every ``wait``
-    runs the *most recently* submitted call still pending — completion
-    order is the exact reverse of submission order."""
+    with the engine's completion queue): ``submit`` only queues, and
+    every ``get`` from an empty queue runs the *most recently* submitted
+    call still pending — completion order is the exact reverse of
+    submission order."""
 
     constructed = []
 
@@ -148,24 +151,35 @@ class ReversedPool:
         self.submitted.append((args[0], args[2]))  # experiment id, cell
         return future
 
-    def wait(self, pending, return_when):
-        future = next(f for f in reversed(self.calls) if f in pending)
+    def run_last(self):
+        future = next(f for f in reversed(self.calls) if not f.done())
         fn, args = self.calls[future]
-        future.set_result(fn(*args))
-        return {future}, pending - {future}
+        future.set_result(fn(*args))  # its done-callback queues it
 
     def shutdown(self, wait=True, cancel_futures=False):
         self.shut_down = (wait, cancel_futures)
+
+
+class ReversedQueue:
+    """The engine's completion queue, driving :class:`ReversedPool`."""
+
+    def __init__(self):
+        self.items = collections.deque()
+
+    def put(self, future):
+        self.items.append(future)
+
+    def get(self):
+        if not self.items:
+            ReversedPool.constructed[-1].run_last()
+        return self.items.popleft()
 
 
 @pytest.fixture
 def reversed_pool(monkeypatch):
     monkeypatch.setattr(ReversedPool, "constructed", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
-    monkeypatch.setattr(
-        concurrent.futures, "wait",
-        lambda pending, return_when: ReversedPool.constructed[-1].wait(
-            pending, return_when))
+    monkeypatch.setattr(queue, "SimpleQueue", ReversedQueue)
     return ReversedPool.constructed
 
 
@@ -361,6 +375,60 @@ class TestInterruptedPoolStart:
         assert all(signal.SIGINT in mask for mask in masks)
         blocked = signal.pthread_sigmask(signal.SIG_BLOCK, set())
         assert signal.SIGINT not in blocked
+
+
+def _slow_cell(config, key):
+    """Cell 0 returns at once; every other cell takes a while."""
+    if key != ("0",):
+        time.sleep(0.5)
+    return key[0]
+
+
+class TestInterruptWhileWaiting:
+    """Ctrl-C while the parent waits for cells: the parent holds no
+    future's lock then (it waits on a queue its done-callbacks feed),
+    so the pool's shutdown cannot hang cancelling the queued cells."""
+
+    def test_pool_is_shut_down_within_seconds(self, monkeypatch):
+        spec = ExperimentSpec(
+            experiment_id="throwaway-slow",
+            config_factory=lambda: None,
+            plan=lambda config: [(str(i),) for i in range(40)],
+            run_cell=_slow_cell,
+            merge=lambda config, payloads: None)
+        monkeypatch.setitem(spec_module._REGISTRY, spec.experiment_id, spec)
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+                self.shut_down = (wait, cancel_futures)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        main, timers = threading.get_ident(), []
+
+        def interrupt_after_first_cell(line):
+            # The parent is back in its wait long before this fires.
+            if not timers:
+                timers.append(threading.Timer(
+                    0.1, signal.pthread_kill, (main, signal.SIGINT)))
+                timers[0].start()
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec.experiment_id, parallel=2,
+                           progress=interrupt_after_first_cell)
+        assert time.perf_counter() - started < 5.0
+        timers[0].join(timeout=5.0)
+        assert not timers[0].is_alive()
+        # Recorded once shutdown() returned: the workers are joined.
+        [pool] = pools
+        assert pool.shut_down == (True, True)
 
 
 class TestPoolFallback:

@@ -1,83 +1,110 @@
-"""Tests for the whole-program flows pass (``repro lint --flows``).
+"""simlint's CLI surface and the seeded worker-purity defects.
 
-The fixture universe under ``tests/data/simlint/flows`` is a
-repro-shaped package tree (never imported by Python) seeding the
-worker-purity pair; these tests pin that both seeded defects are
-detected at their exact path, line and message, plus suppression
-handling, the CLI surface (``--flows``, ``--select``, ``--format
-github``, ``--audit-suppressions``), and the engine's edge
-cases (syntax-error pseudo-findings, unknown rule-id errors, sanitizer
-daemon semantics inside pool worker subprocesses).  The layer map is
-not a flow rule: ``tests/test_import_boundary.py`` checks it.
+Worker purity is checked at run time, not by lint: a cell must leave
+``repro.*`` module state as it found it (``tests/test_worker_purity.py``
+holds every registered cell to that, through :mod:`tests.module_state`).
+``TestSeededDefects`` seeds one impure cell, which mutates a module dict,
+rebinds a global and sets a class attribute, and pins that the detector
+names each write.  The rest pins ``repro lint``'s surface (``--select``,
+``--format github``, ``--audit-suppressions``, ``--exclude``) on the
+per-file fixtures under ``tests/data/simlint``, the engine's
+syntax-error pseudo-finding, and sanitizer daemon semantics inside pool
+worker subprocesses.  The class and test names predate the runtime
+check and are kept so the test ids stay stable.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
+import sys
+import types
 
 import pytest
 
 from repro.analysis.cli import lint_main
-from repro.analysis.flows import run_flows
-from repro.analysis.flows.graph import module_name_for
+from repro.analysis.engine import lint_files_detailed
+from repro.analysis.rules import ALL_RULES
+from repro.runner import ExperimentSpec
+from repro.runner import spec as spec_module
+
+from .module_state import cell_writes
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(HERE)
-FLOWS_FIXTURES = os.path.join(HERE, "data", "simlint", "flows")
-WORKERIZED = "repro/experiments/workerized.py"
+FIXTURES = os.path.join(HERE, "data", "simlint")
+#: Findings on the per-file fixtures: one per ``*_bad.py`` hazard.
+FIXTURE_FINDINGS = 20
+
+WORKERIZED = "repro.experiments.workerized"
+#: A cell that writes module state three ways.
+WORKERIZED_SOURCE = """
+CACHE = {}
+CALLS = 0
 
 
-def _fixture_report():
-    return run_flows([FLOWS_FIXTURES], root=FLOWS_FIXTURES)
+class Registry:
+    last = None
 
 
-#: Every finding on the fixture tree as ``(path, line, message)``.
-PURITY_FINDINGS = [
-    (WORKERIZED, 10,
-     "worker purity: _note mutates module global 'CACHE' "
-     "(repro.experiments.workerized); reachable from worker entry "
-     f"[pool submit at {WORKERIZED}:52] via run_cell -> _note"),
-    (WORKERIZED, 14,
-     "worker purity: _bump rebinds module global 'CALLS' "
-     "(repro.experiments.workerized); reachable from worker entry "
-     f"[pool submit at {WORKERIZED}:52] via run_cell -> _bump"),
-]
+def run_cell(config, key):
+    global CALLS
+    CACHE[key] = len(key)
+    CALLS += 1
+    Registry.last = key
+    return key
+"""
+
+#: Every write of every call, by name.
+PURITY_WRITES = [f"{WORKERIZED}.CACHE", f"{WORKERIZED}.CALLS",
+                 f"{WORKERIZED}.Registry.last"]
 
 
-def _pinned(report):
-    return [(f.path.replace(os.sep, "/"), f.line, f.message)
-            for f in report.findings]
+def _seeded_writes(monkeypatch):
+    """Load the seeded module as ``repro.experiments.workerized``,
+    register it as an experiment and run its two cells through the
+    worker entry, plain and under telemetry and chaos."""
+    module = types.ModuleType(WORKERIZED)
+    exec(compile(WORKERIZED_SOURCE, "workerized.py", "exec"),
+         module.__dict__)
+    monkeypatch.setitem(sys.modules, WORKERIZED, module)
+    spec = ExperimentSpec(
+        experiment_id="workerized", config_factory=lambda: None,
+        plan=lambda config: [("a",), ("b",)], run_cell=module.run_cell,
+        merge=lambda config, payloads: None)
+    monkeypatch.setitem(spec_module._REGISTRY, spec.experiment_id, spec)
+    return cell_writes(("workerized", None, key) for key in spec.plan(None))
 
 
-# -- seeded fixture defects ----------------------------------------------
+# -- seeded defects ------------------------------------------------------
 class TestSeededDefects:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return _fixture_report()
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        return _seeded_writes(monkeypatch)
 
-    def test_every_flow_rule_fires_on_the_fixture_tree(self, report):
-        assert {f.rule for f in report.findings} == {"flow-worker-purity"}
+    def test_every_flow_rule_fires_on_the_fixture_tree(self, writes):
+        # Every call of the seeded cell is charged with a write.
+        assert len(writes) == 4
+        assert all(writes.values())
 
-    def test_worker_purity_flags_mutation_and_rebind(self, report):
-        messages = [f.message for f in report.findings
-                    if f.rule == "flow-worker-purity"]
-        assert any("mutates module global 'CACHE'" in m for m in messages)
-        assert any("rebinds module global 'CALLS'" in m for m in messages)
-        # Findings name the worker entry and the call chain.
-        assert any("run_cell -> _note" in m for m in messages)
+    def test_worker_purity_flags_mutation_and_rebind(self, writes):
+        names = set().union(*writes.values())
+        assert f"{WORKERIZED}.CACHE" in names  # dict mutated in place
+        assert f"{WORKERIZED}.CALLS" in names  # global rebound
+        assert f"{WORKERIZED}.Registry.last" in names  # class attribute
 
-    def test_layering_findings_keep_path_line_and_message(self, report):
-        # Exact path, line and message of every finding.  None is a
-        # layering finding: the layer map is checked by
-        # tests/test_import_boundary.py, not by the flows pass.
-        assert _pinned(report) == PURITY_FINDINGS
-        assert not any("layer" in f.message for f in report.findings)
+    def test_layering_findings_keep_path_line_and_message(self, writes):
+        # The exact names, per call and leg.  The second leg of a cell
+        # re-stores the same key: the dict entry and the class attribute
+        # already hold it, only the counter moves.
+        assert writes == {
+            "workerized/a [plain]": PURITY_WRITES,
+            "workerized/a [telemetry+chaos]": [f"{WORKERIZED}.CALLS"],
+            "workerized/b [plain]": PURITY_WRITES,
+            "workerized/b [telemetry+chaos]": [f"{WORKERIZED}.CALLS"],
+        }
 
-    def test_findings_are_deterministic(self, report):
-        again = _fixture_report()
-        assert ([f.to_dict() for f in report.findings]
-                == [f.to_dict() for f in again.findings])
+    def test_findings_are_deterministic(self, writes, monkeypatch):
+        assert _seeded_writes(monkeypatch) == writes
 
 
 # -- the repo gate -------------------------------------------------------
@@ -95,32 +122,14 @@ class TestBaseline:
 
         monkeypatch.chdir(REPO_ROOT)
         before = cache_dir_listing()
-        assert lint_main(["src", "--flows"]) == 0, (
-            capsys.readouterr().out)
-        assert "flows: " in capsys.readouterr().err
-        # The pass writes nothing: tier-1 leaves the checkout as found.
+        assert lint_main(["src"]) == 0, capsys.readouterr().out
+        assert capsys.readouterr().out.strip() == "simlint: clean"
+        # Linting writes nothing: tier-1 leaves the checkout as found.
         assert cache_dir_listing() == before
 
 
 # -- suppressions ---------------------------------------------------------
 class TestFlowSuppressions:
-    def test_pragma_silences_a_flow_finding(self, tmp_path):
-        tree = tmp_path / "tree"
-        shutil.copytree(FLOWS_FIXTURES, tree)
-        target = tree / WORKERIZED
-        src = target.read_text(encoding="utf-8").replace(
-            "CACHE[key] = payload",
-            "CACHE[key] = payload  # simlint: disable=flow-worker-purity "
-            "-- fixture override")
-        target.write_text(src, encoding="utf-8")
-        report = run_flows([str(tree)], root=str(tree))
-        # Exactly the one finding on that line moves to ``suppressed``.
-        assert _pinned(report) == [
-            f for f in PURITY_FINDINGS if "'CACHE'" not in f[2]]
-        [silenced] = report.suppressed
-        assert silenced.rule == "flow-worker-purity"
-        assert (silenced.path, silenced.line) == (WORKERIZED, 10)
-
     def test_docstring_pragma_text_does_not_suppress(self):
         src = ('"""Doc mentioning  # simlint: disable-file=all -- nope\n'
                '"""\n'
@@ -134,41 +143,38 @@ class TestFlowSuppressions:
 # -- CLI surface ----------------------------------------------------------
 class TestFlowsCli:
     def test_flows_exit_one_on_fixture_defects(self, capsys):
-        code = lint_main([FLOWS_FIXTURES, "--flows"])
+        code = lint_main([FIXTURES])
         out = capsys.readouterr().out
         assert code == 1
-        assert out.count("[flow-worker-purity]") == len(PURITY_FINDINGS)
+        assert f"simlint: {FIXTURE_FINDINGS} finding(s)" in out
 
     def test_github_format_emits_error_annotations(self, capsys):
-        lint_main([FLOWS_FIXTURES, "--flows", "--format", "github"])
+        lint_main([FIXTURES, "--format", "github"])
         out = capsys.readouterr().out
-        assert "::error file=" in out
-        assert "title=simlint flow-worker-purity" in out
+        assert out.count("::error file=") == FIXTURE_FINDINGS
+        assert "title=simlint wallclock" in out
 
-    def test_select_single_flow_rule(self, capsys):
-        code = lint_main([FLOWS_FIXTURES, "--select", "flow-worker-purity"])
-        out = capsys.readouterr().out
-        assert code == 1
-        # --select of the flow id runs the flows pass without --flows...
-        assert out.count("[flow-worker-purity]") == len(PURITY_FINDINGS)
-        for _, _, message in PURITY_FINDINGS:
-            assert message.split(";")[0] in out
-        # ...and a per-file id alone does not run it.
-        assert lint_main([FLOWS_FIXTURES, "--select", "wallclock"]) == 0
+    @pytest.mark.parametrize("select", [",", " , ", ""])
+    def test_select_of_no_rule_is_a_usage_error(self, select, capsys):
+        # A select that names nothing must not lint nothing and pass.
+        assert lint_main([FIXTURES, "--select", select]) == 2
+        assert "names no simlint rule" in capsys.readouterr().err
 
     def test_select_flow_layer_dag_is_unknown(self, capsys):
-        # The layer map is a tier-1 test, not a rule.
-        assert lint_main(["--select", "flow-layer-dag", "src"]) == 2
-        assert "unknown simlint rule" in capsys.readouterr().err
+        # Neither the layer map nor worker purity is a rule: both are
+        # tier-1 tests.
+        for rule_id in ("flow-layer-dag", "flow-worker-purity"):
+            assert lint_main(["--select", rule_id, "src"]) == 2
+            assert "unknown simlint rule" in capsys.readouterr().err
         assert lint_main(["--list-rules"]) == 0
         listed = capsys.readouterr().out.splitlines()
-        assert len(listed) == 11
-        assert not any("flow-layer-dag" in line for line in listed)
+        assert len(listed) == len(ALL_RULES) == 10
+        assert not any("flow-" in line for line in listed)
 
     def test_unknown_rule_lists_catalogs_and_exits_2(self, capsys):
-        assert lint_main(["--select", "flow-nope", "src"]) == 2
+        assert lint_main(["--select", "flow-nope", FIXTURES]) == 2
         err = capsys.readouterr().err
-        assert "flow-worker-purity" in err and "wallclock" in err
+        assert "wallclock" in err and "determinism" in err
 
     def test_list_rules_markdown_matches_committed_doc(self, capsys):
         assert lint_main(["--list-rules", "--format", "markdown"]) == 0
@@ -200,7 +206,7 @@ class TestFlowsCli:
 
     def test_exclude_prefix_skips_files(self, capsys):
         # The fixture tree trips rules; excluding it leaves nothing.
-        code = lint_main([FLOWS_FIXTURES, "--exclude", FLOWS_FIXTURES])
+        code = lint_main([FIXTURES, "--exclude", FIXTURES])
         assert code == 2  # no files left
 
 
@@ -211,19 +217,12 @@ class TestEngineEdgeCases:
         tree.mkdir()
         (tree / "bad.py").write_text("x = 1\ndef broken(:\n",
                                      encoding="utf-8")
-        report = run_flows([str(tree)], root=str(tmp_path))
-        [finding] = report.findings
+        [result] = lint_files_detailed([str(tree / "bad.py")], ALL_RULES,
+                                       root=str(tmp_path))
+        [finding] = result.findings
         assert finding.rule == "syntax-error"
-        assert finding.path.endswith("pkg/bad.py".replace("/", os.sep)) \
-            or finding.path.endswith("pkg/bad.py")
+        assert finding.path == os.path.join("pkg", "bad.py")
         assert finding.line == 2
-
-    def test_module_name_derivation(self):
-        path = os.path.join(FLOWS_FIXTURES, *WORKERIZED.split("/"))
-        assert module_name_for(path) == "repro.experiments.workerized"
-        init = os.path.join(FLOWS_FIXTURES, "repro", "experiments",
-                            "__init__.py")
-        assert module_name_for(init) == "repro.experiments"
 
 
 # -- sanitizer daemon semantics inside pool workers (satellite) -----------

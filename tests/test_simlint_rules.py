@@ -36,9 +36,9 @@ FIXTURES = os.path.join(HERE, "data", "simlint")
 RULE_IDS = sorted(rule.id for rule in ALL_RULES)
 
 #: rule id -> minimum number of distinct findings in its bad fixture.
-#: (The former layering rules migrated to ``repro lint --flows``; their
-#: fixtures live under ``data/simlint/flows`` and are covered by
-#: ``test_simlint_flows.py``.)
+#: (Cross-module properties are tier-1 tests, not rules: the layer map
+#: in ``test_import_boundary.py``, worker purity in
+#: ``test_worker_purity.py``.)
 EXPECTED_MIN = {
     "set-iteration": 3,
     "unseeded-random": 2,
