@@ -29,7 +29,6 @@ SPEC_MODULES = {
     "ablation-halflife": ".ablations",
     "broker-modes": ".broker_modes",
     "chaos-drill": ".chaos_drill",
-    "scale-campaign": ".scale_campaign",
 }
 
 #: Public name -> defining module.
@@ -44,7 +43,6 @@ _EXPORTS = {
     "PerformanceLossSweepConfig": ".ablations",
     "RetrySweepConfig": ".ablations",
     "SaturationConfig": ".fairshare_saturation",
-    "ScaleCampaignConfig": ".scale_campaign",
     "SelectionScalingConfig": ".selection_scaling",
     "ShapeCheck": ".common",
     "StreamingConfig": ".streaming_overhead",

@@ -9,11 +9,8 @@ Usage::
     repro cache clear fig6
     repro trace --method virtual-machine --json t.json
     repro trace --chrome trace.json          # Perfetto/Chrome export
-    repro top table1 --quick                 # telemetry summary
+    repro run table1 --quick --telemetry     # + telemetry tables on stderr
     repro lint src --json simlint.json       # simlint static analysis
-    repro scale generate --jobs 1000000 --out campaign.trace
-    repro scale replay campaign.trace        # streamed statistics
-    repro scale verify --jobs 100000         # streamed == eager gate
 
 ``repro``, ``python -m repro`` and ``python -m repro.experiments`` are
 the same entry point (:func:`main`).  Experiments run only through
@@ -121,23 +118,25 @@ def run_main(argv: List[str]) -> int:
     parser.add_argument("--no-progress", action="store_true",
                         help="suppress per-cell progress lines (stderr)")
     parser.add_argument("--telemetry", action="store_true",
-                        help="collect sim-time telemetry per cell (summary "
-                             "on stderr; stdout stays byte-identical)")
+                        help="collect sim-time telemetry per cell (tables "
+                             "on stderr, JSON with --export; stdout stays "
+                             "byte-identical)")
     parser.add_argument("--chaos", metavar="PATH",
                         help="replay a chaos schedule (JSON) inside every "
                              "cell; non-empty schedules bypass the cache")
     parser.add_argument("--write-md", metavar="PATH",
                         help="also write a markdown report")
     parser.add_argument("--export", metavar="DIR",
-                        help="dump raw series/checks as CSV + manifest")
+                        help="dump raw series/checks as CSV + manifest "
+                             "(and merged telemetry as JSON)")
     args = parser.parse_args(argv)
 
     names = args.experiments
     if "all" in names:
         # ``all`` is pinned to the paper's canonical 11: the golden-render
         # CI check diffs its byte-exact output, so opt-in extras
-        # (scale-campaign and future registrations) never leak in.  They
-        # stay runnable by name.
+        # (broker-modes, chaos-drill) never leak in.  They stay runnable
+        # by name.
         names = list(CANONICAL_ORDER)
     unknown = []
     for name in names:
@@ -175,21 +174,22 @@ def run_main(argv: List[str]) -> int:
         # site): a bad schedule, reported like a bad file.
         parser.error(f"--chaos {args.chaos}: {exc}")
 
+    if args.telemetry:
+        # Telemetry tables go to stderr: stdout must stay byte-identical
+        # with telemetry uninstalled.
+        from ..metrics import render_telemetry
+
+        for name, result in zip(names, results):
+            telemetry = result.data["telemetry"]
+            print(render_telemetry(
+                telemetry["merged"], name,
+                f" ({len(telemetry['cells'])} cells, merged in plan order)")
+                + "\n", file=sys.stderr)
     # Wall-clock/speedup report: stderr, never part of rendered output.
     stats = [result.data["runner"] for result in results]
     print("-- runner statistics " + "-" * 38, file=sys.stderr)
     for stat in stats:
         print(stat.describe(), file=sys.stderr)
-    if args.telemetry:
-        # Telemetry summary is stderr-only for the same reason: stdout
-        # must stay byte-identical with telemetry uninstalled.
-        for name, result in zip(names, results):
-            merged = result.data["telemetry"]["merged"]
-            print(f"[telemetry] {name}: "
-                  f"{len(merged['counters'])} counters, "
-                  f"{len(merged['gauges'])} gauges, "
-                  f"{len(merged['histograms'])} histograms, "
-                  f"{len(merged['series'])} series", file=sys.stderr)
     total_wall = sum(s.wall_seconds for s in stats)
     total_cells = sum(s.cell_seconds for s in stats)
     if total_wall > 0:
@@ -268,9 +268,7 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "run": (".cli", "run_main"),
     "cache": (".cli", "cache_main"),
     "trace": (".trace_run", "trace_main"),
-    "top": (".topcmd", "top_main"),
     "serve": (".servecmd", "serve_main"),
-    "scale": (".scalecmd", "scale_main"),
     "lint": ("..analysis.cli", "lint_main"),
 }
 

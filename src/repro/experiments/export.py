@@ -37,7 +37,9 @@ def collect_series(result: ExperimentResult) -> Dict[str, Series]:
 
 
 def export_result(result: ExperimentResult, directory: str) -> List[str]:
-    """Write ``<id>_series.csv``, ``<id>_checks.csv`` and a manifest.
+    """Write ``<id>_series.csv``, ``<id>_checks.csv`` and a manifest, plus
+    ``<id>_telemetry.json`` (the merged snapshot) when the run collected
+    telemetry.
 
     Returns the list of paths written.  The series CSV is long-form:
     ``series,index,value`` — one row per sample, trivially loadable by
@@ -65,6 +67,15 @@ def export_result(result: ExperimentResult, directory: str) -> List[str]:
         for check in result.checks:
             writer.writerow([check.description, check.passed, check.detail])
     written.append(checks_path)
+
+    telemetry = result.data.get("telemetry")
+    if telemetry is not None:
+        telemetry_path = os.path.join(
+            directory, f"{result.experiment_id}_telemetry.json")
+        with open(telemetry_path, "w", encoding="utf-8") as fh:
+            json.dump(telemetry["merged"], fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        written.append(telemetry_path)
 
     manifest_path = os.path.join(directory,
                                  f"{result.experiment_id}_manifest.json")

@@ -93,6 +93,15 @@ def _method_path(path: str, method: str) -> str:
     return f"{stem}.{method}{ext}"
 
 
+def positive_count(text: str) -> int:
+    """``--jobs`` and ``--sites`` take an int >= 1; argparse prefixes the
+    message with the flag's name."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {count}")
+    return count
+
+
 def trace_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro trace",
@@ -102,9 +111,9 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
                         default="all", help="submission method to trace")
     parser.add_argument("--scenario", choices=("campus", "wan"),
                         default="campus")
-    parser.add_argument("--jobs", type=int, default=5,
+    parser.add_argument("--jobs", type=positive_count, default=5,
                         help="submissions per method (default 5)")
-    parser.add_argument("--sites", type=int, default=20,
+    parser.add_argument("--sites", type=positive_count, default=20,
                         help="grid size (default 20, as in §6.1)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--per-job", action="store_true",

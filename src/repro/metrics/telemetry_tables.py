@@ -62,7 +62,7 @@ def telemetry_histograms_table(snapshot: Mapping[str, Any],
 
 
 def telemetry_overview(snapshot: Mapping[str, Any], width: int = 42) -> str:
-    """Sparkline-per-series text block (the ``repro top`` centrepiece).
+    """Sparkline-per-series text block (closes :func:`render_telemetry`).
 
     One line per recorded time series::
 
@@ -91,7 +91,8 @@ def telemetry_overview(snapshot: Mapping[str, Any], width: int = 42) -> str:
 def render_telemetry(snapshot: Mapping[str, Any], title: str,
                      series_note: str = "") -> str:
     """Every table above plus the sparkline overview, one block of text
-    (what ``repro top`` and ``repro trace --telemetry`` print)."""
+    (what ``repro run --telemetry`` prints on stderr and ``repro trace
+    --telemetry`` on stdout)."""
     parts = [telemetry_counters_table(
         snapshot, title=f"Telemetry counters — {title}").render(), ""]
     parts += [telemetry_gauges_table(

@@ -79,7 +79,7 @@ class QuantileSketch:
     Compared to the P²/GK family, log buckets were chosen because the
     merge is *exact*: folding two sketches just adds bucket counts, so
     ``merge_snapshots`` produces identical percentiles no matter how a
-    campaign was sharded — the property the runner's serial == parallel
+    run was sharded into cells — the property the runner's serial == parallel
     == cache-served contract needs.  Everything is deterministic: no
     randomness, no data-dependent restructuring beyond the (documented)
     low-bucket collapse at ``max_buckets``.
@@ -139,7 +139,7 @@ class QuantileSketch:
         """Fold the lowest-magnitude bucket into its neighbour.
 
         Sacrifices accuracy near zero first (where absolute error is
-        smallest), preserving the tail quantiles scale campaigns read.
+        smallest), preserving the tail quantiles.
         """
         store = self.pos if len(self.pos) >= len(self.neg) else self.neg
         keys = sorted(store)

@@ -11,73 +11,60 @@ from __future__ import annotations
 
 import hashlib
 from math import copysign
-from typing import Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
-#: Largest block of values a drawn-ahead name takes from numpy at once.
+#: Largest block of standard normals a name takes from numpy at once.
 BLOCK = 64
 
 
-class _BlockDraws:
-    """A drawn-ahead name: its generator, its one kind of draw (the
-    ``Generator`` method ``kind`` with fixed ``args``) and the values it
-    has drawn ahead, in reverse order so the next one is a ``pop()``.
+class _Normals:
+    """A name drawn through :meth:`RandomStreams.normal`: its generator
+    and the standard normals it has drawn ahead, in reverse order so the
+    next one is a ``pop()``.
 
     Blocks double from 1 to :data:`BLOCK`, so a name drawn once (a
     connection's SYN) costs one draw and holds nothing ahead.
     """
 
-    __slots__ = ("gen", "kind", "args", "pending", "block")
+    __slots__ = ("gen", "pending", "block")
 
-    def __init__(self, gen: np.random.Generator, kind: str,
-                 args: Tuple[float, ...]) -> None:
+    def __init__(self, gen: np.random.Generator) -> None:
         self.gen = gen
-        self.kind = kind
-        self.args = args
         self.pending: List[float] = []
         self.block = 1
 
     def refill(self) -> List[float]:
-        pending = getattr(self.gen, self.kind)(*self.args,
-                                               size=self.block).tolist()
+        pending = self.gen.standard_normal(self.block).tolist()
         pending.reverse()
         self.pending = pending
         if self.block < BLOCK:
             self.block *= 2
         return pending
 
-    def __call__(self) -> float:
-        pending = self.pending
-        if not pending:
-            pending = self.refill()
-        return pending.pop()
-
 
 class RandomStreams:
     """Factory of named, independent :class:`numpy.random.Generator` streams.
 
-    A name is drawn one way, decided by its first use.  A name first
-    drawn through :meth:`draws` is *drawn ahead*: it takes one kind of
-    numpy draw, with the arguments of that first use, in blocks, and
-    hands the values out one at a time — the same sequence as one scalar
-    call per value (``tests/test_rng_block_draws.py``).  :meth:`normal`
-    (and so :meth:`jitter`) draws ahead standard normals and returns
-    ``loc + scale * z``, which equals the scalar
-    ``Generator.normal(loc, scale)`` bit for bit.  A block runs the
-    generator ahead of the scalar path, so any other draw on that name
-    would see a different state: :meth:`stream` and every other draw
-    raise on a drawn-ahead name, and :meth:`draws`/:meth:`normal` raise
-    on a name :meth:`stream` has handed out or drawn ahead another way.
+    A name is drawn one way, decided by its first use.  :meth:`normal`
+    (and so :meth:`jitter`) draws its name's standard normals ahead, in
+    blocks, and returns ``loc + scale * z``, which equals the scalar
+    ``Generator.normal(loc, scale)`` bit for bit
+    (``tests/test_rng_block_draws.py``).  A block runs the generator
+    ahead of the scalar path, so any other draw on that name would see a
+    different state: :meth:`stream` and every other draw raise on a name
+    :meth:`normal` has drawn, and :meth:`normal` raises on a name
+    :meth:`stream` has handed out.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._root = np.random.SeedSequence(self._seed)
         self._streams: Dict[str, np.random.Generator] = {}
-        self._blocks: Dict[str, _BlockDraws] = {}
+        self._blocks: Dict[str, _Normals] = {}
 
     @property
     def seed(self) -> int:
@@ -103,10 +90,9 @@ class RandomStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
-            draws = self._blocks.get(name)
-            if draws is not None:
+            if name in self._blocks:
                 raise ValueError(f"random stream {name!r} is drawn ahead "
-                                 f"through {draws.kind}()")
+                                 "through normal()")
             gen = self._streams[name] = self._generator(name)
         return gen
 
@@ -115,39 +101,22 @@ class RandomStreams:
         gen = self.stream(f"spawn/{name}")
         return RandomStreams(int(gen.integers(0, 2**31 - 1)))
 
-    def draws(self, name: str, kind: str, *args: float) -> _BlockDraws:
-        """The drawn-ahead sampler of ``name``: each call returns the next
-        ``Generator.<kind>(*args)`` value, taken from a block.
-
-        The first use fixes ``name``'s kind and arguments; a later use
-        with others raises, as does a name :meth:`stream` has handed out.
-        """
-        draws = self._blocks.get(name)
-        if draws is None:
-            if name in self._streams:
-                raise ValueError(
-                    f"random stream {name!r} was handed out by stream(); "
-                    f"it cannot also be drawn ahead through {kind}()")
-            draws = self._blocks[name] = _BlockDraws(self._generator(name),
-                                                     kind, args)
-        elif draws.kind != kind or draws.args != args:
-            raise ValueError(
-                f"random stream {name!r} is drawn ahead through "
-                f"{draws.kind}{draws.args}, not {kind}{args}")
-        return draws
-
     # -- convenience draws used across the substrate --------------------
     def normal(self, name: str, loc: float, scale: float) -> float:
         """One ``Generator.normal(loc, scale)`` draw from ``name``, taken
         from a block of standard normals; ``name`` becomes drawn-ahead."""
         if scale <= 0.0 and copysign(1.0, scale) < 0.0:
             raise ValueError("scale < 0")  # numpy's check and message
-        draws = self._blocks.get(name)
-        if draws is None or draws.kind != "standard_normal":
-            draws = self.draws(name, "standard_normal")
-        pending = draws.pending
+        normals = self._blocks.get(name)
+        if normals is None:
+            if name in self._streams:
+                raise ValueError(
+                    f"random stream {name!r} was handed out by stream(); "
+                    "it cannot also be drawn ahead through normal()")
+            normals = self._blocks[name] = _Normals(self._generator(name))
+        pending = normals.pending
         if not pending:
-            pending = draws.refill()
+            pending = normals.refill()
         return loc + scale * pending.pop()
 
     def jitter(self, name: str, mean: float, rel_std: float = 0.1,

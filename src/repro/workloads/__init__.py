@@ -19,28 +19,19 @@ from .mixes import (
     synthetic_job,
 )
 from .pingpong import PAPER_SEQUENCES, PAPER_SIZES, run_sequences
-from .scale import (
-    CampaignStats,
-    ScaleConfig,
-    iter_campaign,
-    summarize_campaign,
-)
 from .traces import iter_trace, load_trace, save_trace, trace_header
 
 __all__ = [
-    "CampaignStats",
     "JobArrival",
     "LoopSample",
     "MixConfig",
     "PAPER_SEQUENCES",
     "PAPER_SIZES",
-    "ScaleConfig",
     "cpu_bound_app",
     "cpu_hog",
     "generate_mix",
     "immediate_output_app",
     "interactive_console_app",
-    "iter_campaign",
     "iter_mix",
     "iter_trace",
     "load_trace",
@@ -52,7 +43,6 @@ __all__ = [
     "run_sequences",
     "save_trace",
     "steerable_simulation",
-    "summarize_campaign",
     "synthetic_job",
     "trace_header",
 ]

@@ -12,10 +12,9 @@ Two on-disk formats are understood:
 * **v2** (current) — chunked NDJSON: the first line is a small JSON
   header ``{"version": 2, "description": ..., "jobs": <count|null>}``
   and every following line is one arrival record.  Traces stream to and
-  from disk one record at a time, so a 10⁷-job campaign never
-  materialises; :func:`save_trace` accepts any iterable (including lazy
-  generators from :mod:`repro.workloads.scale`) and :func:`iter_trace`
-  yields arrivals without loading the file.
+  from disk one record at a time: :func:`save_trace` accepts any
+  iterable (including the lazy :func:`repro.workloads.iter_mix`) and
+  :func:`iter_trace` yields arrivals without loading the file.
 
 Writes are crash-safe: the destination is written as a same-directory
 temp file and atomically :func:`os.replace`-d into place (the same
@@ -128,11 +127,11 @@ def save_trace(arrivals: Iterable[JobArrival], path: str,
                description: str = "", count: Optional[int] = None) -> int:
     """Write a trace file (v2 NDJSON envelope); returns the job count.
 
-    ``arrivals`` may be any iterable — a list, or a lazy generator from
-    :func:`repro.workloads.iter_mix` / :mod:`repro.workloads.scale` —
-    and is consumed one record at a time, so memory stays O(1) in the
-    trace length.  Pass ``count`` when known so the header can advertise
-    it (purely informational; readers count records themselves).
+    ``arrivals`` may be any iterable — a list, or the lazy generator
+    :func:`repro.workloads.iter_mix` — and is consumed one record at a
+    time, so memory stays O(1) in the trace length.  Pass ``count`` when
+    known so the header can advertise it (purely informational; readers
+    count records themselves).
     """
     written = 0
     with _atomic_write(path) as fh:
@@ -182,12 +181,16 @@ def iter_trace(path: str) -> Iterator[JobArrival]:
             header: Any = json.loads(first)
         except json.JSONDecodeError:
             header = None  # multi-line v1 document
-        if isinstance(header, dict) and header.get("version") == 2 \
+        if isinstance(header, dict) and "version" in header \
                 and "at" not in header:
-            for line in fh:
-                if line.strip():
-                    yield record_to_arrival(json.loads(line))
-            return
+            version = header["version"]
+            if version == 2:
+                for line in fh:
+                    if line.strip():
+                        yield record_to_arrival(json.loads(line))
+                return
+            if version not in SUPPORTED_VERSIONS:
+                raise ValueError(f"unsupported trace version {version!r}")
     # Anything else must be a v1 whole-file document.
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)

@@ -10,6 +10,7 @@ cells, no simulation world) keeps these subprocess round trips cheap.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -21,6 +22,7 @@ import pytest
 
 from repro.experiments.cli import SUBCOMMANDS, main
 from repro.experiments.servecmd import serve_main
+from repro.runner import run_experiment
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -110,11 +112,11 @@ class TestSubcommandTable:
         assert f"repro {name}" in capsys.readouterr().out
 
     def test_table_is_the_seven_subcommands(self):
-        assert list(SUBCOMMANDS) == ["run", "cache", "trace", "top", "serve",
-                                     "scale", "lint"]
+        assert list(SUBCOMMANDS) == ["run", "cache", "trace", "serve",
+                                     "lint"]
 
     @pytest.mark.parametrize("argv", [["table1", "--quick"], ["all"], [],
-                                      ["bench"]])
+                                      ["bench"], ["top", "table1"]])
     def test_bare_experiment_name_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -191,6 +193,46 @@ class TestTraceCommand:
         assert proc.returncode == 0, proc.stderr
         assert "Per-phase latency breakdown" in proc.stdout
         assert out.exists()
+
+    @pytest.mark.parametrize("argv", [["--sites", "0"], ["--jobs", "-2"]],
+                             ids=["no-sites", "negative-jobs"])
+    def test_a_size_below_one_is_a_usage_error(self, argv, capsys):
+        # Was: --sites 0 a traceback and exit 1, --jobs -2 exit 0 having
+        # traced nothing.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", *argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[0]}: must be >= 1" in captured.err
+
+
+class TestRunTelemetry:
+    """``repro run --telemetry``: the telemetry tables on stderr and the
+    merged snapshot under ``--export``; stdout is what it is without."""
+
+    def test_tables_on_stderr_and_snapshot_in_export(self, tmp_path,
+                                                      monkeypatch):
+        # Serial from fresh id counters on both sides: job and message ids
+        # are process globals that key RNG streams (ROADMAP 1 W2(a)), so
+        # table1's telemetry depends on what the process ran before.
+        args = ("run", "table1", "--quick", "--no-cache", "--parallel", "1",
+                "--export")
+        plain = run_cli(*args, str(tmp_path / "plain"))
+        observed = run_cli(*args, str(tmp_path / "observed"), "--telemetry")
+        assert plain.returncode == observed.returncode == 0, observed.stderr
+        assert observed.stdout == plain.stdout
+        assert "Telemetry counters — table1" in observed.stderr
+        assert "Time series — table1" in observed.stderr
+        monkeypatch.setattr("repro.jdl.job._job_counter", itertools.count(1))
+        monkeypatch.setattr("repro.streaming.messages._seq_counter",
+                            itertools.count(1))
+        merged = run_experiment("table1", quick=True,
+                                telemetry=True).data["telemetry"]["merged"]
+        with open(tmp_path / "observed" / "table1_telemetry.json",
+                  encoding="utf-8") as fh:
+            assert json.load(fh) == merged
+        assert not (tmp_path / "plain" / "table1_telemetry.json").exists()
 
 
 class TestServeCommand:
@@ -287,13 +329,6 @@ class TestClosedStdout:
     def test_serve(self):
         # Buffered: the pipe error surfaces when cli.main flushes.
         proc = self.run_closed("serve", "europe", "--chaos", CHAOS)
-        assert (proc.returncode, proc.stderr) == (0, "")
-
-    def test_scale_replay(self, tmp_path):
-        trace = str(tmp_path / "t.trace")
-        assert run_cli("scale", "generate", "--jobs", "50",
-                       "--out", trace).returncode == 0
-        proc = self.run_closed("scale", "replay", trace)
         assert (proc.returncode, proc.stderr) == (0, "")
 
 

@@ -121,12 +121,11 @@ class TestWarmRunLoadsNoSimulator:
         assert out == cold
         with open(GOLDEN) as fh:
             assert out == fh.read()
-        # ``run all`` needs 6 of the 9 experiment modules, and numpy (the
+        # ``run all`` needs 6 of the 8 experiment modules, and numpy (the
         # merges' np.mean/np.std make the golden bytes) — nothing more.
         assert "numpy" in modules
         assert loaded(modules, ["repro.experiments.broker_modes",
-                                "repro.experiments.chaos_drill",
-                                "repro.experiments.scale_campaign"]) == []
+                                "repro.experiments.chaos_drill"]) == []
 
     def test_cached_parallel_run_builds_no_pool(self, cli, warm_cache):
         cache, cold = warm_cache
@@ -206,7 +205,7 @@ class TestFacades:
             "BrokerModesConfig", "BufferSweepConfig", "ChaosDrillConfig",
             "DegreeSweepConfig", "ExperimentResult", "Fig8Config",
             "HalfLifeSweepConfig", "PerformanceLossSweepConfig",
-            "RetrySweepConfig", "SaturationConfig", "ScaleCampaignConfig",
+            "RetrySweepConfig", "SaturationConfig",
             "SelectionScalingConfig", "ShapeCheck", "StreamingConfig",
             "Table1Config", "collect_series", "export_all", "export_result"]
 
@@ -232,7 +231,7 @@ class TestFacades:
             "table1", "fig6", "fig7", "fig8", "selection-scaling",
             "fairshare-saturation", "ablation-buffer", "ablation-retry",
             "ablation-pl", "ablation-degree", "ablation-halflife",
-            "broker-modes", "chaos-drill", "scale-campaign"])
+            "broker-modes", "chaos-drill"])
         index = repro.experiments.SPEC_MODULES
         assert set(index) == set(specs)
         for experiment_id, spec in specs.items():
@@ -474,7 +473,7 @@ class TestLayerMap:
             capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0, proc.stderr
         modules = [m for m in json.loads(proc.stdout) if ours(m)]
-        assert "repro.workloads.scale" in modules
+        assert "repro.workloads.traces" in modules
         assert loaded(modules, ["repro.obs"]) == []
         assert sorted(load_order(graph, "repro.core.steering")) == modules
 
@@ -493,7 +492,7 @@ class TestLayerMap:
          "repro.grid.site -> repro.runner"),
         ("repro.net.rpc", "repro.obs", observer_violations,
          "repro.net.rpc loads the observer: repro.net.rpc -> repro.obs"),
-        ("repro.workloads.scale", "repro.obs.telemetry",
+        ("repro.workloads.traces", "repro.obs.telemetry",
          observer_violations,
          "repro.core.steering loads the observer: repro.core.steering -> "),
         ("repro.sim.events", "threading", kernel_violations,

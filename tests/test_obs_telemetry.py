@@ -1,5 +1,6 @@
-"""Tests for the sim-time telemetry registry, the kernel wall-clock
-profiler, and the Chrome/Perfetto trace_event exporter (repro.obs)."""
+"""Tests for the sim-time telemetry registry and its quantile sketch,
+the kernel wall-clock profiler, and the Chrome/Perfetto trace_event
+exporter (repro.obs)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.obs import (
     KernelProfiler,
+    QuantileSketch,
     Telemetry,
     TimeSeries,
     Tracer,
@@ -22,7 +24,7 @@ from repro.obs import (
     scope_snapshot,
     telemetry_scope,
 )
-from repro.sim import Environment
+from repro.sim import Environment, RandomStreams
 
 
 class TestTimeSeries:
@@ -49,6 +51,60 @@ class TestTimeSeries:
     def test_rejects_degenerate_cap(self):
         with pytest.raises(ValueError):
             TimeSeries("x", max_points=1)
+
+
+class TestQuantileSketch:
+    def test_relative_accuracy_vs_exact(self):
+        """Every reported quantile is within the alpha bound of exact."""
+        gen = RandomStreams(77).stream("sketch/acc")
+        values = sorted(float(v) for v in gen.lognormal(3.0, 1.5, size=50_000))
+        sketch = QuantileSketch(alpha=0.01)
+        for v in values:
+            sketch.observe(v)
+        for q in (1, 10, 25, 50, 75, 90, 95, 99, 99.9):
+            exact = values[min(len(values) - 1,
+                               max(0, math.ceil(len(values) * q / 100) - 1))]
+            assert sketch.quantile(q) == pytest.approx(exact, rel=0.011), q
+
+    def test_merge_equals_whole_stream(self):
+        """Bucket-count merges are exact: shards fold to the one-pass sketch."""
+        gen = RandomStreams(78).stream("sketch/merge")
+        values = [float(v) for v in gen.exponential(10.0, size=8_000)]
+        whole = QuantileSketch()
+        for v in values:
+            whole.observe(v)
+        merged = QuantileSketch()
+        for i in range(0, len(values), 1000):
+            shard = QuantileSketch()
+            for v in values[i:i + 1000]:
+                shard.observe(v)
+            merged.merge(shard)
+        assert merged.to_dict() == whole.to_dict()
+        for q in (50, 95, 99):
+            assert merged.quantile(q) == whole.quantile(q)
+
+    def test_negative_and_zero_values(self):
+        sketch = QuantileSketch()
+        for v in (-100.0, -1.0, 0.0, 0.0, 1.0, 100.0):
+            sketch.observe(v)
+        assert sketch.quantile(0) == -100.0
+        assert sketch.quantile(100) == 100.0
+        assert sketch.quantile(50) == pytest.approx(0.0, abs=1e-9)
+
+    def test_dict_round_trip(self):
+        sketch = QuantileSketch(alpha=0.02)
+        for v in (-3.0, 0.0, 5.0, 7.0):
+            sketch.observe(v)
+        clone = QuantileSketch.from_dict(sketch.to_dict())
+        assert clone.to_dict() == sketch.to_dict()
+        assert clone.quantile(95) == sketch.quantile(95)
+
+    def test_empty_sketch_is_nan(self):
+        assert math.isnan(QuantileSketch().quantile(50))
+
+    def test_mismatched_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            QuantileSketch(alpha=0.01).merge(QuantileSketch(alpha=0.02))
 
 
 class TestRegistry:
@@ -214,7 +270,8 @@ class TestMergeSnapshots:
     @settings(max_examples=60, deadline=None)
     @given(observations=_streams.map(lambda cells: cells[0]))
     def test_merge_of_one_snapshot_is_that_snapshot(self, observations):
-        """``repro top`` (merged) and ``/snapshot`` (one registry) must
+        """``repro run --telemetry`` (merged) and ``/snapshot`` (one
+        registry) must
         show the same numbers for the same stream."""
         snap = self._registry_snapshot(observations)
         assert merge_snapshots([snap]) == snap

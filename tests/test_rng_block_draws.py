@@ -1,18 +1,14 @@
 """The contract of ``RandomStreams``' drawn-ahead names.
 
-A name first drawn through ``RandomStreams.draws`` takes one kind of
-numpy draw, with fixed arguments, in blocks; a name first drawn through
-``RandomStreams.normal`` (and so ``jitter``, one draw per simulated
-message) takes standard normals in blocks and returns ``loc + scale *
-z``.  Both must reproduce one scalar numpy call per value *bit for bit*,
-or every golden and every scale campaign moves.  Two kinds of evidence
-live here:
+A name first drawn through ``RandomStreams.normal`` (and so ``jitter``,
+one draw per simulated message) takes standard normals in blocks and
+returns ``loc + scale * z``.  That must reproduce one scalar numpy
+``normal`` call per value *bit for bit*, or every golden moves.  Two
+kinds of evidence live here:
 
-* about numpy: blocks of each kind the substrate draws ahead equal
-  scalar draws (scaled ``standard_normal`` blocks equal scalar
-  ``normal`` draws), and any other draw interleaved on the same
-  generator breaks the equivalence (which is why a drawn-ahead name is
-  exclusive);
+* about numpy: scaled ``standard_normal`` blocks equal scalar ``normal``
+  draws, and any other draw interleaved on the same generator breaks the
+  equivalence (which is why a drawn-ahead name is exclusive);
 * about ``RandomStreams`` itself: random programs of draws give the same
   values as a scalar reference kept in this file — the per-call
   ``stream(name).<kind>(...)`` the class used to make — and the
@@ -61,24 +57,6 @@ def block_draws(stream, means, rel_stds, block):
 
 
 # -- numpy --------------------------------------------------------------------
-
-#: The kinds the scale engine draws ahead, with arguments in its range.
-KINDS = [("exponential", (0.01,)), ("uniform", (0.0, 1.0)),
-         ("lognormal", (3.6, 1.5)), ("pareto", (1.8,))]
-
-
-@pytest.mark.parametrize("kind,args", KINDS, ids=[k for k, _ in KINDS])
-def test_blocks_of_each_kind_equal_scalar_draws(kind, args):
-    count = 20_000
-    scalar = getattr(RandomStreams(7).stream("scale/x"), kind)
-    want = [float(scalar(*args)) for _ in range(count)]
-    for block in BLOCKS:
-        draw = getattr(RandomStreams(7).stream("scale/x"), kind)
-        got = []
-        while len(got) < count:
-            got += draw(*args, size=block).tolist()
-        assert got[:count] == want, block
-
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_scaled_standard_normal_blocks_equal_scalar_normal_draws(block):
@@ -173,23 +151,14 @@ class ScalarStreams:
     def shuffled(self, name, options):
         return self._rng.shuffled(name, options)
 
-    def draws(self, name, kind, *args):
-        draw = getattr(self._rng.stream(name), kind)
-        return lambda: float(draw(*args))
 
-
-def run(rng, program, kinds=None):
-    """Apply ``program`` to ``rng``; every value drawn, in order.
-    ``kinds`` maps each drawn-ahead name to its one (kind, args)."""
+def run(rng, program):
+    """Apply ``program`` to ``rng``; every value drawn, in order."""
     out = []
     for op, name, *args in program:
         if op == "normals":  # a run of draws, to cross block boundaries
             loc, scale, count = args
             out += [rng.normal(name, loc, scale) for _ in range(count)]
-        elif op == "drawn":
-            kind, kind_args = kinds[name]
-            sampler = rng.draws(name, kind, *kind_args)
-            out += [sampler() for _ in range(args[0])]
         elif op == "choice":
             out.append(rng.choice(name, list(range(args[0]))))
         elif op == "shuffled":
@@ -201,17 +170,6 @@ def run(rng, program, kinds=None):
 
 _NORMAL_NAMES = st.sampled_from(["conn/a->b", "ca/n0/0/trap", "js/ui/type"])
 _OTHER_NAMES = st.sampled_from(["mix/gap", "matchmaker/7"])
-DRAWN_NAMES = ["scale/gap", "scale/user", "scale/run/batch"]
-_positive = st.floats(1e-3, 1e3, allow_nan=False)
-_kind = st.one_of(
-    st.tuples(st.just("exponential"), st.tuples(_positive)),
-    st.tuples(st.just("uniform"),
-              st.tuples(st.floats(-5.0, 0.0), st.floats(0.0, 5.0))),
-    st.tuples(st.just("lognormal"),
-              st.tuples(st.floats(-2.0, 8.0), st.floats(0.0, 2.0))),
-    st.tuples(st.just("pareto"), st.tuples(st.floats(1.01, 4.0))),
-)
-_kinds = st.fixed_dictionaries({name: _kind for name in DRAWN_NAMES})
 _mean = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e-4]),
                   st.floats(-1.0, 1e3, allow_nan=False))
 _scale = st.one_of(st.just(0.0), st.floats(0.0, 50.0, allow_nan=False))
@@ -226,8 +184,6 @@ _ops = st.one_of(
               st.floats(0.0, 5.0)),
     st.tuples(st.just("choice"), _OTHER_NAMES, st.integers(1, 9)),
     st.tuples(st.just("shuffled"), _OTHER_NAMES, st.integers(0, 6)),
-    st.tuples(st.just("drawn"), st.sampled_from(DRAWN_NAMES),
-              st.integers(1, 150)),
 )
 
 # One name crossing every block size (1, 2, 4, ..., 64, 64, ...).
@@ -240,31 +196,21 @@ NO_DRAW_BETWEEN = [("jitter", "js/ui/type", 2.0, 0.1, 0.0),
                    ("normal", "js/ui/type", 5.0, 0.0),
                    ("jitter", "js/ui/type", 2.0, 0.1, 1.9)]
 
-# Every kind the scale engine draws ahead, each crossing every block size.
-SCALE_KINDS = {"scale/gap": ("exponential", (0.005,)),
-               "scale/user": ("uniform", (0.0, 1.0)),
-               "scale/run/batch": ("pareto", (1.8,))}
-DRAWN_ACROSS_BLOCKS = [("drawn", name, 150) for name in DRAWN_NAMES] + \
-    [("drawn", "scale/user", 150), ("normals", "conn/a->b", 1.0, 0.1, 70)]
-
 
 class TestRandomStreamsMatchesScalarReference:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
-           program=st.lists(_ops, max_size=40), kinds=_kinds)
-    @example(seed=7, program=ACROSS_BLOCKS, kinds=SCALE_KINDS)
-    @example(seed=7, program=NO_DRAW_BETWEEN, kinds=SCALE_KINDS)
-    @example(seed=7, program=DRAWN_ACROSS_BLOCKS, kinds=SCALE_KINDS)
-    def test_programs(self, seed, program, kinds):
-        assert run(RandomStreams(seed), program, kinds) == \
-            run(ScalarStreams(seed), program, kinds)
+           program=st.lists(_ops, max_size=40))
+    @example(seed=7, program=ACROSS_BLOCKS)
+    @example(seed=7, program=NO_DRAW_BETWEEN)
+    def test_programs(self, seed, program):
+        assert run(RandomStreams(seed), program) == \
+            run(ScalarStreams(seed), program)
 
     def test_a_name_drawn_once_holds_no_block(self):
         rng = RandomStreams(3)
         rng.jitter("syn/a->b:20000/a->b", 0.01, 0.05)
-        rng.draws("scale/nodes", "uniform", 0.0, 1.0)()
         assert rng._blocks["syn/a->b:20000/a->b"].pending == []
-        assert rng._blocks["scale/nodes"].pending == []
 
 
 class TestOneWayPerName:
@@ -290,42 +236,6 @@ class TestOneWayPerName:
         rng.exponential("y", 1.0)
         with pytest.raises(ValueError, match="'y'"):
             draw(rng)
-
-    @pytest.mark.parametrize("draw", [
-        lambda rng: rng.stream("d"),
-        lambda rng: rng.exponential("d", 1.0),
-        lambda rng: rng.uniform("d", 0.0, 1.0),
-        lambda rng: rng.choice("d", [1, 2]),
-        lambda rng: rng.shuffled("d", [1, 2]),
-        lambda rng: rng.normal("d", 0.0, 1.0),
-        lambda rng: rng.jitter("d", 1.0),
-        lambda rng: rng.draws("d", "uniform", 0.0, 1.0),
-        lambda rng: rng.draws("d", "exponential", 2.0),
-    ], ids=["stream", "exponential", "uniform", "choice", "shuffled",
-            "normal", "jitter", "other-kind", "other-args"])
-    def test_a_drawn_ahead_name_refuses_every_other_draw(self, draw):
-        rng = RandomStreams(1)
-        rng.draws("d", "exponential", 1.0)
-        with pytest.raises(ValueError, match="'d'"):
-            draw(rng)
-
-    @pytest.mark.parametrize("first", [
-        lambda rng: rng.stream("e"),
-        lambda rng: rng.uniform("e", 0.0, 1.0),
-        lambda rng: rng.normal("e", 0.0, 1.0),
-    ], ids=["stream", "uniform", "normal"])
-    def test_draws_refuses_a_name_already_drawn_another_way(self, first):
-        rng = RandomStreams(1)
-        first(rng)
-        with pytest.raises(ValueError, match="'e'"):
-            rng.draws("e", "uniform", 0.0, 1.0)
-
-    def test_the_same_kind_and_arguments_continue_one_sampler(self):
-        rng = RandomStreams(1)
-        head = [rng.draws("f", "pareto", 1.8)() for _ in range(5)]
-        tail = [rng.draws("f", "pareto", 1.8)() for _ in range(5)]
-        scalar = RandomStreams(1).stream("f")
-        assert head + tail == [float(scalar.pareto(1.8)) for _ in range(10)]
 
     def test_an_unused_normal_name_stays_free(self):
         """``mean <= 0`` draws nothing, so it decides nothing either."""

@@ -22,20 +22,13 @@ import pytest
 from repro.analysis.sanitizer import LeakError, sanitize_all
 from repro.runner import all_specs, run_experiment
 
-#: Specs whose cells build no simulation environment at all (pure
-#: workload generators); every other spec must be audited in >= 1.
-_NO_ENVIRONMENT = {"scale-campaign"}
-
 
 @pytest.mark.parametrize("name", sorted(all_specs()))
 def test_experiment_leaves_no_lifecycle_leaks(name):
     with sanitize_all() as audit:
         result = run_experiment(name, quick=True)
     assert result.experiment_id == name  # the experiment actually ran
-    if name in _NO_ENVIRONMENT:
-        assert audit.environments == 0
-    else:
-        assert audit.environments > 0, "no environment was audited"
+    assert audit.environments > 0, "no environment was audited"
     audit.assert_clean()
 
 

@@ -163,6 +163,16 @@ class TestTraceFiles:
         with pytest.raises(ValueError):
             load_trace(str(path))
 
+    def test_a_future_ndjson_version_is_named(self, tmp_path):
+        # Was: the header fell through to the v1 whole-file parse, which
+        # raised JSONDecodeError ("Extra data") on the first record.
+        path = tmp_path / "v3.trace"
+        path.write_text('{"version": 3, "description": "", "jobs": 1}\n'
+                        '{"at": 0.0, "runtime": 1.0, "job": {}}\n')
+        with pytest.raises(ValueError,
+                           match="^unsupported trace version 3$"):
+            list(iter_trace(str(path)))
+
     def test_replayable_against_broker(self, tmp_path):
         from repro.core import CrossBroker
         from repro.jdl import JobCategory

@@ -64,7 +64,7 @@ class TestRegisteredCells:
         return {**warm_up, **cell_writes(cells)}
 
     def test_every_experiment_is_covered(self, writes):
-        assert len(all_specs()) == 14
+        assert len(all_specs()) == 13
         ran = {label.split("/")[0] for label in writes}
         assert ran == set(all_specs())
 

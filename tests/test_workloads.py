@@ -1,5 +1,7 @@
 """Unit tests for workload generators and canned applications."""
 
+import itertools
+
 import pytest
 
 from repro import Scenario
@@ -13,6 +15,7 @@ from repro.workloads import (
     generate_mix,
     immediate_output_app,
     interactive_console_app,
+    iter_mix,
     make_loop_app,
     progress_app,
     steerable_simulation,
@@ -196,3 +199,19 @@ class TestMixGenerator:
                  if a.job.category is JobCategory.INTERACTIVE]
         assert inter
         assert all(a.job.node_number >= 2 for a in inter)
+
+
+class TestLazyMix:
+    def test_iter_mix_matches_generate_mix(self):
+        """The lazy merge is value-identical to the eager two-pass path."""
+        config = MixConfig(horizon=8_000, parallel_fraction=0.3)
+        eager = generate_mix(RandomStreams(21), config)
+        lazy = list(iter_mix(RandomStreams(21), config))
+        assert [(a.at, a.job.job_id, a.job.owner) for a in eager] == \
+               [(a.at, a.job.job_id, a.job.owner) for a in lazy]
+
+    def test_iter_mix_is_consumable_incrementally(self):
+        stream = iter_mix(RandomStreams(22), MixConfig(horizon=50_000))
+        head = list(itertools.islice(stream, 10))
+        assert len(head) == 10
+        assert [a.at for a in head] == sorted(a.at for a in head)
