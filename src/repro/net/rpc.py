@@ -10,8 +10,7 @@ generator (to model service time with ``yield env.timeout(...)``).
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, NamedTuple, Optional
 
 from ..sim import Environment, Event
 from .errors import ConnectionClosedError, NetworkError, RpcError
@@ -23,16 +22,15 @@ REQUEST_OVERHEAD = 96
 RESPONSE_OVERHEAD = 64
 
 
-@dataclass(frozen=True)
-class RpcRequest:
+# Envelopes are named tuples: immutable, and one is built per call.
+class RpcRequest(NamedTuple):
     call_id: int
     method: str
     args: tuple
     kwargs: dict
 
 
-@dataclass(frozen=True)
-class RpcResponse:
+class RpcResponse(NamedTuple):
     call_id: int
     ok: bool
     value: Any

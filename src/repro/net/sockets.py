@@ -9,8 +9,7 @@ broker's agent RPC, and the baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, NamedTuple, Optional, Tuple
 
 from ..sim import Environment, Store
 from .errors import (
@@ -26,9 +25,8 @@ from .topology import Host, Network
 DYNAMIC_PORT_BASE = 20000
 
 
-@dataclass(frozen=True)
-class Datagram:
-    """A message in flight."""
+class Datagram(NamedTuple):
+    """A message in flight (a named tuple: one is built per message)."""
 
     payload: Any
     nbytes: int

@@ -8,8 +8,7 @@ broker uses for matchmaking mailboxes.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from .events import PENDING, Event
 
@@ -62,12 +61,14 @@ class Store:
             raise ValueError("capacity must be > 0")
         self.env = env
         self._capacity = capacity
-        self.items: Deque[Any] = deque()
-        # Wait queues are deques: the settle loop always consumes from the
-        # head (FIFO), and a list head-pop is O(n) per wakeup.  Order is
-        # unchanged — deque append/popleft preserves arrival order exactly.
-        self._putters: Deque[StorePut] = deque()
-        self._getters: Deque[StoreGet] = deque()
+        # Plain lists, not deques: an empty deque is 760 bytes and an empty
+        # list 56, and a world keeps thousands of Stores alive (one per
+        # connection end and listener).  The queues stay short — a few
+        # items, at most one waiting getter — so ``pop(0)`` moves a few
+        # pointers (ARCHITECTURE.md, "What a Store costs").
+        self.items: List[Any] = []
+        self._putters: List[StorePut] = []
+        self._getters: List[StoreGet] = []
 
     @property
     def capacity(self) -> float:
@@ -108,7 +109,7 @@ class Store:
     def _match(self, getter: StoreGet) -> bool:
         """Try to satisfy ``getter`` from current items.  FIFO order."""
         if self.items:
-            getter.succeed(self.items.popleft())
+            getter.succeed(self.items.pop(0))
             return True
         return False
 
@@ -118,13 +119,13 @@ class Store:
             progress = False
             # Move queued puts into the store while there is room.
             while self._putters and len(self.items) < self._capacity:
-                put = self._putters.popleft()
+                put = self._putters.pop(0)
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
             # Serve waiting getters (FIFO; unserved ones are re-queued in
             # their original relative order).
-            remaining: Deque[StoreGet] = deque()
+            remaining: List[StoreGet] = []
             for getter in self._getters:
                 if getter._cancelled or getter.triggered:
                     progress = True

@@ -1,5 +1,7 @@
 """Unit tests for object stores."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,21 @@ class TestStore:
         c = env.process(consumer(env))
         env.run()
         assert c.value == items
+
+    def test_an_empty_store_is_small(self, env):
+        # A world keeps one Store per connection end and listener alive
+        # (~9 900 at the end of a grid_day round), so a fresh Store must
+        # stay a few hundred bytes: three lists, not three deques (an
+        # empty deque is 760 B on CPython 3.11, an empty list 56 B).
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stores = [Store(env) for _ in range(1000)]
+            per_store = ((tracemalloc.get_traced_memory()[0] - before)
+                         / len(stores))
+        finally:
+            tracemalloc.stop()
+        assert per_store <= 512, f"{per_store:.0f} B per empty Store"
 
 
 class TestFilterStore:

@@ -143,6 +143,14 @@ CANCELLED_HEAD = [("get", None), ("get", None), ("cancel", 0), ("put", 5),
 BLOCKED_PUTTER = [("put", 1), ("put", 2), ("put", 3), ("get", None),
                   ("drain", None), ("get", None), ("get", None)]
 GETTER_WAITING = [("get", None), ("drain", None), ("put", 7)]
+# Head pops and in-place removal from the list-backed queues.
+THREE_BLOCKED_PUTTERS = [("put", 1), ("put", 2), ("put", 3), ("put", 4),
+                         ("get", None), ("get", None), ("get", None),
+                         ("get", None)]
+CANCELLED_MIDDLE = [("get", None), ("get", None), ("get", None),
+                    ("cancel", 1), ("put", 1), ("put", 2), ("put", 3)]
+FILTER_TAKES_MIDDLE = [("put", 3), ("put", 4), ("put", 5), ("fget", 1),
+                       ("get", None), ("get", None)]
 
 
 class TestStoreMatchesReference:
@@ -152,6 +160,8 @@ class TestStoreMatchesReference:
     @example(capacity=1, program=BLOCKED_PUTTER)
     @example(capacity=2, program=BLOCKED_PUTTER)
     @example(capacity=float("inf"), program=GETTER_WAITING)
+    @example(capacity=1, program=THREE_BLOCKED_PUTTERS)
+    @example(capacity=float("inf"), program=CANCELLED_MIDDLE)
     def test_store(self, capacity, program):
         assert (trace(lambda env: Store(env, capacity), program)
                 == trace(lambda env: RefStore(env, capacity), program))
@@ -161,6 +171,7 @@ class TestStoreMatchesReference:
     @example(capacity=2, program=[("fget", 1), ("put", 3), ("get", None),
                                   ("put", 4), ("put", 6), ("put", 9),
                                   ("fget", 0)])
+    @example(capacity=float("inf"), program=FILTER_TAKES_MIDDLE)
     def test_filter_store(self, capacity, program):
         assert (trace(lambda env: FilterStore(env, capacity), program)
                 == trace(lambda env: RefStore(env, capacity), program))
