@@ -25,8 +25,10 @@ across the refactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Generator, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import (Any, Callable, ClassVar, Generator, Iterator, List,
+                    Optional, Tuple)
 
 from ..calibration import Calibration
 from ..codec import ConfigCodec
@@ -48,6 +50,20 @@ from .selection import ResourceSelector
 
 #: behavior_factory(rank) -> Behavior
 BehaviorFactory = Callable[[int], Callable]
+
+
+@contextmanager
+def stage(env: Environment, name: str, histogram: str,
+          **meta: Any) -> Iterator[float]:
+    """One broker stage, timed from one start instant (bound by ``as``):
+    the block is a tracer span, and a clean exit observes its latency on
+    the telemetry ``histogram`` (a block that raises records none)."""
+    start = env.now
+    with trace_span(env, name, **meta):
+        yield start
+    t = env.telemetry
+    if t is not None:
+        t.histogram(histogram).observe(env.now - start)
 
 
 @dataclass
@@ -231,12 +247,39 @@ class BrokerBase:
             with trace_span(self.env, "submit", job=job.job_id,
                             owner=job.owner, interactive=job.is_interactive):
                 yield from self._execute(submitted, factory)
+                if submitted.session is not None:
+                    # The submission returns at the job's first output.
+                    report.first_output_at = \
+                        yield submitted.session.shadow.first_output
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             report.error = f"{type(exc).__name__}: {exc}"
             trace_event(self.env, "failed", job=job.job_id, error=report.error)
-            if not submitted.finished.triggered:
-                submitted.finished.fail(exc)
-                submitted.finished.defuse()
+            self._finish(submitted, exc)
+
+    def _started(self, submitted: SubmittedJob) -> None:
+        """Every subjob runs: stamp ``started_at``, charge fair-share and
+        fire ``started``."""
+        job = submitted.job
+        submitted.report.started_at = self.env.now
+        af = (af_interactive(job.performance_loss,
+                             self.calibration.fairshare.af_interactive_literal)
+              if job.is_interactive else af_batch())
+        self.fairshare.job_started(job.owner, job.job_id, job.node_number, af)
+        if not submitted.started.triggered:
+            submitted.started.succeed(self.env.now)
+
+    def _finish(self, submitted: SubmittedJob, outcome: Any) -> None:
+        """The job is over: resolve ``finished`` with the subjob results,
+        or fail it when ``outcome`` is an exception, and stamp
+        ``finished_at``."""
+        finished = submitted.finished
+        if not finished.triggered:
+            if isinstance(outcome, BaseException):
+                finished.fail(outcome)
+                finished.defuse()
+            else:
+                finished.succeed(outcome)
+        submitted.report.finished_at = self.env.now
 
     # ------------------------------------------------------------------
     # Discovery/selection (push-family; the pull broker never calls it)
@@ -245,8 +288,8 @@ class BrokerBase:
         """Stages 1+2; fills the report's timing columns."""
         job = submitted.job
         report = submitted.report
-        match_started = self.env.now
-        with trace_span(self.env, "match", job=job.job_id, path="mds"):
+        with stage(self.env, "match", "broker.match_latency.mds",
+                   job=job.job_id, path="mds"):
             adverts, discovery_time = yield from self.selector.discover()
             report.discovery_time = discovery_time
             self._note_grid_size(adverts)
@@ -257,10 +300,6 @@ class BrokerBase:
         trace_event(self.env, "selected", job=job.job_id,
                     n_candidates=len(candidates), discovery=discovery_time,
                     selection=report.selection_time)
-        t = self.env.telemetry
-        if t is not None:
-            t.histogram("broker.match_latency.mds").observe(
-                self.env.now - match_started)
         return candidates
 
     def _refine_candidates(self, submitted: SubmittedJob,
@@ -281,15 +320,6 @@ class BrokerBase:
 
     def _admit(self, job: JobDescription, scarce: bool) -> bool:
         return self.fairshare.admit(job.owner, scarce=scarce)
-
-    def _charge_start(self, job: JobDescription) -> None:
-        af = (af_interactive(job.performance_loss,
-                             self.calibration.fairshare.af_interactive_literal)
-              if job.is_interactive else af_batch())
-        self.fairshare.job_started(job.owner, job.job_id, job.node_number, af)
-
-    def _charge_finish(self, job: JobDescription) -> None:
-        self.fairshare.job_finished(job.owner, job.job_id)
 
     def _retrieve_output(self, submitted: SubmittedJob) -> Generator:
         """Stage the output sandbox back once the job completed (§1)."""
@@ -313,14 +343,6 @@ class BrokerBase:
         if submitted.session is not None:
             yield self.env.timeout(self.rng.jitter(
                 "broker/shadow-setup", self.costs.shadow_setup, 0.15))
-
-    def _finish_measurement(self, submitted: SubmittedJob) -> Generator:
-        """Record first-output timing once the console reports it."""
-        report = submitted.report
-        if submitted.session is not None:
-            first = yield submitted.session.shadow.first_output
-            report.first_output_at = first
-            report.response_time = first - report.submitted_at
 
     # -- replica staging ---------------------------------------------------
     def _data_lfns(self, job: JobDescription) -> Tuple[str, ...]:
@@ -350,12 +372,11 @@ class BrokerBase:
         lfns = self._data_lfns(job)
         if not lfns or self.replicas is None:
             return
-        report = submitted.report
-        started = self.env.now
         pace = self.env.timer(name=f"broker/data-stage/{job.job_id}")
         local_hits = 0
-        with trace_span(self.env, "data_staging", job=job.job_id,
-                        site=candidate.site, n_files=len(lfns)):
+        with stage(self.env, "data_staging", "broker.data.staging",
+                   job=job.job_id, site=candidate.site,
+                   n_files=len(lfns)) as started:
             try:
                 for lfn in lfns:
                     replica = self._pick_replica(lfn, candidate)
@@ -373,15 +394,13 @@ class BrokerBase:
             except BaseException:
                 pace.cancel()
                 raise
-        report.data_staging_time = self.env.now - started
+        elapsed = submitted.report.data_staging_time = self.env.now - started
         t = self.env.telemetry
-        if t is not None:
-            t.histogram("broker.data.staging").observe(report.data_staging_time)
-            if local_hits:
-                t.counter("broker.data.local_hits").inc(local_hits)
+        if t is not None and local_hits:
+            t.counter("broker.data.local_hits").inc(local_hits)
         trace_event(self.env, "data-staged", job=job.job_id,
                     site=candidate.site, files=len(lfns), local=local_hits,
-                    elapsed=report.data_staging_time)
+                    elapsed=elapsed)
 
     # -- GRAM path ---------------------------------------------------------
     def _submit_via_gram(self, submitted: SubmittedJob,
@@ -392,7 +411,7 @@ class BrokerBase:
         (and was cancelled for resubmission)."""
         job = submitted.job
         report = submitted.report
-        submit_started = self.env.now
+        report.dispatched_at = self.env.now
         with trace_span(self.env, "gram_submit", job=job.job_id,
                         site=candidate.site, rank=rank) as span:
             yield from self._charge_shadow_setup(submitted)
@@ -446,11 +465,7 @@ class BrokerBase:
             yield from gram.close()
 
         report.sites.append(candidate.site)
-        report.started_at = self.env.now
-        report.submission_time = self.env.now - submit_started
-        self._charge_start(job)
-        if not submitted.started.triggered:
-            submitted.started.succeed(self.env.now)
+        self._started(submitted)
         self.env.process(self._watch_finish(submitted, [ticket.handle.finished]),
                          name=f"broker/watch/{job.job_id}")
         return True
@@ -459,18 +474,14 @@ class BrokerBase:
                       finish_events: List[Event]) -> Generator:
         job = submitted.job
         try:
-            condition = yield self.env.all_of(finish_events)
+            yield self.env.all_of(finish_events)
             results = [e.value for e in finish_events]
             yield from self._retrieve_output(submitted)
-            if not submitted.finished.triggered:
-                submitted.finished.succeed(results)
+            self._finish(submitted, results)
         except Exception as exc:  # noqa: BLE001 - job failure
-            if not submitted.finished.triggered:
-                submitted.finished.fail(exc)
-                submitted.finished.defuse()
+            self._finish(submitted, exc)
         finally:
-            self._charge_finish(job)
-            submitted.report.finished_at = self.env.now
+            self.fairshare.job_finished(job.owner, job.job_id)
             trace_event(self.env, "finished", job=job.job_id)
 
     # -- introspection ---------------------------------------------------

@@ -28,7 +28,7 @@ through :func:`repro.core.make_broker`.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, Generator, List, Optional, Tuple
+from typing import ClassVar, Dict, Generator, List, Tuple
 
 from ..grid.errors import NoResourcesError, SubmissionError
 from ..grid.gram import GramClient
@@ -36,7 +36,8 @@ from ..grid.mpi import plan_allocation, subjobs_for
 from ..multiprog import AGENT_PORT, AgentRecord, AgentRuntime
 from ..net import NetworkError, RpcClient, RpcError
 from ..sim import Event, trace_event, trace_span
-from .base import BehaviorFactory, BrokerBase, BrokerConfig, SubmittedJob
+from .base import (BehaviorFactory, BrokerBase, BrokerConfig, SubmittedJob,
+                   stage)
 from .fairshare import af_batch, af_displaced_batch
 from .reports import SubmissionPath
 
@@ -86,6 +87,7 @@ class CrossBroker(BrokerBase):
         # A batch job can also land on an existing agent's free batch-vm.
         placed = False
         for record in self.agents.free_batch():
+            report.dispatched_at = self.env.now
             try:
                 yield from self._dispatch_batch_to_agent(submitted, factory,
                                                          record)
@@ -113,12 +115,11 @@ class CrossBroker(BrokerBase):
                                             job.node_number)
                 # Table I's "job + agent" submission time spans the agent
                 # transfer/boot *and* the job dispatch.
-                submit_started = self.env.now
+                report.dispatched_at = self.env.now
                 try:
                     record = yield from self._plant_agent(submitted, target)
                     yield from self._dispatch_batch_to_agent(
-                        submitted, factory, record,
-                        submit_started=submit_started)
+                        submitted, factory, record)
                 except (SubmissionError, RpcError):
                     # The site's queue filled between advert and submit
                     # (the gatekeeper forwards its error over RPC); try the
@@ -190,7 +191,6 @@ class CrossBroker(BrokerBase):
             started = yield from self._submit_via_gram(submitted, factory,
                                                        target, rank=0)
             if started:
-                yield from self._finish_measurement(submitted)
                 return
         raise NoResourcesError(f"{job.job_id}: could not start anywhere")
 
@@ -202,14 +202,10 @@ class CrossBroker(BrokerBase):
         job = submitted.job
         report = submitted.report
         # Combined discovery+selection: the VM registry is local state.
-        match_started = self.env.now
-        with trace_span(self.env, "match", job=job.job_id, path="registry"):
+        with stage(self.env, "match", "broker.match_latency.registry",
+                   job=job.job_id, path="registry"):
             yield self.env.timeout(self.rng.jitter(
                 "broker/registry", self.config.registry_lookup_cost, 0.2))
-        t = self.env.telemetry
-        if t is not None:
-            t.histogram("broker.match_latency.registry").observe(
-                self.env.now - match_started)
         report.discovery_time = 0.0
         report.selection_time = self.env.now - report.submitted_at
 
@@ -238,7 +234,6 @@ class CrossBroker(BrokerBase):
                 if report.sites:
                     raise
             else:
-                yield from self._finish_measurement(submitted)
                 return
 
         # Not enough agents: plant new ones on idle machines (Figure 5:
@@ -275,7 +270,6 @@ class CrossBroker(BrokerBase):
                 self.leases.release(lease)
         yield from self._dispatch_interactive_to_agents(
             submitted, factory, records[:need])
-        yield from self._finish_measurement(submitted)
 
     # ------------------------------------------------------------------
     # Push-specific helpers
@@ -308,7 +302,7 @@ class CrossBroker(BrokerBase):
         slices = plan_allocation(job, pool)
         subjobs = subjobs_for(job, slices)
         by_site = {c.site: c for c in idle}
-        submit_started = self.env.now
+        report.dispatched_at = self.env.now
         yield from self._charge_shadow_setup(submitted)
         finish_events: List[Event] = []
         start_events: List[Event] = []
@@ -344,14 +338,9 @@ class CrossBroker(BrokerBase):
                 report.sites.append(candidate.site)
 
         yield self.env.all_of(start_events)
-        report.started_at = self.env.now
-        report.submission_time = self.env.now - submit_started
-        self._charge_start(job)
-        if not submitted.started.triggered:
-            submitted.started.succeed(self.env.now)
+        self._started(submitted)
         self.env.process(self._watch_finish(submitted, finish_events),
                          name=f"broker/watch/{job.job_id}")
-        yield from self._finish_measurement(submitted)
 
     # -- agent path ----------------------------------------------------------
     def _plant_agent(self, submitted: SubmittedJob, candidate) -> Generator:
@@ -403,7 +392,21 @@ class CrossBroker(BrokerBase):
                     site=candidate.site, job=job.job_id)
         return record
 
-    def _agent_rpc(self, record: AgentRecord) -> Generator:
+    def _run_on_agent(self, submitted: SubmittedJob, factory: BehaviorFactory,
+                      record: AgentRecord, rank: int,
+                      interactive: bool) -> Generator:
+        """Dispatch one subjob to an agent's VM over a direct RPC channel
+        (no Globus, no queue) and wait for it to start; returns the
+        agent's job ticket."""
+        job = submitted.job
+        if interactive:
+            label, loss = f"{job.job_id}/r{rank}", job.performance_loss
+        else:
+            label, loss = job.job_id, 0
+        setup = None
+        if submitted.session is not None:
+            setup = submitted.session.make_setup(record.runtime.node.name,
+                                                 rank)
         rpc = RpcClient(self.network, self.broker_host,
                         record.runtime.node.name, AGENT_PORT,
                         label=f"broker->{record.runtime.agent_id}")
@@ -411,46 +414,32 @@ class CrossBroker(BrokerBase):
         # Authenticated dispatch channel setup (lightweight, non-Globus).
         yield self.env.timeout(self.rng.jitter(
             "broker/agent-dispatch", self.costs.agent_dispatch_rpc, 0.12))
-        return rpc
+        try:
+            ticket = yield from rpc.call(
+                "agent.run_job", label, factory(rank), interactive, loss,
+                setup=setup, nbytes=2048)
+        finally:
+            yield from rpc.close()
+        yield ticket.started
+        return ticket
 
     def _dispatch_batch_to_agent(self, submitted: SubmittedJob,
                                  factory: BehaviorFactory,
-                                 record: AgentRecord,
-                                 submit_started: Optional[float] = None) -> Generator:
+                                 record: AgentRecord) -> Generator:
         job = submitted.job
-        report = submitted.report
-        if submit_started is None:
-            submit_started = self.env.now
         with trace_span(self.env, "dispatch", job=job.job_id,
                         site=record.site, agent=record.runtime.agent_id,
                         vm="batch"):
             yield from self._charge_shadow_setup(submitted)
-            setup = None
-            if submitted.session is not None:
-                setup = submitted.session.make_setup(
-                    record.runtime.node.name, 0)
-            rpc = yield from self._agent_rpc(record)
-            try:
-                ticket = yield from rpc.call(
-                    "agent.run_job", job.job_id, factory(0), False, 0,
-                    setup=setup, nbytes=2048)
-            finally:
-                yield from rpc.close()
-            yield ticket.started
-        report.sites.append(record.site)
-        report.started_at = self.env.now
-        report.submission_time = self.env.now - submit_started
-        self._charge_start(job)
+            ticket = yield from self._run_on_agent(submitted, factory, record,
+                                                   0, interactive=False)
+        submitted.report.sites.append(record.site)
         self._agent_batch[record.runtime.agent_id] = (
             job.owner, job.job_id, job.node_number)
-        if not submitted.started.triggered:
-            submitted.started.succeed(self.env.now)
-
+        self._started(submitted)
         self.env.process(
             self._watch_batch_on_agent(submitted, factory, record, ticket),
             name=f"broker/watch/{job.job_id}")
-        if submitted.session is not None:
-            yield from self._finish_measurement(submitted)
 
     def _watch_batch_on_agent(self, submitted: SubmittedJob,
                               factory: BehaviorFactory, record: AgentRecord,
@@ -464,46 +453,38 @@ class CrossBroker(BrokerBase):
         """
         job = submitted.job
         try:
-            result = yield ticket.finished
+            outcome = [(yield ticket.finished)]
         except Exception as exc:  # noqa: BLE001 - includes Interrupt
-            self._charge_finish(job)
-            self._agent_batch.pop(record.runtime.agent_id, None)
-            if record.runtime.dead.triggered \
-                    and submitted.report.resubmissions \
-                    < self.config.max_resubmissions:
-                submitted.report.resubmissions += 1
-                trace_event(self.env, "agent-died-resubmit", job=job.job_id,
-                            agent=record.runtime.agent_id,
-                            attempt=submitted.report.resubmissions)
-                try:
-                    yield from self._run_batch(submitted, factory)
-                except Exception as resubmit_exc:  # noqa: BLE001
-                    submitted.report.error = (
-                        f"{type(resubmit_exc).__name__}: {resubmit_exc}")
-                    if not submitted.finished.triggered:
-                        submitted.finished.fail(resubmit_exc)
-                        submitted.finished.defuse()
-                return
-            if not submitted.finished.triggered:
-                submitted.finished.fail(exc)
-                submitted.finished.defuse()
-            submitted.report.finished_at = self.env.now
-            trace_event(self.env, "finished", job=job.job_id, failed=True)
-            return
-        self._charge_finish(job)
+            outcome = exc
+        self.fairshare.job_finished(job.owner, job.job_id)
         self._agent_batch.pop(record.runtime.agent_id, None)
-        yield from self._retrieve_output(submitted)
-        if not submitted.finished.triggered:
-            submitted.finished.succeed([result])
-        submitted.report.finished_at = self.env.now
-        trace_event(self.env, "finished", job=job.job_id)
+        if isinstance(outcome, list):
+            yield from self._retrieve_output(submitted)
+            self._finish(submitted, outcome)
+            trace_event(self.env, "finished", job=job.job_id)
+        elif record.runtime.dead.triggered \
+                and submitted.report.resubmissions \
+                < self.config.max_resubmissions:
+            submitted.report.resubmissions += 1
+            trace_event(self.env, "agent-died-resubmit", job=job.job_id,
+                        agent=record.runtime.agent_id,
+                        attempt=submitted.report.resubmissions)
+            try:
+                yield from self._run_batch(submitted, factory)
+            except Exception as resubmit_exc:  # noqa: BLE001
+                submitted.report.error = (
+                    f"{type(resubmit_exc).__name__}: {resubmit_exc}")
+                self._finish(submitted, resubmit_exc)
+        else:
+            self._finish(submitted, outcome)
+            trace_event(self.env, "finished", job=job.job_id, failed=True)
 
     def _dispatch_interactive_to_agents(self, submitted: SubmittedJob,
                                         factory: BehaviorFactory,
                                         records: List[AgentRecord]) -> Generator:
         job = submitted.job
         report = submitted.report
-        submit_started = self.env.now
+        report.dispatched_at = self.env.now
         yield from self._charge_shadow_setup(submitted)
         finish_events: List[Event] = []
         displaced: List[Tuple[str, str, float]] = []
@@ -511,19 +492,8 @@ class CrossBroker(BrokerBase):
             with trace_span(self.env, "dispatch", job=job.job_id,
                             site=record.site, agent=record.runtime.agent_id,
                             rank=rank, vm="interactive"):
-                setup = None
-                if submitted.session is not None:
-                    setup = submitted.session.make_setup(
-                        record.runtime.node.name, rank)
-                rpc = yield from self._agent_rpc(record)
-                try:
-                    ticket = yield from rpc.call(
-                        "agent.run_job", f"{job.job_id}/r{rank}",
-                        factory(rank), True, job.performance_loss,
-                        setup=setup, nbytes=2048)
-                finally:
-                    yield from rpc.close()
-                yield ticket.started
+                ticket = yield from self._run_on_agent(
+                    submitted, factory, record, rank, interactive=True)
             finish_events.append(ticket.finished)
             if record.site not in report.sites:
                 report.sites.append(record.site)
@@ -536,13 +506,9 @@ class CrossBroker(BrokerBase):
                 self.fairshare.reweight_job(
                     owner, job_id, af_displaced_batch(job.performance_loss))
 
-        report.started_at = self.env.now
-        report.submission_time = self.env.now - submit_started
-        self._charge_start(job)
         for record in records:
             self._vm_claims.pop(record.runtime.agent_id, None)
-        if not submitted.started.triggered:
-            submitted.started.succeed(self.env.now)
+        self._started(submitted)
 
         def cleanup() -> Generator:
             yield from self._watch_finish(submitted, finish_events)

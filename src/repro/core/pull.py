@@ -161,7 +161,6 @@ class PullBroker(BrokerBase):
                     continue
                 self._release_claim(task.site)
                 if started:
-                    yield from self._finish_measurement(submitted)
                     return
                 # Queued past the on-line-scheduling bound: the claim was
                 # optimistic (capacity raced away) — requeue for another

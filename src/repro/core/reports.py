@@ -27,7 +27,11 @@ class SubmissionPath(enum.Enum):
 
 @dataclass
 class SubmissionReport:
-    """Timing decomposition of one submission (Table I columns)."""
+    """One job's stage record (Table I columns).
+
+    Each stage boundary is stamped once, as an instant; a duration that
+    spans two stamped instants is a property, never stored beside them.
+    """
 
     job_id: str
     owner: str
@@ -36,11 +40,6 @@ class SubmissionReport:
     discovery_time: float = 0.0
     #: Stage 2 (filter + per-site refresh).
     selection_time: float = 0.0
-    #: "time elapsed between the instant when the job is finally submitted
-    #: ... and the instant when the first output arrives" (Table I).
-    submission_time: float = 0.0
-    #: Total: submit() call to first output.
-    response_time: float = 0.0
     sites: List[str] = field(default_factory=list)
     resubmissions: int = 0
     rejected: bool = False
@@ -50,9 +49,29 @@ class SubmissionReport:
     #: Time spent fetching declared input datasets (0 when none).
     data_staging_time: float = 0.0
     submitted_at: float = 0.0
+    #: The final submission began: GRAM connect, agent plant or agent
+    #: dispatch.  An earlier attempt that queued or failed is overwritten.
+    dispatched_at: Optional[float] = None
+    #: Every subjob has started on its node.
     started_at: Optional[float] = None
     first_output_at: Optional[float] = None
     finished_at: Optional[float] = None
+
+    @property
+    def submission_time(self) -> float:
+        """Table I's submission column: from the final submission until
+        every subjob has *started* (0 before then).  The paper's column
+        runs on to the first output, 1-14 ms later in Table I's runs."""
+        if self.started_at is None or self.dispatched_at is None:
+            return 0.0
+        return self.started_at - self.dispatched_at
+
+    @property
+    def response_time(self) -> float:
+        """``submit()`` call to first output (0 before it arrives)."""
+        if self.first_output_at is None:
+            return 0.0
+        return self.first_output_at - self.submitted_at
 
     @property
     def success(self) -> bool:

@@ -118,7 +118,7 @@ def snapshot(broker: "BrokerBase",
              submitted_jobs: Optional[List["SubmittedJob"]] = None
              ) -> BrokerSnapshot:
     """Build a snapshot; job rows come from the provided records (the
-    broker itself only keeps reports, which lack liveness events)."""
+    broker keeps no list of the jobs it was given)."""
     from ..multiprog import VmKind
 
     snap = BrokerSnapshot(time=broker.env.now)

@@ -2,8 +2,10 @@
 
 §6.1's measurement: 100 sequential-job submissions per method; columns are
 resource discovery, resource selection, and submission (= submit at the
-gatekeeper/agent until the first output arrives at the user machine);
-scenarios are the campus grid and IFCA (wide area).
+gatekeeper/agent until the job starts on its node; the paper's column runs
+on to the first output at the user machine, 1-2 ms later on campus and
+5-14 ms later on the WAN here); scenarios are the campus grid and IFCA
+(wide area).
 
 Methods:
 

@@ -270,6 +270,19 @@ class TestReports:
         assert tb.env.now - submitted.report.first_output_at == \
             pytest.approx(600.0, rel=0.01)
 
+    def test_failed_placement_stamps_finished_at(self):
+        tb, broker = make_world(seed=61, n_nodes=1)
+        blocker = broker.submit(batch_job(), lambda r: cpu_bound_app(1e6))
+        tb.env.run(until=blocker.started)
+        tb.publish_all_now()
+        submitted = broker.submit(interactive_job(),
+                                  lambda r: immediate_output_app())
+        # The placement raises and fails `finished` at the same instant.
+        tb.env.run(until=submitted.process)
+        assert "no idle machine" in submitted.report.error
+        assert submitted.finished.triggered and not submitted.finished.ok
+        assert submitted.report.finished_at == tb.env.now
+
     def test_trace_records_lifecycle(self):
         tb, broker = make_world(seed=77)
         tracer = Tracer(tb.env).install()
@@ -293,3 +306,41 @@ class TestReports:
         proc = tb.env.process(driver())
         tb.env.run(until=proc)
         assert proc.value is True
+
+
+class TestStageRecord:
+    """The stage record of every job a quick experiment submits, on each
+    broker mode: instants in stage order, the submission column derived
+    from them, and ``finished_at`` set exactly when ``finished`` fired."""
+
+    @pytest.mark.parametrize("experiment", ["table1", "broker-modes"])
+    def test_stage_record_holds_on_real_runs(self, experiment, monkeypatch):
+        from repro.core.base import BrokerBase
+        from repro.runner import run_experiment
+
+        jobs = []
+        submit = BrokerBase.submit
+
+        def recording_submit(self, *args, **kwargs):
+            jobs.append(submit(self, *args, **kwargs))
+            return jobs[-1]
+
+        monkeypatch.setattr(BrokerBase, "submit", recording_submit)
+        run_experiment(experiment, quick=True)
+        for submitted in jobs:
+            r = submitted.report
+            instants = [t for t in (r.submitted_at, r.dispatched_at,
+                                    r.started_at, r.first_output_at)
+                        if t is not None]
+            assert instants == sorted(instants), r
+            if r.started_at is not None:
+                assert r.submission_time == r.started_at - r.dispatched_at
+            assert (r.finished_at is not None) \
+                == submitted.finished.triggered, r
+        # The run reaches the paths that stamp every instant.
+        paths = {s.report.path for s in jobs}
+        if experiment == "table1":
+            assert any(s.report.first_output_at is not None for s in jobs)
+            assert SubmissionPath.BATCH_WITH_AGENT in paths
+        else:
+            assert SubmissionPath.PULLED in paths
