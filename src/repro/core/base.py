@@ -252,9 +252,8 @@ class BrokerBase:
                     report.first_output_at = \
                         yield submitted.session.shadow.first_output
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
-            report.error = f"{type(exc).__name__}: {exc}"
-            trace_event(self.env, "failed", job=job.job_id, error=report.error)
             self._finish(submitted, exc)
+            trace_event(self.env, "failed", job=job.job_id, error=report.error)
 
     def _started(self, submitted: SubmittedJob) -> None:
         """Every subjob runs: stamp ``started_at``, charge fair-share and
@@ -270,16 +269,21 @@ class BrokerBase:
 
     def _finish(self, submitted: SubmittedJob, outcome: Any) -> None:
         """The job is over: resolve ``finished`` with the subjob results,
-        or fail it when ``outcome`` is an exception, and stamp
+        or fail it when ``outcome`` is an exception and record why in
+        ``report.error`` (unless a cancel already has), and stamp
         ``finished_at``."""
         finished = submitted.finished
+        report = submitted.report
+        failed = isinstance(outcome, BaseException)
+        if failed and report.error is None:
+            report.error = f"{type(outcome).__name__}: {outcome}"
         if not finished.triggered:
-            if isinstance(outcome, BaseException):
+            if failed:
                 finished.fail(outcome)
                 finished.defuse()
             else:
                 finished.succeed(outcome)
-        submitted.report.finished_at = self.env.now
+        report.finished_at = self.env.now
 
     # ------------------------------------------------------------------
     # Discovery/selection (push-family; the pull broker never calls it)

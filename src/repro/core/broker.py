@@ -472,8 +472,6 @@ class CrossBroker(BrokerBase):
             try:
                 yield from self._run_batch(submitted, factory)
             except Exception as resubmit_exc:  # noqa: BLE001
-                submitted.report.error = (
-                    f"{type(resubmit_exc).__name__}: {resubmit_exc}")
                 self._finish(submitted, resubmit_exc)
         else:
             self._finish(submitted, outcome)

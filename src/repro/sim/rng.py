@@ -2,14 +2,19 @@
 
 Every stochastic component (network jitter, queue dispatch delay, randomized
 resource selection, ...) draws from its *own named substream* derived from a
-single root seed via :class:`numpy.random.SeedSequence`.  This keeps runs
-reproducible and — crucially for the paper's comparisons — ensures that
-changing one mechanism's randomness does not perturb another's.
+single root seed.  This keeps runs reproducible and — crucially for the
+paper's comparisons — ensures that changing one mechanism's randomness does
+not perturb another's.
+
+A name's stream is the PCG64 generator numpy builds from
+``SeedSequence(entropy=seed, spawn_key=(k0, k1))``, ``(k0, k1)`` being two
+31-bit halves of the name's blake2b digest; :mod:`repro.sim.seeding`
+derives its seed words in closed form, bit for bit
+(``tests/test_rng_block_draws.py``), at the cost of a hash per name.
 """
 
 from __future__ import annotations
 
-import hashlib
 from math import copysign
 from typing import Dict, Iterable, List, Sequence, TypeVar
 
@@ -61,8 +66,14 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int = 0) -> None:
+        # Imported here, not at module level: the seeding loads
+        # numpy.random and hashlib (~10 MB resident), which a process
+        # that opens no stream (a kernel-only benchmark) never needs.
+        from .seeding import StreamSeeder
+
         self._seed = int(seed)
-        self._root = np.random.SeedSequence(self._seed)
+        # Raises ValueError on a negative seed, as numpy does.
+        self._seed_words = StreamSeeder(self._seed).words
         self._streams: Dict[str, np.random.Generator] = {}
         self._blocks: Dict[str, _Normals] = {}
 
@@ -71,16 +82,9 @@ class RandomStreams:
         return self._seed
 
     def _generator(self, name: str) -> np.random.Generator:
-        # Derive a child seed from the root seed and a stable hash of the
-        # name so that stream identity does not depend on call order
-        # (blake2 is stable across runs, unlike Python's hash()).
-        digest = int.from_bytes(
-            hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(),
-            "little")
-        child = np.random.SeedSequence(
-            entropy=self._seed,
-            spawn_key=(digest & 0x7FFFFFFF, (digest >> 31) & 0x7FFFFFFF))
-        return np.random.default_rng(child)
+        """``default_rng(SeedSequence(entropy=seed, spawn_key=...))`` for
+        ``name``, from seed words derived in closed form."""
+        return np.random.Generator(np.random.PCG64(self._seed_words(name)))
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
@@ -97,7 +101,12 @@ class RandomStreams:
         return gen
 
     def spawn(self, name: str) -> "RandomStreams":
-        """Derive an independent child factory (e.g. per experiment trial)."""
+        """Derive an independent child factory (e.g. per experiment trial).
+
+        The child's seed is one draw from the stream ``spawn/<name>``, so
+        the child mixes its own seed prefix once, at construction, and
+        shares nothing with this factory.
+        """
         gen = self.stream(f"spawn/{name}")
         return RandomStreams(int(gen.integers(0, 2**31 - 1)))
 

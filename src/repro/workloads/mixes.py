@@ -82,8 +82,10 @@ def _iter_interactive(rng: RandomStreams, config: MixConfig,
                                       config.interactive_runtime_mean), 10.0)
         shared = rng.uniform(f"{stream}/int/shared/{i}", 0, 1) \
             < config.shared_fraction
-        parallel = rng.uniform(f"{stream}/int/par/{i}", 0, 1) \
-            < config.parallel_fraction
+        # A uniform draw on [0, 1) is never below a non-positive fraction,
+        # so the per-arrival stream is opened only when it can matter.
+        parallel = config.parallel_fraction > 0 and rng.uniform(
+            f"{stream}/int/par/{i}", 0, 1) < config.parallel_fraction
         nodes = 1
         flavor = JobFlavor.SEQUENTIAL
         if parallel and config.max_nodes > 1:

@@ -23,6 +23,39 @@ def batch_job(owner="bob"):
     return JobDescription.from_attributes({"executable": "sim"}, owner=owner)
 
 
+def run_with_repeat_evictions(seed):
+    """A 60 s batch job on a 1-site campus world with one resubmission
+    allowed, whose agents are killed every 10 s (three kills in all);
+    runs until the job record resolves or 400 s pass."""
+    config = BrokerConfig(max_resubmissions=1)
+    tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=seed,
+                  publish=False).build().testbed
+    tb.publish_all_now()
+    broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration,
+                         config=config)
+    submitted = broker.submit(batch_job(), lambda r: cpu_bound_app(60.0))
+    tb.env.run(until=submitted.started)
+
+    # Kill every agent that ever appears.
+    def reaper():
+        killed = 0
+        while killed < 3:
+            live = broker.agents.live_agents()
+            for record in live:
+                if not record.runtime.batch_free:
+                    record.runtime.kill("repeat eviction")
+                    killed += 1
+            yield tb.env.timeout(10.0)
+
+    tb.env.process(reaper())
+    tb.env.run(until=submitted.process)
+    # Wait until the job record resolves one way or the other.
+    deadline = tb.env.now + 400
+    while not submitted.finished.triggered and tb.env.now < deadline:
+        tb.env.run(until=tb.env.now + 10)
+    return submitted
+
+
 class TestAgentDeath:
     def test_guest_jobs_killed_with_agent(self):
         tb, broker = make_world(seed=120)
@@ -78,35 +111,29 @@ class TestAgentDeath:
         assert first_agent.agent_id in deaths
 
     def test_resubmission_budget_exhausted(self):
-        config = BrokerConfig(max_resubmissions=1)
-        tb = Scenario(sites=1, scenario="campus", nodes_per_site=2, seed=122,
-                      publish=False).build().testbed
-        tb.publish_all_now()
-        broker = CrossBroker(tb.env, tb.network, tb.rng, tb.calibration,
-                             config=config)
-        submitted = broker.submit(batch_job(), lambda r: cpu_bound_app(60.0))
-        tb.env.run(until=submitted.started)
-
-        # Kill every agent that ever appears.
-        def reaper():
-            killed = 0
-            while killed < 3:
-                live = broker.agents.live_agents()
-                for record in live:
-                    if not record.runtime.batch_free:
-                        record.runtime.kill("repeat eviction")
-                        killed += 1
-                yield tb.env.timeout(10.0)
-
-        tb.env.process(reaper())
-        tb.env.run(until=submitted.process)
-        # Wait until the job record resolves one way or the other.
-        deadline = tb.env.now + 400
-        while not submitted.finished.triggered and tb.env.now < deadline:
-            tb.env.run(until=tb.env.now + 10)
+        submitted = run_with_repeat_evictions(seed=122)
         assert submitted.finished.triggered
         assert not submitted.report.success or \
             submitted.report.resubmissions <= 1
+
+    def test_failed_job_never_reads_success(self):
+        """A job whose ``finished`` failed records why: the agent-death
+        arm with the budget spent and the subjob watcher both fail
+        ``finished``, and ``report.success`` must read False for it
+        (the broker-modes and chaos-drill tallies count it)."""
+        failed = 0
+        for seed in range(120, 140):
+            submitted = run_with_repeat_evictions(seed)
+            assert submitted.finished.triggered, seed
+            if submitted.finished.ok:
+                assert submitted.report.success, seed
+                continue
+            failed += 1
+            exc = submitted.finished.value
+            assert not submitted.report.success, seed
+            assert submitted.report.error == \
+                f"{type(exc).__name__}: {exc}", seed
+        assert failed
 
     def test_fairshare_not_leaked_on_death(self):
         tb, broker = make_world(seed=123)

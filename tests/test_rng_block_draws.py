@@ -16,7 +16,17 @@ kinds of evidence live here:
 
 numpy documents neither property and ``src/`` depends on both, so a numpy
 that breaks one fails here.
+
+The third numpy property ``src/`` relies on is how a name is seeded.
+``RandomStreams`` derives each name's four PCG64 seed words in closed
+form instead of building ``SeedSequence(entropy=seed, spawn_key=(k0,
+k1))``; ``TestSeedDerivationMatchesNumpy`` requires every kind of draw
+the substrate makes to equal numpy's own seeding, draw for draw, over
+seeds up to 2**160 and arbitrary names — a numpy that changes its
+seeding (or a slip in the derivation) fails there.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -289,3 +299,65 @@ class TestOrderIndependence:
         alone = RandomStreams(11)
         assert [alone.jitter(names[1], 1.0, 0.2)
                 for _ in range(100)] == first[names[1]]
+
+
+# -- the seed derivation against numpy's SeedSequence ----------------------------
+
+def numpy_stream(seed, name):
+    """The generator numpy itself seeds for ``name`` under ``seed``."""
+    digest = int.from_bytes(
+        hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(),
+        "little")
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=seed,
+        spawn_key=(digest & 0x7FFFFFFF, (digest >> 31) & 0x7FFFFFFF)))
+
+
+def every_kind_of_draw(gen):
+    """The first draws of each kind ``src/`` makes, each kind from a
+    fresh generator so a slip in one kind cannot hide behind another."""
+    items = list(range(12))
+    gen().shuffle(items)
+    return {
+        "standard_normal": [gen().standard_normal(block).tolist()
+                            for block in (1, 2, 64)],
+        "exponential": gen().exponential(3.0, 4).tolist(),
+        "uniform": gen().uniform(0.0, 1.0, 4).tolist(),
+        "integers": gen().integers(0, 2**31 - 1, 4).tolist(),
+        "shuffle": items,
+    }
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32), st.integers(0, 2**160 - 1))
+
+
+class TestSeedDerivationMatchesNumpy:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, name=st.text())
+    @example(seed=0, name="")
+    @example(seed=2**32 - 1, name="mix/int/par/0")
+    @example(seed=2**128 - 1, name="net/jitter/site00")
+    @example(seed=2**128, name="é☃𝔛")
+    @example(seed=2**160 - 1, name="spawn/network")
+    def test_every_draw_equals_numpy_seeding(self, seed, name):
+        ours = RandomStreams(seed)
+        assert every_kind_of_draw(lambda: ours._generator(name)) == \
+            every_kind_of_draw(lambda: numpy_stream(seed, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, name=st.text(), child_name=st.text())
+    def test_spawned_children_equal_numpy_seeding(self, seed, name,
+                                                  child_name):
+        child_seed = int(numpy_stream(seed, f"spawn/{name}")
+                         .integers(0, 2**31 - 1))
+        child = RandomStreams(seed).spawn(name)
+        assert child.seed == child_seed
+        assert every_kind_of_draw(lambda: child._generator(child_name)) == \
+            every_kind_of_draw(lambda: numpy_stream(child_seed, child_name))
+
+    @pytest.mark.parametrize("seed", [-1, -2**64])
+    def test_a_negative_seed_raises_at_construction(self, seed):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(seed)
+        with pytest.raises(ValueError):
+            RandomStreams(seed)
