@@ -16,7 +16,7 @@ derives its seed words in closed form, bit for bit
 from __future__ import annotations
 
 from math import copysign
-from typing import Dict, Iterable, List, Sequence, TypeVar
+from typing import Any, Dict, Iterable, List, Sequence, TypeVar
 
 import numpy as np
 
@@ -84,7 +84,9 @@ class RandomStreams:
     def _generator(self, name: str) -> np.random.Generator:
         """``default_rng(SeedSequence(entropy=seed, spawn_key=...))`` for
         ``name``, from seed words derived in closed form."""
-        return np.random.Generator(np.random.PCG64(self._seed_words(name)))
+        # numpy takes any ISeedSequence; PCG64's stub names SeedSequence.
+        words: Any = self._seed_words(name)
+        return np.random.Generator(np.random.PCG64(words))
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
