@@ -130,7 +130,7 @@ class KernelQueuePushRule(Rule):
 
 
 class TriggerInInitRule(Rule):
-    """``succeed``/``fail``/``trigger`` called inside ``__init__``.
+    """``succeed``/``fail`` called inside ``__init__``.
 
     Triggering an event while its constructor is still running schedules
     it before any caller had a chance to register callbacks or even see
@@ -141,7 +141,7 @@ class TriggerInInitRule(Rule):
 
     id = "trigger-in-init"
     category = "kernel"
-    summary = ("Event.succeed/fail/trigger inside __init__ fires before "
+    summary = ("Event.succeed/fail inside __init__ fires before "
                "any caller can register a callback")
     node_types: Tuple[Type[ast.AST], ...] = (ast.Call,)
 
@@ -149,7 +149,7 @@ class TriggerInInitRule(Rule):
         assert isinstance(node, ast.Call)
         func = node.func
         if not (isinstance(func, ast.Attribute)
-                and func.attr in ("succeed", "fail", "trigger")):
+                and func.attr in ("succeed", "fail")):
             return
         if ctx.current_function_name != "__init__":
             return

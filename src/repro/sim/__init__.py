@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation kernel.
 
 A small, self-contained SimPy-style engine: generator-based processes,
-one-shot events, timeouts, interrupts, condition events, counted/priority
-resources, object stores, seeded random streams, and measurement probes.
+one-shot events, timeouts, interrupts, condition events, FIFO mailboxes
+(:class:`Store`), seeded random streams, and measurement probes.
 All higher layers of the reproduction (network, grid, broker, streaming,
 multiprogramming) are built exclusively on this kernel.
 
@@ -35,9 +35,8 @@ from .events import (
 )
 from .monitor import SummaryStats, trace_event, trace_span
 from .process import Process
-from .resources import Container, PriorityRequest, PriorityResource, Request, Resource
 from .rng import RandomStreams
-from .store import FilterStore, Store
+from .store import Store
 from .timers import Timer
 
 __all__ = [
@@ -45,21 +44,15 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
     "Infinity",
     "Interrupt",
     "NORMAL",
     "PENDING",
-    "PriorityRequest",
-    "PriorityResource",
     "Process",
     "RandomStreams",
-    "Request",
-    "Resource",
     "STEER",
     "SimulationError",
     "StopSimulation",

@@ -10,7 +10,7 @@
  *   make_event(env)   -- Event.__init__.
  *
  * Everything else -- every event type, Timer._pop_shot, Process._resume,
- * Condition fan-in, stores/resources -- stays pure Python: the compiled
+ * Condition fan-in, the Store mailbox -- stays pure Python: the compiled
  * lane calls back into it.  The Python classes remain the single source
  * of truth for semantics; this file must mirror the loop in
  * sim/environment.py *exactly* (see the PERF comment there), because the

@@ -25,7 +25,7 @@ operations, and the heap itself stays smaller, which speeds up the
 timed traffic too.
 
 Several producers bypass :meth:`Environment.schedule` and append
-directly to the lanes / heap (``Event.succeed``/``fail``/``trigger``,
+directly to the lanes / heap (``Event.succeed``/``fail``,
 ``Timeout.__init__``, ``Process._resume``, ``Timer.arm``).  The
 invariants they must maintain are:
 

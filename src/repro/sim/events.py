@@ -7,7 +7,7 @@ suspend themselves; when the event is *triggered* it is placed on the event
 queue, and when the environment *processes* it every registered callback is
 invoked exactly once.
 
-PERF note: ``succeed``/``fail``/``trigger`` and ``Timeout.__init__`` append
+PERF note: ``succeed``/``fail`` and ``Timeout.__init__`` append
 queue entries directly to the environment's zero-delay FIFO lane / heap
 instead of going through :meth:`Environment.schedule`.  They observe the
 scheduling invariants documented in ``sim/environment.py`` (bump ``_eid``,
@@ -103,18 +103,6 @@ class Event:
         self._defused = True
 
     # -- triggering -----------------------------------------------------
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another event (callback chaining)."""
-        if self._value is not PENDING:
-            # Same guard as succeed()/fail(): re-triggering would schedule
-            # the event a second time and silently overwrite its value.
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        env._eid = eid = env._eid + 1
-        env._fifo.append((env._now, NORMAL, eid, self))
-
     def succeed(self, value: Any = None) -> "Event":
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -132,7 +120,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         env = self.env
         # Failure is a cold path: the sanitizer hook lives here (and not
-        # in succeed/trigger) so the happy path stays untouched.
+        # in succeed) so the happy path stays untouched.
         sanitizer = env.sanitizer
         if sanitizer is not None:
             sanitizer.note_failure(self)

@@ -3,8 +3,9 @@
 The workload exercises every scheduling feature of the kernel at once —
 timed events with equal-time ties, zero-delay succeed chains, URGENT
 interrupts, wide and nested conditions (including pre-triggered members
-and defused failures), processes waiting on processes, stores and
-resources — and records a line for every observable step.
+and defused failures), processes waiting on processes, a bounded
+mailbox and a counted-slot table — and records a line for every
+observable step.
 
 ``python -m tests.kernel_workload`` regenerates the golden fixture
 (``tests/data/kernel_event_order.json``).  The fixture committed in this
@@ -13,6 +14,13 @@ regression test asserts the optimized kernel replays it exactly, which
 is the determinism contract of the two-lane scheduler: identical
 ``(time, priority, eid)`` total order for identical ``schedule()``
 traffic.
+
+The seed kernel shipped a ``Store(capacity=2)`` and a
+``Resource(capacity=2)``, which this workload used; the kernel now keeps
+only the unbounded :class:`~repro.sim.Store` the simulator calls.
+:class:`BoundedMailbox` and :class:`SlotTable` below are those two
+clients rebuilt on :class:`~repro.sim.Event`: they trigger the same
+events in the same order, so the seed fixture still replays.
 """
 
 from __future__ import annotations
@@ -21,19 +29,84 @@ import json
 import os
 from typing import Callable, List, Optional, Tuple
 
-from repro.sim import (
-    AnyOf,
-    Environment,
-    Interrupt,
-    RandomStreams,
-    Resource,
-    Store,
-)
+from repro.sim import AnyOf, Environment, Event, Interrupt, RandomStreams
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "kernel_event_order.json")
 BURST_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                              "kernel_burst_order.json")
+
+
+class BoundedMailbox:
+    """FIFO mailbox with room for ``capacity`` items: a put waits for room.
+
+    Every request is queued, then ``_settle`` admits waiting puts while
+    there is room and serves waiting gets while there are items, until
+    neither moves — the seed kernel's ``Store(capacity=n)``.
+    """
+
+    def __init__(self, env: Environment, capacity: int) -> None:
+        self.env = env
+        self.capacity = capacity
+        self.items: List[object] = []
+        self.putters: List[Tuple[Event, object]] = []
+        self.getters: List[Event] = []
+
+    def put(self, item: object) -> Event:
+        put = Event(self.env)
+        self.putters.append((put, item))
+        self._settle()
+        return put
+
+    def get(self) -> Event:
+        get = Event(self.env)
+        self.getters.append(get)
+        self._settle()
+        return get
+
+    def _settle(self) -> None:
+        progress = True
+        while progress:
+            progress = False
+            while self.putters and len(self.items) < self.capacity:
+                put, item = self.putters.pop(0)
+                self.items.append(item)
+                put.succeed()
+                progress = True
+            while self.getters and self.items:
+                self.getters.pop(0).succeed(self.items.pop(0))
+                progress = True
+
+
+class SlotTable:
+    """``capacity`` identical slots granted first-come first-served.
+
+    A release fires its own event before the next grant, as the seed
+    kernel's ``Resource.release`` did.
+    """
+
+    def __init__(self, env: Environment, capacity: int) -> None:
+        self.env = env
+        self.capacity = capacity
+        self.users: List[Event] = []
+        self.queue: List[Event] = []
+
+    def request(self) -> Event:
+        request = Event(self.env)
+        if len(self.users) < self.capacity:
+            self.users.append(request)
+            request.succeed()
+        else:
+            self.queue.append(request)
+        return request
+
+    def release(self, request: Event) -> None:
+        self.users.remove(request)
+        Event(self.env).succeed()
+        while self.queue and len(self.users) < self.capacity:
+            granted = self.queue.pop(0)
+            self.users.append(granted)
+            granted.succeed()
 
 
 def run_mixed_workload(env: Optional[Environment] = None,
@@ -74,7 +147,7 @@ def run_mixed_workload(env: Optional[Environment] = None,
     env.process(chain(6), name="chain")
 
     # -- 3. store ping-pong with a jittered producer ---------------------
-    box: Store = Store(env, capacity=2)
+    box = BoundedMailbox(env, capacity=2)
 
     def producer():
         stream = rng.stream("producer")
@@ -92,14 +165,15 @@ def run_mixed_workload(env: Optional[Environment] = None,
     env.process(producer(), name="producer")
     env.process(consumer(), name="consumer")
 
-    # -- 4. resource contention ------------------------------------------
-    cpu = Resource(env, capacity=2)
+    # -- 4. slot contention ----------------------------------------------
+    cpu = SlotTable(env, capacity=2)
 
     def worker(i: int):
-        with cpu.request() as req:
-            yield req
-            note(f"acquire:{i}")
-            yield env.timeout(0.2 + 0.01 * i)
+        req = cpu.request()
+        yield req
+        note(f"acquire:{i}")
+        yield env.timeout(0.2 + 0.01 * i)
+        cpu.release(req)
         note(f"release:{i}")
 
     for i in range(5):

@@ -70,8 +70,8 @@ EXPECTED = {
     "ablation-pl": [0, 0, 0],
     "ablation-degree": [0, 0, 0],
     "ablation-halflife": [0, 0, 0],
-    "broker-modes": [12, 464, 1131],
-    "chaos-drill": [6, 292, 738],
+    "broker-modes": [12, 464, 1125],
+    "chaos-drill": [6, 292, 735],
     "scenario_2site": [0, 264, 768],
 }
 

@@ -5,7 +5,7 @@ The fixture ``tests/data/kernel_event_order.json`` was serialized from
 the pre-two-lane kernel running :func:`tests.kernel_workload
 .run_mixed_workload` — a workload that stresses equal-time ties,
 zero-delay chains, URGENT interrupts, wide/nested conditions, defused
-failures, stores and resources at once.  Any change to the kernel's
+failures, a bounded mailbox and a counted-slot table at once.  Any change to the kernel's
 ``(time, priority, eid)`` total order shows up here as a diff long
 before it corrupts an experiment render.
 

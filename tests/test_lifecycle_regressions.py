@@ -9,8 +9,6 @@ streaming layer:
 * ``Condition._check`` early-returned without defusing a member that
   failed *after* the condition's outcome was decided, crashing the whole
   simulation from :meth:`Environment.step`;
-* ``Event.trigger`` silently re-triggered an already-triggered event,
-  scheduling it twice and overwriting its value;
 * ``StreamBuffer.write`` left the residual tail of a capacity-crossing
   write without a running timeout window when the dirty clock had been
   reset by the "full" flush, so the tail never flushed;
@@ -31,7 +29,7 @@ from repro import Scenario
 from repro.calibration import DEFAULT_CALIBRATION
 from repro.jdl import StreamingMode
 from repro.net.failures import random_outages
-from repro.sim import SimulationError, Store
+from repro.sim import Store
 from repro.streaming import (
     ChunkSender,
     InteractiveSession,
@@ -130,31 +128,6 @@ class TestConditionLateLoser:
         env.process(failer())
         proc = env.process(waiter())
         env.run(until=proc)
-
-
-class TestEventTriggerGuard:
-    def test_trigger_copies_state_once(self, env):
-        src = env.event()
-        src.succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        assert dst.triggered and dst.value == "payload"
-
-    def test_double_trigger_raises(self, env):
-        src = env.event()
-        src.succeed(1)
-        dst = env.event()
-        dst.succeed(2)
-        with pytest.raises(SimulationError):
-            dst.trigger(src)  # pre-fix: silently rescheduled dst
-
-    def test_trigger_after_trigger_raises(self, env):
-        src = env.event()
-        src.succeed("x")
-        dst = env.event()
-        dst.trigger(src)
-        with pytest.raises(SimulationError):
-            dst.trigger(src)
 
 
 class TestBufferResidualRearm:

@@ -142,10 +142,9 @@ def build(env, program, log, steer=push_steer):
         elif op == "fail":
             env.process(guardian(k, args[0]))
         elif op == "store":
-            capacity, delays = args
-            box = Store(env, capacity=capacity)
-            env.process(consumer(k, box, len(delays)))
-            env.process(producer(k, box, delays))
+            box = Store(env)
+            env.process(consumer(k, box, len(args[0])))
+            env.process(producer(k, box, args[0]))
         elif op == "steer":
             steer(env, args[0], lambda k=k: action(k))
 
@@ -160,8 +159,7 @@ _ops = st.one_of(
     st.tuples(st.just("anyof"), _delays),
     st.tuples(st.just("allof"), _delays),
     st.tuples(st.just("fail"), _delay),
-    st.tuples(st.just("store"), st.sampled_from([1, 2, float("inf")]),
-              _delays),
+    st.tuples(st.just("store"), _delays),
     st.tuples(st.just("steer"), _delay),
 )
 
@@ -170,7 +168,7 @@ EVERYTHING_AT_ONCE = [
     ("timeouts", [0.0, 0.5, 0.5]), ("chain", 3), ("interrupt", 1.0, 0.5),
     ("interrupt", 0.5, 0.5), ("timer", 1.0, 0.5, 0.25),
     ("timer", 1.0, 0.5, None), ("anyof", [0.5, 0.0, 1.0]),
-    ("allof", [0.5, 0.5]), ("fail", 0.5), ("store", 1, [0.0, 0.5, 0.0]),
+    ("allof", [0.5, 0.5]), ("fail", 0.5), ("store", [0.0, 0.5, 0.0]),
     ("steer", 0.0), ("steer", 0.5), ("steer", 0.25), ("steer", 0.5),
 ]
 
