@@ -7,11 +7,12 @@ where curves cross) is visible straight in the terminal or a CI log.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .series import Series, downsample
+from .series import Series, downsample, linspace
 
 #: Glyphs assigned to series in order.
 SERIES_GLYPHS = "*o+x#@%&"
@@ -119,8 +120,9 @@ def size_profile_chart(title: str,
                        width: int = 64, height: int = 14) -> str:
     """Chart of mean round-trip vs payload size, one curve per mechanism
     (the summary view of Figures 6/7)."""
-    import numpy as np
-
+    # math.log10 is np.log10 on the powers of ten Figures 6/7 use.
+    log_sizes = [math.log10(s) for s in sizes]
+    xs = linspace(log_sizes[0], log_sizes[-1], width)
     chart = AsciiChart(title=title, width=width, height=height,
                        y_label=y_label, x_label="payload size "
                        f"({' -> '.join(str(s) for s in sizes)} B, log x)",
@@ -128,8 +130,26 @@ def size_profile_chart(title: str,
     for name, per_size in by_mech.items():
         means = [per_size[s].mean * 1e3 for s in sizes]
         # Interpolate to the canvas width on a log-size axis.
-        log_sizes = np.log10(np.asarray(sizes, dtype=float))
-        xs = np.linspace(log_sizes[0], log_sizes[-1], width)
-        interpolated = np.interp(xs, log_sizes, means)
-        chart.add_series(name, [float(v) for v in interpolated])
+        chart.add_series(name, [interp(x, log_sizes, means) for x in xs])
     return chart.render()
+
+
+def interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """``np.interp(x, xp, fp)`` for one point (``xp`` ascending)."""
+    if x != x:
+        return x
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:
+        # numpy retries from the right end, then falls back to a flat line.
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y

@@ -4,13 +4,17 @@ The reproduction's success criterion is *shape*, not absolute numbers:
 who wins, by roughly what factor, and where crossovers fall.  These
 helpers turn raw per-sequence/per-iteration samples into those judgments.
 
-numpy is imported where it is used, not at module level: unpickling a
-cached :class:`Series` (``repro cache ls``) must not load it, while every
-rendered number still comes from the same ``np.mean``/``np.std`` calls.
+Every number here is plain float arithmetic done in numpy's own order,
+so it equals what ``np.mean``, ``np.std(ddof=1)`` and ``np.linspace``
+return, to the last bit and signed zero included
+(``tests/test_metrics.py::TestNumpyOrder`` holds that).  That keeps
+numpy off the read path: a fully cached ``repro run all`` merges and
+renders without importing it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -32,20 +36,78 @@ class Series:
 
     @property
     def mean(self) -> float:
-        import numpy as np
-
-        return float(np.mean(self.values)) if self.values else float("nan")
+        return _mean(self.values) if self.values else float("nan")
 
     @property
     def std(self) -> float:
-        import numpy as np
-
-        return float(np.std(self.values, ddof=1)) if len(self.values) > 1 else 0.0
+        """Sample standard deviation (``ddof=1``)."""
+        values = self.values
+        if len(values) < 2:
+            return 0.0
+        mean = _mean(values)
+        deviations = [v - mean for v in values]
+        return math.sqrt(_sum([d * d for d in deviations])
+                         / (len(values) - 1))
 
     def stats(self) -> SummaryStats:
         from ..sim.monitor import SummaryStats
 
         return SummaryStats.of(self.values)
+
+
+#: numpy's pairwise-summation block (``PW_BLOCKSIZE``).
+_BLOCK = 128
+
+
+def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` of ``values[lo:lo + n]``, ``n >= 1``."""
+    if n < 8:
+        total = values[lo]
+        for i in range(lo + 1, lo + n):
+            total += values[i]
+        return total
+    if n <= _BLOCK:
+        # Eight strided accumulators, combined as a tree, then the tail.
+        end = lo + n - n % 8
+        r = []
+        for j in range(lo, lo + 8):
+            acc = values[j]
+            for v in values[j + 8:end:8]:
+                acc += v
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
+
+
+def _sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a non-empty float64 vector: its identity +0.0
+    plus the pairwise sum (so a sum of -0.0s is +0.0)."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _mean(values: Sequence[float]) -> float:
+    return _sum(values) / len(values)
+
+
+def linspace(start: float, stop: float, num: int) -> List[float]:
+    """``np.linspace(start, stop, num)`` as a list of floats."""
+    start, stop = float(start), float(stop)
+    div = num - 1
+    delta = stop - start
+    if div > 0:
+        step = delta / div
+        if step == 0:
+            points = [i / div * delta + start for i in range(num)]
+        else:
+            points = [i * step + start for i in range(num)]
+        points[-1] = stop
+        return points
+    return [i * delta + start for i in range(num)]
 
 
 def ranking(series: Mapping[str, Series]) -> List[str]:
@@ -90,15 +152,14 @@ def indistinguishable(a: Series, b: Series, tolerance: float = 0.02) -> bool:
 
 def downsample(values: Sequence[float], buckets: int) -> List[float]:
     """Bucket means, for rendering long series compactly."""
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or buckets <= 0:
+    values = [float(v) for v in values]
+    if not values or buckets <= 0:
         return []
-    if arr.size <= buckets:
-        return [float(v) for v in arr]
-    edges = np.linspace(0, arr.size, buckets + 1, dtype=int)
-    return [float(arr[a:b].mean()) for a, b in zip(edges[:-1], edges[1:])
+    if len(values) <= buckets:
+        return values
+    # np.linspace(0, n, buckets + 1, dtype=int) floors its float points.
+    edges = [math.floor(x) for x in linspace(0, len(values), buckets + 1)]
+    return [_mean(values[a:b]) for a, b in zip(edges[:-1], edges[1:])
             if b > a]
 
 

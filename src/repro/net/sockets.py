@@ -18,11 +18,7 @@ from .errors import (
     LinkDownError,
     PortInUseError,
 )
-from .topology import Host, Network
-
-#: Dynamic ports are allocated from this range upward ("listening in a
-#: randomly selected port probing for an available port" — paper §4).
-DYNAMIC_PORT_BASE = 20000
+from .topology import DYNAMIC_PORT_BASE, Host, Network
 
 
 class Datagram(NamedTuple):
@@ -49,7 +45,8 @@ class PortAllocator:
 
     def __init__(self, host: Host) -> None:
         self.host = host
-        self._next = DYNAMIC_PORT_BASE
+        # Probing from DYNAMIC_PORT_BASE would find this port first.
+        self._next = host.low_port
 
     def allocate(self, pinned: Optional[int] = None) -> int:
         if pinned is not None:
@@ -75,6 +72,10 @@ class Listener:
         self._backlog: Store = Store(network.env)
         self.closed = False
         host.listeners[port] = self
+        if port == host.low_port:
+            while port in host.listeners:
+                port += 1
+            host.low_port = port
 
     def accept(self) -> Generator:
         """Wait for the next incoming connection; returns a ConnectionEnd."""
@@ -84,6 +85,8 @@ class Listener:
     def close(self) -> None:
         self.closed = True
         self.host.listeners.pop(self.port, None)
+        if DYNAMIC_PORT_BASE <= self.port < self.host.low_port:
+            self.host.low_port = self.port
 
     def _enqueue(self, server_end: "ConnectionEnd") -> None:
         self._backlog.put(server_end)

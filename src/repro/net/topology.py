@@ -17,6 +17,10 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from ..sim import Environment, RandomStreams
 from .errors import LinkDownError, NoRouteError
 
+#: Dynamic ports are allocated from this range upward ("listening in a
+#: randomly selected port probing for an available port" — paper §4).
+DYNAMIC_PORT_BASE = 20000
+
 
 @dataclass
 class Link:
@@ -114,6 +118,10 @@ class Host:
         self.name = name
         #: port -> Listener (populated by sockets.Listener)
         self.listeners: Dict[int, object] = {}
+        #: The lowest unbound dynamic port: every port in
+        #: ``[DYNAMIC_PORT_BASE, low_port)`` is bound.  sockets.Listener
+        #: raises it on bind and lowers it on close.
+        self.low_port = DYNAMIC_PORT_BASE
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Host {self.name}>"

@@ -15,7 +15,9 @@ Execution model (:func:`run_experiments`):
    parallel run is bit-identical to a serial run of the same config.
 
 When the simulator loads: never at import.  This module, the cache and
-the experiment declarations are all a fully cached run touches; the
+the experiment declarations are all a fully cached run touches — not
+numpy either, since the merges' means, deviations and chart points are
+plain floats summed in numpy's order (``metrics/series.py``); the
 first cell that has to be *executed* imports the simulator from inside
 its ``run_cell`` (its ``elapsed`` includes that one-off import), and a
 pool imports it — and ``concurrent.futures`` — once in the parent just

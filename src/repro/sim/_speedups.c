@@ -579,8 +579,8 @@ speedups_drain(PyObject *self, PyObject *env)
         slot_store(env, S.env_now, PyTuple_GET_ITEM(entry, 0));
         PyObject *callbacks = SLOT(event, S.ev_callbacks);
         if (callbacks == NULL || callbacks == Py_None) {
-            /* Already processed (trigger-chaining): clock advanced,
-             * nothing else to do. */
+            /* Already processed (handed to schedule() twice): clock
+             * advanced, nothing else to do. */
             Py_DECREF(entry);
             continue;
         }

@@ -322,7 +322,7 @@ class Environment:
         self._now = entry[0]
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
-            # Already processed (trigger-chaining); nothing to do.
+            # Already processed: the event was handed to schedule() twice.
             return
         for callback in callbacks:
             callback(event)
@@ -431,8 +431,8 @@ class Environment:
             self._now = entry[0]
             callbacks = event.callbacks
             if callbacks is None:
-                # Already processed (trigger-chaining); clock advanced,
-                # nothing else to do — mirrors step().
+                # Already processed (handed to schedule() twice); clock
+                # advanced, nothing else to do — mirrors step().
                 continue
             event.callbacks = None
             for cb in callbacks:
@@ -500,7 +500,7 @@ class Environment:
                 self._now = entry[0]
                 callbacks = event.callbacks
                 if callbacks is None:
-                    # Already processed (trigger-chaining) — mirrors step().
+                    # Handed to schedule() twice — mirrors step().
                     continue
                 event.callbacks = None
                 for cb in callbacks:

@@ -12,7 +12,10 @@ before it corrupts an experiment render.
 Every surviving encoding of that order is held to both pinned fixtures:
 the fast loop, the observed loop (profiler attached), a ``step()``
 driver — all in-process — and the compiled lane in a subprocess (lane
-selection is an import-time switch).
+selection is an import-time switch).  Each encoding must also end on the
+pinned ``env._eid``: an event scheduled more or fewer times shifts every
+later eid uniformly, which keeps every tie and so the ``(time, tag)``
+log, but not the count.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from .kernel_workload import BURST_FIXTURE, FIXTURE, run_mixed_workload, \
     run_burst_workload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+#: The final ``env._eid`` of each fixture's workload: the number of
+#: ``schedule()`` calls it makes.
+FINAL_EID = {FIXTURE: 132, BURST_FIXTURE: 404}
 
 
 def _pinned(path: str) -> list:
@@ -79,29 +87,34 @@ def test_every_encoding_replays_pinned_fixture(workload, fixture, encoding):
     env = _environment(encoding)
     drive = _step_until_empty if encoding == "step" else Environment.run
     assert workload(env=env, drive=drive) == _pinned(fixture)
+    assert env._eid == FINAL_EID[fixture]
     env.sanitizer.assert_clean()
 
 
 # -- same-timestamp burst: one tick, every tie-breaking rule at once ------
 
 def _run_in_lane(workload: str, compiled: bool,
-                 sanitize: bool = False) -> list:
+                 sanitize: bool = False) -> tuple:
     """Replay a workload in a fresh interpreter on the chosen lane.
 
     Lane selection is an import-time switch, so cross-lane comparison
-    needs a subprocess per lane; the log comes back as JSON on stdout.
+    needs a subprocess per lane; the log and the final ``env._eid`` come
+    back as JSON on stdout.
     """
     env = dict(os.environ,  # simlint: disable=environ-read -- building a subprocess environment, not sim state
                PYTHONPATH=os.path.join(REPO_ROOT, "src"),
                REPRO_SIM_COMPILED="1" if compiled else "0")
-    call = f"{workload}(sanitize=True)" if sanitize else f"{workload}()"
+    call = (f"{workload}(sanitize=True, env=env)" if sanitize
+            else f"{workload}(env=env)")
     code = (
         f"import json, sys\n"
         f"from tests.kernel_workload import {workload}\n"
+        f"from repro.sim import Environment\n"
         f"from repro.sim._compiled import compiled_lane_active\n"
+        f"env = Environment(sanitize={sanitize})\n"
         f"log = {call}\n"
         f"json.dump({{'compiled': compiled_lane_active(), "
-        f"'log': log}}, sys.stdout)\n"
+        f"'log': log, 'eid': env._eid}}, sys.stdout)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           cwd=REPO_ROOT, capture_output=True, text=True,
@@ -111,7 +124,7 @@ def _run_in_lane(workload: str, compiled: bool,
     assert payload["compiled"] is compiled, (
         "lane selection failed — is the extension built? "
         "(python tools/build_compiled.py)")
-    return [tuple(rec) for rec in payload["log"]]
+    return [tuple(rec) for rec in payload["log"]], payload["eid"]
 
 
 def _compiled_lane_available() -> bool:
@@ -147,7 +160,7 @@ def test_burst_identical_across_lanes():
     (time, priority, eid) total order between the Python drain and the
     C drain shows up here as a log diff.
     """
-    in_process = run_burst_workload()
+    in_process = run_burst_workload(), FINAL_EID[BURST_FIXTURE]
     interpreted = _run_in_lane("run_burst_workload", compiled=False)
     compiled = _run_in_lane("run_burst_workload", compiled=True)
     assert interpreted == in_process
@@ -157,12 +170,14 @@ def test_burst_identical_across_lanes():
 @needs_compiled
 def test_burst_compiled_lane_sanitizer_clean():
     """The C drain honors the sanitizer hooks too (no silent leaks)."""
-    log = _run_in_lane("run_burst_workload", compiled=True, sanitize=True)
+    log, eid = _run_in_lane("run_burst_workload", compiled=True,
+                            sanitize=True)
     assert log == run_burst_workload()
+    assert eid == FINAL_EID[BURST_FIXTURE]
 
 
 @needs_compiled
 def test_mixed_workload_identical_across_lanes():
     """The PR-3 fixture workload also replays identically on the C lane."""
     compiled = _run_in_lane("run_mixed_workload", compiled=True)
-    assert compiled == run_mixed_workload()
+    assert compiled == (run_mixed_workload(), FINAL_EID[FIXTURE])

@@ -1,5 +1,9 @@
 """Unit tests for tables, series analysis, and shape-check helpers."""
 
+import math
+import random
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,8 @@ from repro.metrics import (
     sparkline,
     winner,
 )
+from repro.metrics.figures import interp
+from repro.metrics.series import linspace
 
 
 class TestAsciiTable:
@@ -133,3 +139,87 @@ class TestDownsampleSparkline:
         assert out
         assert min(out) >= min(values) - 1e-9
         assert max(out) <= max(values) + 1e-9
+
+
+# -- the float arithmetic is numpy's, bit for bit -----------------------------
+
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def float_vectors(draw, max_size=400):
+    """Floats of mixed sign and magnitude (so summation order shows in the
+    last bits), with up to three specials dropped in."""
+    n = draw(st.integers(0, max_size))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-4, 6)
+              for _ in range(n)]
+    for index, special in draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)),
+                      st.sampled_from(SPECIALS)), max_size=3)):
+        if values:
+            values[index] = special
+    return values
+
+
+def same(got, want):
+    """``==`` with signed zero told apart and NaN equal to NaN."""
+    return [repr(float(v)) for v in got] == [repr(float(v)) for v in want]
+
+
+class TestNumpyOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(values=float_vectors())
+    def test_mean_and_std_are_numpys(self, values):
+        series = Series.of("s", values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert same([series.mean], [np.mean(values)])
+            if len(values) > 1:
+                assert same([series.std], [np.std(values, ddof=1)])
+
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0] * 7, [-0.0] * 8,
+                                        [-0.0] * 200, [0.0, -0.0]])
+    def test_a_sum_of_negative_zeros_is_positive(self, values):
+        assert same([Series.of("z", values).mean], [np.mean(values)])
+        assert same([Series.of("z", values).mean], [0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=float_vectors(), buckets=st.integers(1, 130))
+    def test_downsample_is_numpys(self, values, buckets):
+        n = len(values)
+        if n > buckets:
+            edges = np.linspace(0, n, buckets + 1, dtype=int)
+            assert ([math.floor(x) for x in linspace(0, n, buckets + 1)]
+                    == edges.tolist())
+            arr = np.asarray(values, dtype=float)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = [arr[a:b].mean() for a, b in zip(edges[:-1], edges[1:])
+                        if b > a]
+        else:
+            want = values if buckets > 0 else []
+        assert same(downsample(values, buckets), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+           equal=st.booleans(), num=st.integers(0, 100),
+           xp=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+           fp=st.lists(st.one_of(st.floats(-1e6, 1e6),
+                                 st.sampled_from(SPECIALS)),
+                       min_size=8, max_size=8))
+    def test_chart_linspace_and_interp_are_numpys(self, ends, equal, num,
+                                                  xp, fp):
+        start, stop = ends[0], ends[0] if equal else ends[1]
+        xs = linspace(start, stop, num)
+        assert same(xs, np.linspace(start, stop, num))
+        xp = sorted(xp)
+        fp = fp[:len(xp)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = np.interp(np.asarray(xs, dtype=float), xp, fp)
+        assert same([interp(x, xp, fp) for x in xs], want)
+
+    def test_log10_is_numpys_on_powers_of_ten(self):
+        for k in range(12):
+            assert math.log10(10 ** k) == np.log10(float(10 ** k))

@@ -1,10 +1,14 @@
 """Unit tests for connections, listeners, port allocation, and RPC."""
 
+import itertools
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
+    DYNAMIC_PORT_BASE,
     ConnectionClosedError,
     ConnectionRefusedError_,
     Listener,
@@ -45,6 +49,49 @@ class TestPortAllocator:
         alloc = PortAllocator(world.host("server"))
         with pytest.raises(PortInUseError):
             alloc.allocate(pinned=5555)
+
+
+def probed(host, start=DYNAMIC_PORT_BASE):
+    """The reference allocation: probe upward for the first free port."""
+    return next(p for p in itertools.count(start) if p not in host.listeners)
+
+
+#: One step: bind a dynamic port, bind a pinned one, close the n-th live
+#: listener (twice, sometimes), or take two ports from one allocator.
+PORT_OPS = st.lists(st.one_of(
+    st.just(("bind",)),
+    st.tuples(st.just("pin"),
+              st.integers(DYNAMIC_PORT_BASE - 3, DYNAMIC_PORT_BASE + 40)),
+    st.tuples(st.just("close"), st.integers(0, 63), st.booleans()),
+    st.just(("two",))), max_size=120)
+
+
+class TestPortAllocatorMatchesProbing:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=PORT_OPS)
+    def test_every_allocation_is_the_probed_port(self, ops):
+        net = Network(Environment(), RandomStreams(7))
+        host = net.add_host("ui")
+        live = []
+        for op in ops:
+            if op[0] == "bind":
+                port = PortAllocator(host).allocate()
+                assert port == probed(host)
+                live.append(Listener(net, host, port))
+            elif op[0] == "pin":
+                if op[1] not in host.listeners:
+                    live.append(Listener(net, host, op[1]))
+            elif op[0] == "close" and live:
+                listener = live.pop(op[1] % len(live))
+                listener.close()
+                if op[2]:
+                    listener.close()
+            elif op[0] == "two":
+                alloc = PortAllocator(host)
+                first = alloc.allocate()
+                assert first == probed(host)
+                assert alloc.allocate() == probed(host, first + 1)
+            assert host.low_port == probed(host)
 
 
 class TestConnections:

@@ -8,7 +8,8 @@ the C transcription in ``sim/_speedups.c``.
 ``tests/test_kernel_determinism.py`` holds them to two pinned fixtures;
 here Hypothesis generates the programs.  Each program mixes timeouts,
 zero-delay chains, URGENT interrupts, ``Timer`` cancel/re-arm,
-``AnyOf``/``AllOf`` fan-in, process failure, ``Store`` put/get and
+``AnyOf``/``AllOf`` fan-in, process failure, ``Store`` put/get, an event
+handed to ``Environment.schedule`` a second time and
 scripted steering actions (``STEER`` entries, the way ``Scenario.build``
 queues a chaos schedule), and every loop must give the same
 ``(env.now, tag)`` callback log, the same final ``env.now`` and
@@ -147,6 +148,14 @@ def build(env, program, log, steer=push_steer):
             env.process(producer(k, box, args[0]))
         elif op == "steer":
             steer(env, args[0], lambda k=k: action(k))
+        elif op == "twice":
+            # succeed() queues the event; the public schedule() queues it
+            # again.  The second pop finds it processed and only moves
+            # the clock.
+            ev = env.event()
+            ev.callbacks.append(lambda _ev, k=k: note(f"twice:{k}"))
+            ev.succeed()
+            env.schedule(ev, delay=args[0])
 
 
 _delay = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5])
@@ -161,6 +170,7 @@ _ops = st.one_of(
     st.tuples(st.just("fail"), _delay),
     st.tuples(st.just("store"), _delays),
     st.tuples(st.just("steer"), _delay),
+    st.tuples(st.just("twice"), _delay),
 )
 
 # Every feature at once, with same-time ties between all of them.
@@ -170,6 +180,7 @@ EVERYTHING_AT_ONCE = [
     ("timer", 1.0, 0.5, None), ("anyof", [0.5, 0.0, 1.0]),
     ("allof", [0.5, 0.5]), ("fail", 0.5), ("store", [0.0, 0.5, 0.0]),
     ("steer", 0.0), ("steer", 0.5), ("steer", 0.25), ("steer", 0.5),
+    ("twice", 0.0), ("twice", 0.5),
 ]
 
 
@@ -260,5 +271,21 @@ class TestEveryLaneMatchesTheFastLoop:
         log, now, eid = run_lane("fast", EVERYTHING_AT_ONCE)
         kinds = {tag.split(":")[0] for _, tag in log}
         assert kinds >= {"timeout", "chain", "interrupted", "timer",
-                         "anyof", "allof", "caught", "put", "got", "steer"}
+                         "anyof", "allof", "caught", "put", "got", "steer",
+                         "twice"}
         assert now == 1.0 and eid > 0
+
+
+#: The compiled loop joins when it is the selected lane.
+EVERY_LANE = ("fast",) + LANES + (
+    ("compiled",) if compiled_lane_active() else ())
+
+
+class TestEventScheduledTwice:
+    @pytest.mark.parametrize("lane", EVERY_LANE)
+    @pytest.mark.parametrize("delay", [0.0, 0.5])
+    def test_callbacks_run_once(self, lane, delay):
+        log, now, eid = run_lane(lane, [("twice", delay)])
+        assert log == [(0.0, "twice:0")]
+        # Both entries were popped: the later one only moved the clock.
+        assert (now, eid) == (delay, 2)
