@@ -37,7 +37,6 @@ every constructor::
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
@@ -72,9 +71,6 @@ class Leak:
         extra = ", ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
         return f"[{self.kind}] {self.what}" + (f" ({extra})" if extra else "")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "what": self.what, "detail": self.detail}
-
 
 @dataclass
 class SanitizerReport:
@@ -103,14 +99,6 @@ class SanitizerReport:
         lines = [head + f"{len(self.leaks)} leak(s)"]
         lines.extend("  " + leak.render() for leak in self.leaks)
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "at": self.at,
-            "clean": self.clean,
-            "leaks": [leak.to_dict() for leak in self.leaks],
-            "stats": self.stats,
-        }, indent=2)
 
 
 class Sanitizer:

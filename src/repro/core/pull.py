@@ -101,10 +101,6 @@ class PullBroker(BrokerBase):
         self._agents.append(agent)
         return agent
 
-    @property
-    def site_agents(self) -> List[SiteAgent]:
-        return list(self._agents)
-
     # ------------------------------------------------------------------
     # Placement: enqueue, wait for a claim, submit through GRAM
     # ------------------------------------------------------------------

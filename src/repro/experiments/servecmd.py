@@ -61,6 +61,7 @@ def serve_main(argv: List[str]) -> int:
     from ..obs.control import ChaosSchedule, SteerError, control_scope
     from ..scenario import Scenario
     from .cli import load_chaos
+    from .trace_run import non_negative_float, non_negative_int, positive_count
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -69,16 +70,17 @@ def serve_main(argv: List[str]) -> int:
     parser.add_argument("scenario", nargs="?", default="campus",
                         choices=("campus", "wan", "europe"),
                         help="world kind (default campus)")
-    parser.add_argument("--sites", type=int, default=6, metavar="N")
-    parser.add_argument("--nodes", type=int, default=4, metavar="N",
-                        help="worker nodes per site")
-    parser.add_argument("--jobs", type=int, default=12, metavar="N",
-                        help="driver submissions (default 12)")
-    parser.add_argument("--gap", type=float, default=15.0, metavar="S",
-                        help="sim-seconds between submissions")
-    parser.add_argument("--runtime", type=float, default=60.0, metavar="S",
-                        help="per-job CPU time in sim-seconds")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sites", type=positive_count, default=6,
+                        metavar="N")
+    parser.add_argument("--nodes", type=positive_count, default=4,
+                        metavar="N", help="worker nodes per site")
+    parser.add_argument("--jobs", type=positive_count, default=12,
+                        metavar="N", help="driver submissions (default 12)")
+    parser.add_argument("--gap", type=non_negative_float, default=15.0,
+                        metavar="S", help="sim-seconds between submissions")
+    parser.add_argument("--runtime", type=non_negative_float, default=60.0,
+                        metavar="S", help="per-job CPU time in sim-seconds")
+    parser.add_argument("--seed", type=non_negative_int, default=0)
     parser.add_argument("--broker-mode", default="push",
                         choices=("push", "pull", "data"))
     parser.add_argument("--chaos", metavar="PATH",

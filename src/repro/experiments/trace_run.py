@@ -31,7 +31,7 @@ import argparse
 import contextlib
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..metrics import (
     counters_table,
@@ -93,13 +93,23 @@ def _method_path(path: str, method: str) -> str:
     return f"{stem}.{method}{ext}"
 
 
-def positive_count(text: str) -> int:
-    """``--jobs`` and ``--sites`` take an int >= 1; argparse prefixes the
-    message with the flag's name."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, not {count}")
-    return count
+def _at_least(low: int, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse ``type``: ``convert(text)``, refused below ``low`` (NaN
+    too); argparse prefixes the message with the flag's name."""
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+#: Sizes (``--jobs``, ``--sites``, ``--nodes``) are ints >= 1; a seed is
+#: an int >= 0, and sim-second spans (``--gap``, ``--runtime``) floats >= 0.
+positive_count = _at_least(1, int)
+non_negative_int = _at_least(0, int)
+non_negative_float = _at_least(0, float)
 
 
 def trace_main(argv: Optional[List[str]] = None) -> int:
@@ -115,7 +125,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
                         help="submissions per method (default 5)")
     parser.add_argument("--sites", type=positive_count, default=20,
                         help="grid size (default 20, as in §6.1)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=non_negative_int, default=1)
     parser.add_argument("--per-job", action="store_true",
                         help="also print the per-job phase totals")
     parser.add_argument("--telemetry", action="store_true",
@@ -136,6 +146,11 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
                              "for ui.perfetto.dev (one file per method, "
                              "like --csv)")
     args = parser.parse_args(argv)
+    for flag in ("json", "csv", "chrome"):
+        # Refused up front: the file is written only after the whole run.
+        directory = os.path.dirname(getattr(args, flag) or "")
+        if directory and not os.path.isdir(directory):
+            parser.error(f"argument --{flag}: no directory {directory!r}")
 
     methods = list(TRACE_METHODS) if args.method == "all" else [args.method]
     several = len(methods) > 1

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .gram import GRAM_PORT, Gatekeeper, GramClient, GramJobTicket
 from .mds import InformationIndex, MDS_PORT, MdsPublisher, SiteAdvert, query_index
-from .mpi import AllocationSlice, Subjob, plan_allocation, sites_used, subjobs_for
+from .mpi import AllocationSlice, Subjob, plan_allocation, subjobs_for
 from .site import Site, SiteConfig
 from .staging import retrieve_output, stage_input
 from .testbed import (
@@ -69,7 +69,6 @@ __all__ = [
     "europe_testbed",
     "plan_allocation",
     "query_index",
-    "sites_used",
     "retrieve_output",
     "stage_input",
     "subjobs_for",

@@ -10,7 +10,7 @@ which sites, and the one-CA-per-subjob wiring) is faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..jdl import JobDescription, JobFlavor
 from .errors import CoAllocationError
@@ -90,10 +90,3 @@ def subjobs_for(job: JobDescription,
             subjobs.append(Subjob(job.job_id, rank, piece.site))
             rank += 1
     return subjobs
-
-
-def sites_used(slices: Sequence[AllocationSlice]) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for piece in slices:
-        out[piece.site] = out.get(piece.site, 0) + piece.nodes
-    return out

@@ -106,12 +106,6 @@ class Site:
         attributes.update(self.config.extra_attributes or {})
         return attributes
 
-    def node_by_host(self, host: str) -> WorkerNode:
-        for node in self.nodes:
-            if node.name == host:
-                return node
-        raise KeyError(host)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Site {self.name}: {self.lrms.free_count}/"
                 f"{self.lrms.total_nodes} free, queue {self.lrms.queue_length}>")

@@ -53,10 +53,6 @@ class Frame:
     kind: int
     payload: bytes
 
-    @property
-    def kind_name(self) -> str:
-        return TYPE_NAMES.get(self.kind, f"?{self.kind}")
-
     def encode(self) -> bytes:
         if len(self.payload) > MAX_FRAME:
             raise ProtocolError(f"frame too large: {len(self.payload)}")

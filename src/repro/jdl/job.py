@@ -89,10 +89,6 @@ class JobDescription:
         return self.category is JobCategory.INTERACTIVE
 
     @property
-    def is_parallel(self) -> bool:
-        return self.flavor is not JobFlavor.SEQUENTIAL
-
-    @property
     def wants_shared_vm(self) -> bool:
         return self.is_interactive and self.machine_access is MachineAccess.SHARED
 
@@ -212,28 +208,6 @@ class JobDescription:
             raise JdlValidationError("shared MachineAccess requires an interactive job")
         if self.shadow_port is not None and not (1024 <= self.shadow_port <= 65535):
             raise JdlValidationError("ShadowPort must be in [1024, 65535]")
-
-    # -- serialisation -----------------------------------------------------
-    def to_jdl(self) -> str:
-        """Render back to JDL text (Figure 2 style)."""
-        lines = [f'Executable = "{self.executable}";']
-        if self.arguments:
-            lines.append(f'Arguments = "{" ".join(self.arguments)}";')
-        lines.append(
-            f'JobType = {{"{self.category.value}", "{self.flavor.value}"}};')
-        lines.append(f"NodeNumber = {self.node_number};")
-        if self.is_interactive:
-            lines.append(f'StreamingMode = "{self.streaming_mode.value}";')
-            lines.append(f'MachineAccess = "{self.machine_access.value}";')
-            if self.wants_shared_vm:
-                lines.append(f"PerformanceLoss = {self.performance_loss};")
-        if self.requirements is not None:
-            lines.append(f"Requirements = {self.requirements};")
-        if self.rank is not None:
-            lines.append(f"Rank = {self.rank};")
-        if self.shadow_port is not None:
-            lines.append(f"ShadowPort = {self.shadow_port};")
-        return "\n".join(lines) + "\n"
 
 
 def _parse_sandbox(raw: Any, attr: str) -> List[Tuple[str, int]]:

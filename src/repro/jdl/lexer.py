@@ -9,7 +9,7 @@ booleans, brace-delimited lists, or classad expressions (for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 
 class JdlSyntaxError(ValueError):
@@ -134,7 +134,3 @@ def tokenize(text: str) -> List[Token]:
 
     tokens.append(Token("EOF", "", line, col))
     return tokens
-
-
-def iter_tokens(text: str) -> Iterator[Token]:  # pragma: no cover - thin
-    return iter(tokenize(text))

@@ -1,6 +1,6 @@
 """Measurement post-processing: tables, series, shape checks."""
 
-from .figures import AsciiChart, series_chart, size_profile_chart
+from .figures import AsciiChart, size_profile_chart
 from .phases import (
     counters_table,
     job_breakdown_table,
@@ -40,7 +40,6 @@ __all__ = [
     "write_trace_json",
     "render_telemetry",
     "render_timeline",
-    "series_chart",
     "size_profile_chart",
     "Series",
     "crossover_size",

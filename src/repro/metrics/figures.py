@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .series import Series, downsample, linspace
 
@@ -100,18 +100,6 @@ class AsciiChart:
             for i, name in enumerate(self.series))
         out.append(" " * (gutter + 1) + legend)
         return "\n".join(out)
-
-
-def series_chart(title: str, series: Mapping[str, Series],
-                 y_label: str = "", x_label: str = "",
-                 log_y: bool = False, width: int = 64,
-                 height: int = 16) -> str:
-    """Convenience: chart a dict of :class:`Series` objects."""
-    chart = AsciiChart(title=title, width=width, height=height,
-                       y_label=y_label, x_label=x_label, log_y=log_y)
-    for name, values in series.items():
-        chart.add_series(name, list(values.values))
-    return chart.render()
 
 
 def size_profile_chart(title: str,

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
-
-if TYPE_CHECKING:
-    from ..sim.monitor import SummaryStats
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -48,11 +44,6 @@ class Series:
         deviations = [v - mean for v in values]
         return math.sqrt(_sum([d * d for d in deviations])
                          / (len(values) - 1))
-
-    def stats(self) -> SummaryStats:
-        from ..sim.monitor import SummaryStats
-
-        return SummaryStats.of(self.values)
 
 
 #: numpy's pairwise-summation block (``PW_BLOCKSIZE``).

@@ -49,14 +49,6 @@ class Link:
         self.outages.append((start, start + duration))
         self.outages.sort()
 
-    def next_up_time(self, time: float) -> float:
-        """Earliest time >= ``time`` at which the link is up."""
-        t = time
-        for start, end in self.outages:
-            if start <= t < end:
-                t = end
-        return t
-
     def fail(self, time: float) -> None:
         """Open-ended failure from ``time`` until :meth:`recover`.
 
@@ -215,20 +207,6 @@ class Network:
 
     def path_up(self, src: str, dst: str, time: Optional[float] = None) -> bool:
         return self.path(src, dst).up(self.env.now if time is None else time)
-
-    def path_next_up_time(self, src: str, dst: str) -> float:
-        """Earliest time >= now at which every link on the path is up."""
-        links = self.path(src, dst).links
-        t = self.env.now
-        changed = True
-        while changed:
-            changed = False
-            for link in links:
-                nt = link.next_up_time(t)
-                if nt > t:
-                    t = nt
-                    changed = True
-        return t
 
     # -- transfer timing ---------------------------------------------------
     def base_transfer_time(self, src: str, dst: str, nbytes: int) -> float:

@@ -60,6 +60,22 @@ def _read_record(path: str) -> Any:
     return pickle.loads(body)
 
 
+def _orphaned_temp(path: str) -> bool:
+    """True for a ``<hash>.pkl.tmp.<pid>`` whose writer is gone (killed
+    between ``open`` and ``os.replace``).  A live writer's file is kept:
+    clearing it would fail that run's rename."""
+    _, sep, pid = path.rpartition(".pkl.tmp.")
+    if not (sep and pid.isdigit()):
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, another user's
+        pass
+    return False
+
+
 def calibration_fingerprint(calibration: Any) -> Dict[str, Any]:
     """A calibration dataclass tree flattened to JSON-able primitives."""
     if dataclasses.is_dataclass(calibration):
@@ -185,8 +201,8 @@ class ResultCache:
     # -- management (repro cache {ls,clear}) -----------------------------
     def _files(self, experiment_id: Optional[str] = None
                ) -> Iterator[Tuple[str, str]]:
-        """(experiment, path) of every entry file, sorted for stable
-        output — readable or not."""
+        """(experiment, path) of every file in the experiment
+        directories, sorted for stable output — readable or not."""
         if not os.path.isdir(self.directory):
             return
         experiments = ([experiment_id] if experiment_id
@@ -196,13 +212,14 @@ class ResultCache:
             if not os.path.isdir(exp_dir):
                 continue
             for fname in sorted(os.listdir(exp_dir)):
-                if fname.endswith(".pkl"):
-                    yield exp, os.path.join(exp_dir, fname)
+                yield exp, os.path.join(exp_dir, fname)
 
     def entries(self,
                 experiment_id: Optional[str] = None) -> Iterator[CacheEntry]:
         """Iterate stored cells (metadata only)."""
         for exp, path in self._files(experiment_id):
+            if not path.endswith(".pkl"):
+                continue
             try:
                 record = _read_record(path)
                 entry = CacheEntry(
@@ -219,13 +236,16 @@ class ResultCache:
 
     def clear(self, experiment_id: Optional[str] = None) -> int:
         """Delete stored cells (all, or one experiment's) — entries that
-        no longer read, damaged or of an older format, included; returns
-        the count."""
+        no longer read, damaged or of an older format, included — and the
+        temp files of writers that died; returns the count of cells."""
         removed = 0
         for _, path in list(self._files(experiment_id)):
+            cell = path.endswith(".pkl")
+            if not (cell or _orphaned_temp(path)):
+                continue
             try:
                 os.remove(path)
-                removed += 1
+                removed += cell
             except OSError:
                 pass
         # Prune now-empty experiment directories.

@@ -33,7 +33,7 @@ from .events import (
     Timeout,
     URGENT,
 )
-from .monitor import SummaryStats, trace_event, trace_span
+from .monitor import trace_event, trace_span
 from .process import Process
 from .rng import RandomStreams
 from .store import Store
@@ -57,7 +57,6 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "Store",
-    "SummaryStats",
     "Timeout",
     "Timer",
     "URGENT",

@@ -1,52 +1,13 @@
 """Measurement probes for simulations.
 
-:class:`SummaryStats` is the numpy-backed summary every table and figure
-series is built from; :func:`trace_span` and :func:`trace_event` are how
-an instrumented layer records on whatever tracer the environment carries.
+:func:`trace_span` and :func:`trace_event` are how an instrumented layer
+records on whatever tracer the environment carries.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
-from typing import Any, ContextManager, Iterable
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Summary of a sample set (times are seconds unless stated otherwise)."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-
-    @staticmethod
-    def of(values: "Iterable[float]") -> "SummaryStats":
-        arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            nan = float("nan")
-            return SummaryStats(0, nan, nan, nan, nan, nan, nan)
-        return SummaryStats(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-            minimum=float(arr.min()),
-            maximum=float(arr.max()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-        )
-
-    def __str__(self) -> str:
-        return (f"n={self.count} mean={self.mean:.6g} std={self.std:.3g} "
-                f"min={self.minimum:.6g} p50={self.p50:.6g} "
-                f"p95={self.p95:.6g} max={self.maximum:.6g}")
-
+from typing import Any, ContextManager
 
 _NO_SPAN = contextlib.nullcontext()
 

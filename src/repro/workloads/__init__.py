@@ -18,31 +18,24 @@ from .mixes import (
     replay_stream,
     synthetic_job,
 )
-from .pingpong import PAPER_SEQUENCES, PAPER_SIZES, run_sequences
-from .traces import iter_trace, load_trace, save_trace, trace_header
+from .pingpong import run_sequences
 
 __all__ = [
     "JobArrival",
     "LoopSample",
     "MixConfig",
-    "PAPER_SEQUENCES",
-    "PAPER_SIZES",
     "cpu_bound_app",
     "cpu_hog",
     "generate_mix",
     "immediate_output_app",
     "interactive_console_app",
     "iter_mix",
-    "iter_trace",
-    "load_trace",
     "make_loop_app",
     "paced_submissions",
     "progress_app",
     "replay",
     "replay_stream",
     "run_sequences",
-    "save_trace",
     "steerable_simulation",
     "synthetic_job",
-    "trace_header",
 ]

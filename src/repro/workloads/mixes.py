@@ -9,7 +9,7 @@ penalties, agent reuse) are reproducible.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -176,8 +176,8 @@ def replay_stream(env, broker, arrivals: Iterable[JobArrival], behavior_for,
     """Submit an arrival stream against a broker without retaining it.
 
     The streaming twin of :func:`replay`: ``arrivals`` may be any
-    iterable (a list, :func:`iter_mix` or :func:`iter_trace`) and is
-    consumed one arrival at a time.  Each submission record is handed to
+    iterable (a list or :func:`iter_mix`) and is consumed one arrival at
+    a time.  Each submission record is handed to
     ``on_submit(record, arrival)`` (when given) and then dropped, so a
     million-job replay holds O(1) arrival state.  Returns the feeder
     process; its value is the submit count.

@@ -9,14 +9,9 @@ round trip incurred by each sequence."
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence
+from typing import Generator, List
 
 from ..baselines.base import Mechanism
-
-#: Payload sizes of Fig. 6/7 (bytes).
-PAPER_SIZES: Sequence[int] = (10, 100, 1000, 10000)
-PAPER_SEQUENCES = 1000
-
 
 def run_sequences(mechanism: Mechanism, nbytes: int, count: int,
                   server_time: float = 0.0) -> Generator:

@@ -206,6 +206,25 @@ class TestTraceCommand:
         assert captured.out == ""
         assert f"argument {argv[0]}: must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv", "--chrome"])
+    def test_an_output_in_a_missing_directory_is_a_usage_error(
+            self, flag, tmp_path, capsys):
+        # Was: a traceback and exit 1, after the whole traced run.
+        missing = tmp_path / "missing.d"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", flag, str(missing / "out.json")])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: no directory {str(missing)!r}" \
+            in captured.err
+
+    def test_a_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
 
 class TestRunTelemetry:
     """``repro run --telemetry``: the telemetry tables on stderr and the
@@ -246,6 +265,26 @@ class TestServeCommand:
             assert serve_main(argv) == 0
         with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
             assert out.getvalue() == fh.read()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--sites", "0"], "--sites: must be >= 1"),
+        (["--nodes", "0"], "--nodes: must be >= 1"),
+        (["--jobs", "-2"], "--jobs: must be >= 1"),
+        (["--seed", "-1"], "--seed: must be >= 0"),
+        (["--gap", "-1"], "--gap: must be >= 0"),
+        (["--runtime", "-1"], "--runtime: must be >= 0"),
+    ], ids=["no-sites", "no-nodes", "negative-jobs", "negative-seed",
+            "negative-gap", "negative-runtime"])
+    def test_out_of_range_input_is_a_usage_error(self, argv, message,
+                                                 capsys):
+        # Was: a traceback (--sites 0, --seed -1), or exit 0 with every
+        # job failed (--nodes 0, --runtime -1) or none run (--jobs -2).
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {message}" in captured.err
 
 
 def _chaos_file(tmp_path, kind):

@@ -474,7 +474,7 @@ class TestLayerMap:
             capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0, proc.stderr
         modules = [m for m in json.loads(proc.stdout) if ours(m)]
-        assert "repro.workloads.traces" in modules
+        assert "repro.workloads.mixes" in modules
         assert loaded(modules, ["repro.obs"]) == []
         assert sorted(load_order(graph, "repro.core.steering")) == modules
 
@@ -493,7 +493,7 @@ class TestLayerMap:
          "repro.grid.site -> repro.runner"),
         ("repro.net.rpc", "repro.obs", observer_violations,
          "repro.net.rpc loads the observer: repro.net.rpc -> repro.obs"),
-        ("repro.workloads.traces", "repro.obs.telemetry",
+        ("repro.workloads.mixes", "repro.obs.telemetry",
          observer_violations,
          "repro.core.steering loads the observer: repro.core.steering -> "),
         ("repro.sim.events", "threading", kernel_violations,

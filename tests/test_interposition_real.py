@@ -10,7 +10,6 @@ from repro.interposition import (
     ProtocolError,
     RealConsoleAgent,
     RealConsoleShadow,
-    T_HELLO,
     T_STDOUT,
 )
 
@@ -54,9 +53,6 @@ class TestProtocol:
 
         assert read_frame(b) is None
         b.close()
-
-    def test_kind_names(self):
-        assert Frame(T_HELLO, b"").kind_name == "HELLO"
 
     def test_oversized_frame_rejected(self):
         from repro.interposition.protocol import MAX_FRAME

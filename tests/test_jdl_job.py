@@ -173,35 +173,3 @@ class TestDerivedProperties:
         assert ctx["nodenumber"] == 2
         assert "interactive" in ctx["jobtype"]
 
-
-class TestRoundTrip:
-    def test_to_jdl_reparses_equivalently(self):
-        original = JobDescription.from_attributes(
-            {"executable": "app", "arguments": "-v -n",
-             "jobtype": ["interactive", "mpich-g2"], "nodenumber": 3,
-             "streamingmode": "fast", "machineaccess": "shared",
-             "performanceloss": 15,
-             "requirements": "other.FreeCPUs >= 3",
-             "shadowport": 30123})
-        reparsed = JobDescription.from_jdl(original.to_jdl())
-        assert reparsed.executable == original.executable
-        assert reparsed.arguments == original.arguments
-        assert reparsed.flavor == original.flavor
-        assert reparsed.performance_loss == original.performance_loss
-        assert reparsed.shadow_port == original.shadow_port
-        assert str(reparsed.requirements) == str(original.requirements)
-
-    @settings(max_examples=30, deadline=None)
-    @given(nodes=st.integers(1, 16),
-           mode=st.sampled_from(["fast", "reliable"]),
-           pl=st.integers(0, 20).map(lambda v: v * 5))
-    def test_roundtrip_property(self, nodes, mode, pl):
-        job = JobDescription.from_attributes(
-            {"executable": "app",
-             "jobtype": ["interactive", "mpich-g2"],
-             "nodenumber": nodes, "streamingmode": mode,
-             "machineaccess": "shared", "performanceloss": pl})
-        again = JobDescription.from_jdl(job.to_jdl())
-        assert again.node_number == nodes
-        assert again.streaming_mode.value == mode
-        assert again.performance_loss == pl

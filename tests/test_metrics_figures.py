@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import AsciiChart, Series, series_chart, size_profile_chart
+from repro.metrics import AsciiChart, Series, size_profile_chart
 
 
 class TestAsciiChart:
@@ -57,15 +57,6 @@ class TestAsciiChart:
 
 
 class TestHelpers:
-    def test_series_chart(self):
-        data = {
-            "a": Series.of("a", [1.0, 2.0, 3.0]),
-            "b": Series.of("b", [3.0, 2.0, 1.0]),
-        }
-        text = series_chart("Curves", data, y_label="ms")
-        assert "Curves" in text
-        assert "* a" in text and "o b" in text
-
     def test_size_profile_chart(self):
         sizes = (10, 100, 1000)
         data = {

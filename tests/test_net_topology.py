@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import LinkDownError, Network, NoRouteError
-from repro.sim import Environment, RandomStreams
+from repro.sim import RandomStreams
 
 
 @pytest.fixture
@@ -99,17 +99,9 @@ class TestOutages:
         with pytest.raises(LinkDownError):
             net.check_path("a", "b")
 
-    def test_next_up_time_chains_overlapping_windows(self, net):
-        net.inject_outage("a", "b", 0.0, 5.0)
-        net.inject_outage("b", "c", 4.0, 4.0)
-        assert net.path_next_up_time("a", "c") == 8.0
-
     def test_outage_duration_positive(self, net):
         with pytest.raises(ValueError):
             net.inject_outage("a", "b", 1.0, 0.0)
-
-    def test_link_next_up_time_when_up(self, net):
-        assert net.link("a", "b").next_up_time(3.0) == 3.0
 
 
 class TestPathRecordFreshness:
@@ -134,10 +126,8 @@ class TestPathRecordFreshness:
         env.run(until=1.5)
         with pytest.raises(LinkDownError):
             net.check_path("a", "c")
-        assert net.path_next_up_time("a", "c") == 3.0
         env.run(until=3.0)
         net.check_path("a", "c")
-        assert net.path_next_up_time("a", "c") == 3.0
 
     def test_fail_and_recover_after_caching(self, net, env):
         net.check_path("a", "c")
@@ -145,12 +135,10 @@ class TestPathRecordFreshness:
         env.run(until=2.0)
         link.fail(env.now)
         assert not net.path_up("a", "c")
-        assert net.path_next_up_time("a", "c") == float("inf")
         env.run(until=5.0)
         link.recover(env.now)  # rebinds link.outages: must not be held
         assert net.path_up("a", "c")
         assert not net.path_up("a", "c", time=4.0)
-        assert net.path_next_up_time("a", "c") == 5.0
 
     def test_isolate_and_restore_host_after_caching(self, net, env):
         assert net.path_up("a", "c") and net.path_up("c", "a")

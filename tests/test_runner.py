@@ -26,6 +26,8 @@ import pickle
 import queue
 import random
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -645,6 +647,40 @@ class TestResultCache:
         removed = cache.clear("ablation-halflife")
         assert removed == rows[0]["cells"]
         assert cache.summary() == []
+
+    def test_a_killed_writer_leaves_nothing_clear_keeps(self, tmp_path):
+        # The child SIGKILLs itself inside its second put, between writing
+        # the temp file and renaming it over the entry.
+        directory = str(tmp_path / "cache")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        child = subprocess.run([sys.executable, "-c", f"""
+import os, signal
+from repro.runner import run_experiment
+real, puts = os.replace, []
+def replace(src, dst):
+    puts.append(dst)
+    if len(puts) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    real(src, dst)
+os.replace = replace
+run_experiment("ablation-halflife", quick=True, cache={directory!r},
+               parallel=1)
+"""], env={**os.environ, "PYTHONPATH": src}, timeout=120)  # simlint: disable=environ-read -- building a subprocess environment, not sim state
+        assert child.returncode == -signal.SIGKILL
+        left = os.listdir(os.path.join(directory, "ablation-halflife"))
+        assert sorted(".pkl.tmp." in name for name in left) == [False, True]
+
+        rerun = run_experiment("ablation-halflife", quick=True,
+                               cache=directory, parallel=1)
+        uncached = run_experiment("ablation-halflife", quick=True,
+                                  parallel=1)
+        assert rerun.render() == uncached.render()
+        assert (rerun.data["runner"].cells_cached,
+                rerun.data["runner"].cells_computed) == (1, 2)
+
+        ResultCache(directory).clear()
+        assert os.listdir(directory) == []
 
 
 class TestDamagedCacheEntry:

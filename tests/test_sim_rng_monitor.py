@@ -1,11 +1,11 @@
-"""Unit tests for random streams and measurement probes."""
+"""Unit tests for the kernel's named random streams."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams, SummaryStats
+from repro.sim import RandomStreams
 
 
 class TestRandomStreams:
@@ -77,32 +77,3 @@ class TestRandomStreams:
         value = rng.uniform("u", 3.0, 7.0)
         assert 3.0 <= value <= 7.0
 
-
-class TestMonitor:
-    """``sim/monitor.py``'s summary probe."""
-
-    def test_record_and_stats(self):
-        stats = SummaryStats.of([1.0, 2.0, 3.0, 4.0])
-        assert stats.count == 4
-        assert stats.mean == 2.5
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-
-    def test_empty_stats_are_nan(self):
-        stats = SummaryStats.of([])
-        assert stats.count == 0
-        assert np.isnan(stats.mean)
-
-    @settings(max_examples=30, deadline=None)
-    @given(values=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6,
-                  allow_nan=False, allow_infinity=False),
-        min_size=2, max_size=50))
-    def test_summary_matches_numpy(self, values):
-        stats = SummaryStats.of(values)
-        assert stats.count == len(values)
-        assert stats.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-9)
-        assert stats.std == pytest.approx(np.std(values, ddof=1),
-                                          rel=1e-9, abs=1e-9)
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
