@@ -4,7 +4,7 @@ Environment* (Fernández, Heymann, Senar — IEEE CLUSTER 2006).
 The package rebuilds the CrossGrid/CrossBroker interactive-job stack on a
 deterministic discrete-event substrate:
 
-* :mod:`repro.core` — the brokers behind one ``BrokerProtocol``: the
+* :mod:`repro.core` — the brokers behind one ``BrokerBase``: the
   paper's push-model CrossBroker (two-stage resource selection,
   fair-share priorities, glide-in multiprogramming, on-line scheduling),
   an AliEn-style pull broker, and a Gridbus-style data-aware broker;

@@ -45,10 +45,11 @@ class MiddlewareCosts:
 
     Table I decomposes response time into resource discovery, resource
     selection and submission.  The submission column is the sum of the
-    Globus/GRAM traversal, the local queue dispatch, CrossBroker's
-    two-phase commit + input staging, and job start, so the constants
-    below are chosen to land the four method rows at roughly
-    glogin 16.4/20.1 s, idle 17.2 s, shared-VM 6.8 s, job+agent 29.3 s.
+    Globus/GRAM traversal, the local queue dispatch (which includes the
+    start of the user job), and CrossBroker's two-phase commit + input
+    staging, so the constants below are chosen to land the four method
+    rows at roughly glogin 16.4/20.1 s, idle 17.2 s, shared-VM 6.8 s,
+    job+agent 29.3 s.
     """
 
     #: GSI mutual authentication handshake (two round trips + crypto).
@@ -62,8 +63,6 @@ class MiddlewareCosts:
     two_phase_commit: float = 1.2
     #: Automatic staging of job input files (sandbox transfer setup).
     input_staging: float = 2.2
-    #: Fork+exec of the user job on the worker node.
-    job_start: float = 0.8
     #: Query to the MDS information index (located in Germany; §6.1: ~0.5 s).
     mds_query: float = 0.5
     #: Per-site refresh during resource selection (§6.1: ~3 s for 20 sites;

@@ -1,11 +1,11 @@
 """Canonical config serialisation, shared by every layer.
 
 :class:`ConfigCodec` started life in :mod:`repro.experiments.common`,
-but broker configs (:class:`repro.core.BrokerConfig` and its per-mode
-subclasses) need the same cache-key contract — and ``repro.core`` must
-not import the experiment harness.  The mixin therefore lives here, in
-a leaf module with no intra-package dependencies; the experiment layer
-re-exports it unchanged.
+but the broker config (:class:`repro.core.BrokerConfig`) needs the same
+cache-key contract — and ``repro.core`` must not import the experiment
+harness.  The mixin therefore lives here, in a leaf module with no
+intra-package dependencies; the experiment layer re-exports it
+unchanged.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Broker core: scheduling, matchmaking, fair-share, multiprogramming.
 
-Three broker modes share one :class:`BrokerProtocol` surface — build
+Three broker modes share one contract, :class:`BrokerBase` — build
 them through :func:`make_broker` (or ``Scenario(broker_mode=...)``):
 
 * ``push`` — :class:`CrossBroker`, the paper's scheduler;
@@ -10,7 +10,7 @@ them through :func:`make_broker` (or ``Scenario(broker_mode=...)``):
 
 from .base import BehaviorFactory, BrokerBase, BrokerConfig, SubmittedJob
 from .broker import CrossBroker
-from .data import DataAwareBroker, DataBrokerConfig
+from .data import DataAwareBroker
 from .fairshare import (
     FairShareAccounting,
     UserAccount,
@@ -21,8 +21,8 @@ from .fairshare import (
 )
 from .leases import Lease, LeaseTable
 from .matchmaker import Candidate, Matchmaker
-from .protocol import BROKER_MODES, BrokerProtocol, make_broker
-from .pull import PullBroker, PullBrokerConfig
+from .protocol import BROKER_MODES, make_broker
+from .pull import PullBroker
 from .replicas import Replica, ReplicaCatalog
 from .reports import SubmissionPath, SubmissionReport
 from .selection import ResourceSelector, SelectionOutcome
@@ -33,17 +33,14 @@ __all__ = [
     "BehaviorFactory",
     "BrokerBase",
     "BrokerConfig",
-    "BrokerProtocol",
     "Candidate",
     "CrossBroker",
     "DataAwareBroker",
-    "DataBrokerConfig",
     "FairShareAccounting",
     "Lease",
     "LeaseTable",
     "Matchmaker",
     "PullBroker",
-    "PullBrokerConfig",
     "Replica",
     "ReplicaCatalog",
     "ResourceSelector",

@@ -1,7 +1,8 @@
 """Shared broker machinery: the state and helpers every broker mode uses.
 
-:class:`BrokerBase` is the concrete common core behind the
-:class:`~repro.core.protocol.BrokerProtocol` contract.  It owns the
+:class:`BrokerBase` is the one broker contract: every mode subclasses
+it and keeps its five public methods (``submit``, ``submit_and_wait``,
+``cancel``, ``snapshot``, ``drain``) unchanged.  It owns the
 submission lifecycle (record creation, the top-level dispatch process,
 report bookkeeping), the GRAM submission path with §3's on-line
 scheduling, fair-share admission, lease handling, output retrieval, and
@@ -35,7 +36,7 @@ from ..codec import ConfigCodec
 from ..grid.errors import NoResourcesError
 from ..grid.gram import GramClient
 from ..grid.staging import retrieve_output, stage_input
-from ..grid.testbed import BROKER_HOST, MDS_HOST
+from ..grid.testbed import BROKER_HOST
 from ..jdl import JobDescription
 from ..multiprog import AgentRegistry
 from ..net import Network, NetworkError
@@ -66,24 +67,20 @@ def stage(env: Environment, name: str, histogram: str,
         t.histogram(histogram).observe(env.now - start)
 
 
+#: Exclusive temporal access (§3): how long a match reserves the resource.
+LEASE_DURATION = 30.0
+
+
 @dataclass
 class BrokerConfig(ConfigCodec):
-    """Tunables of the broker's §3 mechanisms (shared by every mode)."""
+    """Tunables of the broker's §3 mechanisms (one config for every mode)."""
 
-    #: Exclusive temporal access: how long a match reserves the resource.
-    lease_duration: float = 30.0
     #: On-line scheduling: if an interactive job has not *started* on the
     #: remote site within this bound, cancel and resubmit elsewhere.
     queued_resubmit_timeout: float = 45.0
     max_resubmissions: int = 3
     #: Poll period for batch jobs parked in the broker queue.
     queue_poll_interval: float = 30.0
-    #: Local registry lookup cost for shared-VM jobs (combined
-    #: discovery+selection step of Table I, "kept locally by CrossBroker").
-    registry_lookup_cost: float = 0.05
-    index_host: str = MDS_HOST
-    #: Interactive VM slots per planted agent (§5.2 future-work knob).
-    interactive_slots_per_agent: int = 1
     #: §7 future work: "control of the degree of multiprogramming, so as
     #: to dynamically adapt this".  When on, each shared-VM miss within
     #: the adaptation window raises the slot count of the next planted
@@ -134,22 +131,18 @@ class BrokerBase:
         self.calibration = calibration
         self.costs = calibration.middleware
         self.broker_host = broker_host
-        self.config = config or self._default_config()
+        self.config = config or BrokerConfig()
         self.selector = ResourceSelector(env, network, rng, self.costs,
-                                         broker_host,
-                                         index_host=self.config.index_host)
+                                         broker_host)
         self.selector.refresh_enabled = self.config.refresh_sites
-        self.leases = LeaseTable(env, self.config.lease_duration)
+        self.leases = LeaseTable(env, LEASE_DURATION)
         self.fairshare = FairShareAccounting(env, calibration.fairshare,
                                              total_cpus=1)
         self.agents = AgentRegistry(env)
         self.replicas = replicas
 
-    def _default_config(self) -> BrokerConfig:
-        return BrokerConfig()
-
     # ------------------------------------------------------------------
-    # Public API (the BrokerProtocol surface)
+    # Public API (the broker contract every mode keeps)
     # ------------------------------------------------------------------
     def submit(self, job: JobDescription, behavior_factory: BehaviorFactory,
                ui_host: str = "ui",
@@ -220,7 +213,7 @@ class BrokerBase:
         return build_snapshot(self, submitted_jobs)
 
     def drain(self) -> Generator:
-        """Wind the broker's own service machinery down (protocol hook).
+        """Wind the broker's own service machinery down.
 
         The push broker holds no long-lived services of its own (glide-in
         agents belong to the sites); the pull broker overrides this to

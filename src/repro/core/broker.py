@@ -20,10 +20,11 @@ queue for batch jobs when the whole grid is full.
 
 The mode-independent machinery (submission records, the GRAM path,
 fair-share charging, output retrieval) lives in
-:class:`~repro.core.base.BrokerBase`; this module adds the *push*
-placement logic.  Sibling modes: :class:`~repro.core.pull.PullBroker`
-and :class:`~repro.core.data.DataAwareBroker`; construct any of them
-through :func:`repro.core.make_broker`.
+:class:`~repro.core.base.BrokerBase`, the contract every mode keeps;
+this module adds the *push* placement logic.  Sibling modes:
+:class:`~repro.core.pull.PullBroker` and
+:class:`~repro.core.data.DataAwareBroker`; construct any of them through
+:func:`repro.core.make_broker`.
 """
 
 from __future__ import annotations
@@ -36,12 +37,18 @@ from ..grid.mpi import plan_allocation, subjobs_for
 from ..multiprog import AGENT_PORT, AgentRecord, AgentRuntime
 from ..net import NetworkError, RpcClient, RpcError
 from ..sim import Event, trace_event, trace_span
-from .base import (BehaviorFactory, BrokerBase, BrokerConfig, SubmittedJob,
-                   stage)
+from .base import (LEASE_DURATION, BehaviorFactory, BrokerBase, BrokerConfig,
+                   SubmittedJob, stage)
 from .fairshare import af_batch, af_displaced_batch
 from .reports import SubmissionPath
 
 __all__ = ["BrokerConfig", "CrossBroker", "SubmittedJob", "BehaviorFactory"]
+
+#: Local registry lookup cost for shared-VM jobs (combined
+#: discovery+selection step of Table I, "kept locally by CrossBroker").
+REGISTRY_LOOKUP_COST = 0.05
+#: Interactive VM slots per planted agent (§5.2 future-work knob).
+INTERACTIVE_SLOTS_PER_AGENT = 1
 
 
 class CrossBroker(BrokerBase):
@@ -205,7 +212,7 @@ class CrossBroker(BrokerBase):
         with stage(self.env, "match", "broker.match_latency.registry",
                    job=job.job_id, path="registry"):
             yield self.env.timeout(self.rng.jitter(
-                "broker/registry", self.config.registry_lookup_cost, 0.2))
+                "broker/registry", REGISTRY_LOOKUP_COST, 0.2))
         report.discovery_time = 0.0
         report.selection_time = self.env.now - report.submitted_at
 
@@ -215,7 +222,7 @@ class CrossBroker(BrokerBase):
                     <= self.env.now]
         for record in free_vms[:need]:
             self._vm_claims[record.runtime.agent_id] = \
-                self.env.now + self.config.lease_duration
+                self.env.now + LEASE_DURATION
         if len(free_vms) >= need:
             report.path = SubmissionPath.INTERACTIVE_SHARED_VM
             if not self._admit(job, scarce=False):
@@ -283,7 +290,7 @@ class CrossBroker(BrokerBase):
 
     def _interactive_slots_for_next_agent(self) -> int:
         """Degree of multiprogramming for a freshly planted agent (§7)."""
-        base = self.config.interactive_slots_per_agent
+        base = INTERACTIVE_SLOTS_PER_AGENT
         if not self.config.adaptive_multiprogramming:
             return base
         horizon = self.env.now - self.config.adaptive_window

@@ -13,7 +13,7 @@ candidate list passes through one extra refinement stage:
 2. drop candidates that cannot finish inside the JDL ``Deadline``
    (transfer estimate + runtime estimate vs. time remaining) or whose
    projected CPU cost exceeds the JDL ``Budget``;
-3. demote remaining candidates by ``data_rank_weight x`` the jitter-free
+3. demote remaining candidates by ``DATA_RANK_WEIGHT x`` the jitter-free
    transfer estimate, then re-order (stable, so rank ties keep the
    seeded-shuffle order of the base matchmaker).
 
@@ -23,41 +23,30 @@ of the first registered copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar, Generator, List
 
 from ..grid.errors import NoResourcesError
 from ..sim import trace_event, trace_span
-from .base import BrokerConfig, SubmittedJob
+from .base import SubmittedJob
 from .broker import CrossBroker
 from .matchmaker import Candidate
 
-
-@dataclass
-class DataBrokerConfig(BrokerConfig):
-    """Data-mode tunables on top of the shared broker knobs."""
-
-    #: Rank demotion per second of estimated input transfer.
-    data_rank_weight: float = 1.0
-    #: Replica-catalog lookup cost per file (one indexed query).
-    replica_lookup_cost: float = 0.04
-    enforce_deadline: bool = True
-    enforce_budget: bool = True
-    #: Advert attribute naming a site's price (Gridbus' economy model);
-    #: sites that do not publish one charge ``default_cpu_cost``.
-    cpu_cost_attribute: str = "CostPerCpuSecond"
-    default_cpu_cost: float = 0.0
-    #: Runtime estimate for jobs without JDL ``EstimatedRuntime``.
-    default_runtime_estimate: float = 60.0
+#: Rank demotion per second of estimated input transfer.
+DATA_RANK_WEIGHT = 1.0
+#: Replica-catalog lookup cost per file (one indexed query).
+REPLICA_LOOKUP_COST = 0.04
+#: Advert attribute naming a site's price (Gridbus' economy model);
+#: sites that do not publish one charge ``DEFAULT_CPU_COST``.
+CPU_COST_ATTRIBUTE = "CostPerCpuSecond"
+DEFAULT_CPU_COST = 0.0
+#: Runtime estimate for jobs without JDL ``EstimatedRuntime``.
+DEFAULT_RUNTIME_ESTIMATE = 60.0
 
 
 class DataAwareBroker(CrossBroker):
     """Push broker whose selection also weighs data locality and cost."""
 
     mode: ClassVar[str] = "data"
-
-    def _default_config(self) -> DataBrokerConfig:
-        return DataBrokerConfig()
 
     # -- staging picks the closest copy, not the first --------------------
     def _pick_replica(self, lfn: str, candidate):
@@ -68,7 +57,6 @@ class DataAwareBroker(CrossBroker):
     def _refine_candidates(self, submitted: SubmittedJob,
                            candidates: List[Candidate]) -> Generator:
         job = submitted.job
-        config: DataBrokerConfig = self.config
         lfns = self._data_lfns(job) if self.replicas is not None else ()
         deadline = job.raw.get("deadline")
         budget = job.raw.get("budget")
@@ -83,13 +71,13 @@ class DataAwareBroker(CrossBroker):
             # One indexed catalog query per declared file.
             yield self.env.timeout(self.rng.jitter(
                 "broker/replica-lookup",
-                config.replica_lookup_cost * max(len(lfns), 1), 0.15))
+                REPLICA_LOOKUP_COST * max(len(lfns), 1), 0.15))
 
         runtime = job.estimated_runtime \
             if job.estimated_runtime is not None \
-            else config.default_runtime_estimate
+            else DEFAULT_RUNTIME_ESTIMATE
         time_left = None
-        if config.enforce_deadline and deadline is not None:
+        if deadline is not None:
             # JDL Deadline is relative to submission.
             time_left = report.submitted_at + float(deadline) - self.env.now
 
@@ -102,15 +90,15 @@ class DataAwareBroker(CrossBroker):
             if time_left is not None and transfer + runtime > time_left:
                 dropped_deadline += 1
                 continue
-            if config.enforce_budget and budget is not None:
-                price = float(c.attributes.get(config.cpu_cost_attribute,
-                                               config.default_cpu_cost))
+            if budget is not None:
+                price = float(c.attributes.get(CPU_COST_ATTRIBUTE,
+                                               DEFAULT_CPU_COST))
                 if price * runtime * job.node_number > float(budget):
                     dropped_budget += 1
                     continue
             refined.append(Candidate(
                 c.site, c.gatekeeper, c.attributes,
-                c.rank - config.data_rank_weight * transfer))
+                c.rank - DATA_RANK_WEIGHT * transfer))
         # Stable sort: equal adjusted ranks keep the seeded-shuffle order.
         refined.sort(key=lambda c: -c.rank)
 
@@ -132,4 +120,4 @@ class DataAwareBroker(CrossBroker):
         return refined
 
 
-__all__ = ["DataAwareBroker", "DataBrokerConfig"]
+__all__ = ["DataAwareBroker"]

@@ -139,8 +139,7 @@ class FairShareAccounting:
             self.step()
 
     # -- admission --------------------------------------------------------
-    def admit(self, user: str, competing_users: Optional[List[str]] = None,
-              scarce: bool = False) -> bool:
+    def admit(self, user: str, scarce: bool = False) -> bool:
         """Admission check used when resources are scarce.
 
         With ample resources everyone is admitted.  Under scarcity, a
@@ -152,8 +151,7 @@ class FairShareAccounting:
         if not scarce:
             return True
         mine = self.priority(user)
-        others = [self.priority(u) for u in (competing_users or self.users())
-                  if u != user]
+        others = [self.priority(u) for u in self.users() if u != user]
         if not others:
             return True
         best = min(others)

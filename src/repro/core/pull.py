@@ -13,7 +13,7 @@ Wire protocol (served on ``PULL_PORT`` of the broker host):
     Long-poll: the broker matches the queue FIFO against the advertised
     attributes; on a hit the task is claimed and its job id returned
     immediately, otherwise the call is *held* up to
-    ``long_poll_hold`` seconds waiting for work to arrive before
+    :data:`LONG_POLL_HOLD` seconds waiting for work to arrive before
     returning ``None`` (the agent then sleeps one heartbeat).
 
 Placement itself reuses the GRAM path of :class:`BrokerBase` — a pull
@@ -32,27 +32,20 @@ from ..grid.site import Site
 from ..jdl import matches
 from ..net import NetworkError, RpcError, RpcServer
 from ..sim import Event, trace_event
-from .base import BehaviorFactory, BrokerBase, BrokerConfig, SubmittedJob
+from .base import BehaviorFactory, BrokerBase, SubmittedJob
 from .matchmaker import Candidate
 from .reports import SubmissionPath
 
-
-@dataclass
-class PullBrokerConfig(BrokerConfig):
-    """Pull-mode tunables on top of the shared broker knobs."""
-
-    #: Agent sleep between empty polls (jittered ±10% per agent).
-    heartbeat: float = 4.0
-    #: How long an empty ``queue.pull`` is held open for work to arrive
-    #: before the agent is told to sleep.
-    long_poll_hold: float = 8.0
-    #: Give up on a task no site has claimed after this long.
-    max_queue_wait: float = 900.0
-    #: ``drain()`` waits at most this long per agent to wind down.  An
-    #: agent whose poll is stuck on a dead link (lost response, no
-    #: keepalive) cannot observe its stop signal until the link heals;
-    #: it stays a harmless daemon rather than holding shutdown hostage.
-    drain_grace: float = 30.0
+#: How long an empty ``queue.pull`` is held open for work to arrive
+#: before the agent is told to sleep.
+LONG_POLL_HOLD = 8.0
+#: Give up on a task no site has claimed after this long.
+MAX_QUEUE_WAIT = 900.0
+#: ``drain()`` waits at most this long per agent to wind down.  An
+#: agent whose poll is stuck on a dead link (lost response, no
+#: keepalive) cannot observe its stop signal until the link heals;
+#: it stays a harmless daemon rather than holding shutdown hostage.
+DRAIN_GRACE = 30.0
 
 
 @dataclass
@@ -68,7 +61,7 @@ class _PullTask:
 
 
 class PullBroker(BrokerBase):
-    """AliEn-style task-queue broker behind the BrokerProtocol surface."""
+    """AliEn-style task-queue broker behind the BrokerBase surface."""
 
     mode: ClassVar[str] = "pull"
 
@@ -87,17 +80,13 @@ class PullBroker(BrokerBase):
                                  name=f"taskqueue@{self.broker_host}")
         self._server.register("queue.pull", self._handle_pull)
 
-    def _default_config(self) -> PullBrokerConfig:
-        return PullBrokerConfig()
-
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def attach_site(self, site: Site) -> SiteAgent:
         """Start the pull agent for ``site`` (one per site)."""
         agent = SiteAgent(self.env, self.network, self.rng, site,
-                          self.broker_host, port=PULL_PORT,
-                          heartbeat=self.config.heartbeat)
+                          self.broker_host, port=PULL_PORT)
         self._agents.append(agent)
         return agent
 
@@ -132,12 +121,12 @@ class PullBroker(BrokerBase):
                 task.site = None
                 task.enqueued_at = self.env.now
                 self._enqueue(task)
-                yield task.claimed | wait.arm(self.config.max_queue_wait)
+                yield task.claimed | wait.arm(MAX_QUEUE_WAIT)
                 if not task.claimed.triggered:
                     self._dequeue(task)
                     raise NoResourcesError(
                         f"{job.job_id}: no site pulled the task within "
-                        f"{self.config.max_queue_wait:.0f}s")
+                        f"{MAX_QUEUE_WAIT:.0f}s")
                 latency = self.env.now - task.enqueued_at
                 report.selection_time += latency
                 if t is not None:
@@ -213,7 +202,7 @@ class PullBroker(BrokerBase):
         t = self.env.telemetry
         if t is not None:
             t.counter("broker.pulls").inc()
-        deadline = self.env.now + self.config.long_poll_hold
+        deadline = self.env.now + LONG_POLL_HOLD
         hold = self.env.timer(name=f"broker/pull-hold/{site}")
         try:
             while True:
@@ -244,7 +233,7 @@ class PullBroker(BrokerBase):
     def drain(self) -> Generator:
         """Stop the site agents and close the task-queue listener.
 
-        Waits up to ``drain_grace`` per agent: agents stuck mid-poll on a
+        Waits up to :data:`DRAIN_GRACE` per agent: agents stuck mid-poll on a
         failed network path are abandoned as daemons instead of blocking
         shutdown until the outage ends.
         """
@@ -258,7 +247,7 @@ class PullBroker(BrokerBase):
         grace = self.env.timer(name="broker/drain-grace")
         for agent in self._agents:
             if not agent.stopped.triggered:
-                yield agent.stopped | grace.arm(self.config.drain_grace)
+                yield agent.stopped | grace.arm(DRAIN_GRACE)
         grace.cancel()
         self._server.close()
 
@@ -267,4 +256,4 @@ class PullBroker(BrokerBase):
         return len(self._tasks)
 
 
-__all__ = ["PullBroker", "PullBrokerConfig", "PULL_PORT"]
+__all__ = ["PullBroker", "PULL_PORT"]

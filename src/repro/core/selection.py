@@ -21,6 +21,7 @@ from ..net import Network, NetworkError, RpcClient
 from ..sim import Environment, RandomStreams
 from ..grid.gram import GRAM_PORT
 from ..grid.mds import SiteAdvert, query_index
+from ..grid.testbed import MDS_HOST
 from .matchmaker import Candidate, Matchmaker
 
 
@@ -37,14 +38,12 @@ class ResourceSelector:
     """Implements the two-stage pipeline on behalf of the broker."""
 
     def __init__(self, env: Environment, network: Network, rng: RandomStreams,
-                 costs: MiddlewareCosts, broker_host: str,
-                 index_host: str = "mds") -> None:
+                 costs: MiddlewareCosts, broker_host: str) -> None:
         self.env = env
         self.network = network
         self.rng = rng
         self.costs = costs
         self.broker_host = broker_host
-        self.index_host = index_host
         self.matchmaker = Matchmaker(rng)
         #: When False, stage 2 trusts the (possibly stale) MDS adverts and
         #: skips the per-site refresh RPCs entirely — the lever the
@@ -57,7 +56,7 @@ class ResourceSelector:
         start = self.env.now
         adverts: List[SiteAdvert] = yield from query_index(
             self.env, self.network, self.rng, self.broker_host,
-            self.index_host)
+            MDS_HOST)
         # LDAP search + parsing/ingesting the result set (§6.1: the whole
         # discovery phase lands around mds_query ≈ 0.5 s).
         yield self.env.timeout(self.rng.jitter(

@@ -1,7 +1,7 @@
 """Push vs. pull vs. data-aware brokering under adversarial regimes.
 
 Not a paper table — a Table-I-style comparison of the three
-:class:`~repro.core.BrokerProtocol` implementations (CrossBroker push,
+:class:`~repro.core.BrokerBase` modes (CrossBroker push,
 AliEn-style pull, Gridbus-style data-aware; PAPERS.md cs/0306068,
 cs/0405023) over four regimes:
 
@@ -99,7 +99,7 @@ class ModeMeasurement:
 
 def _measure(config: BrokerModesConfig, regime: str,
              mode: str) -> ModeMeasurement:
-    from ..core import BrokerConfig, DataBrokerConfig
+    from ..core import BrokerConfig
     from ..scenario import Scenario
     from ..workloads import synthetic_job
 
@@ -125,10 +125,8 @@ def _measure(config: BrokerModesConfig, regime: str,
         for publisher in handle.testbed.publishers:
             publisher.period = config.stale_period
         # ...and make the push-family brokers trust it blindly.
-        if mode == "push":
+        if mode in ("push", "data"):
             handle.configure_broker(BrokerConfig(refresh_sites=False))
-        elif mode == "data":
-            handle.configure_broker(DataBrokerConfig(refresh_sites=False))
     elif regime == "site-failure":
         for name in sorted(handle.testbed.sites)[:config.failed_sites]:
             handle.network.inject_outage(

@@ -253,6 +253,16 @@ def cache_main(argv: List[str]) -> int:
 
     # clear
     if args.experiments:
+        from . import SPEC_MODULES
+
+        stored = (set(os.listdir(cache.directory))
+                  if os.path.isdir(cache.directory) else set())
+        unknown = [name for name in args.experiments
+                   if name not in SPEC_MODULES and name not in stored]
+        if unknown:
+            parser.error(f"unknown experiment(s): {unknown}; choose from "
+                         f"{_canonical(list(SPEC_MODULES))} or a name stored "
+                         f"in {cache.directory}")
         removed = sum(cache.clear(name) for name in args.experiments)
     else:
         removed = cache.clear()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping
 
 from ..metrics import Series
 from .common import ExperimentResult

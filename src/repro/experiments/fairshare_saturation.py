@@ -17,7 +17,7 @@ effectively resets priorities), greed pays no penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..metrics import AsciiTable

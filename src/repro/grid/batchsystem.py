@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional
 
 from ..sim import Environment, Event, Interrupt, RandomStreams, Timer
@@ -78,6 +78,8 @@ class BatchHandle:
 
 #: Interrupt cause marking a preemption (identity-compared).
 _PREEMPTED = "lrms-preempted"
+#: Seconds between the LRMS's periodic scheduling cycles.
+CYCLE_INTERVAL = 2.0
 
 
 class LocalBatchSystem:
@@ -86,8 +88,7 @@ class LocalBatchSystem:
     def __init__(self, env: Environment, rng: RandomStreams, site: str,
                  nodes: List[WorkerNode], dispatch_latency: float,
                  policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-                 max_queue: Optional[int] = None,
-                 cycle_interval: float = 2.0) -> None:
+                 max_queue: Optional[int] = None) -> None:
         self.env = env
         self.rng = rng
         self.site = site
@@ -95,7 +96,6 @@ class LocalBatchSystem:
         self.dispatch_latency = dispatch_latency
         self.policy = policy
         self.max_queue = max_queue
-        self.cycle_interval = cycle_interval
         self.queue: List[BatchHandle] = []
         self.running: Dict[str, BatchHandle] = {}
         #: Administrative drain (steering verb ``drain_site``): while set,
@@ -203,7 +203,7 @@ class LocalBatchSystem:
     def _scheduler_loop(self) -> Generator:
         while True:
             if not self._kicked:
-                yield self._cycle_timer.restart(self.cycle_interval)
+                yield self._cycle_timer.restart(CYCLE_INTERVAL)
             self._kicked = False
             self._dispatch_cycle()
 

@@ -11,8 +11,8 @@ observable by tests and the selection logic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List
 
 from ..net import Network, NetworkError, RpcClient, RpcServer
 from ..sim import Environment, RandomStreams

@@ -16,6 +16,8 @@ from .workernode import NodeSpec, WorkerNode
 LAN_LATENCY = 0.0002
 LAN_BANDWIDTH = 100e6 / 8
 LAN_JITTER = 0.03
+#: What every site publishes for its worker nodes.
+NODE_SPEC = NodeSpec()
 
 
 @dataclass
@@ -26,13 +28,10 @@ class SiteConfig:
     n_nodes: int = 4
     policy: SchedulingPolicy = SchedulingPolicy.FIFO
     max_queue: Optional[int] = None
-    node_spec: Optional[NodeSpec] = None
     #: Free-form extra GLUE attributes (storage, VO tags, ...).
     extra_attributes: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
-        if self.node_spec is None:
-            self.node_spec = NodeSpec()
         if self.extra_attributes is None:
             self.extra_attributes = {}
 
@@ -64,8 +63,7 @@ class Site:
             network.add_link(self.gatekeeper_host, host,
                              LAN_LATENCY, LAN_BANDWIDTH, LAN_JITTER)
             self.nodes.append(WorkerNode(env, rng, host, config.name,
-                                         calibration.scheduler,
-                                         spec=config.node_spec))
+                                         calibration.scheduler))
 
         self.lrms = LocalBatchSystem(
             env, rng, config.name, self.nodes,
@@ -82,18 +80,16 @@ class Site:
     def advert(self) -> Dict[str, Any]:
         """The GLUE-ish attribute set pushed to the MDS (matchmaking's
         "other." context)."""
-        spec = self.config.node_spec
-        assert spec is not None
         attributes: Dict[str, Any] = {
             "SiteName": self.name,
             "GatekeeperHost": self.gatekeeper_host,
             "TotalCPUs": self.lrms.total_nodes,
             "FreeCPUs": 0 if self.lrms.drained else self.lrms.free_count,
             "QueueLength": self.lrms.queue_length,
-            "OpSys": spec.op_sys,
-            "Arch": spec.arch,
-            "MemoryMB": spec.memory_mb,
-            "CpuMHz": spec.cpu_mhz,
+            "OpSys": NODE_SPEC.op_sys,
+            "Arch": NODE_SPEC.arch,
+            "MemoryMB": NODE_SPEC.memory_mb,
+            "CpuMHz": NODE_SPEC.cpu_mhz,
             "LRMSPolicy": self.config.policy.value,
             "MaxQueuedJobs": (self.config.max_queue
                               if self.config.max_queue is not None

@@ -25,6 +25,9 @@ from .site import Site
 
 #: Central task-queue service port on the broker host (AGENT_PORT + 1).
 PULL_PORT = 9619
+#: Pause between empty polls (jittered ±10% per agent so a fleet of
+#: agents never phase-locks on the queue port).
+HEARTBEAT = 4.0
 
 
 class SiteAgent:
@@ -36,17 +39,13 @@ class SiteAgent:
     """
 
     def __init__(self, env: Environment, network: Network, rng: RandomStreams,
-                 site: Site, broker_host: str, port: int = PULL_PORT,
-                 heartbeat: float = 4.0) -> None:
+                 site: Site, broker_host: str, port: int = PULL_PORT) -> None:
         self.env = env
         self.network = network
         self.rng = rng
         self.site = site
         self.broker_host = broker_host
         self.port = port
-        #: Pause between empty polls (jittered per-agent so a fleet of
-        #: agents never phase-locks on the queue port).
-        self.heartbeat = heartbeat
         self.pulls = 0
         self.claims = 0
         self._stop: Event = env.event()
@@ -110,7 +109,7 @@ class SiteAgent:
 
     def _pause_delay(self) -> float:
         return self.rng.jitter(f"site-agent/{self.site.name}/hb",
-                               self.heartbeat, 0.1)
+                               HEARTBEAT, 0.1)
 
 
 __all__ = ["PULL_PORT", "SiteAgent"]

@@ -40,8 +40,8 @@ class Testbed:
     rng: RandomStreams
     network: Network
     calibration: Calibration
+    index: InformationIndex
     sites: Dict[str, Site] = field(default_factory=dict)
-    index: Optional[InformationIndex] = None
     publishers: List[MdsPublisher] = field(default_factory=list)
 
     @property
@@ -67,17 +67,15 @@ class Testbed:
                               profile.latency / 2, profile.bandwidth,
                               profile.jitter)
         self.sites[config.name] = site
-        if self.index is not None:
-            self.publishers.append(MdsPublisher(
-                self.env, self.network, self.rng, config.name,
-                site.gatekeeper_host, site.gatekeeper_host, MDS_HOST,
-                site.advert))
+        self.publishers.append(MdsPublisher(
+            self.env, self.network, self.rng, config.name,
+            site.gatekeeper_host, site.gatekeeper_host, MDS_HOST,
+            site.advert))
         return site
 
     def publish_all_now(self) -> None:
         """Synchronously seed the index with current adverts (test helper;
         skips the push RPC so it can run before ``env.run``)."""
-        assert self.index is not None
         for site in self.sites.values():
             self.index._handle_register(site.name, site.gatekeeper_host,
                                         site.advert())
@@ -85,9 +83,8 @@ class Testbed:
 
 def base_world(seed: int = 0,
                calibration: Optional[Calibration] = None,
-               with_mds: bool = True,
                sanitize: Optional[bool] = None) -> Testbed:
-    """Core + ui + broker (+ MDS index), no sites yet.
+    """Core + ui + broker + MDS index, no sites yet.
 
     The primitive :class:`repro.Scenario` and :func:`europe_testbed`
     start from; call it directly only to hang hand-made
@@ -110,15 +107,12 @@ def base_world(seed: int = 0,
                      CAMPUS.bandwidth, CAMPUS.jitter)
     network.add_link(BROKER_HOST, CORE_HOST, CAMPUS.latency / 2,
                      CAMPUS.bandwidth, CAMPUS.jitter)
-
-    testbed = Testbed(env=env, rng=rng, network=network,
-                      calibration=calibration)
-    if with_mds:
-        network.add_host(MDS_HOST)
-        network.add_link(CORE_HOST, MDS_HOST, MDS_PROFILE.latency,
-                         MDS_PROFILE.bandwidth, MDS_PROFILE.jitter)
-        testbed.index = InformationIndex(env, network, MDS_HOST)
-    return testbed
+    network.add_host(MDS_HOST)
+    network.add_link(CORE_HOST, MDS_HOST, MDS_PROFILE.latency,
+                     MDS_PROFILE.bandwidth, MDS_PROFILE.jitter)
+    return Testbed(env=env, rng=rng, network=network,
+                   calibration=calibration,
+                   index=InformationIndex(env, network, MDS_HOST))
 
 
 def europe_testbed(seed: int = 0, n_sites: int = 20,

@@ -10,7 +10,7 @@ Fig. 6/7 ping-pong server, and every workload generator produce behaviors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional
 
 from ..calibration import SchedulerProfile
@@ -22,7 +22,7 @@ from .errors import GridError
 Behavior = Callable[["MachineContext"], Generator]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeSpec:
     """Published hardware/OS attributes of a worker node (GLUE-ish)."""
 
@@ -75,13 +75,11 @@ class WorkerNode:
     """One machine of a site's cluster."""
 
     def __init__(self, env: Environment, rng: RandomStreams, name: str,
-                 site: str, scheduler_profile: SchedulerProfile,
-                 spec: Optional[NodeSpec] = None) -> None:
+                 site: str, scheduler_profile: SchedulerProfile) -> None:
         self.env = env
         self.rng = rng
         self.name = name
         self.site = site
-        self.spec = spec or NodeSpec()
         self.cpu = WorkerCpu(env, rng, scheduler_profile, name=f"{name}/cpu")
         #: Who controls the node: None (free), a job id, or an agent id.
         self.owner: Optional[str] = None

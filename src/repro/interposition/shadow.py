@@ -12,7 +12,7 @@ import queue
 import socket
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .protocol import (
     Frame,

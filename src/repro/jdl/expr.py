@@ -14,7 +14,7 @@ Requirements expression only matches when it evaluates to exactly ``True``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Mapping, Optional, Tuple, Union
 
 
 class _Undefined:

@@ -24,7 +24,6 @@ machine (§5.2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional
 

@@ -9,7 +9,7 @@ callbacks, so looking up a free interactive VM costs no network round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..sim import Environment

@@ -10,7 +10,7 @@ arbitration lives in :class:`repro.grid.cpu.WorkerCpu`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

@@ -11,7 +11,7 @@ expiry) plus a handshake coroutine whose cost is calibrated by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator
 
 from ..sim import Environment, RandomStreams
 

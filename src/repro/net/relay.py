@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional
 
 from ..sim import Environment, Store
 from .errors import ConnectionClosedError, NetworkError
@@ -31,6 +31,8 @@ from .topology import Network
 RELAY_PORT = 2813
 #: Per-message framing added by the tunnel protocol.
 TUNNEL_OVERHEAD = 32
+#: Store-and-forward processing cost per relayed message.
+FORWARD_COST = 0.00015
 
 
 # Wire messages: ("register", key) / ("attach", key) / ("attached", ch)
@@ -119,13 +121,11 @@ class _Session:
 class RelayService:
     """The relay process, bound to ``host:RELAY_PORT``."""
 
-    def __init__(self, env: Environment, network: Network, host: str,
-                 forward_cost: float = 0.00015) -> None:
+    def __init__(self, env: Environment, network: Network,
+                 host: str) -> None:
         self.env = env
         self.network = network
         self.host = host
-        #: Store-and-forward processing cost per relayed message.
-        self.forward_cost = forward_cost
         self.listener = Listener(network, network.hosts[host], RELAY_PORT)
         self._sessions: Dict[str, _Session] = {}
         self._channel_counter = itertools.count(1)
@@ -233,7 +233,7 @@ class RelayService:
 
     def _forward(self, conn: ConnectionEnd, message: tuple,
                  nbytes: int) -> Generator:
-        yield self.env.timeout(self.forward_cost)
+        yield self.env.timeout(FORWARD_COST)
         self.messages_relayed += 1
         yield from conn.send(message, nbytes + TUNNEL_OVERHEAD)
 

@@ -15,7 +15,6 @@ from ..sim import Environment, Store
 from .errors import (
     ConnectionClosedError,
     ConnectionRefusedError_,
-    LinkDownError,
     PortInUseError,
 )
 from .topology import DYNAMIC_PORT_BASE, Host, Network
@@ -115,9 +114,9 @@ class ConnectionEnd:
     def send(self, payload: Any, nbytes: int = 0) -> Generator:
         """Transfer ``payload`` to the peer; completes at delivery time.
 
-        Raises :class:`LinkDownError` if the path is broken at send time
-        (fast mode surfaces this to the caller; reliable mode catches it
-        and spills to disk).
+        Raises :class:`~repro.net.errors.LinkDownError` if the path is
+        broken at send time (fast mode surfaces this to the caller;
+        reliable mode catches it and spills to disk).
         """
         if self.closed or self.peer is None or self.peer.closed:
             raise ConnectionClosedError(f"{self.label}: connection closed")

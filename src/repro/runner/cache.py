@@ -139,7 +139,13 @@ class ResultCache:
 
     # -- paths -----------------------------------------------------------
     def _experiment_dir(self, experiment_id: str) -> str:
-        # Experiment ids are shell-safe slugs; keep subdirs readable.
+        # Experiment ids are shell-safe slugs; keep subdirs readable.  An id
+        # that is not one plain path component would reach outside the
+        # cache, so it is refused.
+        if (experiment_id in ("", os.curdir, os.pardir)
+                or os.path.basename(experiment_id) != experiment_id):
+            raise ValueError(
+                f"experiment id {experiment_id!r} is not a plain name")
         return os.path.join(self.directory, experiment_id)
 
     def _path(self, experiment_id: str, digest: str) -> str:
@@ -205,7 +211,7 @@ class ResultCache:
         directories, sorted for stable output — readable or not."""
         if not os.path.isdir(self.directory):
             return
-        experiments = ([experiment_id] if experiment_id
+        experiments = ([experiment_id] if experiment_id is not None
                        else sorted(os.listdir(self.directory)))
         for exp in experiments:
             exp_dir = self._experiment_dir(exp)

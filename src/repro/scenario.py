@@ -10,11 +10,11 @@ it returns a handle a driver can submit through and run::
 The builder covers the paper's three measurement worlds:
 
 ``campus``
-    §6's first scenario: the target site (default ``uab``) on the 100 Mbps
+    §6's first scenario: the target site ``uab`` on the 100 Mbps
     university LAN.  With ``sites > 1`` the remaining sites are random
     WAN-profile filler sites, exactly Table I's 20-site discovery world.
 ``wan``
-    §6's second scenario: the target site (default ``ifca``) behind the
+    §6's second scenario: the target site ``ifca`` behind the
     UAB<->IFCA wide-area path, plus optional filler sites.
 ``europe``
     §6.1's ~20-site European testbed (no distinguished target).
@@ -24,8 +24,8 @@ A :class:`ScenarioHandle` bundles everything a driver needs — ``env``,
 optional lifecycle ``tracer`` — so call sites never juggle five objects.
 
 The scenario also selects the brokering mode (``broker_mode="push" |
-"pull" | "data"``) — the handle's ``broker`` satisfies
-:class:`repro.core.BrokerProtocol` whichever mode is chosen.  The only
+"pull" | "data"``) — the handle's ``broker`` is a
+:class:`repro.core.BrokerBase` whichever mode is chosen.  The only
 thing below it is :func:`repro.grid.base_world`, the bare
 core+ui+broker+MDS world every scenario starts from; reach for that only
 to hang hand-made :class:`~repro.grid.SiteConfig` sites off an empty
@@ -51,11 +51,11 @@ from .net import Network
 from .sim import Environment, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .core import BrokerConfig, BrokerProtocol, ReplicaCatalog, SubmittedJob
+    from .core import BrokerBase, BrokerConfig, ReplicaCatalog, SubmittedJob
     from .obs import Telemetry, Tracer
 
-#: Default target site name per scenario kind.
-_DEFAULT_TARGET = {"campus": "uab", "wan": "ifca"}
+#: Target site name per scenario kind.
+_TARGET = {"campus": "uab", "wan": "ifca"}
 
 #: Filler-site RNG stream prefix.  Kept at the historical ``t1`` name used
 #: by the Table I world builder so that Scenario-built worlds are
@@ -83,8 +83,6 @@ class Scenario:
     #: Calibration bundle (defaults to the paper calibration).
     calibration: Calibration = field(
         default_factory=lambda: DEFAULT_CALIBRATION)
-    #: Target-site name override (default ``uab``/``ifca`` by scenario).
-    site_name: Optional[str] = None
     #: Seed the MDS index synchronously after construction.
     publish: bool = True
     #: Install a lifecycle :class:`repro.obs.Tracer` on the environment.
@@ -128,7 +126,7 @@ class Scenario:
             testbed = base_world(seed=self.seed,
                                  calibration=self.calibration,
                                  sanitize=self.sanitize)
-            target = self.site_name or _DEFAULT_TARGET[self.scenario]
+            target = _TARGET[self.scenario]
             profile = CAMPUS if self.scenario == "campus" else WAN
             testbed.add_site(
                 SiteConfig(target, n_nodes=self.nodes_per_site), profile)
@@ -184,7 +182,7 @@ class ScenarioHandle:
     target: Optional[str]
     tracer: Optional["Tracer"] = None
     telemetry: Optional["Telemetry"] = None
-    _broker: Optional["BrokerProtocol"] = None
+    _broker: Optional["BrokerBase"] = None
     _replicas: Optional["ReplicaCatalog"] = None
 
     # -- bundle accessors -------------------------------------------------
@@ -220,20 +218,21 @@ class ScenarioHandle:
         return self._replicas
 
     @property
-    def broker(self) -> "BrokerProtocol":
+    def broker(self) -> "BrokerBase":
         if self._broker is None:
             self._broker = self._make_broker(config=None)
         return self._broker
 
-    def configure_broker(self, config: "BrokerConfig") -> "BrokerProtocol":
+    def configure_broker(self, config: "BrokerConfig") -> "BrokerBase":
         """Create the broker with a non-default :class:`BrokerConfig`
-        (must be the scenario's mode-matching config subclass)."""
+        (one config serves every mode); returns the
+        :class:`~repro.core.BrokerBase`."""
         if self._broker is not None:
             raise RuntimeError("broker already created for this handle")
         self._broker = self._make_broker(config=config)
         return self._broker
 
-    def _make_broker(self, config: Optional["BrokerConfig"]) -> "BrokerProtocol":
+    def _make_broker(self, config: Optional["BrokerConfig"]) -> "BrokerBase":
         from .core import make_broker
 
         return make_broker(self.env, self.network, self.rng, self.calibration,
@@ -264,7 +263,7 @@ class ScenarioHandle:
                daemon: bool = False) -> "SubmittedJob":
         """Submit through the (lazily created) broker.
 
-        Parameters mirror :meth:`repro.core.BrokerProtocol.submit`:
+        Parameters mirror :meth:`repro.core.BrokerBase.submit`:
         ``ui_host`` is where the Grid Console shadow listens,
         ``attach_console`` overrides the interactive-job default, and
         ``daemon=True`` marks a background-by-design submission exempt

@@ -19,8 +19,8 @@ kernel produced.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    List, Optional)
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, List,
+                    Optional)
 
 from .errors import SimulationError
 

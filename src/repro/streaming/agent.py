@@ -15,7 +15,7 @@ trap + framing cost, lands in a flush-triggered buffer, and a background
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, Optional
 
 from ..calibration import StreamingCosts
 from ..jdl import StreamingMode

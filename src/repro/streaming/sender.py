@@ -12,7 +12,7 @@ Implements the mode split of §3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from ..calibration import StreamingCosts

@@ -78,7 +78,11 @@ def steerable_simulation(rank: int, steps: int = 20, step_cpu: float = 0.5):
     return behavior
 
 
-def interactive_console_app(prompt: str = "> ", rounds: Optional[int] = None):
+#: What :func:`interactive_console_app` echoes in front of each command.
+PROMPT = "> "
+
+
+def interactive_console_app(rounds: Optional[int] = None):
     """A read-eval-print style app: echoes commands until 'exit'."""
 
     def behavior(ctx) -> Generator:
@@ -90,7 +94,7 @@ def interactive_console_app(prompt: str = "> ", rounds: Optional[int] = None):
             if chunk.data.strip() == "exit":
                 break
             yield from ctx.cpu(0.02)
-            yield from ctx.stdio.write(f"{prompt}{chunk.data}",
+            yield from ctx.stdio.write(f"{PROMPT}{chunk.data}",
                                        nbytes=chunk.nbytes + 2, eol=True)
         yield from ctx.stdio.eof()
         return count

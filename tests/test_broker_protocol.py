@@ -1,11 +1,12 @@
-"""BrokerProtocol conformance: one contract, three implementations.
+"""Broker conformance: one contract (``BrokerBase``), three modes.
 
 Every broker mode must honour the same surface — ``submit`` /
 ``submit_and_wait`` / ``snapshot`` / ``drain`` with identical typed
 parameters — produce deterministic placements under a fixed seed, and
 wind down without leaking non-daemon processes or timers.  The suite
-also pins the factory contract (``make_broker`` validates mode/config
-pairings) and the deprecation path of the legacy world builders.
+also pins the factory contract (``make_broker`` takes one
+``BrokerConfig`` for every mode) and the deprecation path of the legacy
+world builders.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ import pytest
 from repro.analysis.sanitizer import sanitize_all
 from repro.core import (
     BROKER_MODES,
+    BrokerBase,
     BrokerConfig,
-    BrokerProtocol,
     CrossBroker,
     DataAwareBroker,
-    DataBrokerConfig,
     PullBroker,
-    PullBrokerConfig,
     ReplicaCatalog,
     SubmissionPath,
     make_broker,
@@ -65,7 +64,7 @@ def drain(handle):
 def test_broker_satisfies_protocol(mode):
     handle = build(mode)
     broker = handle.broker
-    assert isinstance(broker, BrokerProtocol)
+    assert isinstance(broker, BrokerBase)
     assert isinstance(broker, EXPECTED_CLASS[mode])
     assert broker.mode == mode
 
@@ -139,7 +138,7 @@ def _parameters(func):
 
 
 PROTOCOL_METHODS = sorted(
-    name for name, member in vars(BrokerProtocol).items()
+    name for name, member in vars(BrokerBase).items()
     if inspect.isfunction(member) and not name.startswith("_"))
 
 
@@ -151,18 +150,18 @@ def test_protocol_surface_is_the_five_methods():
 @pytest.mark.parametrize("method", PROTOCOL_METHODS)
 @pytest.mark.parametrize("mode", BROKER_MODES)
 def test_broker_signatures_match_protocol(mode, method):
-    """``runtime_checkable`` only checks that the methods exist; this
-    compares what a keyword or default-relying caller depends on:
+    """A subclass may override a contract method with another signature;
+    this compares what a keyword or default-relying caller depends on:
     parameter names in order, their kinds, which carry defaults, and
     the default values."""
     broker_cls = type(build(mode).broker)
     assert (_parameters(getattr(broker_cls, method))
-            == _parameters(getattr(BrokerProtocol, method)))
+            == _parameters(getattr(BrokerBase, method)))
 
 
 def test_handle_submit_signature_matches_protocol():
-    """ScenarioHandle.submit mirrors BrokerProtocol.submit's typed params."""
-    proto = inspect.signature(BrokerProtocol.submit)
+    """ScenarioHandle.submit mirrors BrokerBase.submit's typed params."""
+    proto = inspect.signature(BrokerBase.submit)
     handle = inspect.signature(ScenarioHandle.submit)
     for name in ("ui_host", "attach_console", "daemon"):
         assert name in proto.parameters
@@ -185,24 +184,13 @@ def test_make_broker_rejects_unknown_mode():
         make_broker(env, net, rng, cal, mode="gossip")
 
 
-def test_make_broker_rejects_mode_config_mismatch():
+@pytest.mark.parametrize("mode", BROKER_MODES)
+def test_make_broker_takes_one_config_in_every_mode(mode):
     env, net, rng, cal = _world()
-    with pytest.raises(TypeError):
-        make_broker(env, net, rng, cal, mode="push",
-                    config=PullBrokerConfig())
-    with pytest.raises(TypeError):
-        make_broker(env, net, rng, cal, mode="pull",
-                    config=DataBrokerConfig())
-    with pytest.raises(TypeError):
-        make_broker(env, net, rng, cal, mode="data", config=BrokerConfig())
-
-
-def test_make_broker_accepts_matching_configs():
-    env, net, rng, cal = _world()
-    assert make_broker(env, net, rng, cal, mode="push",
-                       config=BrokerConfig()).mode == "push"
-    assert make_broker(env, net, rng, cal, mode="data",
-                       config=DataBrokerConfig()).mode == "data"
+    config = BrokerConfig(refresh_sites=False, max_resubmissions=1)
+    broker = make_broker(env, net, rng, cal, mode=mode, config=config)
+    assert type(broker) is EXPECTED_CLASS[mode]
+    assert broker.config is config
 
 
 def test_scenario_rejects_unknown_broker_mode():

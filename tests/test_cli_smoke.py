@@ -179,10 +179,29 @@ class TestCacheCommand:
     def test_clear_single_experiment(self, tmp_path):
         cache = str(tmp_path / "cache")
         run_cli("run", "ablation-halflife", "--quick", "--cache-dir", cache)
-        cleared = run_cli("cache", "clear", "other-experiment",
-                          "--cache-dir", cache)
+        cleared = run_cli("cache", "clear", "fig6", "--cache-dir", cache)
         assert cleared.returncode == 0
         assert "removed 0 cached cell(s)" in cleared.stdout
+        assert "ablation-halflife" in run_cli(
+            "cache", "ls", "--cache-dir", cache).stdout
+
+    @pytest.mark.parametrize("name", ["..", "outside", "fig66"])
+    def test_clear_of_a_name_not_in_the_cache_is_a_usage_error(
+            self, tmp_path, name):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        keep = [tmp_path / "model.pkl", outside / "model.pkl"]
+        for path in keep:
+            path.write_bytes(b"not a cache entry")
+        if name == "outside":
+            name = str(outside)
+        cleared = run_cli("cache", "clear", name, "--cache-dir", str(cache))
+        assert cleared.returncode == 2
+        assert "unknown experiment" in cleared.stderr
+        assert cleared.stdout == ""
+        assert all(path.exists() for path in keep)
 
 
 class TestTraceCommand:

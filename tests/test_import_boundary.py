@@ -518,6 +518,64 @@ class TestLayerMap:
         assert line.endswith("example.py:2: CrossBroker(...)")
 
 
+def module_imports(body):
+    """``(line, bound name)`` of every import in a module's own body
+    (``if``/``try`` blocks included, function bodies not)."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            yield from ((node.lineno, alias.asname or alias.name.split(".")[0])
+                        for alias in node.names)
+        elif isinstance(node, (ast.If, ast.Try)):
+            for field in ("body", "orelse", "finalbody"):
+                yield from module_imports(getattr(node, field, ()))
+            for handler in getattr(node, "handlers", ()):
+                yield from module_imports(handler.body)
+
+
+def names_read(tree):
+    """Every ``ast.Name``, every ``__all__`` entry, and every name inside
+    a string annotation."""
+    names, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            names.update(c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant))
+    for annotation in annotations:
+        for c in ast.walk(annotation):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                names.update(n.id for n in ast.walk(ast.parse(c.value))
+                             if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_module_level_import_is_read():
+    unused = []
+    for path in sorted(glob.glob(os.path.join(SRC, "repro", "**", "*.py"),
+                                 recursive=True)):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        read = names_read(tree)
+        unused += [f"{os.path.relpath(path, REPO)}:{line}: {name}"
+                   for line, name in module_imports(tree.body)
+                   if name not in read]
+    assert unused == []
+
+
 #: The last commit before the boundary was drawn; its cache entries are
 #: ``CACHE_VERSION`` 1 (no integrity digest).
 PARENT = "82c6297ddd1eac93c9190d8b3f2a7e8f90b5637d"

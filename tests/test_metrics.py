@@ -151,7 +151,7 @@ def float_vectors(draw, max_size=400):
     """Floats of mixed sign and magnitude (so summation order shows in the
     last bits), with up to three specials dropped in."""
     n = draw(st.integers(0, max_size))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))  # simlint: disable=unseeded-random -- seeded by Hypothesis' draw; it builds test inputs, not sim state
     values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-4, 6)
               for _ in range(n)]
     for index, special in draw(st.lists(

@@ -648,6 +648,18 @@ class TestResultCache:
         assert removed == rows[0]["cells"]
         assert cache.summary() == []
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "/abs"])
+    def test_an_id_that_is_not_a_plain_name_is_refused(self, tmp_path, name):
+        cache = ResultCache(str(tmp_path / "cache"))
+        os.makedirs(cache.directory)
+        outside = tmp_path / "model.pkl"
+        outside.write_bytes(b"not a cache entry")
+        with pytest.raises(ValueError, match="not a plain name"):
+            cache.clear(name)
+        with pytest.raises(ValueError, match="not a plain name"):
+            list(cache.entries(name))
+        assert outside.exists()
+
     def test_a_killed_writer_leaves_nothing_clear_keeps(self, tmp_path):
         # The child SIGKILLs itself inside its second put, between writing
         # the temp file and renaming it over the entry.
